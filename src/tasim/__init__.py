@@ -4,21 +4,17 @@ registers, with deterministic schedule exploration and history checking."""
 from .shm import (
     READ,
     WRITE,
-    Configuration,
     Event,
     History,
     Memory,
-    NativeMemory,
     OpRecord,
     RegisterWidthError,
     Schedule,
     StepMachine,
     export_trace_jsonl,
-    freeze_prefix,
     make_schedule,
     run,
     run_live_uniform,
-    run_native,
 )
 from .atomic import (
     AtomicStore,
@@ -62,7 +58,6 @@ from .tas_det import (
     tas_system,
     wle_machines,
     wle_store,
-    wle_system,
 )
 from .randomized import CountingRng, HeadsRng, TailsRng, wrap, wrapped_tas_system
 from .tas_rand import CONTINUE, PipelineParams, RandTas, gw_steps, pipeline_params, split_steps

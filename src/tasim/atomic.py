@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Optional
 
-from .shm import READ, WRITE, History, Memory, Event, StepMachine, run
+from .shm import READ, WRITE, Event, History, run
 
 
 class LogicMachine:
@@ -221,29 +221,22 @@ def explore(
 # lowering logic machines to the register level
 
 
-def register_program(
-    logic: LogicMachine,
-    snap,
-    reg_map=None,
-    encode=None,
-    decode=None,
-    history_ops: bool = True,
-):
+def register_program(logic: LogicMachine, snap, base: int = 0, history_ops: bool = True):
     """Expand a logic machine into a register-level step generator.
 
-    `snap` is a BoundedSnapshot providing update_steps/scan_steps; plain
-    register indices go through `reg_map` (identity by default).  Logic
-    machines hold structured component values; `encode(comp, val)` packs
-    them into snapshot integers and `decode(comp, word)` unpacks scan
-    results (identity when omitted).  The generator drives `logic.advance`
+    `snap` is a BoundedSnapshot providing update_steps/scan_steps, and plain
+    register r is register base + r.  Logic machines hold structured
+    component values; when the snapshot carries a codec (`snap.codec`, see
+    the snapshot module) they are packed with its encode before an update
+    and scan results are unpacked with its decode, and a snapshot without
+    one passes the integers through.  The generator drives `logic.advance`
     with exactly the values the atomic store would have produced, so both
     granularities share one decision procedure.  Emits invocation/response
-    markers when the logic declares an interface op.  The logic's own pid is
-    used for snapshot handshakes, so each (logic, snap) pair must have a pid
-    unique within that snapshot instance.
+    markers when `history_ops` is set and the logic declares an interface
+    op.  The logic's own pid is used for snapshot handshakes, so each
+    (logic, snap) pair must have a pid unique within that snapshot instance.
     """
-    if reg_map is None:
-        reg_map = lambda r: r
+    codec = snap.codec
     emit = history_ops and logic.op_name is not None
     if emit:
         yield ("inv", logic.op_name, tuple(logic.op_args))
@@ -251,19 +244,19 @@ def register_program(
         op = logic.op
         kind = op[0]
         if kind == "u":
-            val = encode(op[1], op[2]) if encode is not None else op[2]
+            val = op[2] if codec is None else codec.encode(op[1], op[2])
             yield from snap.update_steps(logic.pid, op[1], val)
             res = None
         elif kind == "s":
             view = yield from snap.scan_steps(logic.pid)
-            if decode is not None:
-                res = tuple(decode(i, view[i]) for i in range(op[1], op[2]))
-            else:
+            if codec is None:
                 res = tuple(view[op[1] : op[2]])
+            else:
+                res = tuple(codec.decode(i, view[i]) for i in range(op[1], op[2]))
         elif kind == "r":
-            res = yield (READ, reg_map(op[1]))
+            res = yield (READ, base + op[1])
         elif kind == "w":
-            yield (WRITE, reg_map(op[1]), op[2])
+            yield (WRITE, base + op[1], op[2])
             res = None
         else:
             raise ValueError(f"unknown op {op!r}")

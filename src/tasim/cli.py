@@ -11,18 +11,24 @@ Two subcommands:
       2 on an invalid invocation.
 
   tasim sweep --object {tas_det,tas_rand} --n-list 16,64,256 ...
-      runs trials per n and emits a CSV table:
+      runs the same trials as simulate (--schedule random) per n and emits
+      a CSV table:
       n,register_count,mean_steps,p99_steps,backstop_fraction
+      Steps are per process and in the trial's own unit: snapshot
+      operations (plus doorway accesses) for tas_det, register steps for
+      tas_rand.
 
 Determinism contract: the same command line with the same --seed produces
 byte-identical output.  SEED and OUT environment variables supply defaults
 for --seed/--out; explicit flags win.
 
 Granularity: sifter and tas_det trials run at snapshot-op granularity for
-throughput (their step budgets are stated in object operations); --trace
-re-runs trial 0 at register level and exports the full access trace as JSON
-lines, one register access per line.  snapshot, tas_rand, and wrapped trials
-are always register-level.  tas_rand and wrapped require --schedule random:
+throughput (their step budgets are stated in object operations, and the
+obstruction-free TAS at register level under a uniform schedule needs
+millions of steps to finish already at n=8); --trace re-runs trial 0 at
+register level and exports the full access trace as JSON lines, one
+register access per line.  snapshot, tas_rand, and wrapped trials are
+always register-level.  tas_rand and wrapped require --schedule random:
 their guarantees are against randomized scheduling, sampled step by step
 over unfinished processes (distributionally exact for an oblivious uniform
 schedule, skipping only no-op slots).
@@ -35,44 +41,39 @@ import json
 import os
 import random
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import tas_det
 from .atomic import run_atomic
 from .randomized import wrapped_tas_system
-from .shm import History, Memory, export_trace_jsonl, make_schedule, run, run_live_uniform
+from .shm import (
+    History,
+    StepMachine,
+    drain,
+    export_trace_jsonl,
+    make_schedule,
+    run,
+    run_live_uniform,
+)
 from .sifter import LOSE, WIN, sifter_machines, sifter_store, sifter_system
 from .snapshot import BoundedSnapshot, ops_program
-from .shm import StepMachine
 from .tas_rand import RandTas
 from .verify import SearchBudgetExceeded, check_linearizable, check_tas, SnapshotSequential
 
 ATOMIC_SOLO_BOUND = 4000  # drain allowance per machine, object ops
+REGISTER_SOLO_BOUND = 100_000  # drain allowance per machine in --trace re-runs
 LIVE_CAP = 50_000_000  # absolute step cap for randomized runs
 
 
-def _drain_atomic(machines, store, history, t):
-    """Finish every machine with solo bursts; extends the run in place."""
-    for m in machines:
-        if not m.done:
-            history, t = run_atomic(
-                machines, store, [m.pid] * ATOMIC_SOLO_BOUND, history=history, start_t=t
-            )
-            if not m.done:
-                raise RuntimeError(f"pid {m.pid} not done after solo drain")
-    return history, t
+class Trial(NamedTuple):
+    """One trial's report; simulate prints the first four fields."""
 
-
-def _drain_register(machines, memory, history, t, bound):
-    for m in machines:
-        if not m.done:
-            history, _ = run(
-                machines, memory, [m.pid] * bound, history=history, start_t=t
-            )
-            t += bound
-            if not m.done:
-                raise RuntimeError(f"pid {m.pid} not done after solo drain")
-    return history, t
+    wins: int
+    loses: int
+    max_steps: int
+    checker: str
+    steps: tuple = ()  # per process
+    backstop: bool = False  # tas_rand: some process reached the backstop
 
 
 def _schedule_seq(kind: str, n: int, length: int, seed: int, burst: int):
@@ -80,7 +81,7 @@ def _schedule_seq(kind: str, n: int, length: int, seed: int, burst: int):
 
 
 # ---------------------------------------------------------------------------
-# per-object trials; each returns (wins, loses, max_steps, checker)
+# per-object trials; each returns a Trial
 
 
 def trial_sifter(n: int, kind: str, burst: int, seed: int):
@@ -88,12 +89,12 @@ def trial_sifter(n: int, kind: str, burst: int, seed: int):
     machines = sifter_machines(range(n))
     seq = _schedule_seq(kind, n, 60 * n, seed, burst)
     h, t = run_atomic(machines, store, seq)
-    h, t = _drain_atomic(machines, store, h, t)
+    drain(machines, store, ATOMIC_SOLO_BOUND, h, t, runner=run_atomic)
     wins = sum(1 for m in machines if m.result == WIN)
     loses = sum(1 for m in machines if m.result == LOSE)
-    max_steps = max(m.steps for m in machines)
     ok = 1 <= wins <= tas_det.f(n) and wins + loses == n
-    return wins, loses, max_steps, "ok" if ok else f"wins={wins} outside [1,{tas_det.f(n)}]"
+    checker = "ok" if ok else f"wins={wins} outside [1,{tas_det.f(n)}]"
+    return Trial(wins, loses, max(m.steps for m in machines), checker)
 
 
 def trial_tas_det(n: int, kind: str, burst: int, seed: int):
@@ -101,18 +102,20 @@ def trial_tas_det(n: int, kind: str, burst: int, seed: int):
     machines = tas_det.tas_machines(n)
     seq = _schedule_seq(kind, n, 40 * n, seed, burst)
     h, t = run_atomic(machines, store, seq)
-    h, t = _drain_atomic(machines, store, h, t)
+    drain(machines, store, ATOMIC_SOLO_BOUND, h, t, runner=run_atomic)
     return _tas_report(machines, h)
 
 
-def _tas_report(machines, h: History):
+def _tas_report(machines, h: History, backstop: bool = False) -> Trial:
     wins = sum(1 for m in machines if m.result == 0)
     loses = sum(1 for m in machines if m.result == 1)
-    max_steps = max(m.steps for m in machines)
+    steps = tuple(m.steps for m in machines)
     if wins != 1:
-        return wins, loses, max_steps, f"{wins} processes returned 0"
-    v = check_tas(h)
-    return wins, loses, max_steps, "ok" if v.ok else (v.reason or "violation")
+        checker = f"{wins} processes returned 0"
+    else:
+        v = check_tas(h)
+        checker = "ok" if v.ok else (v.reason or "violation")
+    return Trial(wins, loses, max(steps), checker, steps, backstop)
 
 
 def trial_snapshot(n: int, kind: str, burst: int, seed: int):
@@ -121,7 +124,6 @@ def trial_snapshot(n: int, kind: str, burst: int, seed: int):
     memory = snap.fresh_memory()
     rng = random.Random(f"snapscript:{seed}")
     machines = []
-    total_ops = 0
     for p in range(n):
         script = []
         for _ in range(rng.randrange(1, 3)):
@@ -129,20 +131,17 @@ def trial_snapshot(n: int, kind: str, burst: int, seed: int):
                 script.append(("update", rng.randrange(m_comp), rng.randrange(16)))
             else:
                 script.append(("scan",))
-        total_ops += len(script)
         machines.append(
             StepMachine(p, ops_program(snap, p, script), auto_history=False)
         )
-    seq = _schedule_seq(kind, n, 30 * n, seed, burst)
-    h, _ = run(machines, memory, seq)
-    h, _ = _drain_register(machines, memory, h, len(seq), 200)
-    max_steps = max(m.steps for m in machines)
+    h, t = run(machines, memory, _schedule_seq(kind, n, 30 * n, seed, burst))
+    h, _ = drain(machines, memory, 200, h, t)
     try:
         ok = check_linearizable(h, SnapshotSequential(m_comp, 0))
         checker = "ok" if ok else "not linearizable"
     except SearchBudgetExceeded:
         checker = "unknown: search budget exceeded"
-    return 0, 0, max_steps, checker
+    return Trial(0, 0, max(m.steps for m in machines), checker)
 
 
 def trial_tas_rand(n: int, seed: int, beta: int):
@@ -152,9 +151,11 @@ def trial_tas_rand(n: int, seed: int, beta: int):
     h = History()
     rng = random.Random(f"sched:{seed}")
     run_live_uniform(machines, memory, rng, LIVE_CAP, history=h)
+    backstop = rt.entered[rt.backstop_index] > 0
     if not all(m.done for m in machines):
-        return 0, 0, 0, "step cap exceeded"
-    return _tas_report(machines, h)
+        steps = tuple(m.steps for m in machines)
+        return Trial(0, 0, 0, "step cap exceeded", steps, backstop)
+    return _tas_report(machines, h, backstop)
 
 
 def trial_wrapped(n: int, seed: int, b: Optional[int]):
@@ -163,22 +164,17 @@ def trial_wrapped(n: int, seed: int, b: Optional[int]):
     rng = random.Random(f"sched:{seed}")
     run_live_uniform(machines, memory, rng, LIVE_CAP, history=h)
     if not all(m.done for m in machines):
-        return 0, 0, 0, "step cap exceeded"
+        return Trial(0, 0, 0, "step cap exceeded")
     return _tas_report(machines, h)
 
 
 def _trace_trial(obj: str, n: int, kind: str, burst: int, seed: int, beta: int, b, path: str):
     """Re-run trial 0 at register level with tracing and export it."""
-    if obj == "sifter":
-        machines, memory, _, _ = sifter_system(n, record_trace=True)
-        seq = _schedule_seq(kind, n, 200 * n, seed, burst)
-        run(machines, memory, seq, record=False)
-        _finish_register(machines, memory)
-    elif obj == "tas_det":
-        machines, memory, _, _ = tas_det.tas_system(n, record_trace=True)
-        seq = _schedule_seq(kind, n, 200 * n, seed, burst)
-        run(machines, memory, seq, record=False)
-        _finish_register(machines, memory)
+    if obj in ("sifter", "tas_det"):
+        system = sifter_system if obj == "sifter" else tas_det.tas_system
+        machines, memory, _, _ = system(n, record_trace=True)
+        _, t = run(machines, memory, _schedule_seq(kind, n, 200 * n, seed, burst), record=False)
+        drain(machines, memory, REGISTER_SOLO_BOUND, t=t)
     elif obj == "snapshot":
         snap = BoundedSnapshot(0, 2, n, value_bits=4)
         memory = snap.fresh_memory(record_trace=True)
@@ -187,8 +183,8 @@ def _trace_trial(obj: str, n: int, kind: str, burst: int, seed: int, beta: int, 
         for p in range(n):
             script = [("update", rng.randrange(2), rng.randrange(16)), ("scan",)]
             machines.append(StepMachine(p, ops_program(snap, p, script), auto_history=False))
-        run(machines, memory, _schedule_seq(kind, n, 30 * n, seed, burst), record=False)
-        _finish_register(machines, memory)
+        _, t = run(machines, memory, _schedule_seq(kind, n, 30 * n, seed, burst), record=False)
+        drain(machines, memory, REGISTER_SOLO_BOUND, t=t)
     elif obj == "tas_rand":
         rt = RandTas(n, beta=beta, seed=seed)
         memory = rt.memory(record_trace=True)
@@ -204,14 +200,6 @@ def _trace_trial(obj: str, n: int, kind: str, burst: int, seed: int, beta: int, 
         export_trace_jsonl(memory.trace, fp)
 
 
-def _finish_register(machines, memory):
-    for m in machines:
-        if not m.done:
-            run(machines, memory, [m.pid] * 100_000, record=False)
-        if not m.done:
-            raise RuntimeError(f"pid {m.pid} stuck")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -225,17 +213,18 @@ def cmd_simulate(args) -> int:
     for trial in range(args.trials):
         trial_seed = args.seed + trial
         if args.object == "sifter":
-            w, l, s, checker = trial_sifter(args.n, args.schedule, args.burst, trial_seed)
+            tr = trial_sifter(args.n, args.schedule, args.burst, trial_seed)
         elif args.object == "tas_det":
-            w, l, s, checker = trial_tas_det(args.n, args.schedule, args.burst, trial_seed)
+            tr = trial_tas_det(args.n, args.schedule, args.burst, trial_seed)
         elif args.object == "snapshot":
-            w, l, s, checker = trial_snapshot(args.n, args.schedule, args.burst, trial_seed)
+            tr = trial_snapshot(args.n, args.schedule, args.burst, trial_seed)
         elif args.object == "tas_rand":
-            w, l, s, checker = trial_tas_rand(args.n, trial_seed, args.beta)
+            tr = trial_tas_rand(args.n, trial_seed, args.beta)
         elif args.object == "wrapped":
-            w, l, s, checker = trial_wrapped(args.n, trial_seed, args.b)
+            tr = trial_wrapped(args.n, trial_seed, args.b)
         else:  # pragma: no cover - argparse choices guard this
             return 2
+        w, l, s, checker = tr[:4]
         all_ok = all_ok and checker == "ok"
         lines.append(
             json.dumps(
@@ -266,35 +255,16 @@ def cmd_sweep(args) -> int:
     rows = ["n,register_count,mean_steps,p99_steps,backstop_fraction"]
     all_ok = True
     for n in ns:
-        steps: list[int] = []
-        backstop_hits = 0
-        ok = True
         if args.object == "tas_det":
             regs = tas_det.register_count(n)
-            for trial in range(args.trials):
-                seed = args.seed + trial
-                machines, memory, _, _ = tas_det.tas_system(n)
-                h = History()
-                rng = random.Random(f"sched:{seed}")
-                run_live_uniform(machines, memory, rng, LIVE_CAP, history=h)
-                ok = ok and all(m.done for m in machines) and check_tas(h).ok
-                steps.extend(m.steps for m in machines)
+            trials = [trial_tas_det(n, "random", 1, args.seed + i) for i in range(args.trials)]
         else:  # tas_rand
             regs = RandTas(n, beta=args.beta, seed=0).register_count
-            for trial in range(args.trials):
-                seed = args.seed + trial
-                rt = RandTas(n, beta=args.beta, seed=seed)
-                machines = rt.machines()
-                memory = rt.memory()
-                h = History()
-                rng = random.Random(f"sched:{seed}")
-                run_live_uniform(machines, memory, rng, LIVE_CAP, history=h)
-                ok = ok and all(m.done for m in machines) and check_tas(h).ok
-                steps.extend(m.steps for m in machines)
-                if rt.entered[rt.backstop_index] > 0:
-                    backstop_hits += 1
-        all_ok = all_ok and ok
+            trials = [trial_tas_rand(n, args.seed + i, args.beta) for i in range(args.trials)]
+        all_ok = all_ok and all(tr.checker == "ok" for tr in trials)
+        steps = [s for tr in trials for s in tr.steps]
         mean = sum(steps) / len(steps)
+        backstop_hits = sum(tr.backstop for tr in trials)
         rows.append(
             f"{n},{regs},{mean:.2f},{_steps_percentile(steps, 0.99)},"
             f"{backstop_hits / args.trials:.4f}"
@@ -332,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--burst", type=int, default=8, help="solo-burst length (default 8)")
     sim.add_argument("--b", type=int, default=None,
                      help="wrapped: block length (default: registered solo bound)")
-    sim.add_argument("--delta", type=float, default=0.01,
-                     help="wrapped: target failure probability, reporting only (default 0.01)")
     sim.add_argument("--beta", type=int, default=16,
                      help="tas_rand: pipeline width constant (default 16)")
     sim.add_argument("--out", default=env_out, help="output path or - (default $OUT or -)")

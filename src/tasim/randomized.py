@@ -24,7 +24,10 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from .atomic import register_program
 from .shm import READ, WRITE, Memory, StepMachine
+from .sifter import sifter_snapshot
+from .tas_det import ell, solo_step_bound, tas_machines, tas_register_widths
 
 
 def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
@@ -71,26 +74,17 @@ def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs
     step bound; `coin_rngs` (pid -> rng) overrides the seeded per-process
     coin streams, e.g. with HeadsRng for the degenerate-coin checks.
     """
-    from .atomic import register_program
-    from .sifter import make_codec
-    from .tas_det import TasLogic, chain_snapshot, solo_step_bound, tas_register_widths
-
     if b is None:
         b = solo_step_bound(n)
-    snap = chain_snapshot(n, base=1)
-    memory = Memory(tas_register_widths(n))
-    encode, decode = make_codec(n)
-    logics = [TasLogic(p, n) for p in range(n)]
+    snap = sifter_snapshot(n, 1, ell(n))
+    logics = tas_machines(n)
     machines = []
     for lg in logics:
-        inner = register_program(lg, snap, encode=encode, decode=decode)
         rng = coin_rngs[lg.pid] if coin_rngs else random.Random(f"coin:{seed}:{lg.pid}")
         machines.append(
-            StepMachine(
-                lg.pid, wrap(inner, n, b, rng, dummy_reg=0), auto_history=False
-            )
+            StepMachine(lg.pid, wrap(register_program(lg, snap), n, b, rng), auto_history=False)
         )
-    return machines, memory, logics
+    return machines, Memory(tas_register_widths(n)), logics
 
 
 class HeadsRng:

@@ -27,9 +27,8 @@ invocation/response pair wrapped around their whole run instead.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable, Optional
 
 import numpy as np
 
@@ -358,12 +357,13 @@ def run(
     record: bool = True,
     start_t: int = 0,
     stop_when_done: bool = False,
-) -> tuple[Optional[History], Memory]:
+) -> tuple[Optional[History], int]:
     """Drive machines through the schedule; one shared step per entry.
 
     Entries addressed to finished machines are absorbed as no-ops (they
-    consume the slot but touch nothing).  Returns the history (None when
-    record=False) and the memory, both mutated in place.
+    consume the slot but touch nothing).  Returns (history, t_next) like
+    `atomic.run_atomic`: the history (None when record=False), extended in
+    place, and the schedule position after the last slot consumed.
     """
     if record and history is None:
         history = History()
@@ -384,7 +384,34 @@ def run(
                     t += 1
                     break
         t += 1
-    return history, memory
+    return history, t
+
+
+def drain(
+    machines: list,
+    memory,
+    bound: int,
+    history: Optional[History] = None,
+    t: int = 0,
+    runner=run,
+):
+    """Finish every unfinished machine with one solo burst of `bound` slots.
+
+    Bursts go in list order and continue the run at schedule position t,
+    recording into `history` when one is given.  `runner` is `run` over a
+    Memory or `atomic.run_atomic` over an AtomicStore.  Raises RuntimeError
+    if a machine is still unfinished after its burst.  Returns
+    (history, t_next).
+    """
+    for m in machines:
+        if not m.done:
+            record = history is not None
+            history, t = runner(
+                machines, memory, [m.pid] * bound, history=history, record=record, start_t=t
+            )
+            if not m.done:
+                raise RuntimeError(f"pid {m.pid} not done after a solo burst of {bound}")
+    return history, t
 
 
 def run_live_uniform(
@@ -414,94 +441,3 @@ def run_live_uniform(
             live.pop()
         t += 1
     return t
-
-
-@dataclass
-class Configuration:
-    """A resumable point of a run: machines + memory + position + history."""
-
-    machines: list[StepMachine]
-    memory: Memory
-    t: int
-    history: Optional[History]
-
-    def resume(self, schedule, stop_when_done: bool = False):
-        return run(
-            self.machines,
-            self.memory,
-            schedule,
-            history=self.history,
-            record=self.history is not None,
-            start_t=self.t,
-            stop_when_done=stop_when_done,
-        )
-
-
-def freeze_prefix(
-    machines: list[StepMachine],
-    memory: Memory,
-    schedule,
-    t: int,
-    record: bool = True,
-) -> Configuration:
-    """Execute the first t schedule entries and capture the configuration.
-
-    The machines and memory are advanced in place; resuming the returned
-    configuration on the remaining schedule is step-for-step identical to an
-    uninterrupted run (machines are deterministic given their own RNG streams
-    and the responses they receive).
-    """
-    seq = _seq_of(schedule)
-    if t > len(seq):
-        raise ValueError("prefix longer than schedule")
-    history = History() if record else None
-    run(machines, memory, seq[:t], history=history, record=record)
-    return Configuration(machines, memory, t, history)
-
-
-# ---------------------------------------------------------------------------
-# native (threaded) backend: same register interface, OS-level interleaving
-
-
-class NativeMemory:
-    """Registers backed by a lock; single-word reads/writes are linearizable.
-
-    Satisfies the same read/write interface as Memory (the t argument is
-    ignored; real time orders accesses).  Intended for stress runs showing
-    the machines carry no hidden shared state; the deterministic simulator
-    remains the reference backend.
-    """
-
-    __slots__ = ("widths", "regs", "_lock")
-
-    def __init__(self, widths: Iterable[int], init: Optional[Iterable[int]] = None):
-        self.widths = list(widths)
-        self.regs = list(init) if init is not None else [0] * len(self.widths)
-        self._lock = threading.Lock()
-
-    def read(self, t: int, pid: int, reg: int) -> int:
-        with self._lock:
-            return self.regs[reg]
-
-    def write(self, t: int, pid: int, reg: int, val: int) -> None:
-        if not isinstance(val, int) or val < 0 or val >> self.widths[reg]:
-            raise RegisterWidthError(f"value {val!r} does not fit register {reg}")
-        with self._lock:
-            self.regs[reg] = val
-
-
-def run_native(machines: list[StepMachine], memory: NativeMemory) -> list[Any]:
-    """Run each machine on its own thread until completion; return results."""
-
-    def worker(m: StepMachine):
-        t = 0
-        while not m.done:
-            m.step(memory, t, None)
-            t += 1
-
-    threads = [threading.Thread(target=worker, args=(m,)) for m in machines]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    return [m.result for m in machines]

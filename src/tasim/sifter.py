@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .atomic import AtomicStore, LogicMachine, register_program
-from .shm import Memory, StepMachine
+from .shm import StepMachine
 from .snapshot import BoundedSnapshot
 
 WIN = "win"
@@ -161,9 +161,9 @@ class NaiveSifterLogic(SifterLogic):
 # builders: coarse-grained (atomic snapshot ops)
 
 
-def sifter_store(levels: int = 1) -> AtomicStore:
+def sifter_store(levels: int = 1, n_regs: int = 0) -> AtomicStore:
     init = ([None] * 3 + [B_EMPTY] * 3) * levels
-    return AtomicStore(6 * levels, init=init)
+    return AtomicStore(6 * levels, init=init, n_regs=n_regs)
 
 
 def sifter_machines(pids) -> list[SifterLogic]:
@@ -180,16 +180,8 @@ def sifter_machines(pids) -> list[SifterLogic]:
 # knockout starts only when _num(p, a) == 1.
 
 
-def _code(v: Optional[int]) -> int:
-    return 0 if v is None else v + 1
-
-
-def _uncode(c: int) -> Optional[int]:
-    return None if c == 0 else c - 1
-
-
-def make_codec(n: int):
-    """(encode, decode) between component values and snapshot integers.
+class _Codec:
+    """Sifter component values <-> owner-tagged snapshot integers.
 
     An A value (an id or None) packs as id + 1, with 0 for None.  A B value
     (p, sig) packs in mixed radix as (p, o1, o2, pos): pos in 1..3 is one
@@ -199,12 +191,20 @@ def make_codec(n: int):
     an unwritten register, decodes to B_EMPTY.  The packing is one-to-one
     on reachable values, and `encode` raises ValueError on a B value that
     cannot be reached (no writer, an id outside 0..n-1, or a sig that does
-    not hold the writer exactly once) rather than alias it.
+    not hold the writer exactly once) rather than alias it.  `owner` reads
+    the writer a packed value names.
     """
 
-    def encode(comp: int, val) -> int:
+    __slots__ = ("n", "nn")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.nn = n * n
+
+    def encode(self, comp: int, val) -> int:
         if comp % 6 < 3:
-            return _code(val)
+            return 0 if val is None else val + 1
+        n = self.n
         p, sig = val
         if (
             p is None
@@ -218,11 +218,12 @@ def make_codec(n: int):
         w = (p * n + (p if o1 is None else o1)) * n + (p if o2 is None else o2)
         return 4 * w + pos + 1
 
-    def decode(comp: int, w: int):
+    def decode(self, comp: int, w: int):
         if comp % 6 < 3:
-            return _uncode(w)
+            return None if w == 0 else w - 1
         if w == 0:
             return B_EMPTY
+        n = self.n
         w, pos = divmod(w, 4)
         w, c2 = divmod(w, n)
         p, c1 = divmod(w, n)
@@ -234,19 +235,15 @@ def make_codec(n: int):
             return (p, (o1, p, o2))
         return (p, (o1, o2, p))
 
-    return encode, decode
-
-
-def cell_owner(n: int):
-    """owner(comp, w): the writer a packed component value names (see make_codec)."""
-    nn = n * n
-
-    def owner(comp: int, w: int) -> Optional[int]:
+    def owner(self, comp: int, w: int) -> Optional[int]:
         if w == 0:
             return None
-        return w - 1 if comp % 6 < 3 else (w >> 2) // nn
+        return w - 1 if comp % 6 < 3 else (w >> 2) // self.nn
 
-    return owner
+
+def make_codec(n: int) -> _Codec:
+    """The codec of every sifter snapshot for n processes (see _Codec)."""
+    return _Codec(n)
 
 
 def value_bits(n: int) -> int:
@@ -260,28 +257,16 @@ def value_bits(n: int) -> int:
 
 
 def sifter_snapshot(n: int, base: int = 0, levels: int = 1) -> BoundedSnapshot:
-    return BoundedSnapshot(base, 6 * levels, n, value_bits(n), owner=cell_owner(n))
+    """Owner-tagged snapshot of `levels` chained sifters, carrying their codec."""
+    return BoundedSnapshot(base, 6 * levels, n, value_bits(n), codec=make_codec(n))
 
 
-def sifter_system(
-    n: int,
-    pids=None,
-    record_trace: bool = False,
-    logic_cls=SifterLogic,
-):
+def sifter_system(n: int, pids=None, record_trace: bool = False):
     """Register-level sifter: (machines, memory, snapshot, logics)."""
-    if pids is None:
-        pids = range(n)
     snap = sifter_snapshot(n)
-    memory = snap.fresh_memory(record_trace=record_trace)
-    encode, decode = make_codec(n)
-    logics = [logic_cls(p) for p in pids]
+    logics = sifter_machines(range(n) if pids is None else pids)
     machines = [
-        StepMachine(
-            lg.pid,
-            register_program(lg, snap, encode=encode, decode=decode),
-            auto_history=False,
-        )
+        StepMachine(lg.pid, register_program(lg, snap), auto_history=False)
         for lg in logics
     ]
-    return machines, memory, snap, logics
+    return machines, snap.fresh_memory(record_trace=record_trace), snap, logics

@@ -28,22 +28,29 @@ process running alone completes a scan within at most one damaged attempt
 plus one clean one, i.e. 4m+3 steps from any reachable configuration (a
 fresh solo scan is a single 2m+2 attempt).
 
-Values are caller-encoded non-negative integers below 2**value_bits.  A
-generic snapshot's cells additionally carry the writer id and the parity
-bit, so each is value_bits + pid_bits + 1 wide with pid_bits =
-ceil(log2(n+1)).  An owner-tagged snapshot is declared with a function
-owner(comp, x) that recovers the writer from every value it stores; its
-cells drop the writer field and are value_bits + 1 wide.  The argument
-above still holds there: a pending write by q differs from a cell last
-written by anyone else because the value names its writer, and from q's own
-previous write to that cell by the parity bit.  update() checks that the
-value names the caller, and the value 0 (an unwritten cell) must name no
-one.  The handshake register is pid_bits wide either way.
+Values are non-negative integers below 2**value_bits.  A generic
+snapshot's cells additionally carry the writer id and the parity bit, so
+each is value_bits + pid_bits + 1 wide with pid_bits = ceil(log2(n+1)).
+
+An owner-tagged snapshot is declared with a component codec, an object
+with three methods: encode(comp, val) packs a component value into such an
+integer, decode(comp, x) unpacks it, and owner(comp, x) names the writer
+that every packed value names.  The codec lives here, on the snapshot:
+update_steps and scan_steps move packed integers, and
+`atomic.register_program`, which lowers logic machines onto registers,
+packs and unpacks through `snap.codec`.  The sifter's codec is
+`sifter.make_codec`.  Owner-tagged cells drop the writer field and are
+value_bits + 1 wide.  The argument above still holds there: a pending
+write by q differs from a cell last written by anyone else because the
+value names its writer, and from q's own previous write to that cell by the
+parity bit.  update() checks that the value names the caller, and the value
+0 (an unwritten cell) must name no one.  The handshake register is pid_bits
+wide either way.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .shm import READ, WRITE, Memory
 
@@ -55,11 +62,11 @@ class BoundedSnapshot:
     a shared Memory.  Several logical objects can coexist in one Memory at
     different bases.  The per-(pid, component) parity counters live here,
     which is sound because each counter is private to its writing process.
-    Passing `owner` declares the snapshot owner-tagged (see the module
+    Passing `codec` declares the snapshot owner-tagged (see the module
     docstring).
     """
 
-    __slots__ = ("base", "m", "n", "value_bits", "pid_bits", "owner", "_shift", "_parity")
+    __slots__ = ("base", "m", "n", "value_bits", "pid_bits", "codec", "_shift", "_parity")
 
     def __init__(
         self,
@@ -67,7 +74,7 @@ class BoundedSnapshot:
         m: int,
         n: int,
         value_bits: int,
-        owner: Optional[Callable[[int, int], Optional[int]]] = None,
+        codec=None,
     ):
         if m <= 0 or n <= 0 or value_bits <= 0:
             raise ValueError("m, n, value_bits must be positive")
@@ -76,9 +83,9 @@ class BoundedSnapshot:
         self.n = n
         self.value_bits = value_bits
         self.pid_bits = n.bit_length()
-        self.owner = owner
+        self.codec = codec
         # bits below the value in a cell: parity, plus the writer field
-        self._shift = 1 if owner is not None else self.pid_bits + 1
+        self._shift = 1 if codec is not None else self.pid_bits + 1
         self._parity: dict[tuple[int, int], int] = {}
 
     # -- layout -------------------------------------------------------------
@@ -107,7 +114,7 @@ class BoundedSnapshot:
     # -- cell codec ----------------------------------------------------------
 
     def encode_cell(self, w: int, pid: Optional[int], b: int) -> int:
-        if self.owner is not None:
+        if self.codec is not None:
             return (w << 1) | b
         p_code = 0 if pid is None else pid + 1
         return (w << (self.pid_bits + 1)) | (p_code << 1) | b
@@ -116,10 +123,10 @@ class BoundedSnapshot:
         """(value, writer, parity) of a cell; an owner-tagged one needs `comp`."""
         b = c & 1
         w = c >> self._shift
-        if self.owner is not None:
+        if self.codec is not None:
             if comp is None:
                 raise ValueError("an owner-tagged cell decodes only with its component")
-            return w, self.owner(comp, w), b
+            return w, self.codec.owner(comp, w), b
         p_code = (c >> 1) & ((1 << self.pid_bits) - 1)
         return w, (None if p_code == 0 else p_code - 1), b
 
@@ -133,7 +140,7 @@ class BoundedSnapshot:
             raise ValueError(f"value {x!r} does not fit {self.value_bits} bits")
         if not 0 <= pid < self.n:
             raise ValueError(f"pid {pid} out of range")
-        if self.owner is not None and self.owner(comp, x) != pid:
+        if self.codec is not None and self.codec.owner(comp, x) != pid:
             raise ValueError(
                 f"value {x} of component {comp} does not name its writer {pid}"
             )

@@ -27,16 +27,7 @@ import numpy as np
 
 from .atomic import AtomicStore, register_program
 from .shm import Memory, StepMachine
-from .sifter import (
-    LOSE,
-    WIN,
-    B_EMPTY,
-    SifterLogic,
-    cell_owner,
-    make_codec,
-    value_bits,
-)
-from .snapshot import BoundedSnapshot
+from .sifter import WIN, SifterLogic, sifter_snapshot, sifter_store
 
 # Solo snapshot-op bound for one sifter from any reachable configuration
 # (a fresh solo compete takes exactly 12; the worst reachable case measured
@@ -192,12 +183,8 @@ class TasLogic(WleChainLogic):
 # builders: coarse-grained (atomic snapshot ops)
 
 
-def _chain_init(levels: int) -> list:
-    return ([None] * 3 + [B_EMPTY] * 3) * levels
-
-
 def wle_store(n: int) -> AtomicStore:
-    return AtomicStore(6 * ell(n), init=_chain_init(ell(n)))
+    return sifter_store(ell(n))
 
 
 def wle_machines(n: int, pids=None) -> list[WleChainLogic]:
@@ -205,7 +192,7 @@ def wle_machines(n: int, pids=None) -> list[WleChainLogic]:
 
 
 def tas_store(n: int) -> AtomicStore:
-    return AtomicStore(6 * ell(n), init=_chain_init(ell(n)), n_regs=1)
+    return sifter_store(ell(n), n_regs=1)  # plain register 0: the doorway bit
 
 
 def tas_machines(n: int, pids=None) -> list[TasLogic]:
@@ -216,13 +203,8 @@ def tas_machines(n: int, pids=None) -> list[TasLogic]:
 # builders: register level
 
 
-def chain_snapshot(n: int, base: int = 0) -> BoundedSnapshot:
-    """The owner-tagged (6*ell)-component snapshot every chain layout uses."""
-    return BoundedSnapshot(base, 6 * ell(n), n, value_bits(n), owner=cell_owner(n))
-
-
 def tas_register_widths(n: int) -> list[int]:
-    return [1] + chain_snapshot(n, base=1).register_widths()
+    return [1] + sifter_snapshot(n, 1, ell(n)).register_widths()
 
 
 def tas_system(n: int, pids=None, record_trace: bool = False):
@@ -231,37 +213,10 @@ def tas_system(n: int, pids=None, record_trace: bool = False):
     Layout: register 0 is the doorway bit; registers 1..6*ell+1 are the
     chain snapshot (cells then handshake).
     """
-    if pids is None:
-        pids = range(n)
-    snap = chain_snapshot(n, base=1)
-    memory = Memory(tas_register_widths(n), record_trace=record_trace)
-    encode, decode = make_codec(n)
-    logics = [TasLogic(p, n) for p in pids]
+    snap = sifter_snapshot(n, 1, ell(n))
+    logics = tas_machines(n, pids)
     machines = [
-        StepMachine(
-            lg.pid,
-            register_program(lg, snap, encode=encode, decode=decode),
-            auto_history=False,
-        )
+        StepMachine(lg.pid, register_program(lg, snap), auto_history=False)
         for lg in logics
     ]
-    return machines, memory, snap, logics
-
-
-def wle_system(n: int, pids=None, record_trace: bool = False):
-    """Register-level chain without the doorway (weak leader election)."""
-    if pids is None:
-        pids = range(n)
-    snap = chain_snapshot(n, base=0)
-    memory = Memory(snap.register_widths(), record_trace=record_trace)
-    encode, decode = make_codec(n)
-    logics = [WleChainLogic(p, ell(n)) for p in pids]
-    machines = [
-        StepMachine(
-            lg.pid,
-            register_program(lg, snap, encode=encode, decode=decode),
-            auto_history=False,
-        )
-        for lg in logics
-    ]
-    return machines, memory, snap, logics
+    return machines, Memory(tas_register_widths(n), record_trace=record_trace), snap, logics

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from .atomic import register_program
 from .randomized import wrap
 from .shm import Memory, READ, WRITE, StepMachine
-from .sifter import LOSE, WIN, make_codec
-from .tas_det import TasLogic, chain_snapshot, solo_step_bound, tas_register_widths
+from .sifter import LOSE, WIN, sifter_snapshot
+from .tas_det import TasLogic, ell, solo_step_bound, tas_register_widths
 
 CONTINUE = "continue"
 
@@ -153,11 +153,9 @@ class RandTas:
         self.widths = widths
 
         self.le2_snaps = {
-            i: chain_snapshot(2, base=self.le2_base[i] + 1) for i in range(1, p.K + 1)
+            i: sifter_snapshot(2, self.le2_base[i] + 1, ell(2)) for i in range(1, p.K + 1)
         }
-        self.backstop_snap = chain_snapshot(n, base=self.backstop_base + 1)
-        self._codec2 = make_codec(2)
-        self._codec_n = make_codec(n)
+        self.backstop_snap = sifter_snapshot(n, self.backstop_base + 1, ell(n))
         self.b2 = solo_step_bound(2)
         self.bn = solo_step_bound(n)
 
@@ -189,7 +187,12 @@ class RandTas:
 
     # -- sub-programs ---------------------------------------------------------
 
-    def _le2_steps(self, stage: int, role: int, pid: int, rng):
+    def _wrapped_tas(self, pid: int, base: int, snap, n: int, b: int, rng):
+        """A wrapped deterministic TAS program whose doorway is register base."""
+        inner = register_program(TasLogic(pid, n), snap, base, history_ops=False)
+        return wrap(inner, n, b, rng, dummy_reg=base)
+
+    def _claim_le2(self, stage: int, role: int, pid: int) -> None:
         key = (stage, role)
         if key in self.le2_claims:
             raise RuntimeError(
@@ -197,32 +200,6 @@ class RandTas:
                 f"{self.le2_claims[key]} and pid {pid}"
             )
         self.le2_claims[key] = pid
-        base = self.le2_base[stage]
-        enc, dec = self._codec2
-        inner = register_program(
-            TasLogic(role, 2),
-            self.le2_snaps[stage],
-            reg_map=lambda r: base + r,
-            encode=enc,
-            decode=dec,
-            history_ops=False,
-        )
-        bit = yield from wrap(inner, 2, self.b2, rng, dummy_reg=base)
-        return bit
-
-    def _backstop_steps(self, pid: int, rng):
-        base = self.backstop_base
-        enc, dec = self._codec_n
-        inner = register_program(
-            TasLogic(pid, self.n),
-            self.backstop_snap,
-            reg_map=lambda r: base + r,
-            encode=enc,
-            decode=dec,
-            history_ops=False,
-        )
-        bit = yield from wrap(inner, self.n, self.bn, rng, dummy_reg=base)
-        return bit
 
     def _program(self, pid: int, rng):
         p = self.params
@@ -238,7 +215,9 @@ class RandTas:
             if i < p.K:
                 out = yield from gw_steps(self.gw_base[i], p.gw_size(i), rng)
             else:
-                bit = yield from self._backstop_steps(pid, rng)
+                bit = yield from self._wrapped_tas(
+                    pid, self.backstop_base, self.backstop_snap, self.n, self.bn, rng
+                )
                 out = WIN if bit == 0 else LOSE
             if out == LOSE:
                 break
@@ -258,7 +237,10 @@ class RandTas:
             ok = True
             for j in range(won_at, 0, -1):
                 role = 0 if j == won_at else 1
-                bit = yield from self._le2_steps(j, role, pid, rng)
+                self._claim_le2(j, role, pid)
+                bit = yield from self._wrapped_tas(
+                    role, self.le2_base[j], self.le2_snaps[j], 2, self.b2, rng
+                )
                 if bit != 0:
                     ok = False
                     break

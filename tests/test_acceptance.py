@@ -18,9 +18,9 @@ import random
 import statistics
 import time
 
-from tasim.atomic import explore, explore_interleavings, run_atomic, run_atomic_solo
+from tasim.atomic import explore, explore_interleavings, run_atomic
 from tasim.randomized import HeadsRng, wrapped_tas_system
-from tasim.shm import History, Memory, StepMachine, make_schedule, run, run_live_uniform
+from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run, run_live_uniform
 from tasim.sifter import WIN, sifter_machines, sifter_store, sifter_system
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.tas_det import (
@@ -59,12 +59,6 @@ def _line(num, label, ok, detail=""):
     return msg
 
 
-def _drain_atomic(machines, store, bound):
-    for m in machines:
-        if not m.done:
-            run_atomic_solo(m, store, bound)
-
-
 # ---------------------------------------------------------------------------
 # 1. sifter winner/loser bounds
 
@@ -93,7 +87,7 @@ def test_criterion_01_sifter_winner_bounds():
             store = sifter_store()
             sched = [rng.randrange(k) for _ in range(rng.randrange(5, 60 * k))]
             run_atomic(machines, store, sched, record=False)
-            _drain_atomic(machines, store, S_MAX)
+            drain(machines, store, S_MAX, runner=run_atomic)
             wins = sum(1 for m in machines if m.result == WIN)
             assert 1 <= wins <= f(k), (k, trial, wins)
 

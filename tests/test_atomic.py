@@ -118,21 +118,31 @@ def test_explore_two_putscans():
         explore(make, max_states=3)
 
 
+class PutScanCodec:
+    """Codec for PutScanLogic: pid p's value p+1 packs as itself, 0 is None."""
+
+    def encode(self, comp, val):
+        return val
+
+    def decode(self, comp, x):
+        return None if x == 0 else x
+
+    def owner(self, comp, x):
+        return None if x == 0 else x - 1
+
+
 def test_register_lowering_agrees_with_atomic():
-    # the same decision logic, expanded to register steps; the set of
-    # reachable outcome pairs must coincide with the atomic exploration.
-    # concurrent scans can restart each other forever, so the tree is
-    # depth-capped; capped branches are real (counted via on_cut)
+    # the same decision logic, expanded to register steps through the
+    # snapshot's codec; the set of reachable outcome pairs must coincide
+    # with the atomic exploration.  concurrent scans can restart each other
+    # forever, so the tree is depth-capped; capped branches are real
+    # (counted via on_cut)
     def make():
-        snap = BoundedSnapshot(0, 2, n=2, value_bits=2)
+        snap = BoundedSnapshot(0, 2, n=2, value_bits=2, codec=PutScanCodec())
         memory = snap.fresh_memory(record_trace=True)
         machines = []
         for p in range(2):
-            prog = register_program(
-                PutScanLogic(p, 2),
-                snap,
-                decode=lambda i, w: None if w == 0 else w,
-            )
+            prog = register_program(PutScanLogic(p, 2), snap)
             machines.append(StepMachine(p, prog, auto_history=False))
         return machines, memory
 
@@ -158,11 +168,12 @@ def test_owner_tagged_snapshot_interleavings_linearize():
     # are pid 0's, even ones pid 1's) and pid 0 rewrites its own value, so
     # only the parity bit tells its two writes apart; every history within
     # the depth cap linearizes
-    def owner(comp, x):
-        return None if x == 0 else (x - 1) % 2
+    class ParityCodec(PutScanCodec):
+        def owner(self, comp, x):
+            return None if x == 0 else (x - 1) % 2
 
     def make():
-        s = BoundedSnapshot(0, 2, n=2, value_bits=3, owner=owner)
+        s = BoundedSnapshot(0, 2, n=2, value_bits=3, codec=ParityCodec())
         mem = s.fresh_memory(record_trace=True)
         scripts = [
             [("update", 0, 1), ("scan",), ("update", 0, 1)],

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tasim import cli
+from tasim.tas_det import register_count
 
 
 def test_simulate_stdout_json_lines(capsys):
@@ -112,3 +113,21 @@ def test_sweep_deterministic(tmp_path):
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_tas_det_counts_snapshot_ops(tmp_path):
+    # tas_det sweeps at snapshot-op granularity, as simulate does; at register
+    # level under a uniform schedule n=16 finishes no trial within 10^8 steps
+    out = tmp_path / "det.csv"
+    rc = cli.main(["sweep", "--object", "tas_det", "--n-list", "16,64", "--trials", "2",
+                   "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().strip().splitlines()
+    assert rows[0] == "n,register_count,mean_steps,p99_steps,backstop_fraction"
+    assert len(rows) == 3
+    for row, n in zip(rows[1:], (16, 64)):
+        cells = row.split(",")
+        assert int(cells[0]) == n
+        assert int(cells[1]) == register_count(n)
+        assert float(cells[2]) >= 1.0 and int(cells[3]) >= 1
+        assert float(cells[4]) == 0.0  # the deterministic object has no backstop

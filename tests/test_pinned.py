@@ -1,0 +1,71 @@
+"""Pinned executions of the register-level builders.
+
+Each digest is the sha256 of one run's full register trace and its
+per-process results.  The register-level sifter and TAS builders run in no
+benchmark workload, so these digests are what shows that a refactor of the
+lowering path (codec, snapshot, register mapping, wrapper) left every
+register access unchanged.
+"""
+
+import hashlib
+import json
+import random
+
+from tasim.randomized import wrapped_tas_system
+from tasim.shm import make_schedule, run, run_live_uniform
+from tasim.sifter import sifter_system
+from tasim.tas_det import tas_system
+from tasim.tas_rand import RandTas
+
+SOLO = 100_000  # solo burst that finishes any unfinished process
+LIVE_CAP = 50_000_000
+DIGESTS = {
+    "sifter_system": "455e146180503cf1b63d089329372d1485069264be677a76e04279f4d2fea633",
+    "tas_system": "13ea539347907919f9fc2ea598f7f9e2bed55d033221882907aac019ce68932c",
+    "wrapped_tas_system": "03ed0fd06546df87c44f0f9c9f483748e547092e8e1e36e8802c6a249762afca",
+    "rand_tas": "09256fd70fa6029fa36b60a7b310137bd57dbc04f49d33fc326f3fd025bd5936",
+}
+
+
+def _digest(memory, machines) -> str:
+    assert all(m.done for m in machines)
+    blob = json.dumps([memory.trace, [m.result for m in machines]])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _scheduled_then_drained(machines, memory, schedule) -> str:
+    run(machines, memory, schedule, record=False)
+    t = len(schedule)
+    for m in machines:
+        if not m.done:
+            run(machines, memory, [m.pid] * SOLO, record=False, start_t=t)
+            t += SOLO
+    return _digest(memory, machines)
+
+
+def _live_uniform(machines, memory, seed: int) -> str:
+    memory.record_trace = True
+    run_live_uniform(machines, memory, random.Random(f"sched:{seed}"), LIVE_CAP)
+    return _digest(memory, machines)
+
+
+def test_sifter_system_pinned():
+    machines, memory, _, _ = sifter_system(3, record_trace=True)
+    got = _scheduled_then_drained(machines, memory, make_schedule("random", 3, 600, seed=7))
+    assert got == DIGESTS["sifter_system"]
+
+
+def test_tas_system_pinned():
+    machines, memory, _, _ = tas_system(3, record_trace=True)
+    got = _scheduled_then_drained(machines, memory, make_schedule("random", 3, 600, seed=7))
+    assert got == DIGESTS["tas_system"]
+
+
+def test_wrapped_tas_system_pinned():
+    machines, memory, _ = wrapped_tas_system(4, b=1619, seed=3)
+    assert _live_uniform(machines, memory, 3) == DIGESTS["wrapped_tas_system"]
+
+
+def test_rand_tas_pinned():
+    rt = RandTas(16, seed=5)  # reaches LE2 stages 1 and 2
+    assert _live_uniform(rt.machines(), rt.memory(), 5) == DIGESTS["rand_tas"]

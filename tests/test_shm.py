@@ -1,4 +1,4 @@
-"""Register simulator: schedules, step machines, histories, freeze/resume."""
+"""Register simulator: schedules, step machines, histories, runners."""
 
 import io
 import json
@@ -7,19 +7,16 @@ import random
 import pytest
 
 from tasim.shm import (
-    Configuration,
     Event,
     History,
     Memory,
-    NativeMemory,
     RegisterWidthError,
     StepMachine,
+    drain,
     export_trace_jsonl,
-    freeze_prefix,
     make_schedule,
     run,
     run_live_uniform,
-    run_native,
 )
 
 
@@ -186,36 +183,25 @@ def test_history_ops_pairing_errors():
         h2.ops()
 
 
-def test_freeze_resume_matches_uninterrupted():
-    sched = make_schedule("random", 3, 60, seed=3)
-
-    def build():
-        mem = Memory([16], record_trace=True)
-        return [StepMachine(p, counter_prog(p, 0, 4)) for p in range(3)], mem
-
-    ms, mem = build()
-    h, _ = run(ms, mem, sched)
-
-    ms2, mem2 = build()
-    cfg = freeze_prefix(ms2, mem2, sched, 17)
-    assert isinstance(cfg, Configuration) and cfg.t == 17
-    h2, _ = cfg.resume(sched.seq[17:])
-    assert mem2.regs == mem.regs
-    assert mem2.trace == mem.trace
-    assert [e for e in h2.events] == [e for e in h.events]
-
-
-def test_freeze_prefix_bounds():
-    ms = [StepMachine(0, counter_prog(0, 0, 1))]
-    with pytest.raises(ValueError):
-        freeze_prefix(ms, Memory([4]), [0, 0], 5)
-
-
 def test_run_stop_when_done():
     mem = Memory([16])
     machines = [StepMachine(0, counter_prog(0, 0, 1))]
     run(machines, mem, [0] * 100, record=False, stop_when_done=True)
     assert machines[0].steps == 2
+
+
+def test_drain_finishes_each_machine_in_solo_bursts():
+    mem = Memory([16], record_trace=True)
+    ms = [StepMachine(p, counter_prog(p, 0, 2)) for p in range(2)]
+    h, t = run(ms, mem, [0, 1])
+    assert t == 2
+    h, t = drain(ms, mem, 10, h, t)
+    assert all(m.done for m in ms) and t == 22
+    # pid 0's burst covers slots 2..11, pid 1's slots 12..21
+    assert [e[0] for e in mem.trace] == [0, 1, 2, 3, 4, 12, 13, 14]
+    assert [o.pending for o in h.ops()] == [False, False]
+    with pytest.raises(RuntimeError, match="solo burst"):
+        drain([StepMachine(0, counter_prog(0, 0, 5))], Memory([16]), 3)
 
 
 def test_run_rejects_duplicate_pids():
@@ -243,14 +229,3 @@ def test_live_uniform_matches_plain_run_distribution():
     ms2, mem2 = build()
     assert run_live_uniform(ms2, mem2, random.Random(0), 3) == 3
     assert not all(m.done for m in ms2)
-
-
-def test_native_backend_smoke():
-    mem = NativeMemory([32])
-    machines = [StepMachine(p, counter_prog(p, 0, 50)) for p in range(4)]
-    results = run_native(machines, mem)
-    assert sorted(results) == [0, 1, 2, 3]
-    # increments may race, but the final value is within [rounds, 4*rounds]
-    assert 50 <= mem.regs[0] <= 200
-    with pytest.raises(RegisterWidthError):
-        NativeMemory([1]).write(0, 0, 0, 5)

@@ -17,7 +17,6 @@ from tasim.sifter import (
     _num,
     _outnumbered,
     _pos_rule,
-    cell_owner,
     make_codec,
     sifter_machines,
     sifter_snapshot,
@@ -154,8 +153,8 @@ def test_codec_roundtrip():
     # exhaustive over the reachable domain: an A value is an id, a B value is
     # (p, sig) with p in sig exactly once; everything else must be refused
     for n in range(1, 9):
-        enc, dec = make_codec(n)
-        owner = cell_owner(n)
+        codec = make_codec(n)
+        enc, dec, owner = codec.encode, codec.decode, codec.owner
         vb = value_bits(n)
         entries = [None] + list(range(n))
         for comp in (0, 2, 7):  # A components across two chained levels
@@ -188,7 +187,7 @@ def test_codec_roundtrip():
 def test_owner_tagged_snapshot_refuses_foreign_values():
     n = 3
     snap = sifter_snapshot(n)
-    enc, _ = make_codec(n)
+    enc = make_codec(n).encode
     assert snap.cell_width == value_bits(n) + 1
     assert len(list(snap.update_steps(1, 0, enc(0, 1)))) == 2
     w = enc(3, (1, (1, 2, None)))

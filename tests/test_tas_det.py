@@ -14,7 +14,6 @@ from tasim.tas_det import (
     TasLogic,
     WleChainLogic,
     ceil_log32,
-    chain_snapshot,
     ell,
     f,
     f_iter,
@@ -30,7 +29,6 @@ from tasim.tas_det import (
     tas_system,
     wle_machines,
     wle_store,
-    wle_system,
 )
 from tasim.verify import check_tas, outcome_counts, probe_solo
 

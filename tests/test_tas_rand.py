@@ -171,26 +171,31 @@ def test_split_lone_caller_wins():
 
 def test_le2_claims_guard():
     rt = RandTas(4)
-    g1 = rt._le2_steps(1, 0, 7, random.Random(0))
-    next(g1)
+    rt._claim_le2(1, 0, 7)
     assert rt.le2_claims == {(1, 0): 7}
-    g2 = rt._le2_steps(1, 0, 8, random.Random(1))
     with pytest.raises(RuntimeError, match="claimed"):
-        next(g2)
-    g3 = rt._le2_steps(1, 1, 8, random.Random(1))  # other role is fine
-    next(g3)
+        rt._claim_le2(1, 0, 8)
+    rt._claim_le2(1, 1, 8)  # other role is fine
+    assert rt.le2_claims == {(1, 0): 7, (1, 1): 8}
 
 
 def test_backstop_plumbing_first_wins_second_loses():
     rt = RandTas(3, seed=2)
     mem = rt.memory()
-    first = StepMachine(0, rt._backstop_steps(0, rt.process_rng(0)), auto_history=False)
+
+    def backstop(pid):
+        prog = rt._wrapped_tas(
+            pid, rt.backstop_base, rt.backstop_snap, rt.n, rt.bn, rt.process_rng(pid)
+        )
+        return StepMachine(pid, prog, auto_history=False)
+
+    first = backstop(0)
     t = 0
     while not first.done:
         first.step(mem, t, None)
         t += 1
     assert first.result == 0
-    second = StepMachine(1, rt._backstop_steps(1, rt.process_rng(1)), auto_history=False)
+    second = backstop(1)
     while not second.done:
         second.step(mem, t, None)
         t += 1
