@@ -40,7 +40,7 @@ def main():
     # seeded random schedules reproduce byte for byte
     a = make_schedule("random", 2, 10, seed=7)
     b = make_schedule("random", 2, 10, seed=7)
-    print(f"seeded schedule is reproducible: {list(a) == list(b)}")
+    print(f"seeded schedule is reproducible: {a == b}")
 
 
 if __name__ == "__main__":

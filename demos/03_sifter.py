@@ -8,7 +8,8 @@ below was found by exhaustive search over the naive variant's state graph
 and is replayed here against both variants.
 """
 
-from tasim.atomic import explore, run_atomic, run_atomic_solo
+from tasim.atomic import explore
+from tasim.shm import drain, run
 from tasim.sifter import WIN, NaiveSifterLogic, sifter_machines, sifter_store
 from tasim.tas_det import f
 
@@ -17,17 +18,11 @@ NAIVE_BREAKER = [0, 0, 1, 1, 1, 1, 1, 1, 0, 2, 0, 2, 0, 0, 0, 0,
                  2, 3, 2, 3, 2, 2, 2, 2, 3, 4, 3, 3, 3, 3, 3]
 
 
-def finish_all(machines, store, bound=100):
-    for m in machines:
-        if not m.done:
-            run_atomic_solo(m, store, bound)
-
-
 def wins_under(make_machines, schedule, k):
     machines = make_machines(range(k))
     store = sifter_store()
-    run_atomic(machines, store, schedule, record=False)
-    finish_all(machines, store)
+    run(machines, store, schedule, record=False)
+    drain(machines, store, 100)
     return sum(1 for m in machines if m.result == WIN)
 
 

@@ -9,7 +9,6 @@ from .shm import (
     Memory,
     OpRecord,
     RegisterWidthError,
-    Schedule,
     StepMachine,
     export_trace_jsonl,
     make_schedule,
@@ -22,7 +21,6 @@ from .atomic import (
     explore,
     explore_interleavings,
     register_program,
-    run_atomic,
     run_atomic_solo,
 )
 from .snapshot import BoundedSnapshot, ops_program

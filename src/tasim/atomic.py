@@ -12,7 +12,10 @@ Running them against `AtomicStore` treats every snapshot operation as a
 single indivisible step.  This is the natural cost model for the sifter and
 test-and-set analyses (their step bounds count snapshot operations), and it
 keeps state spaces small enough for exhaustive breadth-first exploration
-with duplicate-state elimination.
+with duplicate-state elimination.  A logic machine steps with the same
+`step(store, t, history)` protocol as a register-level `shm.StepMachine`,
+so `shm.run` and `shm.drain` drive either kind; `explore` and
+`run_atomic_solo` step through it too.
 
 The same logic machines can instead be lowered onto the register-level
 machinery in `shm`/`snapshot` via `register_program`, which expands each
@@ -35,8 +38,8 @@ class LogicMachine:
     Subclasses keep all mutable state in attributes listed in FIELDS (values
     must be hashable), poise the next operation in `self.op`, and implement
     `advance(res)` to consume the operation's result and choose the next one
-    (or set `done`/`result`).  `clone`/`key` then come for free, which is
-    what makes exhaustive exploration cheap.
+    (or set `done`/`result`).  `step`, `clone` and `key` then come for free;
+    the last two are what make exhaustive exploration cheap.
     """
 
     FIELDS = ("pid", "op", "done", "result", "steps")
@@ -59,6 +62,30 @@ class LogicMachine:
     def advance(self, res) -> None:
         raise NotImplementedError
 
+    def step(self, store, t: int, history: Optional[History]) -> bool:
+        """Execute one store op at schedule position t, like `StepMachine.step`.
+
+        Applies the poised op, counts the step and advances.  With a history
+        and an interface op (`op_name`), records the invocation at 2t on the
+        first step and the response at 2t+1 on the finishing step.  Returns
+        False (a no-op) if the machine already finished.
+        """
+        if self.done:
+            return False
+        record = history is not None and self.op_name is not None
+        if record and self.steps == 0:
+            history.events.append(
+                Event(2 * t, self.pid, "inv", self.op_name, tuple(self.op_args), None)
+            )
+        res = store.apply(self.op)
+        self.steps += 1
+        self.advance(res)
+        if record and self.done:
+            history.events.append(
+                Event(2 * t + 1, self.pid, "res", self.op_name, (), self.result)
+            )
+        return True
+
     def clone(self):
         c = object.__new__(type(self))
         for f in type(self).FIELDS:
@@ -79,11 +106,11 @@ class AtomicStore:
 
     __slots__ = ("comps", "regs")
 
-    def __init__(self, m: int, init=None, n_regs: int = 0, reg_init: int = 0):
+    def __init__(self, m: int, init=None, n_regs: int = 0):
         self.comps = [init] * m if not isinstance(init, (list, tuple)) else list(init)
         if isinstance(init, (list, tuple)) and len(self.comps) != m:
             raise ValueError("init length != m")
-        self.regs = [reg_init] * n_regs
+        self.regs = [0] * n_regs
 
     def apply(self, op: tuple):
         kind = op[0]
@@ -109,48 +136,10 @@ class AtomicStore:
         return (tuple(self.comps), tuple(self.regs))
 
 
-def run_atomic(
-    machines: list,
-    store: AtomicStore,
-    schedule,
-    history: Optional[History] = None,
-    record: bool = True,
-    start_t: int = 0,
-    stop_when_done: bool = False,
-):
-    """Run logic machines under a pid schedule, one store op per slot.
-
-    Entries naming finished (or absent) pids are absorbed as no-ops.  When
-    `record` is set, machines with an `op_name` get an invocation event at
-    their first step and a response event at their finishing step, using the
-    2t / 2t+1 timestamp convention.  Returns (history, t_next).
-    """
-    by_pid = {}
-    for m in machines:
-        if m.pid in by_pid:
-            raise ValueError(f"duplicate pid {m.pid}")
-        by_pid[m.pid] = m
-    if record and history is None:
-        history = History()
-    t = start_t
-    for pid in schedule:
-        m = by_pid.get(pid)
-        if m is not None and not m.done:
-            if record and m.op_name is not None and m.steps == 0:
-                history.events.append(
-                    Event(2 * t, m.pid, "inv", m.op_name, tuple(m.op_args), None)
-                )
-            res = store.apply(m.op)
-            m.steps += 1
-            m.advance(res)
-            if m.done and record and m.op_name is not None:
-                history.events.append(
-                    Event(2 * t + 1, m.pid, "res", m.op_name, (), m.result)
-                )
-        t += 1
-        if stop_when_done and all(mm.done for mm in machines):
-            break
-    return history, t
+# One runner drives both kinds of machine: `shm.run` steps each scheduled
+# machine through its `step(store, t, history)`.  This name stays for
+# callers written against the snapshot-op runner.
+run_atomic = run
 
 
 def run_atomic_solo(machine, store: AtomicStore, max_steps: int) -> int:
@@ -165,9 +154,7 @@ def run_atomic_solo(machine, store: AtomicStore, max_steps: int) -> int:
             raise RuntimeError(
                 f"pid {machine.pid} not done after {max_steps} solo steps"
             )
-        res = store.apply(machine.op)
-        machine.steps += 1
-        machine.advance(res)
+        machine.step(store, 0, None)
         taken += 1
     return taken
 
@@ -204,9 +191,7 @@ def explore(
                 ms = list(machines)
                 mi = ms[i] = machines[i].clone()
                 st = store.clone()
-                res = st.apply(mi.op)
-                mi.steps += 1
-                mi.advance(res)
+                mi.step(st, 0, None)
                 k = (tuple(m.key() for m in ms), st.key())
                 if k not in seen:
                     if len(seen) >= max_states:

@@ -25,10 +25,11 @@ for --seed/--out; explicit flags win.
 Granularity: sifter and tas_det trials run at snapshot-op granularity for
 throughput (their step budgets are stated in object operations, and the
 obstruction-free TAS at register level under a uniform schedule needs
-millions of steps to finish already at n=8); --trace re-runs trial 0 at
-register level and exports the full access trace as JSON lines, one
-register access per line.  snapshot, tas_rand, and wrapped trials are
-always register-level.  tas_rand and wrapped require --schedule random:
+millions of steps to finish already at n=8).  snapshot, tas_rand, and
+wrapped trials are always register-level, and --trace exports trial 0's own
+register accesses as JSON lines, one access per line; a sifter or tas_det
+trial makes no register accesses, so for those --trace re-runs trial 0's
+schedule kind and seed at register level.  tas_rand and wrapped require --schedule random:
 their guarantees are against randomized scheduling, sampled step by step
 over unfinished processes (distributionally exact for an oblivious uniform
 schedule, skipping only no-op slots).
@@ -44,7 +45,6 @@ import sys
 from typing import NamedTuple, Optional
 
 from . import tas_det
-from .atomic import run_atomic
 from .randomized import wrapped_tas_system
 from .shm import (
     History,
@@ -61,7 +61,7 @@ from .tas_rand import RandTas
 from .verify import SearchBudgetExceeded, check_linearizable, check_tas, SnapshotSequential
 
 ATOMIC_SOLO_BOUND = 4000  # drain allowance per machine, object ops
-REGISTER_SOLO_BOUND = 100_000  # drain allowance per machine in --trace re-runs
+REGISTER_SOLO_BOUND = 100_000  # drain allowance per machine in register re-runs
 LIVE_CAP = 50_000_000  # absolute step cap for randomized runs
 
 
@@ -74,10 +74,7 @@ class Trial(NamedTuple):
     checker: str
     steps: tuple = ()  # per process
     backstop: bool = False  # tas_rand: some process reached the backstop
-
-
-def _schedule_seq(kind: str, n: int, length: int, seed: int, burst: int):
-    return make_schedule(kind, n, length, seed=seed, burst=burst).seq
+    trace: tuple = ()  # register accesses, when the trial recorded them
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +84,8 @@ def _schedule_seq(kind: str, n: int, length: int, seed: int, burst: int):
 def trial_sifter(n: int, kind: str, burst: int, seed: int):
     store = sifter_store()
     machines = sifter_machines(range(n))
-    seq = _schedule_seq(kind, n, 60 * n, seed, burst)
-    h, t = run_atomic(machines, store, seq)
-    drain(machines, store, ATOMIC_SOLO_BOUND, h, t, runner=run_atomic)
+    h, t = run(machines, store, make_schedule(kind, n, 60 * n, seed=seed, burst=burst))
+    drain(machines, store, ATOMIC_SOLO_BOUND, h, t)
     wins = sum(1 for m in machines if m.result == WIN)
     loses = sum(1 for m in machines if m.result == LOSE)
     ok = 1 <= wins <= tas_det.f(n) and wins + loses == n
@@ -100,13 +96,12 @@ def trial_sifter(n: int, kind: str, burst: int, seed: int):
 def trial_tas_det(n: int, kind: str, burst: int, seed: int):
     store = tas_det.tas_store(n)
     machines = tas_det.tas_machines(n)
-    seq = _schedule_seq(kind, n, 40 * n, seed, burst)
-    h, t = run_atomic(machines, store, seq)
-    drain(machines, store, ATOMIC_SOLO_BOUND, h, t, runner=run_atomic)
+    h, t = run(machines, store, make_schedule(kind, n, 40 * n, seed=seed, burst=burst))
+    drain(machines, store, ATOMIC_SOLO_BOUND, h, t)
     return _tas_report(machines, h)
 
 
-def _tas_report(machines, h: History, backstop: bool = False) -> Trial:
+def _tas_report(machines, h: History, backstop: bool = False, trace: tuple = ()) -> Trial:
     wins = sum(1 for m in machines if m.result == 0)
     loses = sum(1 for m in machines if m.result == 1)
     steps = tuple(m.steps for m in machines)
@@ -115,13 +110,13 @@ def _tas_report(machines, h: History, backstop: bool = False) -> Trial:
     else:
         v = check_tas(h)
         checker = "ok" if v.ok else (v.reason or "violation")
-    return Trial(wins, loses, max(steps), checker, steps, backstop)
+    return Trial(wins, loses, max(steps), checker, steps, backstop, trace)
 
 
-def trial_snapshot(n: int, kind: str, burst: int, seed: int):
+def trial_snapshot(n: int, kind: str, burst: int, seed: int, record_trace: bool = False):
     m_comp = 2
     snap = BoundedSnapshot(0, m_comp, n, value_bits=4)
-    memory = snap.fresh_memory()
+    memory = snap.fresh_memory(record_trace)
     rng = random.Random(f"snapscript:{seed}")
     machines = []
     for p in range(n):
@@ -134,19 +129,19 @@ def trial_snapshot(n: int, kind: str, burst: int, seed: int):
         machines.append(
             StepMachine(p, ops_program(snap, p, script), auto_history=False)
         )
-    h, t = run(machines, memory, _schedule_seq(kind, n, 30 * n, seed, burst))
+    h, t = run(machines, memory, make_schedule(kind, n, 30 * n, seed=seed, burst=burst))
     h, _ = drain(machines, memory, 200, h, t)
     try:
         ok = check_linearizable(h, SnapshotSequential(m_comp, 0))
         checker = "ok" if ok else "not linearizable"
     except SearchBudgetExceeded:
         checker = "unknown: search budget exceeded"
-    return Trial(0, 0, max(m.steps for m in machines), checker)
+    return Trial(0, 0, max(m.steps for m in machines), checker, trace=tuple(memory.trace))
 
 
-def trial_tas_rand(n: int, seed: int, beta: int):
+def trial_tas_rand(n: int, seed: int, beta: int, record_trace: bool = False):
     rt = RandTas(n, beta=beta, seed=seed)
-    memory = rt.memory()
+    memory = rt.memory(record_trace)
     machines = rt.machines()
     h = History()
     rng = random.Random(f"sched:{seed}")
@@ -154,50 +149,35 @@ def trial_tas_rand(n: int, seed: int, beta: int):
     backstop = rt.entered[rt.backstop_index] > 0
     if not all(m.done for m in machines):
         steps = tuple(m.steps for m in machines)
-        return Trial(0, 0, 0, "step cap exceeded", steps, backstop)
-    return _tas_report(machines, h, backstop)
+        return Trial(0, 0, 0, "step cap exceeded", steps, backstop, tuple(memory.trace))
+    return _tas_report(machines, h, backstop, tuple(memory.trace))
 
 
-def trial_wrapped(n: int, seed: int, b: Optional[int]):
+def trial_wrapped(n: int, seed: int, b: Optional[int], record_trace: bool = False):
     machines, memory, _ = wrapped_tas_system(n, b=b, seed=seed)
+    memory.record_trace = record_trace
     h = History()
     rng = random.Random(f"sched:{seed}")
     run_live_uniform(machines, memory, rng, LIVE_CAP, history=h)
     if not all(m.done for m in machines):
-        return Trial(0, 0, 0, "step cap exceeded")
-    return _tas_report(machines, h)
+        return Trial(0, 0, 0, "step cap exceeded", trace=tuple(memory.trace))
+    return _tas_report(machines, h, trace=tuple(memory.trace))
 
 
-def _trace_trial(obj: str, n: int, kind: str, burst: int, seed: int, beta: int, b, path: str):
-    """Re-run trial 0 at register level with tracing and export it."""
-    if obj in ("sifter", "tas_det"):
-        system = sifter_system if obj == "sifter" else tas_det.tas_system
-        machines, memory, _, _ = system(n, record_trace=True)
-        _, t = run(machines, memory, _schedule_seq(kind, n, 200 * n, seed, burst), record=False)
-        drain(machines, memory, REGISTER_SOLO_BOUND, t=t)
-    elif obj == "snapshot":
-        snap = BoundedSnapshot(0, 2, n, value_bits=4)
-        memory = snap.fresh_memory(record_trace=True)
-        rng = random.Random(f"snapscript:{seed}")
-        machines = []
-        for p in range(n):
-            script = [("update", rng.randrange(2), rng.randrange(16)), ("scan",)]
-            machines.append(StepMachine(p, ops_program(snap, p, script), auto_history=False))
-        _, t = run(machines, memory, _schedule_seq(kind, n, 30 * n, seed, burst), record=False)
-        drain(machines, memory, REGISTER_SOLO_BOUND, t=t)
-    elif obj == "tas_rand":
-        rt = RandTas(n, beta=beta, seed=seed)
-        memory = rt.memory(record_trace=True)
-        machines = rt.machines()
-        run_live_uniform(machines, memory, random.Random(f"sched:{seed}"), LIVE_CAP)
-    elif obj == "wrapped":
-        machines, memory, _ = wrapped_tas_system(n, b=b, seed=seed)
-        memory.record_trace = True
-        run_live_uniform(machines, memory, random.Random(f"sched:{seed}"), LIVE_CAP)
-    else:  # pragma: no cover
-        raise ValueError(obj)
-    with open(path, "w") as fp:
-        export_trace_jsonl(memory.trace, fp)
+def _register_trace(obj: str, n: int, kind: str, burst: int, seed: int) -> list:
+    """Register accesses of a sifter or tas_det trial re-run at register level.
+
+    Those trials run at snapshot-op granularity and make no register
+    accesses, so the re-run lowers the same logic onto registers under the
+    same schedule kind and seed (each snapshot op now takes many register
+    steps, hence the longer schedule) and drains it.
+    """
+    system = sifter_system if obj == "sifter" else tas_det.tas_system
+    machines, memory, _, _ = system(n, record_trace=True)
+    seq = make_schedule(kind, n, 200 * n, seed=seed, burst=burst)
+    _, t = run(machines, memory, seq, record=False)
+    drain(machines, memory, REGISTER_SOLO_BOUND, t=t)
+    return memory.trace
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +188,28 @@ def cmd_simulate(args) -> int:
     if args.object in ("tas_rand", "wrapped") and args.schedule != "random":
         print(f"{args.object} supports only --schedule random", file=sys.stderr)
         return 2
+    if args.trials < 1:
+        print("--trials must be positive", file=sys.stderr)
+        return 2
     lines = []
     all_ok = True
     for trial in range(args.trials):
         trial_seed = args.seed + trial
+        record = trial == 0 and bool(args.trace)
         if args.object == "sifter":
             tr = trial_sifter(args.n, args.schedule, args.burst, trial_seed)
         elif args.object == "tas_det":
             tr = trial_tas_det(args.n, args.schedule, args.burst, trial_seed)
         elif args.object == "snapshot":
-            tr = trial_snapshot(args.n, args.schedule, args.burst, trial_seed)
+            tr = trial_snapshot(args.n, args.schedule, args.burst, trial_seed, record)
         elif args.object == "tas_rand":
-            tr = trial_tas_rand(args.n, trial_seed, args.beta)
+            tr = trial_tas_rand(args.n, trial_seed, args.beta, record)
         elif args.object == "wrapped":
-            tr = trial_wrapped(args.n, trial_seed, args.b)
+            tr = trial_wrapped(args.n, trial_seed, args.b, record)
         else:  # pragma: no cover - argparse choices guard this
             return 2
+        if record:
+            trace = tr.trace
         w, l, s, checker = tr[:4]
         all_ok = all_ok and checker == "ok"
         lines.append(
@@ -233,10 +219,10 @@ def cmd_simulate(args) -> int:
             )
         )
     if args.trace:
-        _trace_trial(
-            args.object, args.n, args.schedule, args.burst, args.seed, args.beta,
-            args.b, args.trace,
-        )
+        if args.object in ("sifter", "tas_det"):
+            trace = _register_trace(args.object, args.n, args.schedule, args.burst, args.seed)
+        with open(args.trace, "w") as fp:
+            export_trace_jsonl(trace, fp)
     _emit(args.out, "\n".join(lines) + "\n")
     return 0 if all_ok else 1
 
@@ -251,6 +237,9 @@ def cmd_sweep(args) -> int:
     ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not ns:
         print("empty --n-list", file=sys.stderr)
+        return 2
+    if args.trials < 1:
+        print("--trials must be positive", file=sys.stderr)
         return 2
     rows = ["n,register_count,mean_steps,p99_steps,backstop_fraction"]
     all_ok = True

@@ -22,6 +22,10 @@ slot; they delimit object-level operations for history checking::
 
 Machines constructed with ``auto_history=True`` (the default) get one
 invocation/response pair wrapped around their whole run instead.
+
+`run` drives any machine with a ``step(memory, t, history)`` method, so the
+snapshot-op-granularity ``atomic.LogicMachine``s over an ``atomic.AtomicStore``
+run through it too, as does `drain`.
 """
 
 from __future__ import annotations
@@ -172,27 +176,6 @@ def export_trace_jsonl(trace: Iterable[tuple], fp) -> None:
 # schedules
 
 
-@dataclass
-class Schedule:
-    """A fully materialized sequence of process ids.
-
-    Materialization happens at construction time, before any machine takes a
-    step or flips a coin, which is what makes the adversary oblivious.
-    """
-
-    kind: str
-    n: int
-    seq: list[int]
-    seed: Optional[int] = None
-    burst: Optional[int] = None
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-    def __iter__(self):
-        return iter(self.seq)
-
-
 def make_schedule(
     kind: str,
     n: int,
@@ -200,11 +183,13 @@ def make_schedule(
     seed: Optional[int] = None,
     burst: Optional[int] = None,
     seq: Optional[Iterable[int]] = None,
-) -> Schedule:
-    """Build a schedule of `length` entries over pids 0..n-1.
+) -> list[int]:
+    """Build a schedule: a list of `length` pids over 0..n-1.
 
     kinds: 'rr' round robin; 'random' iid uniform (seeded); 'solo' round
     robin of solo bursts of `burst` consecutive steps; 'custom' wraps `seq`.
+    The whole sequence is materialized here, before any machine takes a
+    step or flips a coin, which is what makes the adversary oblivious.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -227,7 +212,7 @@ def make_schedule(
             raise ValueError("custom schedule entry out of range")
     else:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    return Schedule(kind, n, s, seed, burst)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -345,44 +330,37 @@ _NO_RES = object()
 # runners
 
 
-def _seq_of(schedule) -> list[int]:
-    return schedule.seq if isinstance(schedule, Schedule) else list(schedule)
-
-
 def run(
-    machines: list[StepMachine],
-    memory: Memory,
-    schedule,
+    machines: list,
+    memory,
+    schedule: Iterable[int],
     history: Optional[History] = None,
     record: bool = True,
     start_t: int = 0,
-    stop_when_done: bool = False,
 ) -> tuple[Optional[History], int]:
-    """Drive machines through the schedule; one shared step per entry.
+    """Drive machines through the schedule; one step per entry.
 
-    Entries addressed to finished machines are absorbed as no-ops (they
-    consume the slot but touch nothing).  Returns (history, t_next) like
-    `atomic.run_atomic`: the history (None when record=False), extended in
-    place, and the schedule position after the last slot consumed.
+    The one runner for both granularities: `StepMachine`s over a `Memory`
+    take one register access per entry, and `atomic.LogicMachine`s over an
+    `atomic.AtomicStore` one snapshot operation; each steps through its own
+    `step(memory, t, history)`.  `schedule` is any iterable of pids.
+    Entries addressed to finished or absent machines are absorbed as no-ops
+    (they consume the slot but touch nothing).  Returns (history, t_next):
+    the history (None when record=False), extended in place, and the
+    schedule position after the last slot consumed.
     """
     if record and history is None:
         history = History()
-    by_pid: dict[int, StepMachine] = {}
+    by_pid = {}
     for m in machines:
         if m.pid in by_pid:
             raise ValueError(f"duplicate pid {m.pid}")
         by_pid[m.pid] = m
-    live = sum(1 for m in machines if not m.done)
     t = start_t
-    for pid in _seq_of(schedule):
+    for pid in schedule:
         m = by_pid.get(pid)
         if m is not None and not m.done:
             m.step(memory, t, history)
-            if m.done:
-                live -= 1
-                if stop_when_done and live == 0:
-                    t += 1
-                    break
         t += 1
     return history, t
 
@@ -393,20 +371,18 @@ def drain(
     bound: int,
     history: Optional[History] = None,
     t: int = 0,
-    runner=run,
 ):
     """Finish every unfinished machine with one solo burst of `bound` slots.
 
-    Bursts go in list order and continue the run at schedule position t,
-    recording into `history` when one is given.  `runner` is `run` over a
-    Memory or `atomic.run_atomic` over an AtomicStore.  Raises RuntimeError
-    if a machine is still unfinished after its burst.  Returns
-    (history, t_next).
+    Bursts go through `run` in list order, over a Memory or an AtomicStore,
+    and continue the run at schedule position t, recording into `history`
+    when one is given.  Raises RuntimeError if a machine is still
+    unfinished after its burst.  Returns (history, t_next).
     """
     for m in machines:
         if not m.done:
             record = history is not None
-            history, t = runner(
+            history, t = run(
                 machines, memory, [m.pid] * bound, history=history, record=record, start_t=t
             )
             if not m.done:

@@ -8,13 +8,12 @@ so they can't inherit a bug from the code they are judging.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .shm import History, OpRecord
+from .shm import History, OpRecord, run
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -30,11 +29,6 @@ class Verdict:
     ok: bool
     reason: Optional[str] = None
     winner: Optional[int] = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"ok": self.ok, "reason": self.reason, "winner": self.winner}
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +197,6 @@ class SoloProbeReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "samples": self.samples,
-                "trivial": self.trivial,
-                "max_steps": self.max_steps,
-                "violations": len(self.violations),
-            }
-        )
-
 
 def probe_solo(
     factory: Callable,
@@ -224,28 +208,28 @@ def probe_solo(
     """Sample reachable configurations; resume one unfinished process solo.
 
     `factory(rng)` must build a fresh system and return
-    ``(machines, target, runner)`` where ``runner(machines, target, pids)``
-    executes the given pid sequence.  For each sample a random schedule
-    prefix reaches a configuration, a random unfinished machine runs alone
-    for up to `bound` of its own steps, and the probe records how many steps
-    it needed.  A machine still unfinished after `bound` solo steps is a
-    violation (the algorithm would not be obstruction-free).
+    ``(machines, target)``: step machines over a Memory or logic machines
+    over an AtomicStore, both driven by `shm.run`.  For each sample a random
+    schedule prefix reaches a configuration, a random unfinished machine
+    runs alone for up to `bound` of its own steps, and the probe records how
+    many steps it needed.  A machine still unfinished after `bound` solo
+    steps is a violation (the algorithm would not be obstruction-free).
     """
     rng = random.Random(seed)
     report = SoloProbeReport(samples=samples)
     for s in range(samples):
-        machines, target, runner = factory(rng)
+        machines, target = factory(rng)
         pids = [m.pid for m in machines]
         plen = rng.randrange(prefix_max + 1)
         prefix = [pids[rng.randrange(len(pids))] for _ in range(plen)]
-        runner(machines, target, prefix)
+        run(machines, target, prefix, record=False)
         live = [m for m in machines if not m.done]
         if not live:
             report.trivial += 1
             continue
         m = live[rng.randrange(len(live))]
         before = m.steps
-        runner(machines, target, [m.pid] * bound)
+        run(machines, target, [m.pid] * bound, record=False)
         took = m.steps - before
         if not m.done:
             report.violations.append((s, m.pid, took))

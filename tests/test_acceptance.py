@@ -18,7 +18,7 @@ import random
 import statistics
 import time
 
-from tasim.atomic import explore, explore_interleavings, run_atomic
+from tasim.atomic import explore, explore_interleavings
 from tasim.randomized import HeadsRng, wrapped_tas_system
 from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run, run_live_uniform
 from tasim.sifter import WIN, sifter_machines, sifter_store, sifter_system
@@ -86,8 +86,8 @@ def test_criterion_01_sifter_winner_bounds():
             machines = sifter_machines(range(k))
             store = sifter_store()
             sched = [rng.randrange(k) for _ in range(rng.randrange(5, 60 * k))]
-            run_atomic(machines, store, sched, record=False)
-            drain(machines, store, S_MAX, runner=run_atomic)
+            run(machines, store, sched, record=False)
+            drain(machines, store, S_MAX)
             wins = sum(1 for m in machines if m.result == WIN)
             assert 1 <= wins <= f(k), (k, trial, wins)
 
@@ -106,13 +106,7 @@ def test_criterion_01_sifter_winner_bounds():
 def test_criterion_02_sifter_solo_resume():
     def atomic_factory(rng):
         k = rng.randrange(2, 6)
-        machines = sifter_machines(range(k))
-        store = sifter_store()
-
-        def runner(ms, target, pids):
-            run_atomic(ms, target, pids, record=False)
-
-        return machines, store, runner
+        return sifter_machines(range(k)), sifter_store()
 
     rep_ops = probe_solo(atomic_factory, samples=10_000, bound=20, seed=4021, prefix_max=200)
     assert rep_ops.ok, rep_ops.violations[:3]
@@ -120,11 +114,7 @@ def test_criterion_02_sifter_solo_resume():
     def register_factory(rng):
         k = rng.choice([2, 3, 4, 5])
         machines, memory, snap, logics = sifter_system(k)
-
-        def runner(ms, mem, pids):
-            run(ms, mem, pids, record=False)
-
-        return machines, memory, runner
+        return machines, memory
 
     rep_reg = probe_solo(register_factory, samples=10_000, bound=540, seed=4022, prefix_max=400)
     assert rep_reg.ok, rep_reg.violations[:3]
@@ -166,11 +156,7 @@ def test_criterion_03_snapshot():
             machines.append(
                 StepMachine(pid, ops_program(s, pid, script), auto_history=False)
             )
-
-        def runner(ms, mem, pids):
-            run(ms, mem, pids, record=False)
-
-        return machines, memory, runner
+        return machines, memory
 
     rep = probe_solo(scan_factory, samples=10_000, bound=4 * M + 3, seed=4031, prefix_max=120)
     assert rep.ok, rep.violations[:3]
@@ -287,12 +273,8 @@ def test_criterion_06_tas_det_histories():
             machines = tas_machines(n)
             store = tas_store(n)
             sched = [rng.randrange(n) for _ in range(rng.randrange(1, 25 * n))]
-            h, t = run_atomic(machines, store, sched)
-            for m in machines:
-                if not m.done:
-                    h, t = run_atomic(
-                        machines, store, [m.pid] * bound, history=h, start_t=t
-                    )
+            h, t = run(machines, store, sched)
+            drain(machines, store, bound, h, t)
             assert all(m.done for m in machines)
             results = [m.result for m in machines]
             assert results.count(0) == 1, (n, trial, results)
@@ -316,11 +298,7 @@ def test_criterion_07_wrapped_budget():
     # measure b: max own-step solo resume from sampled reachable configs
     def det_factory(rng):
         machines, memory, snap, logics = tas_system(n)
-
-        def runner(ms, mem, pids):
-            run(ms, mem, pids, record=False)
-
-        return machines, memory, runner
+        return machines, memory
 
     rep = probe_solo(
         det_factory, samples=2_000, bound=solo_step_bound(n), seed=4071, prefix_max=1_500
@@ -469,14 +447,9 @@ def test_criterion_10_checker_cross_validation():
         machines = tas_machines(n)
         store = tas_store(n)
         sched = [rng.randrange(n) for _ in range(rng.randrange(1, 30 * n))]
-        h, t = run_atomic(machines, store, sched)
+        h, t = run(machines, store, sched)
         if rng.random() < 0.7:  # drain; otherwise leave ops pending
-            bound = S_MAX * ell(n) + 2
-            for m in machines:
-                if not m.done:
-                    h, t = run_atomic(
-                        machines, store, [m.pid] * bound, history=h, start_t=t
-                    )
+            drain(machines, store, S_MAX * ell(n) + 2, h, t)
         if rng.random() < 0.25:  # corrupt one response
             idxs = [i for i, e in enumerate(h.events) if e.kind == "res"]
             if idxs:

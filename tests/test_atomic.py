@@ -8,10 +8,9 @@ from tasim.atomic import (
     explore,
     explore_interleavings,
     register_program,
-    run_atomic,
     run_atomic_solo,
 )
-from tasim.shm import History, StepMachine
+from tasim.shm import History, StepMachine, run
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.verify import SnapshotSequential, check_linearizable
 
@@ -47,11 +46,11 @@ class SpinLogic(LogicMachine):
 
 
 def test_store_ops_and_keys():
-    st = AtomicStore(2, init=None, n_regs=1, reg_init=7)
+    st = AtomicStore(2, init=None, n_regs=1)
     assert st.apply(("s", 0, 2)) == (None, None)
     st.apply(("u", 1, "x"))
     assert st.apply(("s", 0, 2)) == (None, "x")
-    assert st.apply(("r", 0)) == 7
+    assert st.apply(("r", 0)) == 0
     st.apply(("w", 0, 9))
     assert st.apply(("r", 0)) == 9
     snap = st.clone()
@@ -76,7 +75,7 @@ def test_logic_clone_and_key_exclude_steps():
 def test_run_atomic_history_convention():
     ms = [PutScanLogic(0, 2)]
     st = AtomicStore(2, init=None)
-    h, t_next = run_atomic(ms, st, [9, 0, 9, 0])  # absent pids absorbed
+    h, t_next = run(ms, st, [9, 0, 9, 0])  # absent pids absorbed
     assert t_next == 4
     ev = [(e.kind, e.time, e.result) for e in h.events]
     assert ev == [("inv", 2, None), ("res", 7, (1, None))]
@@ -85,7 +84,7 @@ def test_run_atomic_history_convention():
 
 def test_run_atomic_duplicate_pid():
     with pytest.raises(ValueError):
-        run_atomic([SpinLogic(1), SpinLogic(1)], AtomicStore(0, n_regs=1), [1])
+        run([SpinLogic(1), SpinLogic(1)], AtomicStore(0, n_regs=1), [1])
 
 
 def test_run_atomic_solo_bound():

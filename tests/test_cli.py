@@ -67,6 +67,8 @@ def test_bad_invocations_exit_2(capsys):
     assert cli.main(["simulate", "--object", "tas_rand", "--n", "3",
                      "--schedule", "rr"]) == 2
     assert cli.main(["sweep", "--object", "tas_det", "--n-list", ","]) == 2
+    assert cli.main(["simulate", "--object", "sifter", "--trials", "0"]) == 2
+    assert cli.main(["sweep", "--object", "tas_det", "--n-list", "4", "--trials", "0"]) == 2
     with pytest.raises(SystemExit) as e1:
         cli.main(["simulate", "--object", "nonesuch"])
     assert e1.value.code == 2
@@ -88,6 +90,19 @@ def test_trace_export(tmp_path, capsys):
         rec = json.loads(line)
         assert set(rec) == {"t", "pid", "op", "reg", "val"}
         assert rec["op"] in ("R", "W")
+
+
+def test_snapshot_trace_is_trial_zeros_run(tmp_path, capsys):
+    # trial 0 at n=3, seed 0 runs the scripts [[scan, scan], [update(1, 2)],
+    # [scan]], so its trace holds one cell write: pid 1's, to register 1
+    trace = tmp_path / "snap.jsonl"
+    rc = cli.main(["simulate", "--object", "snapshot", "--n", "3", "--trials", "2",
+                   "--seed", "0", "--trace", str(trace)])
+    capsys.readouterr()
+    assert rc == 0
+    recs = [json.loads(line) for line in trace.read_text().splitlines()]
+    cell_writes = [(r["pid"], r["reg"]) for r in recs if r["op"] == "W" and r["reg"] < 2]
+    assert cell_writes == [(1, 1)]
 
 
 def test_sweep_csv_shape(tmp_path):

@@ -12,7 +12,7 @@ import json
 import random
 
 from tasim.randomized import wrapped_tas_system
-from tasim.shm import make_schedule, run, run_live_uniform
+from tasim.shm import drain, make_schedule, run, run_live_uniform
 from tasim.sifter import sifter_system
 from tasim.tas_det import tas_system
 from tasim.tas_rand import RandTas
@@ -34,12 +34,8 @@ def _digest(memory, machines) -> str:
 
 
 def _scheduled_then_drained(machines, memory, schedule) -> str:
-    run(machines, memory, schedule, record=False)
-    t = len(schedule)
-    for m in machines:
-        if not m.done:
-            run(machines, memory, [m.pid] * SOLO, record=False, start_t=t)
-            t += SOLO
+    _, t = run(machines, memory, schedule, record=False)
+    drain(machines, memory, SOLO, t=t)
     return _digest(memory, machines)
 
 

@@ -57,13 +57,13 @@ def test_memory_trace_and_export():
 
 
 def test_schedule_kinds():
-    assert make_schedule("rr", 3, 7).seq == [0, 1, 2, 0, 1, 2, 0]
-    assert make_schedule("solo", 2, 8, burst=3).seq == [0, 0, 0, 1, 1, 1, 0, 0]
-    s1 = make_schedule("random", 4, 100, seed=5).seq
-    s2 = make_schedule("random", 4, 100, seed=5).seq
+    assert make_schedule("rr", 3, 7) == [0, 1, 2, 0, 1, 2, 0]
+    assert make_schedule("solo", 2, 8, burst=3) == [0, 0, 0, 1, 1, 1, 0, 0]
+    s1 = make_schedule("random", 4, 100, seed=5)
+    s2 = make_schedule("random", 4, 100, seed=5)
     assert s1 == s2 and all(0 <= p < 4 for p in s1)
-    assert make_schedule("random", 4, 100, seed=6).seq != s1
-    assert make_schedule("custom", 2, 3, seq=[1, 0, 1]).seq == [1, 0, 1]
+    assert make_schedule("random", 4, 100, seed=6) != s1
+    assert make_schedule("custom", 2, 3, seq=[1, 0, 1]) == [1, 0, 1]
 
 
 def test_schedule_rejects_bad_args():
@@ -181,13 +181,6 @@ def test_history_ops_pairing_errors():
     h2.events.append(Event(2, 1, "inv", "op", ()))
     with pytest.raises(ValueError):
         h2.ops()
-
-
-def test_run_stop_when_done():
-    mem = Memory([16])
-    machines = [StepMachine(0, counter_prog(0, 0, 1))]
-    run(machines, mem, [0] * 100, record=False, stop_when_done=True)
-    assert machines[0].steps == 2
 
 
 def test_drain_finishes_each_machine_in_solo_bursts():

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from tasim.atomic import explore, run_atomic, run_atomic_solo
-from tasim.shm import make_schedule, run
+from tasim.atomic import explore, run_atomic_solo
+from tasim.shm import drain, make_schedule, run
 from tasim.sifter import (
     B_EMPTY,
     EMPTY_SIG,
@@ -28,12 +28,6 @@ from tasim.tas_det import f
 from tasim.verify import probe_solo
 
 S_MAX = 20  # solo snapshot-op bound from any reachable configuration
-
-
-def finish_all_atomic(machines, store, bound=S_MAX):
-    for m in machines:
-        if not m.done:
-            run_atomic_solo(m, store, bound)
 
 
 def test_helpers():
@@ -91,8 +85,8 @@ def test_random_schedules_respect_winner_bounds():
         machines = sifter_machines(range(k))
         store = sifter_store()
         sched = [rng.randrange(k) for _ in range(rng.randrange(5, 60 * k))]
-        run_atomic(machines, store, sched, record=False)
-        finish_all_atomic(machines, store)
+        run(machines, store, sched, record=False)
+        drain(machines, store, S_MAX)
         wins = sum(1 for m in machines if m.result == WIN)
         loses = sum(1 for m in machines if m.result == LOSE)
         assert 1 <= wins <= f(k), f"trial {trial}: {wins} wins with k={k}"
@@ -109,14 +103,14 @@ NAIVE_BREAKER = [0, 0, 1, 1, 1, 1, 1, 1, 0, 2, 0, 2, 0, 0, 0, 0,
 def test_knockout_phase_is_load_bearing():
     naive = [NaiveSifterLogic(p) for p in range(5)]
     store = sifter_store()
-    run_atomic(naive, store, NAIVE_BREAKER, record=False)
+    run(naive, store, NAIVE_BREAKER, record=False)
     naive_wins = sum(1 for m in naive if m.result == WIN)
     assert naive_wins == 4 > f(5)
 
     full = sifter_machines(range(5))
     store2 = sifter_store()
-    run_atomic(full, store2, NAIVE_BREAKER, record=False)
-    finish_all_atomic(full, store2)
+    run(full, store2, NAIVE_BREAKER, record=False)
+    drain(full, store2, S_MAX)
     wins = sum(1 for m in full if m.result == WIN)
     assert 1 <= wins <= f(5) == 3
 
@@ -128,8 +122,8 @@ def test_naive_variant_still_has_a_winner():
         k = rng.randrange(2, 6)
         machines = [NaiveSifterLogic(p) for p in range(k)]
         store = sifter_store()
-        run_atomic(machines, store, [rng.randrange(k) for _ in range(40)], record=False)
-        finish_all_atomic(machines, store, bound=100)
+        run(machines, store, [rng.randrange(k) for _ in range(40)], record=False)
+        drain(machines, store, 100)
         assert any(m.result == WIN for m in machines)
 
 
@@ -137,12 +131,7 @@ def test_solo_resume_bound_atomic():
     def factory(rng):
         k = rng.randrange(2, 6)
         machines = sifter_machines(range(k))
-        store = sifter_store()
-
-        def runner(ms, target, pids):
-            run_atomic(ms, target, pids, record=False)
-
-        return machines, store, runner
+        return machines, sifter_store()
 
     rep = probe_solo(factory, samples=2000, bound=S_MAX, seed=31, prefix_max=200)
     assert rep.ok, rep.violations[:3]

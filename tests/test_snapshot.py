@@ -185,11 +185,7 @@ def test_scan_solo_completion_bound_from_reachable_configs():
         for p in range(3):
             script = [("update", p % m, p + 1), ("scan",), ("update", (p + 1) % m, p + 4), ("scan",)]
             machines.append(StepMachine(p, ops_program(s, p, script), auto_history=False))
-
-        def runner(ms, target, pids):
-            run(ms, target, pids, record=False)
-
-        return machines, mem, runner
+        return machines, mem
 
     rep = probe_solo(factory, samples=400, bound=bound, seed=3, prefix_max=120)
     assert rep.ok, rep.violations

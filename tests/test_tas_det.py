@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from tasim.atomic import explore, run_atomic, run_atomic_solo
-from tasim.shm import History, make_schedule, run
+from tasim.atomic import explore, run_atomic_solo
+from tasim.shm import drain, make_schedule, run
 from tasim.sifter import LOSE, WIN
 from tasim.tas_det import (
     S_MAX,
@@ -95,10 +95,8 @@ def test_wle_random_schedules_exactly_one_leader():
         n = rng.randrange(2, 7)
         machines = wle_machines(n)
         store = wle_store(n)
-        run_atomic(machines, store, [rng.randrange(n) for _ in range(30 * n)], record=False)
-        for m in machines:
-            if not m.done:
-                run_atomic_solo(m, store, S_MAX * ell(n))
+        run(machines, store, [rng.randrange(n) for _ in range(30 * n)], record=False)
+        drain(machines, store, S_MAX * ell(n))
         assert sum(1 for m in machines if m.result == WIN) == 1, f"trial {trial}"
 
 
@@ -130,10 +128,8 @@ def test_tas_atomic_histories_check_out():
         n = rng.randrange(2, 9)
         machines = tas_machines(n)
         store = tas_store(n)
-        h, t = run_atomic(machines, store, [rng.randrange(n) for _ in range(25 * n)])
-        for m in machines:
-            if not m.done:
-                h, t = run_atomic(machines, store, [m.pid] * (S_MAX * ell(n) + 2), history=h, start_t=t)
+        h, t = run(machines, store, [rng.randrange(n) for _ in range(25 * n)])
+        drain(machines, store, S_MAX * ell(n) + 2, h, t)
         assert all(m.done for m in machines)
         c = outcome_counts(h)
         assert c[0] == 1 and c[1] == n - 1
@@ -145,22 +141,20 @@ def test_late_arrival_loses_through_chain_then_doorway():
     machines = tas_machines(3)
     store = tas_store(3)
     # pids 0 and 1 finish completely before pid 2 takes its first step
-    h, t = run_atomic(machines, store, [0] * 80 + [1] * 80)
+    h, t = run(machines, store, [0] * 80 + [1] * 80)
     done_two = [m for m in machines if m.pid < 2]
     assert all(m.done for m in done_two)
     assert store.regs[0] == 1  # the chain loser marked the doorway
     late = machines[2]
-    h, t = run_atomic(machines, store, [2] * 5, history=h, start_t=t)
+    h, t = run(machines, store, [2] * 5, history=h, start_t=t)
     assert late.done and late.result == 1 and late.steps == 1  # doorway read
     assert check_tas(h).ok
 
 
 def test_doorway_bit_is_monotone_and_single_width():
     machines, memory, snap, logics = tas_system(3, record_trace=True)
-    run(machines, memory, make_schedule("random", 3, 400, seed=8), record=False)
-    for m in machines:
-        if not m.done:
-            run(machines, memory, [m.pid] * solo_step_bound(3), record=False)
+    _, t = run(machines, memory, make_schedule("random", 3, 400, seed=8), record=False)
+    drain(machines, memory, solo_step_bound(3), t=t)
     assert all(m.done for m in machines)
     writes = [e for e in memory.trace if e[2] == "W" and e[3] == 0]
     assert writes and all(e[4] == 1 for e in writes)
@@ -171,13 +165,8 @@ def test_register_level_outcomes_and_histories():
     for seed in range(25):
         n = 3
         machines, memory, snap, logics = tas_system(n)
-        h = History()
-        run(machines, memory, make_schedule("random", n, 500, seed=seed), history=h)
-        t = 500
-        for m in machines:
-            if not m.done:
-                run(machines, memory, [m.pid] * solo_step_bound(n), history=h, start_t=t)
-                t += solo_step_bound(n)
+        h, t = run(machines, memory, make_schedule("random", n, 500, seed=seed))
+        drain(machines, memory, solo_step_bound(n), h, t)
         assert all(m.done for m in machines)
         results = sorted(lg.result for lg in logics)
         assert results == [0, 1, 1]
@@ -190,11 +179,7 @@ def test_solo_resume_stays_within_step_bound():
 
     def factory(rng):
         machines, memory, snap, logics = tas_system(n)
-
-        def runner(ms, target, pids):
-            run(ms, target, pids, record=False)
-
-        return machines, memory, runner
+        return machines, memory
 
     rep = probe_solo(factory, samples=150, bound=bound, seed=9, prefix_max=800)
     assert rep.ok, rep.violations[:3]
