@@ -14,6 +14,12 @@ The wrapper changes nothing else: it touches exactly the wrapped program's
 registers (dummies are reads), and a process whose coins are all heads
 behaves step-for-step like the unwrapped program.
 
+A tails block is yielded as one block op, b reads of the dummy register
+(see `shm`): the step machine takes the b reads in b schedule slots, each
+traced and counted like any other step, and resumes the wrapper once, after
+the last one, to flip the next coin.  The coin is thus flipped at the same
+point of the run as if every dummy read were yielded on its own.
+
 Against an adaptive scheduler this argument breaks down (the scheduler could
 starve whoever draws heads), which is why schedules here are materialized
 before any coin is drawn.
@@ -33,15 +39,17 @@ from .tas_det import ell, solo_step_bound, tas_machines, tas_register_widths
 def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
     """Wrap a register-level program generator; see the module docstring.
 
-    `rng` needs one method, randrange(n); a draw of 0 is heads.  The
-    generator yields exactly one shared op per wrapped step (bookkeeping
-    yields pass through unchanged and uncounted) and returns the inner
-    program's return value.
+    `rng` needs one method, randrange(n); a draw of 0 is heads.  A heads
+    block yields the inner program's shared ops one per wrapped step; a
+    tails block yields one block op ``(READ, dummy_reg, b)``, which
+    `shm.StepMachine` runs as b reads in a row (bookkeeping yields pass
+    through unchanged and uncounted).  Returns the inner program's return
+    value.
     """
     if n < 1 or b < 1:
         raise ValueError("n and b must be positive")
-    steps = 0
-    actual = False
+    tails = (READ, dummy_reg, b)
+    steps = 0  # real steps left in the current heads block
     try:
         item = inner.send(None)
     except StopIteration as e:
@@ -54,17 +62,16 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
             except StopIteration as e:
                 return e.value
             continue
-        if steps % b == 0:
-            actual = rng.randrange(n) == 0
-        steps += 1
-        if actual:
-            res = yield item
-            try:
-                item = inner.send(res)
-            except StopIteration as e:
-                return e.value
-        else:
-            yield (READ, dummy_reg)
+        if steps == 0:
+            while rng.randrange(n) != 0:
+                yield tails
+            steps = b
+        steps -= 1
+        res = yield item
+        try:
+            item = inner.send(res)
+        except StopIteration as e:
+            return e.value
 
 
 def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs=None):

@@ -14,6 +14,12 @@ the operation's response::
         v = yield ('r', 3)        # read register 3
         yield ('w', 0, v + 1)     # write register 0
 
+A *block op* ``('r', reg, k)`` stands for k reads of one register in a
+row: it takes k schedule slots, k steps and k trace entries, exactly as k
+single reads would, but the generator resumes only once, after the last
+read, with the value that read returned.  The coin-block wrapper yields a
+tails block this way.
+
 Two bookkeeping yields never touch shared memory and consume no schedule
 slot; they delimit object-level operations for history checking::
 
@@ -39,7 +45,7 @@ import numpy as np
 READ = "r"
 WRITE = "w"
 
-Op = tuple  # ('r', reg) | ('w', reg, val)
+Op = tuple  # ('r', reg) | ('r', reg, k) | ('w', reg, val)
 Program = Generator[tuple, Any, Any]
 
 
@@ -132,11 +138,14 @@ class Memory:
         record_trace: bool = False,
     ):
         self.widths = list(widths)
-        self.regs = list(init) if init is not None else [0] * len(self.widths)
-        if len(self.regs) != len(self.widths):
-            raise ValueError("init length does not match widths")
-        for i, v in enumerate(self.regs):
-            self._check(i, v)
+        if init is None:
+            self.regs = [0] * len(self.widths)  # zeros fit any width
+        else:
+            self.regs = list(init)
+            if len(self.regs) != len(self.widths):
+                raise ValueError("init length does not match widths")
+            for i, v in enumerate(self.regs):
+                self._check(i, v)
         self.trace: list[tuple] = []
         self.record_trace = record_trace
 
@@ -220,7 +229,10 @@ def make_schedule(
 
 
 class StepMachine:
-    """Wraps a program generator; holds its poised operation between steps."""
+    """Wraps a program generator; holds its poised operation between steps.
+
+    While a block op is in progress, `_left` counts its reads still to take.
+    """
 
     __slots__ = (
         "pid",
@@ -234,6 +246,7 @@ class StepMachine:
         "_auto",
         "_pending_inv",
         "_open",
+        "_left",
     )
 
     def __init__(
@@ -254,6 +267,7 @@ class StepMachine:
         self._auto = auto_history
         self._pending_inv: Optional[tuple] = (op_name, op_args) if auto_history else None
         self._open: Optional[tuple] = None
+        self._left = 0
         self.op = self._advance_to_shared(None, prime=True)
 
     def _advance_to_shared(self, send_val, prime: bool = False):
@@ -291,21 +305,38 @@ class StepMachine:
 
         Returns False (a no-op) if the machine already finished.
         """
-        if self.done:
-            return False
-        if self._pending_inv is not None:
-            name, args = self._pending_inv
-            self._open = (name, args, _NO_RES)
-            self._pending_inv = None
-            if history is not None:
-                history.events.append(Event(2 * t, self.pid, "inv", name, args))
-        op = self.op
-        if op[0] == READ:
-            resp = memory.read(t, self.pid, op[1])
+        left = self._left
+        if left:
+            # a later read of a block op: the generator waits for the last
+            resp = memory.read(t, self.pid, self.op[1])
+            self.steps += 1
+            self._left = left = left - 1
+            if left:
+                return True
         else:
-            memory.write(t, self.pid, op[1], op[2])
-            resp = None
-        self.steps += 1
+            if self.done:
+                return False
+            if self._pending_inv is not None:
+                name, args = self._pending_inv
+                self._open = (name, args, _NO_RES)
+                self._pending_inv = None
+                if history is not None:
+                    history.events.append(Event(2 * t, self.pid, "inv", name, args))
+            op = self.op
+            if op[0] == READ:
+                resp = memory.read(t, self.pid, op[1])
+                if len(op) == 3:
+                    k = op[2]
+                    if not isinstance(k, int) or k < 1:
+                        raise ValueError(f"pid {self.pid}: bad block length {k!r}")
+                    if k > 1:
+                        self.steps += 1
+                        self._left = k - 1
+                        return True
+            else:
+                memory.write(t, self.pid, op[1], op[2])
+                resp = None
+            self.steps += 1
         self.op = self._advance_to_shared(resp)
         if self._open is not None and self._open[2] is not _NO_RES:
             name, args, res = self._open
@@ -405,15 +436,28 @@ def run_live_uniform(
     subsequence, so observable behavior (step order, hence histories and
     outcomes) is distributed exactly as under `run` with a long 'random'
     schedule, at a fraction of the cost.  Returns the number of useful steps.
+
+    `rng` needs one method, getrandbits(k).  Each index below the live
+    count c is drawn by rejection from getrandbits(c.bit_length()), keeping
+    the first value below c: the draws CPython's randrange(c) makes on a
+    random.Random, so both the indices and the rng's final state are those
+    of calling randrange(c) per step.
     """
     live = [m for m in machines if not m.done]
+    getrandbits = rng.getrandbits
+    c = len(live)
+    bits = c.bit_length()
     t = 0
-    while live and t < max_steps:
-        i = rng.randrange(len(live))
+    while c and t < max_steps:
+        i = getrandbits(bits)
+        while i >= c:
+            i = getrandbits(bits)
         m = live[i]
         m.step(memory, t, history)
         if m.done:
             live[i] = live[-1]
             live.pop()
+            c -= 1
+            bits = c.bit_length()
         t += 1
     return t

@@ -175,12 +175,11 @@ class RandTas:
         return Memory(self.widths, record_trace=record_trace)
 
     def process_rng(self, pid: int) -> random.Random:
+        """The coin stream of `pid`, created when it passes the doorway."""
         return random.Random(f"rtas:{self.seed}:{pid}")
 
     def machine(self, pid: int) -> StepMachine:
-        return StepMachine(
-            pid, self._program(pid, self.process_rng(pid)), auto_history=False
-        )
+        return StepMachine(pid, self._program(pid), auto_history=False)
 
     def machines(self, pids=None) -> list[StepMachine]:
         return [self.machine(p) for p in (pids if pids is not None else range(self.n))]
@@ -201,13 +200,14 @@ class RandTas:
             )
         self.le2_claims[key] = pid
 
-    def _program(self, pid: int, rng):
+    def _program(self, pid: int):
         p = self.params
         yield ("inv", "tas", ())
         d = yield (READ, 0)
         if d == 1:
             yield ("res", 1)
             return 1
+        rng = self.process_rng(pid)  # seeded by pid, so creating it late changes no draw
         won_at = None
         i = 1
         while True:

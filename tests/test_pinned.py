@@ -24,6 +24,7 @@ DIGESTS = {
     "tas_system": "13ea539347907919f9fc2ea598f7f9e2bed55d033221882907aac019ce68932c",
     "wrapped_tas_system": "03ed0fd06546df87c44f0f9c9f483748e547092e8e1e36e8802c6a249762afca",
     "rand_tas": "09256fd70fa6029fa36b60a7b310137bd57dbc04f49d33fc326f3fd025bd5936",
+    "rand_tas_1024": "e9ab954a5b8addb54a32db274f93dad6308f87b154923b999c1520353c41b93e",
 }
 
 
@@ -65,3 +66,12 @@ def test_wrapped_tas_system_pinned():
 def test_rand_tas_pinned():
     rt = RandTas(16, seed=5)  # reaches LE2 stages 1 and 2
     assert _live_uniform(rt.machines(), rt.memory(), 5) == DIGESTS["rand_tas"]
+
+
+def test_rand_tas_1024_pinned():
+    # the live count falls through every power of two from 1024 to 1; most
+    # callers leave at the doorway and two reach LE2, whose tails blocks
+    # run while few processes are live
+    rt = RandTas(1024, seed=1)
+    memory = rt.memory(record_trace=True)
+    assert _live_uniform(rt.machines(), memory, 1) == DIGESTS["rand_tas_1024"]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tasim.randomized import CountingRng, HeadsRng, TailsRng, wrap, wrapped_tas_system
-from tasim.shm import History, make_schedule, run, run_live_uniform
+from tasim.shm import History, Memory, StepMachine, make_schedule, run, run_live_uniform
 from tasim.tas_det import solo_step_bound, tas_system
 from tasim.verify import check_tas
 
@@ -146,3 +146,32 @@ def test_wrap_forwards_bookkeeping_without_spending_block_budget():
 def test_tails_rng_degenerate_n1():
     assert TailsRng().randrange(1) == 0  # heads probability 1/n is 1 here
     assert TailsRng().randrange(5) == 4
+
+
+def test_tails_block_resumes_the_wrapped_generator_once():
+    b = 10
+    ops = []  # shared ops the wrapped generator yields, one per resume
+
+    def inner():
+        v = yield ("r", 1)
+        return v
+
+    def counted(gen):
+        item = gen.send(None)
+        while True:
+            ops.append(item)
+            try:
+                item = gen.send((yield item))
+            except StopIteration as e:
+                return e.value
+
+    m = StepMachine(0, counted(wrap(inner(), 2, b, SeqRng([1, 1]))), auto_history=False)
+    memory = Memory([1, 4], record_trace=True)
+    memory.regs[1] = 3
+    run([m], memory, [0] * (2 * b + 5), record=False)
+    assert m.done and m.result == 3 and m.steps == 2 * b + 1
+    # two tails blocks, one op each, then the real read
+    assert ops == [("r", 0, b), ("r", 0, b), ("r", 1)]
+    assert [(kind, reg) for (_, _, kind, reg, _) in memory.trace] == [("R", 0)] * (2 * b) + [
+        ("R", 1)
+    ]

@@ -222,3 +222,111 @@ def test_live_uniform_matches_plain_run_distribution():
     ms2, mem2 = build()
     assert run_live_uniform(ms2, mem2, random.Random(0), 3) == 3
     assert not all(m.done for m in ms2)
+
+
+def test_block_op_takes_k_slots_and_resumes_once():
+    resumed = []
+
+    def prog():
+        v = yield ("r", 1, 4)  # four reads of register 1 in a row
+        resumed.append(v)
+        yield ("w", 0, v)
+        return v
+
+    def writer():
+        yield ("w", 1, 5)
+
+    mem = Memory([8, 8], record_trace=True)
+    ms = [StepMachine(0, prog(), op_name="blk"), StepMachine(1, writer())]
+    h, t = run(ms, mem, [0, 0, 1, 0, 0, 0, 0, 0])
+    m = ms[0]
+    assert t == 8 and m.done and m.result == 5
+    assert resumed == [5]  # once, with the last read's value
+    assert m.steps == 5  # four reads and the write; slots 6 and 7 are no-ops
+    assert [e for e in mem.trace if e[1] == 0] == [
+        (0, 0, "R", 1, 0),
+        (1, 0, "R", 1, 0),
+        (3, 0, "R", 1, 5),
+        (4, 0, "R", 1, 5),
+        (5, 0, "W", 0, 5),
+    ]
+    ev = [(e.pid, e.kind, e.time) for e in h.events]
+    assert ev == [(0, "inv", 0), (1, "inv", 4), (1, "res", 5), (0, "res", 11)]
+
+
+def test_block_op_pending_invocation_attaches_to_first_read():
+    def prog():
+        yield ("inv", "look", ())
+        v = yield ("r", 0, 3)
+        yield ("res", v)
+        return v
+
+    mem = Memory([4], record_trace=True)
+    m = StepMachine(0, prog(), auto_history=False)
+    h, t = run([m], mem, [1, 0, 0, 0, 0, 0])  # pid 1 is absent
+    assert m.done and m.steps == 3 and t == 6
+    assert [e[0] for e in mem.trace] == [1, 2, 3]
+    assert [(e.kind, e.time, e.result) for e in h.events] == [
+        ("inv", 2, None),
+        ("res", 7, 0),
+    ]
+
+
+def test_block_op_equals_single_reads():
+    def singles(reg, k):
+        v = None
+        for _ in range(k):
+            v = yield ("r", reg)
+        return v
+
+    def block(reg, k):
+        return (yield ("r", reg, k))
+
+    sched = make_schedule("random", 3, 200, seed=4)
+    runs = []
+    for reader in (singles, block):
+        mem = Memory([16], record_trace=True)
+        ms = [StepMachine(0, reader(0, 7)), StepMachine(1, reader(0, 1))]
+        ms += [StepMachine(2, counter_prog(2, 0, 6))]
+        h, _ = run(ms, mem, sched)
+        runs.append((mem.trace, h.events, [(m.result, m.steps) for m in ms]))
+    assert runs[0] == runs[1]
+
+
+def test_block_op_rejects_bad_length():
+    def prog(k):
+        yield ("r", 0, k)
+
+    for k in (0, -2, 1.5):
+        with pytest.raises(ValueError, match="block length"):
+            run([StepMachine(0, prog(k))], Memory([4]), [0])
+
+
+def test_live_uniform_draws_as_randrange():
+    # pid p takes p + 1 steps, so machines finish at staggered times and the
+    # live count falls from 17 through every power of two down to 1
+    n = 17
+
+    def prog(p):
+        for _ in range(p + 1):
+            yield ("r", 0)
+
+    for seed in range(5):
+        mem = Memory([1], record_trace=True)
+        rng = random.Random(seed)
+        run_live_uniform([StepMachine(p, prog(p)) for p in range(n)], mem, rng, 10_000)
+
+        ref = random.Random(seed)
+        left = [p + 1 for p in range(n)]
+        live = list(range(n))
+        order = []
+        while live:
+            i = ref.randrange(len(live))
+            p = live[i]
+            order.append(p)
+            left[p] -= 1
+            if not left[p]:
+                live[i] = live[-1]
+                live.pop()
+        assert [e[1] for e in mem.trace] == order
+        assert rng.getstate() == ref.getstate()

@@ -241,3 +241,35 @@ def test_latecomer_takes_doorway_fast_path():
     late = machines[3]
     run([late], mem, [3] * 3, record=False)
     assert late.done and late.result == 1 and late.steps == 1
+
+
+def test_coin_streams_created_only_past_the_doorway():
+    def one_run(counting):
+        rt = RandTas(16, seed=3)
+        created = []
+        if counting:
+            factory = rt.process_rng
+
+            def counted(pid):
+                created.append(pid)
+                return factory(pid)
+
+            rt.process_rng = counted
+        machines = rt.machines()
+        mem = rt.memory(record_trace=True)
+        assert created == []  # set-up seeds no coin stream
+        # the first four finish, and their losers close the doorway early
+        run_live_uniform(machines[:4], mem, random.Random(2), 50_000_000)
+        assert mem.regs[0] == 1
+        run_live_uniform(machines[4:], mem, random.Random(3), 50_000_000)
+        assert all(m.done for m in machines)
+        return created, mem.trace, [(m.result, m.steps) for m in machines]
+
+    created, trace, outcome = one_run(counting=True)
+    first_reads = {}
+    for _, pid, _, reg, val in trace:
+        first_reads.setdefault(pid, (reg, val))
+    passed = sorted(p for p, (reg, val) in first_reads.items() if (reg, val) == (0, 0))
+    assert sorted(created) == passed and len(set(created)) == len(created)
+    assert passed and all(p < 4 for p in passed)
+    assert one_run(counting=False)[1:] == (trace, outcome)
