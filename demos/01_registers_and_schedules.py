@@ -15,7 +15,7 @@ def incr(pid, reg=0):
         yield ("w", reg, v + 1)
         return v
 
-    return StepMachine(pid, prog(), auto_history=False)
+    return StepMachine(pid, prog())
 
 
 def final_counter(schedule):

@@ -31,11 +31,11 @@ def main():
     print(f"M={m}, 3 writers: {len(snap.register_widths())} registers, "
           f"cells {snap.cell_width} bits wide")
 
-    writer = StepMachine(1, ops_program(snap, 1, [("update", 2, 99)]), auto_history=False)
+    writer = StepMachine(1, ops_program(snap, 1, [("update", 2, 99)]))
     drive_solo(writer, memory)
     print(f"solo update: {writer.steps} steps (always exactly 2)")
 
-    scanner = StepMachine(0, ops_program(snap, 0, [("scan",)]), auto_history=False)
+    scanner = StepMachine(0, ops_program(snap, 0, [("scan",)]))
     drive_solo(scanner, memory)
     print(f"solo scan:   {scanner.steps} steps (fresh bound 2M+2 = {2 * m + 2}); "
           f"view = {scanner.result[0]}")
@@ -43,8 +43,8 @@ def main():
     # an update landing mid-scan forces one retry
     snap2 = BoundedSnapshot(0, m, n=2, value_bits=8)
     mem2 = snap2.fresh_memory()
-    scan2 = StepMachine(0, ops_program(snap2, 0, [("scan",)]), auto_history=False)
-    upd2 = StepMachine(1, ops_program(snap2, 1, [("update", 0, 7)]), auto_history=False)
+    scan2 = StepMachine(0, ops_program(snap2, 0, [("scan",)]))
+    upd2 = StepMachine(1, ops_program(snap2, 1, [("update", 0, 7)]))
     run([scan2, upd2], mem2, [0, 0, 0, 1, 1] + [0] * 40, record=False)
     print(f"scan crossed by an update: {scan2.steps} steps "
           f"(one wasted attempt), view = {scan2.result[0]}")
@@ -63,7 +63,7 @@ def main():
                     script.append(("update", rng.randrange(m), rng.randrange(256)))
                 else:
                     script.append(("scan",))
-            machines.append(StepMachine(pid, ops_program(s, pid, script), auto_history=False))
+            machines.append(StepMachine(pid, ops_program(s, pid, script)))
         sched = [rng.randrange(3) for _ in range(400)]
         h, _ = run(machines, mem, sched)
         print(f"random workload {trial}: linearizable = {check_linearizable(h, spec)}")

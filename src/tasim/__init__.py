@@ -40,15 +40,11 @@ from .tas_det import (
     S_MAX,
     TasLogic,
     WleChainLogic,
-    ceil_log32,
     ell,
     f,
-    f_iter,
     floor_log32,
-    max_register_width,
     register_count,
     repeated_log_holds,
-    snapshot_register_count,
     solo_step_bound,
     tas_machines,
     tas_register_widths,
@@ -57,7 +53,7 @@ from .tas_det import (
     wle_machines,
     wle_store,
 )
-from .randomized import CountingRng, HeadsRng, TailsRng, wrap, wrapped_tas_system
+from .randomized import HeadsRng, TailsRng, wrap, wrapped_tas_system
 from .tas_rand import CONTINUE, PipelineParams, RandTas, gw_steps, pipeline_params, split_steps
 from .verify import (
     SearchBudgetExceeded,
@@ -67,7 +63,6 @@ from .verify import (
     Verdict,
     check_linearizable,
     check_tas,
-    outcome_counts,
     probe_solo,
 )
 

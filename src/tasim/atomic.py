@@ -14,8 +14,8 @@ test-and-set analyses (their step bounds count snapshot operations), and it
 keeps state spaces small enough for exhaustive breadth-first exploration
 with duplicate-state elimination.  A logic machine steps with the same
 `step(store, t, history)` protocol as a register-level `shm.StepMachine`,
-so `shm.run` and `shm.drain` drive either kind; `explore` and
-`run_atomic_solo` step through it too.
+so `shm.run` and `shm.drain` drive either kind, and `explore` steps through
+it too.
 
 The same logic machines can instead be lowered onto the register-level
 machinery in `shm`/`snapshot` via `register_program`, which expands each
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Optional
 
-from .shm import READ, WRITE, Event, History, run
+from .shm import READ, WRITE, Event, History, drain, run
 
 
 class LogicMachine:
@@ -50,7 +50,6 @@ class LogicMachine:
     result: object
     steps: int
     op_name: Optional[str] = None  # interface op for histories, e.g. "tas"
-    op_args: tuple = ()
 
     def __init__(self, pid: int):
         self.pid = pid
@@ -75,7 +74,7 @@ class LogicMachine:
         record = history is not None and self.op_name is not None
         if record and self.steps == 0:
             history.events.append(
-                Event(2 * t, self.pid, "inv", self.op_name, tuple(self.op_args), None)
+                Event(2 * t, self.pid, "inv", self.op_name, (), None)
             )
         res = store.apply(self.op)
         self.steps += 1
@@ -148,15 +147,9 @@ def run_atomic_solo(machine, store: AtomicStore, max_steps: int) -> int:
     Raises RuntimeError if it is still unfinished after `max_steps` ops
     (an obstruction-freedom violation at this granularity).
     """
-    taken = 0
-    while not machine.done:
-        if taken >= max_steps:
-            raise RuntimeError(
-                f"pid {machine.pid} not done after {max_steps} solo steps"
-            )
-        machine.step(store, 0, None)
-        taken += 1
-    return taken
+    before = machine.steps
+    drain([machine], store, max_steps)
+    return machine.steps - before
 
 
 def explore(
@@ -224,7 +217,7 @@ def register_program(logic: LogicMachine, snap, base: int = 0, history_ops: bool
     codec = snap.codec
     emit = history_ops and logic.op_name is not None
     if emit:
-        yield ("inv", logic.op_name, tuple(logic.op_args))
+        yield ("inv", logic.op_name, ())
     while not logic.done:
         op = logic.op
         kind = op[0]

@@ -8,7 +8,8 @@ Two subcommands:
       {"checker": "ok"|reason, "loses": int, "max_steps": int,
        "seed": int, "wins": int}
       Exit code 0 iff every trial's checks pass, 1 on any violation,
-      2 on an invalid invocation.
+      2 on an invalid invocation, such as a --n, --trials, --burst, --b
+      or --n-list entry that is not a positive integer.
 
   tasim sweep --object {tas_det,tas_rand} --n-list 16,64,256 ...
       runs the same trials as simulate (--schedule random) per n and emits
@@ -16,7 +17,7 @@ Two subcommands:
       n,register_count,mean_steps,p99_steps,backstop_fraction
       Steps are per process and in the trial's own unit: snapshot
       operations (plus doorway accesses) for tas_det, register steps for
-      tas_rand.
+      tas_rand; p99_steps is their nearest-rank 99th percentile.
 
 Determinism contract: the same command line with the same --seed produces
 byte-identical output.  SEED and OUT environment variables supply defaults
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -126,9 +128,7 @@ def trial_snapshot(n: int, kind: str, burst: int, seed: int, record_trace: bool 
                 script.append(("update", rng.randrange(m_comp), rng.randrange(16)))
             else:
                 script.append(("scan",))
-        machines.append(
-            StepMachine(p, ops_program(snap, p, script), auto_history=False)
-        )
+        machines.append(StepMachine(p, ops_program(snap, p, script)))
     h, t = run(machines, memory, make_schedule(kind, n, 30 * n, seed=seed, burst=burst))
     h, _ = drain(machines, memory, 200, h, t)
     try:
@@ -188,9 +188,6 @@ def cmd_simulate(args) -> int:
     if args.object in ("tas_rand", "wrapped") and args.schedule != "random":
         print(f"{args.object} supports only --schedule random", file=sys.stderr)
         return 2
-    if args.trials < 1:
-        print("--trials must be positive", file=sys.stderr)
-        return 2
     lines = []
     all_ok = True
     for trial in range(args.trials):
@@ -228,22 +225,15 @@ def cmd_simulate(args) -> int:
 
 
 def _steps_percentile(xs: list, q: float) -> int:
+    """Nearest-rank percentile: the ceil(q*len)-th smallest value."""
     ys = sorted(xs)
-    idx = min(len(ys) - 1, max(0, int(q * len(ys)) - 1))
-    return ys[idx]
+    return ys[max(0, math.ceil(q * len(ys)) - 1)]
 
 
 def cmd_sweep(args) -> int:
-    ns = [int(x) for x in args.n_list.split(",") if x.strip()]
-    if not ns:
-        print("empty --n-list", file=sys.stderr)
-        return 2
-    if args.trials < 1:
-        print("--trials must be positive", file=sys.stderr)
-        return 2
     rows = ["n,register_count,mean_steps,p99_steps,backstop_fraction"]
     all_ok = True
-    for n in ns:
+    for n in args.n_list:
         if args.object == "tas_det":
             regs = tas_det.register_count(n)
             trials = [trial_tas_det(n, "random", 1, args.seed + i) for i in range(args.trials)]
@@ -270,6 +260,23 @@ def _emit(out: str, text: str) -> None:
             fp.write(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be positive: {v}")
+    return v
+
+
+def _n_list(text: str) -> list[int]:
+    ns = [_positive_int(x) for x in text.split(",") if x.strip()]
+    if not ns:
+        raise argparse.ArgumentTypeError("empty list")
+    return ns
+
+
 def build_parser() -> argparse.ArgumentParser:
     env_seed = int(os.environ.get("SEED", "0"))
     env_out = os.environ.get("OUT", "-")
@@ -282,14 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run trials of one object, one JSON line each")
     sim.add_argument("--object", required=True,
                      choices=["sifter", "snapshot", "tas_det", "tas_rand", "wrapped"])
-    sim.add_argument("--n", type=int, default=4, help="number of processes (default 4)")
-    sim.add_argument("--trials", type=int, default=10, help="trial count (default 10)")
+    sim.add_argument("--n", type=_positive_int, default=4,
+                     help="number of processes (default 4)")
+    sim.add_argument("--trials", type=_positive_int, default=10,
+                     help="trial count (default 10)")
     sim.add_argument("--seed", type=int, default=env_seed,
                      help="base seed; trial i uses seed+i (default $SEED or 0)")
     sim.add_argument("--schedule", choices=["rr", "random", "solo"], default="random",
                      help="scheduler kind (default random)")
-    sim.add_argument("--burst", type=int, default=8, help="solo-burst length (default 8)")
-    sim.add_argument("--b", type=int, default=None,
+    sim.add_argument("--burst", type=_positive_int, default=8,
+                     help="solo-burst length (default 8)")
+    sim.add_argument("--b", type=_positive_int, default=None,
                      help="wrapped: block length (default: registered solo bound)")
     sim.add_argument("--beta", type=int, default=16,
                      help="tas_rand: pipeline width constant (default 16)")
@@ -300,8 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="per-n summary table as CSV")
     sw.add_argument("--object", required=True, choices=["tas_det", "tas_rand"])
-    sw.add_argument("--n-list", required=True, help="comma-separated process counts")
-    sw.add_argument("--trials", type=int, default=20, help="trials per n (default 20)")
+    sw.add_argument("--n-list", type=_n_list, required=True,
+                    help="comma-separated process counts")
+    sw.add_argument("--trials", type=_positive_int, default=20,
+                    help="trials per n (default 20)")
     sw.add_argument("--seed", type=int, default=env_seed)
     sw.add_argument("--beta", type=int, default=16)
     sw.add_argument("--out", default=env_out)

@@ -88,9 +88,7 @@ def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs
     machines = []
     for lg in logics:
         rng = coin_rngs[lg.pid] if coin_rngs else random.Random(f"coin:{seed}:{lg.pid}")
-        machines.append(
-            StepMachine(lg.pid, wrap(register_program(lg, snap), n, b, rng), auto_history=False)
-        )
+        machines.append(StepMachine(lg.pid, wrap(register_program(lg, snap), n, b, rng)))
     return machines, Memory(tas_register_widths(n)), logics
 
 
@@ -106,15 +104,3 @@ class TailsRng:
 
     def randrange(self, n: int) -> int:
         return n - 1 if n > 1 else 0
-
-
-class CountingRng:
-    """Wraps an rng and counts draws; used to audit coin/schedule ordering."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.draws = 0
-
-    def randrange(self, n: int) -> int:
-        self.draws += 1
-        return self.rng.randrange(n)

@@ -26,8 +26,7 @@ slot; they delimit object-level operations for history checking::
     yield ('inv', 'scan', ())     # operation starts
     yield ('res', view)           # operation responds
 
-Machines constructed with ``auto_history=True`` (the default) get one
-invocation/response pair wrapped around their whole run instead.
+A program that yields neither records nothing in a history.
 
 `run` drives any machine with a ``step(memory, t, history)`` method, so the
 snapshot-op-granularity ``atomic.LogicMachine``s over an ``atomic.AtomicStore``
@@ -131,27 +130,11 @@ class Memory:
 
     __slots__ = ("widths", "regs", "trace", "record_trace")
 
-    def __init__(
-        self,
-        widths: Iterable[int],
-        init: Optional[Iterable[int]] = None,
-        record_trace: bool = False,
-    ):
+    def __init__(self, widths: Iterable[int], record_trace: bool = False):
         self.widths = list(widths)
-        if init is None:
-            self.regs = [0] * len(self.widths)  # zeros fit any width
-        else:
-            self.regs = list(init)
-            if len(self.regs) != len(self.widths):
-                raise ValueError("init length does not match widths")
-            for i, v in enumerate(self.regs):
-                self._check(i, v)
+        self.regs = [0] * len(self.widths)  # zeros fit any width
         self.trace: list[tuple] = []
         self.record_trace = record_trace
-
-    @property
-    def register_count(self) -> int:
-        return len(self.regs)
 
     def _check(self, reg: int, val: int) -> None:
         if not isinstance(val, int) or val < 0 or val >> self.widths[reg]:
@@ -191,12 +174,11 @@ def make_schedule(
     length: int,
     seed: Optional[int] = None,
     burst: Optional[int] = None,
-    seq: Optional[Iterable[int]] = None,
 ) -> list[int]:
     """Build a schedule: a list of `length` pids over 0..n-1.
 
     kinds: 'rr' round robin; 'random' iid uniform (seeded); 'solo' round
-    robin of solo bursts of `burst` consecutive steps; 'custom' wraps `seq`.
+    robin of solo bursts of `burst` consecutive steps.
     The whole sequence is materialized here, before any machine takes a
     step or flips a coin, which is what makes the adversary oblivious.
     """
@@ -213,12 +195,6 @@ def make_schedule(
         if not burst or burst <= 0:
             raise ValueError("solo schedule needs a positive burst")
         s = [(i // burst) % n for i in range(length)]
-    elif kind == "custom":
-        if seq is None:
-            raise ValueError("custom schedule needs seq")
-        s = [int(p) for p in seq]
-        if any(p < 0 or p >= n for p in s):
-            raise ValueError("custom schedule entry out of range")
     else:
         raise ValueError(f"unknown schedule kind {kind!r}")
     return s
@@ -232,40 +208,22 @@ class StepMachine:
     """Wraps a program generator; holds its poised operation between steps.
 
     While a block op is in progress, `_left` counts its reads still to take.
+    The program records its operations in a history only through its own
+    ``inv``/``res`` yields.  `auto_history` must be False; the keyword stays
+    because existing callers pass it.
     """
 
-    __slots__ = (
-        "pid",
-        "gen",
-        "op",
-        "done",
-        "result",
-        "steps",
-        "op_name",
-        "op_args",
-        "_auto",
-        "_pending_inv",
-        "_open",
-        "_left",
-    )
+    __slots__ = ("pid", "gen", "op", "done", "result", "steps", "_pending_inv", "_open", "_left")
 
-    def __init__(
-        self,
-        pid: int,
-        gen: Program,
-        op_name: str = "op",
-        op_args: tuple = (),
-        auto_history: bool = True,
-    ):
+    def __init__(self, pid: int, gen: Program, auto_history: bool = False):
+        if auto_history:
+            raise ValueError("no automatic history: mark operations with inv/res yields")
         self.pid = pid
         self.gen = gen
         self.done = False
         self.result: Any = None
         self.steps = 0
-        self.op_name = op_name
-        self.op_args = op_args
-        self._auto = auto_history
-        self._pending_inv: Optional[tuple] = (op_name, op_args) if auto_history else None
+        self._pending_inv: Optional[tuple] = None
         self._open: Optional[tuple] = None
         self._left = 0
         self.op = self._advance_to_shared(None, prime=True)
@@ -343,14 +301,6 @@ class StepMachine:
             if history is not None:
                 history.events.append(Event(2 * t + 1, self.pid, "res", name, args, res))
             self._open = None
-        elif self.done:
-            if self._auto and self._open is not None:
-                name, args, _ = self._open
-                if history is not None:
-                    history.events.append(
-                        Event(2 * t + 1, self.pid, "res", name, args, self.result)
-                    )
-                self._open = None
         return True
 
 

@@ -261,12 +261,9 @@ def sifter_snapshot(n: int, base: int = 0, levels: int = 1) -> BoundedSnapshot:
     return BoundedSnapshot(base, 6 * levels, n, value_bits(n), codec=make_codec(n))
 
 
-def sifter_system(n: int, pids=None, record_trace: bool = False):
+def sifter_system(n: int, record_trace: bool = False):
     """Register-level sifter: (machines, memory, snapshot, logics)."""
     snap = sifter_snapshot(n)
-    logics = sifter_machines(range(n) if pids is None else pids)
-    machines = [
-        StepMachine(lg.pid, register_program(lg, snap), auto_history=False)
-        for lg in logics
-    ]
+    logics = sifter_machines(range(n))
+    machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
     return machines, snap.fresh_memory(record_trace=record_trace), snap, logics

@@ -40,13 +40,6 @@ def f(k: int) -> int:
     return (2 * k + 1) // 3
 
 
-def f_iter(n: int, times: int) -> int:
-    v = n
-    for _ in range(times):
-        v = f(v)
-    return v
-
-
 def floor_log32(n: int) -> int:
     """Largest i >= 0 with (3/2)**i <= n, in exact integer arithmetic."""
     if n < 1:
@@ -60,29 +53,14 @@ def floor_log32(n: int) -> int:
     return i
 
 
-def ceil_log32(n: int) -> int:
-    """Smallest i >= 0 with (3/2)**i >= n."""
-    # (3/2)**i is non-integral for i >= 1, so equality only happens at n=1
-    return 0 if n == 1 else floor_log32(n) + 1
-
-
 def ell(n: int) -> int:
     """Number of chained sifter levels used for n processes."""
     return floor_log32(n) + 1
 
 
-def snapshot_register_count(n: int) -> int:
-    return 6 * ell(n) + 1
-
-
 def register_count(n: int) -> int:
     """Registers of the full TAS object: chain snapshot plus doorway bit."""
     return 6 * ell(n) + 2
-
-
-def max_register_width(n: int) -> int:
-    """Widest register in the layout (a snapshot cell)."""
-    return max(tas_register_widths(n))
 
 
 def solo_step_bound(n: int) -> int:
@@ -97,11 +75,11 @@ def solo_step_bound(n: int) -> int:
 
 
 def repeated_log_holds(limit: int = 10**6) -> bool:
-    """Check f_iter(n, ceil_log32(n)) == 1 for every 1 <= n <= limit.
+    """Check that f applied c(n) times takes n to 1, for 1 <= n <= limit.
 
-    Vectorized: after i applications of f, every n with ceil_log32(n) <= i
-    (i.e. n <= floor((3/2)**i)) must have reached 1, and f(1) = 1 keeps it
-    there.
+    c(n) is the smallest i >= 0 with (3/2)**i >= n.  Vectorized: after i
+    applications of f, every n with c(n) <= i (i.e. n <= floor((3/2)**i))
+    must have reached 1, and f(1) = 1 keeps it there.
     """
     arr = np.arange(1, limit + 1, dtype=np.int64)
     p3, p2 = 1, 1
@@ -187,16 +165,16 @@ def wle_store(n: int) -> AtomicStore:
     return sifter_store(ell(n))
 
 
-def wle_machines(n: int, pids=None) -> list[WleChainLogic]:
-    return [WleChainLogic(p, ell(n)) for p in (pids if pids is not None else range(n))]
+def wle_machines(n: int) -> list[WleChainLogic]:
+    return [WleChainLogic(p, ell(n)) for p in range(n)]
 
 
 def tas_store(n: int) -> AtomicStore:
     return sifter_store(ell(n), n_regs=1)  # plain register 0: the doorway bit
 
 
-def tas_machines(n: int, pids=None) -> list[TasLogic]:
-    return [TasLogic(p, n) for p in (pids if pids is not None else range(n))]
+def tas_machines(n: int) -> list[TasLogic]:
+    return [TasLogic(p, n) for p in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +185,13 @@ def tas_register_widths(n: int) -> list[int]:
     return [1] + sifter_snapshot(n, 1, ell(n)).register_widths()
 
 
-def tas_system(n: int, pids=None, record_trace: bool = False):
+def tas_system(n: int, record_trace: bool = False):
     """Register-level TAS: (machines, memory, snapshot, logics).
 
     Layout: register 0 is the doorway bit; registers 1..6*ell+1 are the
     chain snapshot (cells then handshake).
     """
     snap = sifter_snapshot(n, 1, ell(n))
-    logics = tas_machines(n, pids)
-    machines = [
-        StepMachine(lg.pid, register_program(lg, snap), auto_history=False)
-        for lg in logics
-    ]
+    logics = tas_machines(n)
+    machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
     return machines, Memory(tas_register_widths(n), record_trace=record_trace), snap, logics

@@ -179,10 +179,10 @@ class RandTas:
         return random.Random(f"rtas:{self.seed}:{pid}")
 
     def machine(self, pid: int) -> StepMachine:
-        return StepMachine(pid, self._program(pid), auto_history=False)
+        return StepMachine(pid, self._program(pid))
 
-    def machines(self, pids=None) -> list[StepMachine]:
-        return [self.machine(p) for p in (pids if pids is not None else range(self.n))]
+    def machines(self) -> list[StepMachine]:
+        return [self.machine(p) for p in range(self.n)]
 
     # -- sub-programs ---------------------------------------------------------
 

@@ -1,5 +1,5 @@
 """Correctness oracles: test-and-set history checks, linearizability search,
-outcome tallies, and solo-progress probes.
+and solo-progress probes.
 
 Everything here is deliberately independent of the algorithm implementations:
 the checkers consume interface histories and sequential object semantics only,
@@ -9,7 +9,6 @@ so they can't inherit a bug from the code they are judging.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -79,14 +78,6 @@ def check_tas(h: History, permissive: bool = False) -> Verdict:
         if all(p.inv < c.resp for c in completed):
             return Verdict(True, winner=p.pid)
     return Verdict(False, "no operation returned 0 and no pending op can be first")
-
-
-def outcome_counts(h: History) -> Counter:
-    """Tally results of completed operations; pending ops count as 'pending'."""
-    c: Counter = Counter()
-    for o in h.ops():
-        c["pending" if o.pending else o.result] += 1
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,7 @@ def test_criterion_03_snapshot():
             for _ in range(rng.randrange(3)):
                 script.append(("update", rng.randrange(M), rng.randrange(16)))
             script.append(("scan",))
-            machines.append(
-                StepMachine(pid, ops_program(s, pid, script), auto_history=False)
-            )
+            machines.append(StepMachine(pid, ops_program(s, pid, script)))
         return machines, memory
 
     rep = probe_solo(scan_factory, samples=10_000, bound=4 * M + 3, seed=4031, prefix_max=120)
@@ -185,8 +183,8 @@ def test_criterion_03_snapshot():
             s = BoundedSnapshot(0, 2, n=2, value_bits=4)
             memory = s.fresh_memory(record_trace=True)
             ms = [
-                StepMachine(0, ops_program(s, 0, script_p), auto_history=False),
-                StepMachine(1, ops_program(s, 1, script_q), auto_history=False),
+                StepMachine(0, ops_program(s, 0, script_p)),
+                StepMachine(1, ops_program(s, 1, script_q)),
             ]
             return ms, memory
 
@@ -356,9 +354,7 @@ def test_criterion_08_group_sifter():
         sched_rng = random.Random(8000 + trial)
         mem = Memory([1] * (s + 1))
         machines = [
-            StepMachine(
-                p, gw_steps(0, s, random.Random(f"gw:{trial}:{p}")), auto_history=False
-            )
+            StepMachine(p, gw_steps(0, s, random.Random(f"gw:{trial}:{p}")))
             for p in range(k)
         ]
         sched = [sched_rng.randrange(k) for _ in range(4 * k)]

@@ -142,7 +142,7 @@ def test_register_lowering_agrees_with_atomic():
         machines = []
         for p in range(2):
             prog = register_program(PutScanLogic(p, 2), snap)
-            machines.append(StepMachine(p, prog, auto_history=False))
+            machines.append(StepMachine(p, prog))
         return machines, memory
 
     seen_views = set()
@@ -179,7 +179,7 @@ def test_owner_tagged_snapshot_interleavings_linearize():
             [("update", 0, 2), ("scan",)],
         ]
         return [
-            StepMachine(p, ops_program(s, p, scripts[p]), auto_history=False)
+            StepMachine(p, ops_program(s, p, scripts[p]))
             for p in range(2)
         ], mem
 
@@ -203,7 +203,7 @@ def test_explore_interleavings_requires_trace():
         snap = BoundedSnapshot(0, 2, n=2, value_bits=2)
         memory = snap.fresh_memory()  # record_trace off
         prog = register_program(PutScanLogic(0, 2), snap)
-        return [StepMachine(0, prog, auto_history=False)], memory
+        return [StepMachine(0, prog)], memory
 
     with pytest.raises(ValueError, match="trace"):
         explore_interleavings(make)
@@ -213,7 +213,7 @@ def test_register_program_solo_result():
     snap = BoundedSnapshot(0, 2, n=1, value_bits=2)
     memory = snap.fresh_memory()
     logic = PutScanLogic(0, 2)
-    m = StepMachine(0, register_program(logic, snap), auto_history=False)
+    m = StepMachine(0, register_program(logic, snap))
     h = History()
     t = 0
     while not m.done:

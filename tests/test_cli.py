@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from tasim import cli
 from tasim.tas_det import register_count
 
@@ -63,19 +61,41 @@ def test_violation_exit_code(monkeypatch, capsys):
     assert rc == 1
 
 
+def _exit_code(argv):
+    # argparse rejects an invocation by raising SystemExit
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+BAD_INVOCATIONS = [
+    "simulate --object tas_rand --n 3 --schedule rr",
+    "simulate --object nonesuch",
+    "nonesuch",
+    "simulate --object sifter --trials 0",
+    "simulate --object sifter --n 0",
+    "simulate --object sifter --n -2",
+    "simulate --object sifter --schedule solo --burst 0",
+    "simulate --object wrapped --b 0",
+    "sweep --object tas_det --n-list ,",
+    "sweep --object tas_det --n-list 4 --trials 0",
+    "sweep --object tas_det --n-list 0,4",
+    "sweep --object tas_det --n-list a",
+]
+
+
 def test_bad_invocations_exit_2(capsys):
-    assert cli.main(["simulate", "--object", "tas_rand", "--n", "3",
-                     "--schedule", "rr"]) == 2
-    assert cli.main(["sweep", "--object", "tas_det", "--n-list", ","]) == 2
-    assert cli.main(["simulate", "--object", "sifter", "--trials", "0"]) == 2
-    assert cli.main(["sweep", "--object", "tas_det", "--n-list", "4", "--trials", "0"]) == 2
-    with pytest.raises(SystemExit) as e1:
-        cli.main(["simulate", "--object", "nonesuch"])
-    assert e1.value.code == 2
-    with pytest.raises(SystemExit) as e2:
-        cli.main(["nonesuch"])
-    assert e2.value.code == 2
+    for argv in BAD_INVOCATIONS:
+        assert _exit_code(argv.split()) == 2, argv
     capsys.readouterr()
+
+
+def test_steps_percentile_is_nearest_rank():
+    xs = list(range(1, 11))
+    assert cli._steps_percentile(xs, 0.99) == 10
+    assert cli._steps_percentile(xs, 0.5) == 5
+    assert cli._steps_percentile(xs, 0.0) == 1
 
 
 def test_trace_export(tmp_path, capsys):

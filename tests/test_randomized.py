@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tasim.randomized import CountingRng, HeadsRng, TailsRng, wrap, wrapped_tas_system
+from tasim.randomized import HeadsRng, TailsRng, wrap, wrapped_tas_system
 from tasim.shm import History, Memory, StepMachine, make_schedule, run, run_live_uniform
 from tasim.tas_det import solo_step_bound, tas_system
 from tasim.verify import check_tas
@@ -18,6 +18,18 @@ class SeqRng:
 
     def randrange(self, n):
         return self.vals.pop(0) if self.vals else 0
+
+
+class CountingRng:
+    """Wraps an rng and counts draws; audits when coins are drawn."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def randrange(self, n):
+        self.draws += 1
+        return self.rng.randrange(n)
 
 
 SOLO_STEPS_N2 = 337  # 1 doorway read + 2 levels * (6 updates + 6 scans of 26)
@@ -165,7 +177,7 @@ def test_tails_block_resumes_the_wrapped_generator_once():
             except StopIteration as e:
                 return e.value
 
-    m = StepMachine(0, counted(wrap(inner(), 2, b, SeqRng([1, 1]))), auto_history=False)
+    m = StepMachine(0, counted(wrap(inner(), 2, b, SeqRng([1, 1]))))
     memory = Memory([1, 4], record_trace=True)
     memory.regs[1] = 3
     run([m], memory, [0] * (2 * b + 5), record=False)

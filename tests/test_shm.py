@@ -22,9 +22,11 @@ from tasim.shm import (
 
 def counter_prog(pid, reg, rounds):
     # read-increment-write; not atomic on purpose, races are visible
+    yield ("inv", "bump", ())
     for _ in range(rounds):
         v = yield ("r", reg)
         yield ("w", reg, v + 1)
+    yield ("res", pid)
     return pid
 
 
@@ -36,8 +38,6 @@ def test_memory_width_enforced():
         mem.write(2, 0, 0, 2)
     with pytest.raises(RegisterWidthError):
         mem.write(3, 0, 1, 16)
-    with pytest.raises(RegisterWidthError):
-        Memory([2], init=[4])
     with pytest.raises(RegisterWidthError):
         mem.write(4, 0, 0, -1)
 
@@ -63,7 +63,6 @@ def test_schedule_kinds():
     s2 = make_schedule("random", 4, 100, seed=5)
     assert s1 == s2 and all(0 <= p < 4 for p in s1)
     assert make_schedule("random", 4, 100, seed=6) != s1
-    assert make_schedule("custom", 2, 3, seq=[1, 0, 1]) == [1, 0, 1]
 
 
 def test_schedule_rejects_bad_args():
@@ -71,8 +70,6 @@ def test_schedule_rejects_bad_args():
         make_schedule("random", 2, 5)  # no seed
     with pytest.raises(ValueError):
         make_schedule("solo", 2, 5)  # no burst
-    with pytest.raises(ValueError):
-        make_schedule("custom", 2, 2, seq=[0, 2])  # pid out of range
     with pytest.raises(ValueError):
         make_schedule("zigzag", 2, 5)
     with pytest.raises(ValueError):
@@ -112,13 +109,9 @@ def test_noop_absorption_and_results():
     assert len(ops) == 1 and ops[0].result == 0 and not ops[0].pending
 
 
-def test_auto_history_event_times():
-    mem = Memory([16])
-    machines = [StepMachine(5, counter_prog(5, 0, 1), op_name="bump")]
-    h, _ = run(machines, mem, [5, 5])
-    kinds = [(e.kind, e.time, e.op) for e in h.events]
-    # inv at 2*0 (first shared step), res at 2*1+1 (last shared step)
-    assert kinds == [("inv", 0, "bump"), ("res", 3, "bump")]
+def test_auto_history_rejected():
+    with pytest.raises(ValueError, match="inv/res"):
+        StepMachine(0, counter_prog(0, 0, 1), auto_history=True)
 
 
 def test_explicit_history_res_then_inv():
@@ -134,7 +127,7 @@ def test_explicit_history_res_then_inv():
         return None
 
     mem = Memory([4])
-    machines = [StepMachine(0, prog(), auto_history=False)]
+    machines = [StepMachine(0, prog())]
     h, _ = run(machines, mem, [0, 0])
     ev = [(e.kind, e.op, e.time, e.result) for e in h.events]
     assert ev == [
@@ -157,9 +150,9 @@ def test_history_protocol_errors():
         yield ("w", 0, 1)
 
     with pytest.raises(ValueError, match="nested"):
-        run([StepMachine(0, nested(), auto_history=False)], Memory([4]), [0, 0])
+        run([StepMachine(0, nested())], Memory([4]), [0, 0])
     with pytest.raises(ValueError, match="without open"):
-        StepMachine(0, orphan_res(), auto_history=False)
+        StepMachine(0, orphan_res())
 
 
 def test_program_must_take_a_step():
@@ -228,16 +221,20 @@ def test_block_op_takes_k_slots_and_resumes_once():
     resumed = []
 
     def prog():
+        yield ("inv", "blk", ())
         v = yield ("r", 1, 4)  # four reads of register 1 in a row
         resumed.append(v)
         yield ("w", 0, v)
+        yield ("res", v)
         return v
 
     def writer():
+        yield ("inv", "put", ())
         yield ("w", 1, 5)
+        yield ("res", None)
 
     mem = Memory([8, 8], record_trace=True)
-    ms = [StepMachine(0, prog(), op_name="blk"), StepMachine(1, writer())]
+    ms = [StepMachine(0, prog()), StepMachine(1, writer())]
     h, t = run(ms, mem, [0, 0, 1, 0, 0, 0, 0, 0])
     m = ms[0]
     assert t == 8 and m.done and m.result == 5
@@ -262,7 +259,7 @@ def test_block_op_pending_invocation_attaches_to_first_read():
         return v
 
     mem = Memory([4], record_trace=True)
-    m = StepMachine(0, prog(), auto_history=False)
+    m = StepMachine(0, prog())
     h, t = run([m], mem, [1, 0, 0, 0, 0, 0])  # pid 1 is absent
     assert m.done and m.steps == 3 and t == 6
     assert [e[0] for e in mem.trace] == [1, 2, 3]
@@ -274,13 +271,18 @@ def test_block_op_pending_invocation_attaches_to_first_read():
 
 def test_block_op_equals_single_reads():
     def singles(reg, k):
+        yield ("inv", "look", ())
         v = None
         for _ in range(k):
             v = yield ("r", reg)
+        yield ("res", v)
         return v
 
     def block(reg, k):
-        return (yield ("r", reg, k))
+        yield ("inv", "look", ())
+        v = yield ("r", reg, k)
+        yield ("res", v)
+        return v
 
     sched = make_schedule("random", 3, 200, seed=4)
     runs = []

@@ -55,13 +55,13 @@ def test_solo_compete_wins_in_exactly_12_ops():
 
 def test_solo_register_level_wins_in_96_steps():
     for n in (2, 4, 7):
-        machines, memory, snap, logics = sifter_system(n, pids=[n - 1])
-        m = machines[0]
+        machines, memory, snap, logics = sifter_system(n)
+        m = machines[n - 1]
         t = 0
         while not m.done and t < 500:
             m.step(memory, t, None)
             t += 1
-        assert logics[0].result == WIN
+        assert logics[n - 1].result == WIN
         # 6 updates (2 steps) + 6 scans (2*6+2 steps), independent of n
         assert m.steps == 6 * 2 + 6 * 14 == 96
 

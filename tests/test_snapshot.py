@@ -85,12 +85,10 @@ def test_fresh_solo_scan_cost_and_view():
     m = 6
     s = BoundedSnapshot(0, m, n=3, value_bits=4)
     mem = s.fresh_memory()
-    writer = StepMachine(
-        1, ops_program(s, 1, [("update", 4, 9)]), auto_history=False
-    )
+    writer = StepMachine(1, ops_program(s, 1, [("update", 4, 9)]))
     drive_solo(writer, mem)
     assert writer.steps == 2
-    scanner = StepMachine(0, ops_program(s, 0, [("scan",)]), auto_history=False)
+    scanner = StepMachine(0, ops_program(s, 0, [("scan",)]))
     drive_solo(scanner, mem)
     assert scanner.steps == 2 * m + 2
     assert scanner.result == [(0, 0, 0, 0, 9, 0)]
@@ -100,8 +98,8 @@ def test_update_mid_scan_forces_retry():
     m = 2
     s = BoundedSnapshot(0, m, n=2, value_bits=4)
     mem = s.fresh_memory()
-    scanner = StepMachine(0, ops_program(s, 0, [("scan",)]), auto_history=False)
-    updater = StepMachine(1, ops_program(s, 1, [("update", 0, 3)]), auto_history=False)
+    scanner = StepMachine(0, ops_program(s, 0, [("scan",)]))
+    updater = StepMachine(1, ops_program(s, 1, [("update", 0, 3)]))
     # scanner does W S + first collect, updater lands both writes, scanner
     # finishes the attempt (c2 differs and S was overwritten), then retries
     run([scanner, updater], mem, [0, 0, 0, 1, 1] + [0] * 20, record=False)
@@ -114,9 +112,7 @@ def test_sequential_history_linearizes():
     s = BoundedSnapshot(0, 2, n=1, value_bits=4)
     mem = s.fresh_memory()
     m = StepMachine(
-        0,
-        ops_program(s, 0, [("update", 1, 5), ("scan",), ("update", 0, 2), ("scan",)]),
-        auto_history=False,
+        0, ops_program(s, 0, [("update", 1, 5), ("scan",), ("update", 0, 2), ("scan",)])
     )
     h, _ = run([m], mem, [0] * 40)
     assert m.result == [(0, 5), (2, 5)]
@@ -137,7 +133,7 @@ def test_random_concurrent_histories_linearize():
                     script.append(("update", rng.randrange(m), rng.randrange(1, 16)))
                 else:
                     script.append(("scan",))
-            machines.append(StepMachine(p, ops_program(s, p, script), auto_history=False))
+            machines.append(StepMachine(p, ops_program(s, p, script)))
         sched = make_schedule("random", n, 150, seed=1000 + trial)
         h, _ = run(machines, mem, sched)
         for mm in machines:
@@ -153,8 +149,8 @@ def test_exhaustive_small_interleavings_linearize():
     def make():
         s = BoundedSnapshot(0, 2, n=2, value_bits=4)
         mem = s.fresh_memory(record_trace=True)
-        a = StepMachine(0, ops_program(s, 0, [("update", 0, 1), ("scan",)]), auto_history=False)
-        b = StepMachine(1, ops_program(s, 1, [("update", 1, 2), ("scan",)]), auto_history=False)
+        a = StepMachine(0, ops_program(s, 0, [("update", 0, 1), ("scan",)]))
+        b = StepMachine(1, ops_program(s, 1, [("update", 1, 2), ("scan",)]))
         return [a, b], mem
 
     spec = SnapshotSequential(2, 0)
@@ -184,7 +180,7 @@ def test_scan_solo_completion_bound_from_reachable_configs():
         machines = []
         for p in range(3):
             script = [("update", p % m, p + 1), ("scan",), ("update", (p + 1) % m, p + 4), ("scan",)]
-            machines.append(StepMachine(p, ops_program(s, p, script), auto_history=False))
+            machines.append(StepMachine(p, ops_program(s, p, script)))
         return machines, mem
 
     rep = probe_solo(factory, samples=400, bound=bound, seed=3, prefix_max=120)

@@ -132,7 +132,7 @@ def test_gw_never_all_lose():
         k = rng.randrange(2, 7)
         mem = Memory([1] * 2)
         machines = [
-            StepMachine(p, gw_steps(0, 2, rng), auto_history=False) for p in range(k)
+            StepMachine(p, gw_steps(0, 2, rng)) for p in range(k)
         ]
         order = [p for p in range(k) for _ in range(2)]
         rng.shuffle(order)
@@ -143,7 +143,7 @@ def test_gw_never_all_lose():
 
 def _run_split_pair(order):
     mem = Memory([max(1, 1), 1])  # X (pid width), Y
-    ms = [StepMachine(p, split_steps(0, 1, p), auto_history=False) for p in range(2)]
+    ms = [StepMachine(p, split_steps(0, 1, p)) for p in range(2)]
     run(ms, mem, list(order), record=False)
     assert all(m.done for m in ms)
     return ms[0].result, ms[1].result
@@ -164,7 +164,7 @@ def test_split_exhaustive_two_process_interleavings():
 
 def test_split_lone_caller_wins():
     mem = Memory([1, 1])
-    m = StepMachine(0, split_steps(0, 1, 0), auto_history=False)
+    m = StepMachine(0, split_steps(0, 1, 0))
     run([m], mem, [0, 0, 0, 0], record=False)
     assert m.result == WIN
 
@@ -187,7 +187,7 @@ def test_backstop_plumbing_first_wins_second_loses():
         prog = rt._wrapped_tas(
             pid, rt.backstop_base, rt.backstop_snap, rt.n, rt.bn, rt.process_rng(pid)
         )
-        return StepMachine(pid, prog, auto_history=False)
+        return StepMachine(pid, prog)
 
     first = backstop(0)
     t = 0

@@ -11,7 +11,6 @@ from tasim.verify import (
     TasSequential,
     check_linearizable,
     check_tas,
-    outcome_counts,
     probe_solo,
 )
 
@@ -85,18 +84,6 @@ def test_tas_rejects_malformed():
     h2 = hist((0, 0, "inv", None), (1, 0, "res", 7))
     with pytest.raises(ValueError, match="returned"):
         check_tas(h2)
-
-
-def test_outcome_counts():
-    h = hist((0, 0, "inv", None), (1, 0, "res", 0))
-    assert outcome_counts(h) == {0: 1}
-    h2 = hist(
-        (0, 0, "inv", None), (1, 0, "res", 0),
-        (2, 1, "inv", None), (3, 1, "res", 1),
-        (4, 2, "inv", None),
-    )
-    c = outcome_counts(h2)
-    assert c[0] == 1 and c[1] == 1 and c["pending"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +202,7 @@ def _probe_factory(loop_forever: bool):
 
     def factory(rng):
         mem = Memory([4])
-        machines = [StepMachine(p, prog(p), auto_history=False) for p in range(3)]
+        machines = [StepMachine(p, prog(p)) for p in range(3)]
         return machines, mem
 
     return factory
@@ -240,7 +227,7 @@ def test_probe_solo_trivial_configurations():
         return 0
 
     def factory(rng):
-        machines = [StepMachine(0, prog(), auto_history=False)]
+        machines = [StepMachine(0, prog())]
         mem = Memory([4])
         return machines, mem
 
