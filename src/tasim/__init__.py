@@ -44,7 +44,6 @@ from .tas_det import (
     f,
     floor_log32,
     register_count,
-    repeated_log_holds,
     solo_step_bound,
     tas_machines,
     tas_register_widths,

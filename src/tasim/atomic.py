@@ -202,17 +202,16 @@ def explore(
 def register_program(logic: LogicMachine, snap, base: int = 0, history_ops: bool = True):
     """Expand a logic machine into a register-level step generator.
 
-    `snap` is a BoundedSnapshot providing update_steps/scan_steps, and plain
-    register r is register base + r.  Logic machines hold structured
-    component values; when the snapshot carries a codec (`snap.codec`, see
-    the snapshot module) they are packed with its encode before an update
-    and scan results are unpacked with its decode, and a snapshot without
-    one passes the integers through.  The generator drives `logic.advance`
-    with exactly the values the atomic store would have produced, so both
-    granularities share one decision procedure.  Emits invocation/response
-    markers when `history_ops` is set and the logic declares an interface
-    op.  The logic's own pid is used for snapshot handshakes, so each
-    (logic, snap) pair must have a pid unique within that snapshot instance.
+    `snap` is an owner-tagged BoundedSnapshot, and plain register r is
+    register base + r.  Logic machines hold structured component values:
+    the snapshot's codec (`snap.codec`, see the snapshot module) packs them
+    with its encode before an update and unpacks scan results with its
+    decode.  The generator drives `logic.advance` with exactly the values
+    the atomic store would have produced, so both granularities share one
+    decision procedure.  Emits invocation/response markers when
+    `history_ops` is set and the logic declares an interface op.  The
+    logic's own pid is used for snapshot handshakes, so each (logic, snap)
+    pair must have a pid unique within that snapshot instance.
     """
     codec = snap.codec
     emit = history_ops and logic.op_name is not None
@@ -222,15 +221,11 @@ def register_program(logic: LogicMachine, snap, base: int = 0, history_ops: bool
         op = logic.op
         kind = op[0]
         if kind == "u":
-            val = op[2] if codec is None else codec.encode(op[1], op[2])
-            yield from snap.update_steps(logic.pid, op[1], val)
+            yield from snap.update_steps(logic.pid, op[1], codec.encode(op[1], op[2]))
             res = None
         elif kind == "s":
             view = yield from snap.scan_steps(logic.pid)
-            if codec is None:
-                res = tuple(view[op[1] : op[2]])
-            else:
-                res = tuple(codec.decode(i, view[i]) for i in range(op[1], op[2]))
+            res = tuple(codec.decode(i, view[i]) for i in range(op[1], op[2]))
         elif kind == "r":
             res = yield (READ, base + op[1])
         elif kind == "w":

@@ -21,7 +21,8 @@ Two subcommands:
 
 Determinism contract: the same command line with the same --seed produces
 byte-identical output.  SEED and OUT environment variables supply defaults
-for --seed/--out; explicit flags win.
+for --seed/--out; explicit flags win, and a SEED that is not an integer
+exits 2 unless --seed is given.
 
 Granularity: sifter and tas_det trials run at snapshot-op granularity for
 throughput (their step budgets are stated in object operations, and the
@@ -278,7 +279,7 @@ def _n_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    env_seed = int(os.environ.get("SEED", "0"))
+    env_seed = os.environ.get("SEED", "0")  # converted by --seed's type
     env_out = os.environ.get("OUT", "-")
     p = argparse.ArgumentParser(
         prog="tasim",

@@ -50,28 +50,19 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
         raise ValueError("n and b must be positive")
     tails = (READ, dummy_reg, b)
     steps = 0  # real steps left in the current heads block
-    try:
-        item = inner.send(None)
-    except StopIteration as e:
-        return e.value
+    res = None
     while True:
-        if item[0] not in (READ, WRITE):
-            yield item
-            try:
-                item = inner.send(None)
-            except StopIteration as e:
-                return e.value
-            continue
-        if steps == 0:
-            while rng.randrange(n) != 0:
-                yield tails
-            steps = b
-        steps -= 1
-        res = yield item
         try:
             item = inner.send(res)
         except StopIteration as e:
             return e.value
+        if item[0] in (READ, WRITE):
+            if steps == 0:
+                while rng.randrange(n) != 0:
+                    yield tails
+                steps = b
+            steps -= 1
+        res = yield item
 
 
 def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs=None):

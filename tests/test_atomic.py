@@ -200,7 +200,7 @@ def test_owner_tagged_snapshot_interleavings_linearize():
 
 def test_explore_interleavings_requires_trace():
     def make():
-        snap = BoundedSnapshot(0, 2, n=2, value_bits=2)
+        snap = BoundedSnapshot(0, 2, n=2, value_bits=2, codec=PutScanCodec())
         memory = snap.fresh_memory()  # record_trace off
         prog = register_program(PutScanLogic(0, 2), snap)
         return [StepMachine(0, prog)], memory
@@ -210,7 +210,7 @@ def test_explore_interleavings_requires_trace():
 
 
 def test_register_program_solo_result():
-    snap = BoundedSnapshot(0, 2, n=1, value_bits=2)
+    snap = BoundedSnapshot(0, 2, n=1, value_bits=2, codec=PutScanCodec())
     memory = snap.fresh_memory()
     logic = PutScanLogic(0, 2)
     m = StepMachine(0, register_program(logic, snap))
@@ -219,7 +219,7 @@ def test_register_program_solo_result():
     while not m.done:
         m.step(memory, t, h)
         t += 1
-    assert m.result == (1, 0)  # raw register cells: unwritten comps read 0
+    assert m.result == (1, None)  # the codec decodes an unwritten comp as None
     assert t == 2 + (2 * 2 + 2)  # one update + one fresh scan
     ops = h.ops()
-    assert len(ops) == 1 and ops[0].op == "putscan" and ops[0].result == (1, 0)
+    assert len(ops) == 1 and ops[0].op == "putscan" and ops[0].result == (1, None)

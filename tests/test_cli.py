@@ -91,6 +91,19 @@ def test_bad_invocations_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_bad_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("SEED", "abc")
+    for argv in ("simulate --object sifter --trials 1", "sweep --object tas_det --n-list 4"):
+        assert _exit_code(argv.split()) == 2, argv
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_negative_seed_runs(capsys):
+    argv = "simulate --object sifter --trials 1 --seed -1".split()
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == -1
+
+
 def test_steps_percentile_is_nearest_rank():
     xs = list(range(1, 11))
     assert cli._steps_percentile(xs, 0.99) == 10

@@ -20,8 +20,8 @@ from tasim.tas_rand import RandTas
 SOLO = 100_000  # solo burst that finishes any unfinished process
 LIVE_CAP = 50_000_000
 DIGESTS = {
-    "sifter_system": "455e146180503cf1b63d089329372d1485069264be677a76e04279f4d2fea633",
-    "tas_system": "13ea539347907919f9fc2ea598f7f9e2bed55d033221882907aac019ce68932c",
+    "sifter_system": "f3a83429337ea091a2f25aaf05e055dff62a224b970231973af56c37c1e212c9",
+    "tas_system": "b22d0f1f0e9b27a6ca2921701814a73e2fd4719f931941fe6c0d5bc3c1d07e14",
     "wrapped_tas_system": "03ed0fd06546df87c44f0f9c9f483748e547092e8e1e36e8802c6a249762afca",
     "rand_tas": "09256fd70fa6029fa36b60a7b310137bd57dbc04f49d33fc326f3fd025bd5936",
     "rand_tas_1024": "e9ab954a5b8addb54a32db274f93dad6308f87b154923b999c1520353c41b93e",

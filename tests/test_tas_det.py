@@ -17,7 +17,6 @@ from tasim.tas_det import (
     f,
     floor_log32,
     register_count,
-    repeated_log_holds,
     solo_step_bound,
     tas_machines,
     tas_register_widths,
@@ -70,10 +69,6 @@ def test_level_and_register_counts():
         assert widths[0] == 1  # doorway bit
         assert widths[-1] == n.bit_length()  # handshake register
         assert max(widths) == 3 * math.ceil(math.log2(n)) + 3
-
-
-def test_repeated_log_identity():
-    assert repeated_log_holds(10**5)
 
 
 def test_chain_restarts_on_fresh_components():
