@@ -27,22 +27,37 @@ results and fine-grained spot checks corroborate each other.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .shm import READ, WRITE, Event, History, drain, run
 
 
+def _key_getter(fields: tuple) -> attrgetter:
+    # `steps` is bookkeeping, not protocol state: keeping it out of the key
+    # lets exploration of non-terminating interleavings reach a fixpoint over
+    # the finite protocol state space
+    return attrgetter(*(f for f in fields if f != "steps"))
+
+
 class LogicMachine:
     """Explicit-state protocol participant.
 
-    Subclasses keep all mutable state in attributes listed in FIELDS (values
-    must be hashable), poise the next operation in `self.op`, and implement
+    Subclasses poise the next operation in `self.op` and implement
     `advance(res)` to consume the operation's result and choose the next one
     (or set `done`/`result`).  `step`, `clone` and `key` then come for free;
     the last two are what make exhaustive exploration cheap.
+
+    The FIELDS contract: an instance's attributes are exactly the names in
+    its class's FIELDS, and their values are hashable.  `clone` copies the
+    instance dict, so an attribute outside FIELDS would be cloned but left
+    out of `key`, and two configurations that differ in it would be merged.
+    `key` reads FIELDS minus `steps` through one `operator.attrgetter` per
+    class, built when the class is defined.
     """
 
     FIELDS = ("pid", "op", "done", "result", "steps")
+    _key = _key_getter(FIELDS)
 
     pid: int
     op: Optional[tuple]
@@ -50,6 +65,10 @@ class LogicMachine:
     result: object
     steps: int
     op_name: Optional[str] = None  # interface op for histories, e.g. "tas"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = _key_getter(cls.FIELDS)
 
     def __init__(self, pid: int):
         self.pid = pid
@@ -71,15 +90,19 @@ class LogicMachine:
         """
         if self.done:
             return False
-        record = history is not None and self.op_name is not None
-        if record and self.steps == 0:
+        if history is None or self.op_name is None:
+            res = store.apply(self.op)
+            self.steps += 1
+            self.advance(res)
+            return True
+        if self.steps == 0:
             history.events.append(
                 Event(2 * t, self.pid, "inv", self.op_name, (), None)
             )
         res = store.apply(self.op)
         self.steps += 1
         self.advance(res)
-        if record and self.done:
+        if self.done:
             history.events.append(
                 Event(2 * t + 1, self.pid, "res", self.op_name, (), self.result)
             )
@@ -87,17 +110,11 @@ class LogicMachine:
 
     def clone(self):
         c = object.__new__(type(self))
-        for f in type(self).FIELDS:
-            setattr(c, f, getattr(self, f))
+        c.__dict__ = self.__dict__.copy()
         return c
 
     def key(self) -> tuple:
-        # `steps` is bookkeeping, not protocol state: keeping it out of the
-        # key lets exploration of non-terminating interleavings reach a
-        # fixpoint over the finite protocol state space
-        return tuple(
-            getattr(self, f) for f in type(self).FIELDS if f != "steps"
-        )
+        return self._key(self)
 
 
 class AtomicStore:
@@ -113,11 +130,11 @@ class AtomicStore:
 
     def apply(self, op: tuple):
         kind = op[0]
+        if kind == "s":
+            return tuple(self.comps[op[1] : op[2]])
         if kind == "u":
             self.comps[op[1]] = op[2]
             return None
-        if kind == "s":
-            return tuple(self.comps[op[1] : op[2]])
         if kind == "r":
             return self.regs[op[1]]
         if kind == "w":
@@ -134,6 +151,9 @@ class AtomicStore:
     def key(self) -> tuple:
         return (tuple(self.comps), tuple(self.regs))
 
+
+# store ops that leave the store as it was
+_READ_ONLY = ("s", "r")
 
 # One runner drives both kinds of machine: `shm.run` steps each scheduled
 # machine through its `step(store, t, history)`.  This name stays for
@@ -164,16 +184,27 @@ def explore(
     store keys), `state_check(machines, store)` runs on each, and terminal
     states are tallied by the tuple of machine results.
 
+    Keys are carried incrementally.  Each distinct machine key and store
+    key is numbered once, in first-seen order, and a state's key is the
+    tuple of its machines' numbers followed by its store's number.  A
+    frontier state carries that tuple, and a successor recomputes only the
+    key of the machine that moved.  A successor whose step only read (a
+    scan or a register read) shares its parent's store and store number,
+    since states are never mutated once built.
+
     Returns (terminals: Counter, states_visited: int).
     """
     machines0, store0 = make_system()
-    key0 = (tuple(m.key() for m in machines0), store0.key())
+    mnums: dict = {}  # machine key -> its number
+    snums: dict = {}  # store key -> its number
+    key0 = tuple(mnums.setdefault(m.key(), len(mnums)) for m in machines0)
+    key0 += (snums.setdefault(store0.key(), len(snums)),)
     seen = {key0}
-    frontier = [(machines0, store0)]
+    frontier = [(machines0, store0, key0)]
     terminals: Counter = Counter()
     while frontier:
         nxt = []
-        for machines, store in frontier:
+        for machines, store, key in frontier:
             if state_check is not None:
                 state_check(machines, store)
             live = [i for i, m in enumerate(machines) if not m.done]
@@ -181,16 +212,23 @@ def explore(
                 terminals[tuple(m.result for m in machines)] += 1
                 continue
             for i in live:
-                ms = list(machines)
-                mi = ms[i] = machines[i].clone()
-                st = store.clone()
-                mi.step(st, 0, None)
-                k = (tuple(m.key() for m in ms), st.key())
+                mi = machines[i].clone()
+                if mi.op[0] in _READ_ONLY:
+                    st = store
+                    mi.step(st, 0, None)
+                    rest = key[i + 1 :]
+                else:
+                    st = store.clone()
+                    mi.step(st, 0, None)
+                    rest = key[i + 1 : -1] + (snums.setdefault(st.key(), len(snums)),)
+                k = key[:i] + (mnums.setdefault(mi.key(), len(mnums)),) + rest
                 if k not in seen:
                     if len(seen) >= max_states:
                         raise RuntimeError(f"state space exceeds {max_states}")
                     seen.add(k)
-                    nxt.append((ms, st))
+                    ms = list(machines)
+                    ms[i] = mi
+                    nxt.append((ms, st, k))
         frontier = nxt
     return terminals, len(seen)
 

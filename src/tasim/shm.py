@@ -333,18 +333,23 @@ def run(
     """
     if record and history is None:
         history = History()
+    get = _by_pid(machines).get
+    t = start_t
+    for pid in schedule:
+        m = get(pid)
+        if m is not None and not m.done:
+            m.step(memory, t, history)
+        t += 1
+    return history, t
+
+
+def _by_pid(machines: list) -> dict:
     by_pid = {}
     for m in machines:
         if m.pid in by_pid:
             raise ValueError(f"duplicate pid {m.pid}")
         by_pid[m.pid] = m
-    t = start_t
-    for pid in schedule:
-        m = by_pid.get(pid)
-        if m is not None and not m.done:
-            m.step(memory, t, history)
-        t += 1
-    return history, t
+    return by_pid
 
 
 def drain(
@@ -356,19 +361,26 @@ def drain(
 ):
     """Finish every unfinished machine with one solo burst of `bound` slots.
 
-    Bursts go through `run` in list order, over a Memory or an AtomicStore,
-    and continue the run at schedule position t, recording into `history`
-    when one is given.  Raises RuntimeError if a machine is still
-    unfinished after its burst.  Returns (history, t_next).
+    Bursts run in list order, over a Memory or an AtomicStore, and continue
+    the run at schedule position t, recording into `history` when one is
+    given.  A burst steps its machine directly, slot by slot, and stops
+    early once it finishes; the burst still takes all `bound` slots of the
+    schedule, so the next burst starts `bound` slots later, as it would
+    under `run` with `[pid] * bound`.  Raises ValueError on a duplicate pid
+    and RuntimeError if a machine is still unfinished after its burst.
+    Returns (history, t_next).
     """
+    _by_pid(machines)  # raises on a duplicate pid, as run does
     for m in machines:
         if not m.done:
-            record = history is not None
-            history, t = run(
-                machines, memory, [m.pid] * bound, history=history, record=record, start_t=t
-            )
-            if not m.done:
+            step = m.step
+            for slot in range(t, t + bound):
+                step(memory, slot, history)
+                if m.done:
+                    break
+            else:
                 raise RuntimeError(f"pid {m.pid} not done after a solo burst of {bound}")
+            t += bound
     return history, t
 
 

@@ -51,21 +51,43 @@ EMPTY_SIG = (None, None, None)
 B_EMPTY = (None, EMPTY_SIG)
 
 
-def _num(v, xs) -> int:
-    return sum(1 for x in xs if x == v)
-
-
 def _pos_rule(a: tuple, p: int) -> int:
     """The unique index with a[pos] != p and a[(pos-1) mod 3] == p."""
-    cands = [i for i in range(3) if a[i] != p and a[(i - 1) % 3] == p]
-    if len(cands) != 1:
+    a0, a1, a2 = a
+    c0 = a0 != p and a2 == p
+    c1 = a1 != p and a0 == p
+    c2 = a2 != p and a1 == p
+    if c0 + c1 + c2 != 1:
+        cands = [i for i, c in enumerate((c0, c1, c2)) if c]
         raise RuntimeError(f"pos rule ambiguous: a={a!r} p={p}: {cands}")
-    return cands[0]
+    return 0 if c0 else 1 if c1 else 2
 
 
 def _outnumbered(a: tuple, p: int) -> bool:
-    mine = _num(p, a)
-    return any(q is not None and q != p and _num(q, a) > mine for q in a)
+    """Some id q other than p has more copies in a than p."""
+    mine = a.count(p)
+    for q in a:
+        if q is not None and q != p and a.count(q) > mine:
+            return True
+    return False
+
+
+def _rival_twice(b: tuple, p: int, sig: tuple) -> bool:
+    """Some q != p has (q, sig) in at least two of the three B entries."""
+    b0, b1, b2 = b
+    if b0 == b1 or b0 == b2:
+        e = b0
+    elif b1 == b2:
+        e = b1
+    else:
+        return False
+    q = e[0]
+    return q is not None and q != p and e[1] == sig
+
+
+def _first_other(b: tuple, mine: tuple) -> int:
+    """The first index of b whose entry is not `mine` (one must exist)."""
+    return 0 if b[0] != mine else 1 if b[1] != mine else 2
 
 
 class SifterLogic(LogicMachine):
@@ -75,7 +97,8 @@ class SifterLogic(LogicMachine):
     several sifter levels can live in one object.  Snapshot ops are poised
     one at a time; stage tracks which response is expected next:
     'wa' write to A pending, 'sa' compete scan pending, 'kw' write to B
-    pending, 'ks' knockout scan pending.
+    pending, 'ks' knockout scan pending.  `advance` hands any other stage
+    to `_other_stage`, where a subclass adds its own.
     """
 
     FIELDS = LogicMachine.FIELDS + ("base", "stage", "sig")
@@ -101,47 +124,49 @@ class SifterLogic(LogicMachine):
         if self.done:
             raise RuntimeError("advance on finished machine")
         p = self.pid
-        if self.stage == "wa":
+        stage = self.stage
+        if stage == "wa":
             self.stage = "sa"
             self.op = ("s", self.base, self.base + 3)
-        elif self.stage == "sa":
+        elif stage == "sa":
             a = res
-            if _num(p, a) == 3:
+            mine = a.count(p)
+            if mine == 3:
                 self._finish(WIN)
             elif _outnumbered(a, p):
                 self._finish(LOSE)
-            elif _num(p, a) == 1 and self._use_knockout():
+            elif mine == 1 and self._use_knockout():
                 self.sig = a
                 self.stage = "kw"
                 self.op = ("u", self.base + 3, (p, a))
             else:
                 self.stage = "wa"
                 self.op = ("u", self.base + _pos_rule(a, p), p)
-        elif self.stage == "kw":
+        elif stage == "kw":
             self.stage = "ks"
             self.op = ("s", self.base, self.base + 6)
-        elif self.stage == "ks":
-            a_hat, b_hat = res[0:3], res[3:6]
-            mine = (p, self.sig)
-            if a_hat != self.sig:
+        elif stage == "ks":
+            sig = self.sig
+            mine = (p, sig)
+            b = res[3:6]
+            if res[0:3] != sig:
                 self._finish(LOSE)
-            elif any(
-                q is not None and q != p and _num((q, self.sig), b_hat) >= 2
-                for (q, _) in b_hat
-            ):
+            elif _rival_twice(b, p, sig):
                 self._finish(LOSE)
-            elif _num(mine, b_hat) == 3:
+            elif b.count(mine) == 3:
                 # knockout survived; back to compete with pos from sig
-                a = self.sig
                 self.sig = None
                 self.stage = "wa"
-                self.op = ("u", self.base + _pos_rule(a, p), p)
+                self.op = ("u", self.base + _pos_rule(sig, p), p)
             else:
-                idx = min(i for i in range(3) if b_hat[i] != mine)
                 self.stage = "kw"
-                self.op = ("u", self.base + 3 + idx, mine)
+                self.op = ("u", self.base + 3 + _first_other(b, mine), mine)
         else:
-            raise RuntimeError(f"bad stage {self.stage!r}")
+            self._other_stage(stage, res)
+
+    def _other_stage(self, stage: str, res) -> None:
+        # subclasses that add stages around the sifter's own handle them here
+        raise RuntimeError(f"bad stage {stage!r}")
 
     def _use_knockout(self) -> bool:
         return True
@@ -177,7 +202,7 @@ def sifter_machines(pids) -> list[SifterLogic]:
 # writes names that process, which is what lets the snapshot drop its writer
 # field (an owner-tagged snapshot): an A component holds the writer's id, and
 # a B component holds (p, sig), where p appears in sig exactly once because
-# knockout starts only when _num(p, a) == 1.
+# knockout starts only when a.count(p) == 1.
 
 
 class _Codec:
@@ -209,7 +234,7 @@ class _Codec:
         if (
             p is None
             or len(sig) != 3
-            or _num(p, sig) != 1
+            or sig.count(p) != 1
             or not all(e is None or 0 <= e < n for e in sig)
         ):
             raise ValueError(f"unreachable B value {val!r} for n={n}")

@@ -23,6 +23,8 @@ Total register count: 6*ell(n) + 2 (chain snapshot plus doorway).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .atomic import AtomicStore, register_program
 from .shm import Memory, StepMachine
 from .sifter import WIN, SifterLogic, sifter_snapshot, sifter_store
@@ -51,8 +53,12 @@ def floor_log32(n: int) -> int:
     return i
 
 
+@lru_cache(maxsize=64)
 def ell(n: int) -> int:
-    """Number of chained sifter levels used for n processes."""
+    """Number of chained sifter levels used for n processes.
+
+    Memoized: every machine and store of an n-process object asks for it.
+    """
     return floor_log32(n) + 1
 
 
@@ -112,18 +118,18 @@ class TasLogic(WleChainLogic):
         self.stage = "dr"
         self.op = ("r", 0)
 
-    def advance(self, res) -> None:
-        if self.stage == "dr":
+    def _other_stage(self, stage: str, res) -> None:
+        if stage == "dr":
             if res == 1:
                 self.done = True
                 self.result = 1
             else:
                 self._start_level(0)
-        elif self.stage == "dw":
+        elif stage == "dw":
             self.done = True
             self.result = 1
         else:
-            super().advance(res)
+            super()._other_stage(stage, res)
 
     def _conclude(self, outcome: str) -> None:
         if outcome == WIN:

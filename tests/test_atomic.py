@@ -11,7 +11,9 @@ from tasim.atomic import (
     run_atomic_solo,
 )
 from tasim.shm import History, StepMachine, run
+from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_store
 from tasim.snapshot import BoundedSnapshot, ops_program
+from tasim.tas_det import TasLogic, WleChainLogic, tas_store, wle_store
 from tasim.verify import SnapshotSequential, check_linearizable
 
 
@@ -70,6 +72,34 @@ def test_logic_clone_and_key_exclude_steps():
     assert a.key() == b.key()  # steps is bookkeeping, not protocol state
     b.advance(None)
     assert a.key() != b.key() and a.stage == "u" and b.stage == "s"
+
+
+LIBRARY_LOGICS = (
+    ("sifter", SifterLogic, sifter_store),
+    ("naive", NaiveSifterLogic, sifter_store),
+    ("wle", lambda p: WleChainLogic(p, 2), lambda: wle_store(2)),
+    ("tas", lambda p: TasLogic(p, 2), lambda: tas_store(2)),
+)
+
+
+@pytest.mark.parametrize("name,make,store_of", LIBRARY_LOGICS, ids=[c[0] for c in LIBRARY_LOGICS])
+def test_fields_contract(name, make, store_of):
+    # a fresh machine, and one stopped mid-run against a rival
+    fresh = make(0)
+    machines, store = [make(0), make(1)], store_of()
+    run(machines, store, [1, 1, 0, 0, 0], record=False)
+    mid = machines[0]
+    assert 0 < mid.steps and not mid.done
+    fields = type(fresh).FIELDS
+    assert len(set(fields)) == len(fields)
+    for m, st in ((fresh, store_of()), (mid, store)):
+        assert set(vars(m)) == set(fields), name
+        before = dict(vars(m))
+        c = m.clone()
+        assert type(c) is type(m) and c.key() == m.key()
+        c.step(st.clone(), 0, None)
+        assert c.steps == m.steps + 1
+        assert vars(m) == before  # stepping the clone left the original alone
 
 
 def test_run_atomic_history_convention():

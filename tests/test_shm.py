@@ -188,6 +188,8 @@ def test_drain_finishes_each_machine_in_solo_bursts():
     assert [o.pending for o in h.ops()] == [False, False]
     with pytest.raises(RuntimeError, match="solo burst"):
         drain([StepMachine(0, counter_prog(0, 0, 5))], Memory([16]), 3)
+    with pytest.raises(ValueError, match="duplicate pid"):
+        drain([StepMachine(0, counter_prog(0, 0, 1)) for _ in range(2)], Memory([16]), 9)
 
 
 def test_run_rejects_duplicate_pids():

@@ -86,9 +86,17 @@ def test_wle_exhaustive_n2_exactly_one_leader():
         return wle_machines(2), wle_store(2)
 
     terminals, states = explore(make)
-    assert states > 0
-    for res in terminals:
-        assert sorted(res) == [LOSE, WIN]
+    assert states == 4501
+    assert terminals == {(WIN, LOSE): 41, (LOSE, WIN): 41}
+
+
+def test_tas_exhaustive_n2_exactly_one_zero():
+    def make():
+        return tas_machines(2), tas_store(2)
+
+    terminals, states = explore(make)
+    assert states == 6036
+    assert terminals == {(0, 1): 41, (1, 0): 41}
 
 
 def test_wle_random_schedules_exactly_one_leader():
