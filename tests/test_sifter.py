@@ -157,7 +157,7 @@ def test_decision_helpers_match_generator_oracle():
                 if b.count(mine) != 3:
                     assert _first_other(b, mine) == _old_first_other(b, mine)
                 checked += 1
-    assert checked > 10_000
+    assert checked == 132_992
 
 
 # Schedule found by breadth-first search over the knockout-free variant's
