@@ -26,7 +26,7 @@ def main():
     for n in (2, 3, 4):
         steps = []
         for trial in range(5):
-            machines, memory, snap, logics = tas_system(n)
+            machines, memory, logics = tas_system(n)
             h = History()
             run_live_uniform(machines, memory, random.Random(trial), 50_000_000, history=h)
             assert all(m.done for m in machines)

@@ -29,7 +29,6 @@ from .sifter import (
     WIN,
     NaiveSifterLogic,
     SifterLogic,
-    make_codec,
     sifter_machines,
     sifter_snapshot,
     sifter_store,

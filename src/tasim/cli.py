@@ -9,7 +9,9 @@ Two subcommands:
        "seed": int, "wins": int}
       Exit code 0 iff every trial's checks pass, 1 on any violation,
       2 on an invalid invocation, such as a --n, --trials, --burst, --b
-      or --n-list entry that is not a positive integer.
+      or --n-list entry that is not a positive integer, or an --out or
+      --trace path that cannot be opened for writing (both are opened
+      before the first trial runs).
 
   tasim sweep --object {tas_det,tas_rand} --n-list 16,64,256 ...
       runs the same trials as simulate (--schedule random) per n and emits
@@ -45,6 +47,7 @@ import math
 import os
 import random
 import sys
+from contextlib import ExitStack
 from typing import NamedTuple, Optional
 
 from . import tas_det
@@ -105,9 +108,11 @@ def trial_tas_det(n: int, kind: str, burst: int, seed: int):
 
 
 def _tas_report(machines, h: History, backstop: bool = False, trace: tuple = ()) -> Trial:
+    steps = tuple(m.steps for m in machines)
+    if not all(m.done for m in machines):
+        return Trial(0, 0, 0, "step cap exceeded", steps, backstop, trace)
     wins = sum(1 for m in machines if m.result == 0)
     loses = sum(1 for m in machines if m.result == 1)
-    steps = tuple(m.steps for m in machines)
     if wins != 1:
         checker = f"{wins} processes returned 0"
     else:
@@ -140,28 +145,26 @@ def trial_snapshot(n: int, kind: str, burst: int, seed: int, record_trace: bool 
     return Trial(0, 0, max(m.steps for m in machines), checker, trace=tuple(memory.trace))
 
 
-def trial_tas_rand(n: int, seed: int, beta: int, record_trace: bool = False):
-    rt = RandTas(n, beta=beta, seed=seed)
+def _live(machines, memory, seed: int) -> History:
+    """Run under the live-uniform schedule of `seed`, up to LIVE_CAP steps."""
+    h = History()
+    run_live_uniform(machines, memory, random.Random(f"sched:{seed}"), LIVE_CAP, history=h)
+    return h
+
+
+def trial_tas_rand(n: int, seed: int, record_trace: bool = False):
+    rt = RandTas(n, seed=seed)
     memory = rt.memory(record_trace)
     machines = rt.machines()
-    h = History()
-    rng = random.Random(f"sched:{seed}")
-    run_live_uniform(machines, memory, rng, LIVE_CAP, history=h)
+    h = _live(machines, memory, seed)
     backstop = rt.entered[rt.backstop_index] > 0
-    if not all(m.done for m in machines):
-        steps = tuple(m.steps for m in machines)
-        return Trial(0, 0, 0, "step cap exceeded", steps, backstop, tuple(memory.trace))
     return _tas_report(machines, h, backstop, tuple(memory.trace))
 
 
 def trial_wrapped(n: int, seed: int, b: Optional[int], record_trace: bool = False):
     machines, memory, _ = wrapped_tas_system(n, b=b, seed=seed)
     memory.record_trace = record_trace
-    h = History()
-    rng = random.Random(f"sched:{seed}")
-    run_live_uniform(machines, memory, rng, LIVE_CAP, history=h)
-    if not all(m.done for m in machines):
-        return Trial(0, 0, 0, "step cap exceeded", trace=tuple(memory.trace))
+    h = _live(machines, memory, seed)
     return _tas_report(machines, h, trace=tuple(memory.trace))
 
 
@@ -174,7 +177,7 @@ def _register_trace(obj: str, n: int, kind: str, burst: int, seed: int) -> list:
     steps, hence the longer schedule) and drains it.
     """
     system = sifter_system if obj == "sifter" else tas_det.tas_system
-    machines, memory, _, _ = system(n, record_trace=True)
+    machines, memory, _ = system(n, record_trace=True)
     seq = make_schedule(kind, n, 200 * n, seed=seed, burst=burst)
     _, t = run(machines, memory, seq, record=False)
     drain(machines, memory, REGISTER_SOLO_BOUND, t=t)
@@ -185,15 +188,12 @@ def _register_trace(obj: str, n: int, kind: str, burst: int, seed: int) -> list:
 # commands
 
 
-def cmd_simulate(args) -> int:
-    if args.object in ("tas_rand", "wrapped") and args.schedule != "random":
-        print(f"{args.object} supports only --schedule random", file=sys.stderr)
-        return 2
+def cmd_simulate(args, out, trace_fp) -> int:
     lines = []
     all_ok = True
     for trial in range(args.trials):
         trial_seed = args.seed + trial
-        record = trial == 0 and bool(args.trace)
+        record = trial == 0 and trace_fp is not None
         if args.object == "sifter":
             tr = trial_sifter(args.n, args.schedule, args.burst, trial_seed)
         elif args.object == "tas_det":
@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
         elif args.object == "snapshot":
             tr = trial_snapshot(args.n, args.schedule, args.burst, trial_seed, record)
         elif args.object == "tas_rand":
-            tr = trial_tas_rand(args.n, trial_seed, args.beta, record)
+            tr = trial_tas_rand(args.n, trial_seed, record)
         elif args.object == "wrapped":
             tr = trial_wrapped(args.n, trial_seed, args.b, record)
         else:  # pragma: no cover - argparse choices guard this
@@ -216,12 +216,11 @@ def cmd_simulate(args) -> int:
                 sort_keys=True,
             )
         )
-    if args.trace:
+    if trace_fp is not None:
         if args.object in ("sifter", "tas_det"):
             trace = _register_trace(args.object, args.n, args.schedule, args.burst, args.seed)
-        with open(args.trace, "w") as fp:
-            export_trace_jsonl(trace, fp)
-    _emit(args.out, "\n".join(lines) + "\n")
+        export_trace_jsonl(trace, trace_fp)
+    out.write("\n".join(lines) + "\n")
     return 0 if all_ok else 1
 
 
@@ -231,7 +230,7 @@ def _steps_percentile(xs: list, q: float) -> int:
     return ys[max(0, math.ceil(q * len(ys)) - 1)]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, out, _trace_fp) -> int:  # sweep has no --trace
     rows = ["n,register_count,mean_steps,p99_steps,backstop_fraction"]
     all_ok = True
     for n in args.n_list:
@@ -239,8 +238,8 @@ def cmd_sweep(args) -> int:
             regs = tas_det.register_count(n)
             trials = [trial_tas_det(n, "random", 1, args.seed + i) for i in range(args.trials)]
         else:  # tas_rand
-            regs = RandTas(n, beta=args.beta, seed=0).register_count
-            trials = [trial_tas_rand(n, args.seed + i, args.beta) for i in range(args.trials)]
+            regs = RandTas(n, seed=0).register_count
+            trials = [trial_tas_rand(n, args.seed + i) for i in range(args.trials)]
         all_ok = all_ok and all(tr.checker == "ok" for tr in trials)
         steps = [s for tr in trials for s in tr.steps]
         mean = sum(steps) / len(steps)
@@ -249,16 +248,8 @@ def cmd_sweep(args) -> int:
             f"{n},{regs},{mean:.2f},{_steps_percentile(steps, 0.99)},"
             f"{backstop_hits / args.trials:.4f}"
         )
-    _emit(args.out, "\n".join(rows) + "\n")
+    out.write("\n".join(rows) + "\n")
     return 0 if all_ok else 1
-
-
-def _emit(out: str, text: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fp:
-            fp.write(text)
 
 
 def _positive_int(text: str) -> int:
@@ -302,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="solo-burst length (default 8)")
     sim.add_argument("--b", type=_positive_int, default=None,
                      help="wrapped: block length (default: registered solo bound)")
-    sim.add_argument("--beta", type=int, default=16,
-                     help="tas_rand: pipeline width constant (default 16)")
     sim.add_argument("--out", default=env_out, help="output path or - (default $OUT or -)")
     sim.add_argument("--trace", default=None, metavar="PATH",
                      help="also export a register-level trace of trial 0 to PATH")
@@ -316,15 +305,26 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--trials", type=_positive_int, default=20,
                     help="trials per n (default 20)")
     sw.add_argument("--seed", type=int, default=env_seed)
-    sw.add_argument("--beta", type=int, default=16)
     sw.add_argument("--out", default=env_out)
     sw.set_defaults(func=cmd_sweep)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.cmd == "simulate" and args.object in ("tas_rand", "wrapped")
+            and args.schedule != "random"):
+        parser.error(f"{args.object} supports only --schedule random")
+    trace_path = getattr(args, "trace", None)
+    with ExitStack() as stack:
+        try:
+            out = sys.stdout if args.out == "-" else stack.enter_context(open(args.out, "w"))
+            trace_fp = stack.enter_context(open(trace_path, "w")) if trace_path else None
+        except OSError as e:
+            print(f"tasim: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+            return 2
+        return args.func(args, out, trace_fp)
 
 
 if __name__ == "__main__":  # pragma: no cover

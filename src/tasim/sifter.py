@@ -104,15 +104,13 @@ class SifterLogic(LogicMachine):
     FIELDS = LogicMachine.FIELDS + ("base", "stage", "sig")
     op_name = "compete"
 
-    def __init__(self, pid: int, base: int = 0):
+    def __init__(self, pid: int):
         super().__init__(pid)
-        self.base = base
-        self.sig: Optional[tuple] = None
-        self._start_level(base)
+        self._start_level(0)
 
     def _start_level(self, base: int) -> None:
         self.base = base
-        self.sig = None
+        self.sig: Optional[tuple] = None
         self.stage = "wa"
         self.op = ("u", base + 0, self.pid)
 
@@ -266,11 +264,6 @@ class _Codec:
         return w - 1 if comp % 6 < 3 else (w >> 2) // self.nn
 
 
-def make_codec(n: int) -> _Codec:
-    """The codec of every sifter snapshot for n processes (see _Codec)."""
-    return _Codec(n)
-
-
 def value_bits(n: int) -> int:
     """Width of one packed component value: 3*ceil(log2 n) + 2.
 
@@ -283,12 +276,12 @@ def value_bits(n: int) -> int:
 
 def sifter_snapshot(n: int, base: int = 0, levels: int = 1) -> BoundedSnapshot:
     """Owner-tagged snapshot of `levels` chained sifters, carrying their codec."""
-    return BoundedSnapshot(base, 6 * levels, n, value_bits(n), codec=make_codec(n))
+    return BoundedSnapshot(base, 6 * levels, n, value_bits(n), codec=_Codec(n))
 
 
 def sifter_system(n: int, record_trace: bool = False):
-    """Register-level sifter: (machines, memory, snapshot, logics)."""
+    """Register-level sifter: (machines, memory, logics)."""
     snap = sifter_snapshot(n)
     logics = sifter_machines(range(n))
     machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
-    return machines, snap.fresh_memory(record_trace=record_trace), snap, logics
+    return machines, snap.fresh_memory(record_trace=record_trace), logics

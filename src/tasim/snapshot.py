@@ -38,14 +38,14 @@ integer, decode(comp, x) unpacks it, and owner(comp, x) names the writer
 that every packed value names.  The codec lives here, on the snapshot:
 update_steps and scan_steps move packed integers, and
 `atomic.register_program`, which lowers logic machines onto registers,
-packs and unpacks through `snap.codec`.  The sifter's codec is
-`sifter.make_codec`.  Owner-tagged cells drop the writer field and are
-value_bits + 1 wide.  The argument above still holds there: a pending
-write by q differs from a cell last written by anyone else because the
-value names its writer, and from q's own previous write to that cell by the
-parity bit.  update() checks that the value names the caller, and the value
-0 (an unwritten cell) must name no one.  The handshake register is pid_bits
-wide either way.
+packs and unpacks through `snap.codec`.  `sifter.sifter_snapshot` builds
+the sifter's snapshot with its codec.  Owner-tagged cells drop the writer
+field and are value_bits + 1 wide.  The argument above still holds there:
+a pending write by q differs from a cell last written by anyone else
+because the value names its writer, and from q's own previous write to
+that cell by the parity bit.  update() checks that the value names the
+caller, and the value 0 (an unwritten cell) must name no one.  The
+handshake register is pid_bits wide either way.
 """
 
 from __future__ import annotations

@@ -94,7 +94,7 @@ class WleChainLogic(SifterLogic):
     def __init__(self, pid: int, ell_levels: int):
         self.level = 1
         self.ell = ell_levels
-        super().__init__(pid, base=0)
+        super().__init__(pid)
 
     def _finish(self, outcome: str) -> None:
         if outcome == WIN and self.level < self.ell:
@@ -169,7 +169,7 @@ def tas_register_widths(n: int) -> list[int]:
 
 
 def tas_system(n: int, record_trace: bool = False):
-    """Register-level TAS: (machines, memory, snapshot, logics).
+    """Register-level TAS: (machines, memory, logics).
 
     Layout: register 0 is the doorway bit; registers 1..6*ell+1 are the
     chain snapshot (cells then handshake).
@@ -177,4 +177,4 @@ def tas_system(n: int, record_trace: bool = False):
     snap = sifter_snapshot(n, 1, ell(n))
     logics = tas_machines(n)
     machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
-    return machines, Memory(tas_register_widths(n), record_trace=record_trace), snap, logics
+    return machines, Memory(tas_register_widths(n), record_trace=record_trace), logics

@@ -49,14 +49,13 @@ from .sifter import LOSE, WIN, sifter_snapshot
 from .tas_det import TasLogic, ell, solo_step_bound, tas_register_widths
 
 CONTINUE = "continue"
+BETA = 16  # the 2-sized sifters number ceil(BETA * log2 n)
 
 
 @dataclass(frozen=True)
 class PipelineParams:
     """Stage sizes; stages = K sifters, K splitters, K LE2 chains."""
 
-    n: int
-    beta: int
     s1: int  # size of the first sifter
     z: int  # size of sifters 2..ell_z+1
     ell_z: int  # how many z-sized sifters
@@ -77,18 +76,16 @@ class PipelineParams:
         raise ValueError(f"sifter {i} is the backstop")
 
 
-def pipeline_params(n: int, beta: int = 16) -> PipelineParams:
+def pipeline_params(n: int) -> PipelineParams:
     if n < 1:
         raise ValueError("n must be >= 1")
     lg = math.log2(n) if n > 1 else 0.0
     llg = math.log2(lg) if lg > 1 else 0.0
     return PipelineParams(
-        n=n,
-        beta=beta,
         s1=max(2, math.ceil(lg)),
         z=max(2, math.ceil(2 * llg)),
         ell_z=max(1, math.ceil(llg * llg)),
-        m=max(1, math.ceil(beta * lg)),
+        m=max(1, math.ceil(BETA * lg)),
     )
 
 
@@ -126,9 +123,9 @@ class RandTas:
     failed).  Counters are harness instrumentation: no program reads them.
     """
 
-    def __init__(self, n: int, beta: int = 16, seed: int = 0):
+    def __init__(self, n: int, seed: int = 0):
         self.n = n
-        self.params = pipeline_params(n, beta)
+        self.params = pipeline_params(n)
         self.seed = seed
         p = self.params
         pid_w = max(1, (n - 1).bit_length())

@@ -114,7 +114,7 @@ def test_criterion_02_sifter_solo_resume():
 
     def register_factory(rng):
         k = rng.choice([2, 3, 4, 5])
-        machines, memory, snap, logics = sifter_system(k)
+        machines, memory, logics = sifter_system(k)
         return machines, memory
 
     rep_reg = probe_solo(register_factory, samples=10_000, bound=540, seed=4022, prefix_max=400)
@@ -317,7 +317,7 @@ def test_criterion_07_wrapped_budget():
 
     # measure b: max own-step solo resume from sampled reachable configs
     def det_factory(rng):
-        machines, memory, snap, logics = tas_system(n)
+        machines, memory, logics = tas_system(n)
         return machines, memory
 
     rep = probe_solo(
@@ -342,7 +342,7 @@ def test_criterion_07_wrapped_budget():
 
     # all-heads coin stream replays the unwrapped system trace for trace
     sched = make_schedule("random", n, 4 * solo_step_bound(n), seed=4072)
-    plain, mem_plain, _, logics_plain = tas_system(n, record_trace=True)
+    plain, mem_plain, logics_plain = tas_system(n, record_trace=True)
     run(plain, mem_plain, sched, record=False)
     wrapped, mem_wrapped, logics_wrapped = wrapped_tas_system(
         n, b=b, coin_rngs={p: HeadsRng() for p in range(n)}

@@ -1,6 +1,10 @@
 """Command-line driver: determinism, exit codes, output formats."""
 
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from tasim import cli
 from tasim.tas_det import register_count
@@ -78,6 +82,7 @@ BAD_INVOCATIONS = [
     "simulate --object sifter --n -2",
     "simulate --object sifter --schedule solo --burst 0",
     "simulate --object wrapped --b 0",
+    "simulate --object tas_rand --beta 4",
     "sweep --object tas_det --n-list ,",
     "sweep --object tas_det --n-list 4 --trials 0",
     "sweep --object tas_det --n-list 0,4",
@@ -89,6 +94,29 @@ def test_bad_invocations_exit_2(capsys):
     for argv in BAD_INVOCATIONS:
         assert _exit_code(argv.split()) == 2, argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_unwritable_output_exits_2_before_any_trial(flag, tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "trial_sifter", lambda *a: ran.append(a))
+    path = str(tmp_path / "missing" / "x")
+    rc = cli.main(["simulate", "--object", "sifter", "--trials", "1", flag, path])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert ran == []
+    assert path in captured.err and "No such file or directory" in captured.err
+    assert captured.out == ""
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("tasim ")]
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(line.split()[1:])
 
 
 def test_bad_seed_env_exits_2(monkeypatch, capsys):

@@ -1,16 +1,21 @@
-"""Pinned executions of the register-level builders.
+"""Pinned executions of the register-level builders and of the CLI.
 
-Each digest is the sha256 of one run's full register trace and its
+Each builder digest is the sha256 of one run's full register trace and its
 per-process results.  The register-level sifter and TAS builders run in no
 benchmark workload, so these digests are what shows that a refactor of the
 lowering path (codec, snapshot, register mapping, wrapper) left every
-register access unchanged.
+register access unchanged.  The CLI digests are the sha256 of `tasim`'s
+stdout, and of one `--trace` export per object, so a refactor of the CLI
+that changes a byte of its output fails them.
 """
 
 import hashlib
 import json
 import random
 
+import pytest
+
+from tasim import cli
 from tasim.randomized import wrapped_tas_system
 from tasim.shm import drain, make_schedule, run, run_live_uniform
 from tasim.sifter import sifter_system
@@ -47,13 +52,13 @@ def _live_uniform(machines, memory, seed: int) -> str:
 
 
 def test_sifter_system_pinned():
-    machines, memory, _, _ = sifter_system(3, record_trace=True)
+    machines, memory, _ = sifter_system(3, record_trace=True)
     got = _scheduled_then_drained(machines, memory, make_schedule("random", 3, 600, seed=7))
     assert got == DIGESTS["sifter_system"]
 
 
 def test_tas_system_pinned():
-    machines, memory, _, _ = tas_system(3, record_trace=True)
+    machines, memory, _ = tas_system(3, record_trace=True)
     got = _scheduled_then_drained(machines, memory, make_schedule("random", 3, 600, seed=7))
     assert got == DIGESTS["tas_system"]
 
@@ -75,3 +80,59 @@ def test_rand_tas_1024_pinned():
     rt = RandTas(1024, seed=1)
     memory = rt.memory(record_trace=True)
     assert _live_uniform(rt.machines(), memory, 1) == DIGESTS["rand_tas_1024"]
+
+
+CLI_DIGESTS = {
+    "simulate --object sifter --n 7 --trials 20 --seed 3":
+        "868d43a45b00020d7c540b859a75698f02029c2f3282d2670c06deb60fc46c1d",
+    "simulate --object sifter --n 7 --trials 20 --seed 3 --schedule rr":
+        "154c51712371ef0a431a05d9bcb9de2a3c1cc42e1c7ce99b69252b7d648db568",
+    "simulate --object sifter --n 7 --trials 20 --seed 3 --schedule solo --burst 3":
+        "154c51712371ef0a431a05d9bcb9de2a3c1cc42e1c7ce99b69252b7d648db568",
+    "simulate --object snapshot --n 3 --trials 5 --seed 3":
+        "95a3d1b8dda6e162da4570e8ca5e58dbb04de33c864013b67122e80a216a04db",
+    "simulate --object tas_det --n 7 --trials 20 --seed 3":
+        "d4b759aac25fbc10ade01371cb22e00392bc78e5a4f6ae86e0703790943205f5",
+    "simulate --object tas_det --n 7 --trials 20 --seed 3 --schedule rr":
+        "7dec8eb8de80c1d46e6e3b42f993005c9469c787de3243da7e825c8e398aeede",
+    "simulate --object tas_det --n 7 --trials 20 --seed 3 --schedule solo --burst 3":
+        "7dec8eb8de80c1d46e6e3b42f993005c9469c787de3243da7e825c8e398aeede",
+    "simulate --object tas_rand --n 8 --trials 3 --seed 1":
+        "3a9c2fce08287f27b19d062fa87ff85a65503b3fee3d2e1a55ff5227736eb400",
+    "simulate --object wrapped --n 3 --trials 2 --seed 1":
+        "438e748377f106a4867b60ff8f50ede21b7286bf3581a23a377ad65361157440",
+    "sweep --object tas_det --n-list 4,8 --trials 10 --seed 0":
+        "c910047decdf389db77585dbba1042b9c40fc76ff28b321b19a0b595362cd96f",
+    "sweep --object tas_rand --n-list 4,16 --trials 5 --seed 0":
+        "f63b4e9783c1863574447709dfe313fec5ab43175cb555a2b5088ebf3cecf78b",
+}
+
+# one --trace export per object; sifter and tas_det re-run their trial at
+# register level under solo and rr, which the builder digests above do not
+TRACE_DIGESTS = {
+    "simulate --object sifter --n 3 --trials 1 --seed 2 --schedule solo --burst 3":
+        "c30b4d0c9d87fbf67dcba7e9e94fb6dbd65523c9e08929ce7f362cc3ad58c6fe",
+    "simulate --object snapshot --n 3 --trials 1 --seed 2":
+        "d426d39b39a37515311e6d52fa2775d072c99c0127921b101d1e0eded067dfb8",
+    "simulate --object tas_det --n 3 --trials 1 --seed 2 --schedule rr":
+        "b70f68883412acd7ee77b0b157198cc53c9d556dbb4e9a4bf63c6cb9ea29be0c",
+    "simulate --object tas_rand --n 8 --trials 1 --seed 2":
+        "62f1e71f912d526c527567479fe9f3b85ed20c5ec60e8bd90fb22bc006fdadd2",
+    "simulate --object wrapped --n 3 --trials 1 --seed 2":
+        "e53f860ea0186c27cf4e1a06fc11e5d5b31efa124dfff0ce220fd91faa8aaf38",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_DIGESTS))
+def test_cli_stdout_pinned(argv, capsys):
+    assert cli.main(argv.split()) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == CLI_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(TRACE_DIGESTS))
+def test_cli_trace_pinned(argv, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    assert cli.main(argv.split() + ["--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_DIGESTS[argv]

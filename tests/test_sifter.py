@@ -17,7 +17,6 @@ from tasim.sifter import (
     _outnumbered,
     _pos_rule,
     _rival_twice,
-    make_codec,
     sifter_machines,
     sifter_snapshot,
     sifter_store,
@@ -53,7 +52,7 @@ def test_solo_compete_wins_in_exactly_12_ops():
 
 def test_solo_register_level_wins_in_96_steps():
     for n in (2, 4, 7):
-        machines, memory, snap, logics = sifter_system(n)
+        machines, memory, logics = sifter_system(n)
         m = machines[n - 1]
         t = 0
         while not m.done and t < 500:
@@ -209,7 +208,7 @@ def test_codec_roundtrip():
     # exhaustive over the reachable domain: an A value is an id, a B value is
     # (p, sig) with p in sig exactly once; everything else must be refused
     for n in range(1, 9):
-        codec = make_codec(n)
+        codec = sifter_snapshot(n).codec
         enc, dec, owner = codec.encode, codec.decode, codec.owner
         vb = value_bits(n)
         entries = [None] + list(range(n))
@@ -243,7 +242,7 @@ def test_codec_roundtrip():
 def test_owner_tagged_snapshot_refuses_foreign_values():
     n = 3
     snap = sifter_snapshot(n)
-    enc = make_codec(n).encode
+    enc = snap.codec.encode
     assert snap.cell_width == value_bits(n) + 1
     assert len(list(snap.update_steps(1, 0, enc(0, 1)))) == 2
     w = enc(3, (1, (1, 2, None)))
@@ -257,7 +256,7 @@ def test_owner_tagged_snapshot_refuses_foreign_values():
 def test_register_level_concurrent_outcomes():
     for seed in range(30):
         n = 3
-        machines, memory, snap, logics = sifter_system(n)
+        machines, memory, logics = sifter_system(n)
         sched = make_schedule("random", n, 250, seed=seed)
         run(machines, memory, sched, record=False)
         for m in machines:

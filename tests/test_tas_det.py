@@ -120,7 +120,7 @@ def test_solo_tas_atomic_op_count():
 def test_solo_tas_register_step_count():
     # 1 doorway read + per level: 6 two-step updates and 6 full-width scans
     for n in (2, 8):
-        machines, memory, snap, logics = tas_system(n)
+        machines, memory, logics = tas_system(n)
         m = machines[0]
         t = 0
         while not m.done and t < 10_000:
@@ -161,7 +161,7 @@ def test_late_arrival_loses_through_chain_then_doorway():
 
 
 def test_doorway_bit_is_monotone_and_single_width():
-    machines, memory, snap, logics = tas_system(3, record_trace=True)
+    machines, memory, logics = tas_system(3, record_trace=True)
     _, t = run(machines, memory, make_schedule("random", 3, 400, seed=8), record=False)
     drain(machines, memory, solo_step_bound(3), t=t)
     assert all(m.done for m in machines)
@@ -173,7 +173,7 @@ def test_doorway_bit_is_monotone_and_single_width():
 def test_register_level_outcomes_and_histories():
     for seed in range(25):
         n = 3
-        machines, memory, snap, logics = tas_system(n)
+        machines, memory, logics = tas_system(n)
         h, t = run(machines, memory, make_schedule("random", n, 500, seed=seed))
         drain(machines, memory, solo_step_bound(n), h, t)
         assert all(m.done for m in machines)
@@ -187,7 +187,7 @@ def test_solo_resume_stays_within_step_bound():
     bound = solo_step_bound(n)
 
     def factory(rng):
-        machines, memory, snap, logics = tas_system(n)
+        machines, memory, logics = tas_system(n)
         return machines, memory
 
     rep = probe_solo(factory, samples=150, bound=bound, seed=9, prefix_max=800)

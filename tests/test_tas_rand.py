@@ -30,7 +30,8 @@ class BitsRng:
 
 # (n, s1, z, ell_z, m, K): sizes of the sifter front, hand-derived from
 # s1 = max(2, ceil(log2 n)), z = max(2, ceil(2 loglog n)),
-# ell_z = max(1, ceil((loglog n)^2)), m = max(1, ceil(16 log2 n)), K = ell_z+m+2
+# ell_z = max(1, ceil((loglog n)^2)), m = max(1, ceil(BETA log2 n)) with
+# tas_rand.BETA = 16, K = ell_z+m+2
 PARAM_TABLE = [
     (1, 2, 2, 1, 1, 4),
     (2, 2, 2, 1, 16, 19),
