@@ -38,7 +38,6 @@ from .sifter import (
 from .tas_det import (
     S_MAX,
     TasLogic,
-    WleChainLogic,
     ell,
     f,
     floor_log32,

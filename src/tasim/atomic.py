@@ -118,14 +118,12 @@ class LogicMachine:
 
 
 class AtomicStore:
-    """Snapshot components plus plain registers, mutated one op at a time."""
+    """Snapshot components, initially `comps`, and `n_regs` zeroed plain registers."""
 
     __slots__ = ("comps", "regs")
 
-    def __init__(self, m: int, init=None, n_regs: int = 0):
-        self.comps = [init] * m if not isinstance(init, (list, tuple)) else list(init)
-        if isinstance(init, (list, tuple)) and len(self.comps) != m:
-            raise ValueError("init length != m")
+    def __init__(self, comps, n_regs: int = 0):
+        self.comps = list(comps)
         self.regs = [0] * n_regs
 
     def apply(self, op: tuple):

@@ -22,7 +22,10 @@ Two subcommands:
       tas_rand; p99_steps is their nearest-rank 99th percentile.
 
 Determinism contract: the same command line with the same --seed produces
-byte-identical output.  SEED and OUT environment variables supply defaults
+byte-identical output.  The rr and solo schedules do not depend on the
+seed, and sifter and tas_det trials draw nothing else from it, so under
+--schedule rr or solo their K trials repeat one execution and their lines
+differ only in "seed".  SEED and OUT environment variables supply defaults
 for --seed/--out; explicit flags win, and a SEED that is not an integer
 exits 2 unless --seed is given.
 
@@ -90,8 +93,9 @@ class Trial(NamedTuple):
 def trial_sifter(n: int, kind: str, burst: int, seed: int):
     store = sifter_store()
     machines = sifter_machines(range(n))
-    h, t = run(machines, store, make_schedule(kind, n, 60 * n, seed=seed, burst=burst))
-    drain(machines, store, ATOMIC_SOLO_BOUND, h, t)
+    seq = make_schedule(kind, n, 60 * n, seed=seed, burst=burst)
+    _, t = run(machines, store, seq, record=False)
+    drain(machines, store, ATOMIC_SOLO_BOUND, t=t)
     wins = sum(1 for m in machines if m.result == WIN)
     loses = sum(1 for m in machines if m.result == LOSE)
     ok = 1 <= wins <= tas_det.f(n) and wins + loses == n
@@ -288,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=env_seed,
                      help="base seed; trial i uses seed+i (default $SEED or 0)")
     sim.add_argument("--schedule", choices=["rr", "random", "solo"], default="random",
-                     help="scheduler kind (default random)")
+                     help="scheduler kind (default random); rr and solo ignore the "
+                          "seed, so sifter and tas_det trials repeat one execution")
     sim.add_argument("--burst", type=_positive_int, default=8,
                      help="solo-burst length (default 8)")
     sim.add_argument("--b", type=_positive_int, default=None,

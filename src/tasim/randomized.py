@@ -32,8 +32,7 @@ from typing import Optional
 
 from .atomic import register_program
 from .shm import READ, WRITE, Memory, StepMachine
-from .sifter import sifter_snapshot
-from .tas_det import ell, solo_step_bound, tas_machines, tas_register_widths
+from .tas_det import solo_step_bound, tas_machines, tas_register_widths, tas_snapshot
 
 
 def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
@@ -74,7 +73,7 @@ def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs
     """
     if b is None:
         b = solo_step_bound(n)
-    snap = sifter_snapshot(n, 1, ell(n))
+    snap = tas_snapshot(n)
     logics = tas_machines(n)
     machines = []
     for lg in logics:

@@ -91,21 +91,24 @@ def _first_other(b: tuple, mine: tuple) -> int:
 
 
 class SifterLogic(LogicMachine):
-    """One participant of one sifter instance.
+    """One participant of a chain of `levels` sifters in one snapshot.
 
-    `base` offsets the six components into a larger shared snapshot, so
-    several sifter levels can live in one object.  Snapshot ops are poised
-    one at a time; stage tracks which response is expected next:
-    'wa' write to A pending, 'sa' compete scan pending, 'kw' write to B
-    pending, 'ks' knockout scan pending.  `advance` hands any other stage
-    to `_other_stage`, where a subclass adds its own.
+    `base` is the current level's first component and `top` the last
+    level's (level j owns components 6j..6j+5).  A win below `top` restarts
+    on the next level; a win at `top`, or any loss, goes to `_conclude`.
+    Snapshot ops are poised one at a time; stage tracks which response is
+    expected next: 'wa' write to A pending, 'sa' compete scan pending, 'kw'
+    write to B pending, 'ks' knockout scan pending.  `advance` hands any
+    other stage to `_other_stage`, where a subclass adds its own.
     """
 
-    FIELDS = LogicMachine.FIELDS + ("base", "stage", "sig")
+    FIELDS = LogicMachine.FIELDS + ("top", "base", "stage", "sig")
     op_name = "compete"
+    knockout = True  # a class attribute, so not one of the FIELDS
 
-    def __init__(self, pid: int):
+    def __init__(self, pid: int, levels: int = 1):
         super().__init__(pid)
+        self.top = 6 * (levels - 1)
         self._start_level(0)
 
     def _start_level(self, base: int) -> None:
@@ -115,6 +118,12 @@ class SifterLogic(LogicMachine):
         self.op = ("u", base + 0, self.pid)
 
     def _finish(self, outcome: str) -> None:
+        if outcome == WIN and self.base < self.top:
+            self._start_level(self.base + 6)
+        else:
+            self._conclude(outcome)
+
+    def _conclude(self, outcome: str) -> None:
         self.done = True
         self.result = outcome
 
@@ -133,7 +142,7 @@ class SifterLogic(LogicMachine):
                 self._finish(WIN)
             elif _outnumbered(a, p):
                 self._finish(LOSE)
-            elif mine == 1 and self._use_knockout():
+            elif mine == 1 and self.knockout:
                 self.sig = a
                 self.stage = "kw"
                 self.op = ("u", self.base + 3, (p, a))
@@ -166,9 +175,6 @@ class SifterLogic(LogicMachine):
         # subclasses that add stages around the sifter's own handle them here
         raise RuntimeError(f"bad stage {stage!r}")
 
-    def _use_knockout(self) -> bool:
-        return True
-
 
 class NaiveSifterLogic(SifterLogic):
     """A-array-only variant: still never all-lose, but winners are unbounded.
@@ -176,8 +182,7 @@ class NaiveSifterLogic(SifterLogic):
     Test fixture only; see the module docstring.
     """
 
-    def _use_knockout(self) -> bool:
-        return False
+    knockout = False
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +190,7 @@ class NaiveSifterLogic(SifterLogic):
 
 
 def sifter_store(levels: int = 1, n_regs: int = 0) -> AtomicStore:
-    init = ([None] * 3 + [B_EMPTY] * 3) * levels
-    return AtomicStore(6 * levels, init=init, n_regs=n_regs)
+    return AtomicStore(([None] * 3 + [B_EMPTY] * 3) * levels, n_regs=n_regs)
 
 
 def sifter_machines(pids) -> list[SifterLogic]:

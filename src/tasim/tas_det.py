@@ -3,10 +3,10 @@
 A single sifter guarantees at most floor((2k+1)/3) winners among k
 participants.  Chaining ell(n) = floor(log_{3/2} n) + 1 of them, where the
 winners of each level advance to the next and everyone else loses, shrinks
-any field of n to exactly one final winner: that is weak leader election.
-All levels live in one shared (6*ell)-component snapshot (components
-6*(j-1)..6*j-1 belong to level j), which costs 6*ell + 1 registers instead
-of 7 per level.
+any field of n to exactly one final winner: that is weak leader election,
+`SifterLogic(p, ell(n))`.  All levels live in one shared (6*ell)-component
+snapshot (components 6*(j-1)..6*j-1 belong to level j), which costs
+6*ell + 1 registers instead of 7 per level.
 
 Weak leader election becomes a linearizable test-and-set with one extra
 binary register D, the doorway bit:
@@ -18,7 +18,8 @@ binary register D, the doorway bit:
 The doorway serializes late arrivals behind the winner; the history checker
 validates the construction rather than trusting it.
 
-Total register count: 6*ell(n) + 2 (chain snapshot plus doorway).
+Total register count: 6*ell(n) + 2 (chain snapshot plus doorway), laid
+out by `tas_snapshot`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from functools import lru_cache
 from .atomic import AtomicStore, register_program
 from .shm import Memory, StepMachine
 from .sifter import WIN, SifterLogic, sifter_snapshot, sifter_store
+from .snapshot import BoundedSnapshot
 
 # Solo snapshot-op bound for one sifter from any reachable configuration
 # (a fresh solo compete takes exactly 12; the worst reachable case measured
@@ -82,34 +84,8 @@ def solo_step_bound(n: int) -> int:
 # logic machines
 
 
-class WleChainLogic(SifterLogic):
-    """Weak leader election: compete through sifter levels 1..ell.
-
-    A win at level j < ell restarts the sifter logic on the next level's
-    six components; a win at level ell, or a loss anywhere, is final.
-    """
-
-    FIELDS = SifterLogic.FIELDS + ("level", "ell")
-
-    def __init__(self, pid: int, ell_levels: int):
-        self.level = 1
-        self.ell = ell_levels
-        super().__init__(pid)
-
-    def _finish(self, outcome: str) -> None:
-        if outcome == WIN and self.level < self.ell:
-            self.level += 1
-            self._start_level(6 * (self.level - 1))
-        else:
-            self._conclude(outcome)
-
-    def _conclude(self, outcome: str) -> None:
-        self.done = True
-        self.result = outcome
-
-
-class TasLogic(WleChainLogic):
-    """Doorway bit around the chain; results are the test-and-set bit."""
+class TasLogic(SifterLogic):
+    """Doorway bit around the ell(n)-level chain; results are the TAS bit."""
 
     op_name = "tas"
 
@@ -148,8 +124,8 @@ def wle_store(n: int) -> AtomicStore:
     return sifter_store(ell(n))
 
 
-def wle_machines(n: int) -> list[WleChainLogic]:
-    return [WleChainLogic(p, ell(n)) for p in range(n)]
+def wle_machines(n: int) -> list[SifterLogic]:
+    return [SifterLogic(p, ell(n)) for p in range(n)]
 
 
 def tas_store(n: int) -> AtomicStore:
@@ -164,17 +140,23 @@ def tas_machines(n: int) -> list[TasLogic]:
 # builders: register level
 
 
+def tas_snapshot(n: int, base: int = 0) -> BoundedSnapshot:
+    """Chain snapshot of an n-process TAS whose doorway bit is register `base`.
+
+    The one statement of the TAS layout: register base is the doorway bit;
+    base+1..base+6*ell(n)+1 are the chain snapshot (cells, then handshake).
+    Build one per TAS object: it holds the parity counters its processes share.
+    """
+    return sifter_snapshot(n, base + 1, ell(n))
+
+
 def tas_register_widths(n: int) -> list[int]:
-    return [1] + sifter_snapshot(n, 1, ell(n)).register_widths()
+    return [1] + tas_snapshot(n).register_widths()
 
 
 def tas_system(n: int, record_trace: bool = False):
-    """Register-level TAS: (machines, memory, logics).
-
-    Layout: register 0 is the doorway bit; registers 1..6*ell+1 are the
-    chain snapshot (cells then handshake).
-    """
-    snap = sifter_snapshot(n, 1, ell(n))
+    """Register-level TAS over the `tas_snapshot` layout: (machines, memory, logics)."""
+    snap = tas_snapshot(n)
     logics = tas_machines(n)
     machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
     return machines, Memory(tas_register_widths(n), record_trace=record_trace), logics

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from .atomic import register_program
 from .randomized import wrap
 from .shm import Memory, READ, WRITE, StepMachine
-from .sifter import LOSE, WIN, sifter_snapshot
-from .tas_det import TasLogic, ell, solo_step_bound, tas_register_widths
+from .sifter import LOSE, WIN
+from .tas_det import TasLogic, solo_step_bound, tas_register_widths, tas_snapshot
 
 CONTINUE = "continue"
 BETA = 16  # the 2-sized sifters number ceil(BETA * log2 n)
@@ -149,10 +149,8 @@ class RandTas:
         widths += tas_register_widths(n)
         self.widths = widths
 
-        self.le2_snaps = {
-            i: sifter_snapshot(2, self.le2_base[i] + 1, ell(2)) for i in range(1, p.K + 1)
-        }
-        self.backstop_snap = sifter_snapshot(n, self.backstop_base + 1, ell(n))
+        self.le2_snaps = {i: tas_snapshot(2, self.le2_base[i]) for i in range(1, p.K + 1)}
+        self.backstop_snap = tas_snapshot(n, self.backstop_base)
         self.b2 = solo_step_bound(2)
         self.bn = solo_step_bound(n)
 

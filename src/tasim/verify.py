@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .shm import History, OpRecord, run
+from .shm import History, OpRecord, drain, run
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -200,11 +200,12 @@ def probe_solo(
 
     `factory(rng)` must build a fresh system and return
     ``(machines, target)``: step machines over a Memory or logic machines
-    over an AtomicStore, both driven by `shm.run`.  For each sample a random
-    schedule prefix reaches a configuration, a random unfinished machine
-    runs alone for up to `bound` of its own steps, and the probe records how
-    many steps it needed.  A machine still unfinished after `bound` solo
-    steps is a violation (the algorithm would not be obstruction-free).
+    over an AtomicStore.  For each sample a random schedule prefix, run by
+    `shm.run`, reaches a configuration; then `shm.drain` resumes a random
+    unfinished machine alone for up to `bound` of its own steps, and the
+    probe records how many steps it needed.  A machine still unfinished
+    after `bound` solo steps (drain raises RuntimeError) is a violation: the
+    algorithm would not be obstruction-free.
     """
     rng = random.Random(seed)
     report = SoloProbeReport(samples=samples)
@@ -220,12 +221,12 @@ def probe_solo(
             continue
         m = live[rng.randrange(len(live))]
         before = m.steps
-        run(machines, target, [m.pid] * bound, record=False)
+        try:
+            drain([m], target, bound)
+        except RuntimeError:
+            report.violations.append((s, m.pid, m.steps - before))
+            continue
         took = m.steps - before
-        if not m.done:
-            report.violations.append((s, m.pid, took))
-        else:
-            report.steps.append(took)
-            if took > report.max_steps:
-                report.max_steps = took
+        report.steps.append(took)
+        report.max_steps = max(report.max_steps, took)
     return report

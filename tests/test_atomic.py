@@ -13,7 +13,7 @@ from tasim.atomic import (
 from tasim.shm import History, StepMachine, run
 from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_store
 from tasim.snapshot import BoundedSnapshot, ops_program
-from tasim.tas_det import TasLogic, WleChainLogic, tas_store, wle_store
+from tasim.tas_det import TasLogic, tas_store, wle_store
 from tasim.verify import SnapshotSequential, check_linearizable
 
 
@@ -48,7 +48,7 @@ class SpinLogic(LogicMachine):
 
 
 def test_store_ops_and_keys():
-    st = AtomicStore(2, init=None, n_regs=1)
+    st = AtomicStore([None, None], n_regs=1)
     assert st.apply(("s", 0, 2)) == (None, None)
     st.apply(("u", 1, "x"))
     assert st.apply(("s", 0, 2)) == (None, "x")
@@ -59,8 +59,6 @@ def test_store_ops_and_keys():
     st.apply(("u", 0, "y"))
     assert snap.comps == [None, "x"] and st.comps == ["y", "x"]
     assert snap.key() != st.key()
-    with pytest.raises(ValueError):
-        AtomicStore(2, init=[1])
     with pytest.raises(ValueError):
         st.apply(("z",))
 
@@ -77,7 +75,7 @@ def test_logic_clone_and_key_exclude_steps():
 LIBRARY_LOGICS = (
     ("sifter", SifterLogic, sifter_store),
     ("naive", NaiveSifterLogic, sifter_store),
-    ("wle", lambda p: WleChainLogic(p, 2), lambda: wle_store(2)),
+    ("wle", lambda p: SifterLogic(p, 2), lambda: wle_store(2)),
     ("tas", lambda p: TasLogic(p, 2), lambda: tas_store(2)),
 )
 
@@ -104,7 +102,7 @@ def test_fields_contract(name, make, store_of):
 
 def test_run_atomic_history_convention():
     ms = [PutScanLogic(0, 2)]
-    st = AtomicStore(2, init=None)
+    st = AtomicStore([None, None])
     h, t_next = run(ms, st, [9, 0, 9, 0])  # absent pids absorbed
     assert t_next == 4
     ev = [(e.kind, e.time, e.result) for e in h.events]
@@ -114,14 +112,14 @@ def test_run_atomic_history_convention():
 
 def test_run_atomic_duplicate_pid():
     with pytest.raises(ValueError):
-        run([SpinLogic(1), SpinLogic(1)], AtomicStore(0, n_regs=1), [1])
+        run([SpinLogic(1), SpinLogic(1)], AtomicStore([], n_regs=1), [1])
 
 
 def test_run_atomic_solo_bound():
     m = PutScanLogic(0, 2)
-    assert run_atomic_solo(m, AtomicStore(2, init=None), 10) == 2
+    assert run_atomic_solo(m, AtomicStore([None, None]), 10) == 2
     with pytest.raises(RuntimeError):
-        run_atomic_solo(SpinLogic(0), AtomicStore(0, n_regs=1), 50)
+        run_atomic_solo(SpinLogic(0), AtomicStore([], n_regs=1), 50)
 
 
 EXPECTED_VIEWS = {
@@ -133,7 +131,7 @@ EXPECTED_VIEWS = {
 
 def test_explore_two_putscans():
     def make():
-        return [PutScanLogic(0, 2), PutScanLogic(1, 2)], AtomicStore(2, init=None)
+        return [PutScanLogic(0, 2), PutScanLogic(1, 2)], AtomicStore([None, None])
 
     checked = {"states": 0}
 

@@ -109,6 +109,18 @@ def test_unwritable_output_exits_2_before_any_trial(flag, tmp_path, monkeypatch,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("schedule", ["rr", "solo"])
+@pytest.mark.parametrize("obj", ["sifter", "tas_det"])
+def test_seedless_schedules_repeat_one_execution(obj, schedule, capsys):
+    # rr and solo ignore the seed, and these objects draw nothing else from it
+    argv = ["simulate", "--object", obj, "--n", "5", "--trials", "3", "--seed", "3",
+            "--schedule", schedule]
+    assert cli.main(argv) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [rec.pop("seed") for rec in recs] == [3, 4, 5]
+    assert recs[0] == recs[1] == recs[2]
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)

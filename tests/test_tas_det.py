@@ -12,7 +12,6 @@ from tasim.sifter import LOSE, WIN
 from tasim.tas_det import (
     S_MAX,
     TasLogic,
-    WleChainLogic,
     ell,
     f,
     floor_log32,
@@ -72,11 +71,11 @@ def test_level_and_register_counts():
 
 
 def test_chain_restarts_on_fresh_components():
-    m = WleChainLogic(0, 3)
-    assert (m.level, m.base, m.op) == (1, 0, ("u", 0, 0))
+    m = wle_machines(3)[0]  # ell(3) == 3 levels
+    assert (m.base, m.top, m.op) == (0, 12, ("u", 0, 0))
     store = wle_store(3)
     run_atomic_solo(m, store, 50)
-    assert m.result == WIN and m.level == 3
+    assert m.result == WIN and m.base == m.top == 12
     # winner swept A of every level on its way up
     assert store.comps[0:3] == [0, 0, 0] and store.comps[6:9] == [0, 0, 0]
 

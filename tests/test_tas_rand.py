@@ -6,7 +6,7 @@ import pytest
 
 from tasim.shm import History, Memory, StepMachine, run, run_live_uniform
 from tasim.sifter import LOSE, WIN
-from tasim.tas_det import ell
+from tasim.tas_det import ell, tas_register_widths, tas_snapshot
 from tasim.tas_rand import (
     CONTINUE,
     RandTas,
@@ -70,6 +70,22 @@ def test_register_count_closed_form():
             + 6 * ell(n) + 2  # backstop chain
         )
         assert rt.register_count == expect == len(rt.memory().widths), f"n={n}"
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+def test_register_map_agrees_with_tas_snapshot(n):
+    rt = RandTas(n)
+    stages = set(range(1, rt.params.K + 1))
+    assert set(rt.le2_base) == set(rt.le2_snaps) == stages
+    le2 = tas_register_widths(2)
+    for i in stages:
+        base = rt.le2_base[i]
+        assert rt.le2_snaps[i].base == base + 1, f"stage {i}"
+        assert rt.widths[base : base + len(le2)] == le2, f"stage {i}"
+    full = tas_register_widths(n)
+    assert full == [1] + tas_snapshot(n).register_widths()
+    assert rt.backstop_snap.base == rt.backstop_base + 1
+    assert rt.widths[rt.backstop_base :] == full  # the backstop closes the map
 
 
 def test_register_count_scales_logarithmically():
