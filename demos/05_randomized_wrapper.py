@@ -24,7 +24,8 @@ def main():
     n = 3
 
     sched = make_schedule("random", n, 1200, seed=5)
-    plain, mem_plain, _ = tas_system(n, record_trace=True)
+    plain, mem_plain, _ = tas_system(n)
+    mem_plain.record_trace = True
     run(plain, mem_plain, sched, record=False)
     wrapped, mem_wrapped, _ = wrapped_tas_system(
         n, b=60, coin_rngs={p: HeadsRng() for p in range(n)}

@@ -29,17 +29,22 @@ differ only in "seed".  SEED and OUT environment variables supply defaults
 for --seed/--out; explicit flags win, and a SEED that is not an integer
 exits 2 unless --seed is given.
 
+Objects: `TRIALS` maps each object name to `trial(n, args, seed,
+record=False) -> Trial`, which reads args.schedule, args.burst and args.b
+where it needs them; with `record` set, Trial.trace holds register
+accesses, and --trace exports trial 0's.
+
 Granularity: sifter and tas_det trials run at snapshot-op granularity for
 throughput (their step budgets are stated in object operations, and the
 obstruction-free TAS at register level under a uniform schedule needs
 millions of steps to finish already at n=8).  snapshot, tas_rand, and
-wrapped trials are always register-level, and --trace exports trial 0's own
-register accesses as JSON lines, one access per line; a sifter or tas_det
-trial makes no register accesses, so for those --trace re-runs trial 0's
-schedule kind and seed at register level.  tas_rand and wrapped require --schedule random:
-their guarantees are against randomized scheduling, sampled step by step
-over unfinished processes (distributionally exact for an oblivious uniform
-schedule, skipping only no-op slots).
+wrapped trials are always register-level and trace their own accesses; a
+sifter or tas_det trial makes none, so its trace re-runs its schedule kind
+and seed at register level.  --trace writes one access per JSON line.
+tas_rand and wrapped require --schedule random: their guarantees are
+against randomized scheduling, sampled step by step over unfinished
+processes (distributionally exact for an oblivious uniform schedule,
+skipping only no-op slots).
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import os
 import random
 import sys
 from contextlib import ExitStack
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import tas_det
 from .randomized import wrapped_tas_system
@@ -87,28 +92,48 @@ class Trial(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# per-object trials; each returns a Trial
+# per-object trials, one signature (see TRIALS)
 
 
-def trial_sifter(n: int, kind: str, burst: int, seed: int):
-    store = sifter_store()
+def _scheduled(machines, memory, per_process, bound, args, seed, history=None):
+    """Run `per_process` slots per process of `args.schedule`, then drain."""
+    n = len(machines)
+    seq = make_schedule(args.schedule, n, per_process * n, seed=seed, burst=args.burst)
+    _, t = run(machines, memory, seq, history, record=False)
+    drain(machines, memory, bound, history, t)
+
+
+def _register_trace(system, n: int, args, seed: int) -> tuple:
+    """Register accesses of a sifter or tas_det trial re-run at register level.
+
+    Those trials run at snapshot-op granularity and make no register
+    accesses, so the re-run lowers the same logic onto registers with
+    `system` under the same schedule kind and seed (each snapshot op now
+    takes many register steps, hence the longer schedule) and drains it.
+    """
+    machines, memory, _ = system(n)
+    memory.record_trace = True
+    _scheduled(machines, memory, 200, REGISTER_SOLO_BOUND, args, seed)
+    return tuple(memory.trace)
+
+
+def trial_sifter(n: int, args, seed: int, record: bool = False) -> Trial:
     machines = sifter_machines(range(n))
-    seq = make_schedule(kind, n, 60 * n, seed=seed, burst=burst)
-    _, t = run(machines, store, seq, record=False)
-    drain(machines, store, ATOMIC_SOLO_BOUND, t=t)
+    _scheduled(machines, sifter_store(), 60, ATOMIC_SOLO_BOUND, args, seed)
     wins = sum(1 for m in machines if m.result == WIN)
     loses = sum(1 for m in machines if m.result == LOSE)
     ok = 1 <= wins <= tas_det.f(n) and wins + loses == n
     checker = "ok" if ok else f"wins={wins} outside [1,{tas_det.f(n)}]"
-    return Trial(wins, loses, max(m.steps for m in machines), checker)
+    trace = _register_trace(sifter_system, n, args, seed) if record else ()
+    return Trial(wins, loses, max(m.steps for m in machines), checker, trace=trace)
 
 
-def trial_tas_det(n: int, kind: str, burst: int, seed: int):
-    store = tas_det.tas_store(n)
+def trial_tas_det(n: int, args, seed: int, record: bool = False) -> Trial:
     machines = tas_det.tas_machines(n)
-    h, t = run(machines, store, make_schedule(kind, n, 40 * n, seed=seed, burst=burst))
-    drain(machines, store, ATOMIC_SOLO_BOUND, h, t)
-    return _tas_report(machines, h)
+    h = History()
+    _scheduled(machines, tas_det.tas_store(n), 40, ATOMIC_SOLO_BOUND, args, seed, h)
+    trace = _register_trace(tas_det.tas_system, n, args, seed) if record else ()
+    return _tas_report(machines, h, trace=trace)
 
 
 def _tas_report(machines, h: History, backstop: bool = False, trace: tuple = ()) -> Trial:
@@ -125,10 +150,10 @@ def _tas_report(machines, h: History, backstop: bool = False, trace: tuple = ())
     return Trial(wins, loses, max(steps), checker, steps, backstop, trace)
 
 
-def trial_snapshot(n: int, kind: str, burst: int, seed: int, record_trace: bool = False):
+def trial_snapshot(n: int, args, seed: int, record: bool = False) -> Trial:
     m_comp = 2
     snap = BoundedSnapshot(0, m_comp, n, value_bits=4)
-    memory = snap.fresh_memory(record_trace)
+    memory = snap.fresh_memory(record)
     rng = random.Random(f"snapscript:{seed}")
     machines = []
     for p in range(n):
@@ -139,8 +164,8 @@ def trial_snapshot(n: int, kind: str, burst: int, seed: int, record_trace: bool 
             else:
                 script.append(("scan",))
         machines.append(StepMachine(p, ops_program(snap, p, script)))
-    h, t = run(machines, memory, make_schedule(kind, n, 30 * n, seed=seed, burst=burst))
-    h, _ = drain(machines, memory, 200, h, t)
+    h = History()
+    _scheduled(machines, memory, 30, 200, args, seed, h)
     try:
         ok = check_linearizable(h, SnapshotSequential(m_comp, 0))
         checker = "ok" if ok else "not linearizable"
@@ -149,43 +174,37 @@ def trial_snapshot(n: int, kind: str, burst: int, seed: int, record_trace: bool 
     return Trial(0, 0, max(m.steps for m in machines), checker, trace=tuple(memory.trace))
 
 
-def _live(machines, memory, seed: int) -> History:
+def _live(machines, memory, seed: int, record: bool) -> History:
     """Run under the live-uniform schedule of `seed`, up to LIVE_CAP steps."""
+    memory.record_trace = record
     h = History()
     run_live_uniform(machines, memory, random.Random(f"sched:{seed}"), LIVE_CAP, history=h)
     return h
 
 
-def trial_tas_rand(n: int, seed: int, record_trace: bool = False):
+def trial_tas_rand(n: int, args, seed: int, record: bool = False) -> Trial:
     rt = RandTas(n, seed=seed)
-    memory = rt.memory(record_trace)
+    memory = rt.memory()
     machines = rt.machines()
-    h = _live(machines, memory, seed)
+    h = _live(machines, memory, seed, record)
     backstop = rt.entered[rt.backstop_index] > 0
     return _tas_report(machines, h, backstop, tuple(memory.trace))
 
 
-def trial_wrapped(n: int, seed: int, b: Optional[int], record_trace: bool = False):
-    machines, memory, _ = wrapped_tas_system(n, b=b, seed=seed)
-    memory.record_trace = record_trace
-    h = _live(machines, memory, seed)
+def trial_wrapped(n: int, args, seed: int, record: bool = False) -> Trial:
+    machines, memory, _ = wrapped_tas_system(n, b=args.b, seed=seed)
+    h = _live(machines, memory, seed, record)
     return _tas_report(machines, h, trace=tuple(memory.trace))
 
 
-def _register_trace(obj: str, n: int, kind: str, burst: int, seed: int) -> list:
-    """Register accesses of a sifter or tas_det trial re-run at register level.
-
-    Those trials run at snapshot-op granularity and make no register
-    accesses, so the re-run lowers the same logic onto registers under the
-    same schedule kind and seed (each snapshot op now takes many register
-    steps, hence the longer schedule) and drains it.
-    """
-    system = sifter_system if obj == "sifter" else tas_det.tas_system
-    machines, memory, _ = system(n, record_trace=True)
-    seq = make_schedule(kind, n, 200 * n, seed=seed, burst=burst)
-    _, t = run(machines, memory, seq, record=False)
-    drain(machines, memory, REGISTER_SOLO_BOUND, t=t)
-    return memory.trace
+# simulate's --object choices, in this order
+TRIALS = {
+    "sifter": trial_sifter,
+    "snapshot": trial_snapshot,
+    "tas_det": trial_tas_det,
+    "tas_rand": trial_tas_rand,
+    "wrapped": trial_wrapped,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -193,39 +212,15 @@ def _register_trace(obj: str, n: int, kind: str, burst: int, seed: int) -> list:
 
 
 def cmd_simulate(args, out, trace_fp) -> int:
-    lines = []
-    all_ok = True
-    for trial in range(args.trials):
-        trial_seed = args.seed + trial
-        record = trial == 0 and trace_fp is not None
-        if args.object == "sifter":
-            tr = trial_sifter(args.n, args.schedule, args.burst, trial_seed)
-        elif args.object == "tas_det":
-            tr = trial_tas_det(args.n, args.schedule, args.burst, trial_seed)
-        elif args.object == "snapshot":
-            tr = trial_snapshot(args.n, args.schedule, args.burst, trial_seed, record)
-        elif args.object == "tas_rand":
-            tr = trial_tas_rand(args.n, trial_seed, record)
-        elif args.object == "wrapped":
-            tr = trial_wrapped(args.n, trial_seed, args.b, record)
-        else:  # pragma: no cover - argparse choices guard this
-            return 2
-        if record:
-            trace = tr.trace
-        w, l, s, checker = tr[:4]
-        all_ok = all_ok and checker == "ok"
-        lines.append(
-            json.dumps(
-                {"seed": trial_seed, "wins": w, "loses": l, "max_steps": s, "checker": checker},
-                sort_keys=True,
-            )
-        )
-    if trace_fp is not None:
-        if args.object in ("sifter", "tas_det"):
-            trace = _register_trace(args.object, args.n, args.schedule, args.burst, args.seed)
-        export_trace_jsonl(trace, trace_fp)
+    trial = TRIALS[args.object]
+    record = trace_fp is not None
+    trials = [trial(args.n, args, args.seed + i, record and i == 0) for i in range(args.trials)]
+    if record:
+        export_trace_jsonl(trials[0].trace, trace_fp)
+    lines = [json.dumps(dict(zip(Trial._fields[:4], tr), seed=args.seed + i), sort_keys=True)
+             for i, tr in enumerate(trials)]
     out.write("\n".join(lines) + "\n")
-    return 0 if all_ok else 1
+    return 0 if all(tr[3] == "ok" for tr in trials) else 1
 
 
 def _steps_percentile(xs: list, q: float) -> int:
@@ -237,13 +232,11 @@ def _steps_percentile(xs: list, q: float) -> int:
 def cmd_sweep(args, out, _trace_fp) -> int:  # sweep has no --trace
     rows = ["n,register_count,mean_steps,p99_steps,backstop_fraction"]
     all_ok = True
+    trial = TRIALS[args.object]
+    det = args.object == "tas_det"  # else tas_rand
     for n in args.n_list:
-        if args.object == "tas_det":
-            regs = tas_det.register_count(n)
-            trials = [trial_tas_det(n, "random", 1, args.seed + i) for i in range(args.trials)]
-        else:  # tas_rand
-            regs = RandTas(n, seed=0).register_count
-            trials = [trial_tas_rand(n, args.seed + i) for i in range(args.trials)]
+        regs = tas_det.register_count(n) if det else RandTas(n, seed=0).register_count
+        trials = [trial(n, args, args.seed + i) for i in range(args.trials)]
         all_ok = all_ok and all(tr.checker == "ok" for tr in trials)
         steps = [s for tr in trials for s in tr.steps]
         mean = sum(steps) / len(steps)
@@ -283,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sim = sub.add_parser("simulate", help="run trials of one object, one JSON line each")
-    sim.add_argument("--object", required=True,
-                     choices=["sifter", "snapshot", "tas_det", "tas_rand", "wrapped"])
+    sim.add_argument("--object", required=True, choices=list(TRIALS))
     sim.add_argument("--n", type=_positive_int, default=4,
                      help="number of processes (default 4)")
     sim.add_argument("--trials", type=_positive_int, default=10,
@@ -311,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trials per n (default 20)")
     sw.add_argument("--seed", type=int, default=env_seed)
     sw.add_argument("--out", default=env_out)
-    sw.set_defaults(func=cmd_sweep)
+    sw.set_defaults(func=cmd_sweep, schedule="random", burst=1)
     return p
 
 

@@ -45,7 +45,6 @@ from typing import Any, Generator, Iterable, Optional
 READ = "r"
 WRITE = "w"
 
-Op = tuple  # ('r', reg) | ('r', reg, k) | ('w', reg, val)
 Program = Generator[tuple, Any, Any]
 
 
@@ -124,9 +123,9 @@ class History:
 class Memory:
     """Array of atomic registers with declared bit widths and an access trace.
 
-    The trace records one entry per shared-memory step:
-    ``(t, pid, 'R'|'W', reg, val)``.  Scheduling slots that land on finished
-    machines absorb into no-ops and leave no trace entry.
+    While `record_trace` (the one trace switch) is set, the trace records one
+    entry per shared-memory step: ``(t, pid, 'R'|'W', reg, val)``.  Scheduling
+    slots that land on finished machines absorb into no-ops and leave none.
     """
 
     __slots__ = ("widths", "regs", "trace", "record_trace")

@@ -283,9 +283,9 @@ def sifter_snapshot(n: int, base: int = 0, levels: int = 1) -> BoundedSnapshot:
     return BoundedSnapshot(base, 6 * levels, n, value_bits(n), codec=_Codec(n))
 
 
-def sifter_system(n: int, record_trace: bool = False):
-    """Register-level sifter: (machines, memory, logics)."""
+def sifter_system(n: int):
+    """Register-level sifter: (machines, memory, logics); set memory.record_trace to trace."""
     snap = sifter_snapshot(n)
     logics = sifter_machines(range(n))
     machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
-    return machines, snap.fresh_memory(record_trace=record_trace), logics
+    return machines, snap.fresh_memory(), logics

@@ -154,9 +154,9 @@ def tas_register_widths(n: int) -> list[int]:
     return [1] + tas_snapshot(n).register_widths()
 
 
-def tas_system(n: int, record_trace: bool = False):
-    """Register-level TAS over the `tas_snapshot` layout: (machines, memory, logics)."""
+def tas_system(n: int):
+    """Register-level TAS: (machines, memory, logics); set memory.record_trace to trace."""
     snap = tas_snapshot(n)
     logics = tas_machines(n)
     machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
-    return machines, Memory(tas_register_widths(n), record_trace=record_trace), logics
+    return machines, Memory(tas_register_widths(n)), logics

@@ -166,8 +166,9 @@ class RandTas:
     def backstop_index(self) -> int:
         return self.params.K
 
-    def memory(self, record_trace: bool = False) -> Memory:
-        return Memory(self.widths, record_trace=record_trace)
+    def memory(self) -> Memory:
+        """Fresh registers; set `record_trace = True` on them to record accesses."""
+        return Memory(self.widths)
 
     def process_rng(self, pid: int) -> random.Random:
         """The coin stream of `pid`, created when it passes the doorway."""

@@ -342,7 +342,8 @@ def test_criterion_07_wrapped_budget():
 
     # all-heads coin stream replays the unwrapped system trace for trace
     sched = make_schedule("random", n, 4 * solo_step_bound(n), seed=4072)
-    plain, mem_plain, logics_plain = tas_system(n, record_trace=True)
+    plain, mem_plain, logics_plain = tas_system(n)
+    mem_plain.record_trace = True
     run(plain, mem_plain, sched, record=False)
     wrapped, mem_wrapped, logics_wrapped = wrapped_tas_system(
         n, b=b, coin_rngs={p: HeadsRng() for p in range(n)}

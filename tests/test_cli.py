@@ -1,7 +1,10 @@
 """Command-line driver: determinism, exit codes, output formats."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,8 +61,21 @@ def test_all_objects_run_one_trial(capsys):
         assert json.loads(out)["checker"] == "ok"
 
 
+def test_module_runs_as_a_process():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("OUT", None)  # OUT would redirect the JSON line away from stdout
+    argv = "simulate --object sifter --n 3 --trials 1 --seed 0".split()
+    proc = subprocess.run([sys.executable, "-m", "tasim.cli", *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["checker"] == "ok"
+
+
 def test_violation_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "trial_sifter", lambda *a: (2, 1, 5, "2 winners over bound"))
+    monkeypatch.setitem(cli.TRIALS, "sifter", lambda *a: (2, 1, 5, "2 winners over bound"))
     rc = cli.main(["simulate", "--object", "sifter", "--n", "3", "--trials", "1"])
     capsys.readouterr()
     assert rc == 1
@@ -99,7 +115,7 @@ def test_bad_invocations_exit_2(capsys):
 @pytest.mark.parametrize("flag", ["--out", "--trace"])
 def test_unwritable_output_exits_2_before_any_trial(flag, tmp_path, monkeypatch, capsys):
     ran = []
-    monkeypatch.setattr(cli, "trial_sifter", lambda *a: ran.append(a))
+    monkeypatch.setitem(cli.TRIALS, "sifter", lambda *a: ran.append(a))
     path = str(tmp_path / "missing" / "x")
     rc = cli.main(["simulate", "--object", "sifter", "--trials", "1", flag, path])
     captured = capsys.readouterr()

@@ -5,7 +5,7 @@ per-process results.  The register-level sifter and TAS builders run in no
 benchmark workload, so these digests are what shows that a refactor of the
 lowering path (codec, snapshot, register mapping, wrapper) left every
 register access unchanged.  The CLI digests are the sha256 of `tasim`'s
-stdout, and of one `--trace` export per object, so a refactor of the CLI
+stdout and of `--trace` exports of every object, so a refactor of the CLI
 that changes a byte of its output fails them.
 """
 
@@ -40,6 +40,7 @@ def _digest(memory, machines) -> str:
 
 
 def _scheduled_then_drained(machines, memory, schedule) -> str:
+    memory.record_trace = True
     _, t = run(machines, memory, schedule, record=False)
     drain(machines, memory, SOLO, t=t)
     return _digest(memory, machines)
@@ -52,13 +53,13 @@ def _live_uniform(machines, memory, seed: int) -> str:
 
 
 def test_sifter_system_pinned():
-    machines, memory, _ = sifter_system(3, record_trace=True)
+    machines, memory, _ = sifter_system(3)
     got = _scheduled_then_drained(machines, memory, make_schedule("random", 3, 600, seed=7))
     assert got == DIGESTS["sifter_system"]
 
 
 def test_tas_system_pinned():
-    machines, memory, _ = tas_system(3, record_trace=True)
+    machines, memory, _ = tas_system(3)
     got = _scheduled_then_drained(machines, memory, make_schedule("random", 3, 600, seed=7))
     assert got == DIGESTS["tas_system"]
 
@@ -78,8 +79,7 @@ def test_rand_tas_1024_pinned():
     # callers leave at the doorway and two reach LE2, whose tails blocks
     # run while few processes are live
     rt = RandTas(1024, seed=1)
-    memory = rt.memory(record_trace=True)
-    assert _live_uniform(rt.machines(), memory, 1) == DIGESTS["rand_tas_1024"]
+    assert _live_uniform(rt.machines(), rt.memory(), 1) == DIGESTS["rand_tas_1024"]
 
 
 CLI_DIGESTS = {
@@ -101,21 +101,33 @@ CLI_DIGESTS = {
         "3a9c2fce08287f27b19d062fa87ff85a65503b3fee3d2e1a55ff5227736eb400",
     "simulate --object wrapped --n 3 --trials 2 --seed 1":
         "438e748377f106a4867b60ff8f50ede21b7286bf3581a23a377ad65361157440",
+    "simulate --object wrapped --n 3 --trials 2 --seed 1 --b 37":
+        "6402a988cc8037dc776114890550cc5bf72f47b638e6934bc78ee2b81d599980",
     "sweep --object tas_det --n-list 4,8 --trials 10 --seed 0":
         "c910047decdf389db77585dbba1042b9c40fc76ff28b321b19a0b595362cd96f",
     "sweep --object tas_rand --n-list 4,16 --trials 5 --seed 0":
         "f63b4e9783c1863574447709dfe313fec5ab43175cb555a2b5088ebf3cecf78b",
 }
 
-# one --trace export per object; sifter and tas_det re-run their trial at
-# register level under solo and rr, which the builder digests above do not
+# --trace exports of every object; sifter and tas_det re-run their trial at
+# register level under every schedule kind, which the builder digests above
+# do not; snapshot's rr and solo --burst 2 runs print the same line, so only
+# their traces tell them apart
 TRACE_DIGESTS = {
     "simulate --object sifter --n 3 --trials 1 --seed 2 --schedule solo --burst 3":
         "c30b4d0c9d87fbf67dcba7e9e94fb6dbd65523c9e08929ce7f362cc3ad58c6fe",
+    "simulate --object sifter --n 3 --trials 1 --seed 2 --schedule random":
+        "c5d109fdd811a4ea3ab6f098946208af996e2ec724d9b2bf1287c5b6e3f01c87",
     "simulate --object snapshot --n 3 --trials 1 --seed 2":
         "d426d39b39a37515311e6d52fa2775d072c99c0127921b101d1e0eded067dfb8",
+    "simulate --object snapshot --n 3 --trials 1 --seed 2 --schedule rr":
+        "f2d6a10b033a4ae3d8cbfd84d1117eb7d04280c995aaad9e406071b1c872e9b9",
+    "simulate --object snapshot --n 3 --trials 1 --seed 2 --schedule solo --burst 2":
+        "2da02e523bc2510ab4fd459e793b7971d23b9b393f77c03d7c790c7648a91485",
     "simulate --object tas_det --n 3 --trials 1 --seed 2 --schedule rr":
         "b70f68883412acd7ee77b0b157198cc53c9d556dbb4e9a4bf63c6cb9ea29be0c",
+    "simulate --object tas_det --n 3 --trials 1 --seed 2 --schedule solo --burst 3":
+        "f888c47ee1bff8f6e663bcfb31053ebec444d2bfeac1498222f95dd20f64210b",
     "simulate --object tas_rand --n 8 --trials 1 --seed 2":
         "62f1e71f912d526c527567479fe9f3b85ed20c5ec60e8bd90fb22bc006fdadd2",
     "simulate --object wrapped --n 3 --trials 1 --seed 2":

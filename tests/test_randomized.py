@@ -39,7 +39,8 @@ def test_all_heads_equals_unwrapped_trace_for_trace():
     n = 3
     sched = make_schedule("random", n, 900, seed=21)
 
-    plain, mem_plain, logics_plain = tas_system(n, record_trace=True)
+    plain, mem_plain, logics_plain = tas_system(n)
+    mem_plain.record_trace = True
     run(plain, mem_plain, sched, record=False)
 
     wrapped, mem_wrapped, logics_wrapped = wrapped_tas_system(

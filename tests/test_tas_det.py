@@ -160,7 +160,8 @@ def test_late_arrival_loses_through_chain_then_doorway():
 
 
 def test_doorway_bit_is_monotone_and_single_width():
-    machines, memory, logics = tas_system(3, record_trace=True)
+    machines, memory, logics = tas_system(3)
+    memory.record_trace = True
     _, t = run(machines, memory, make_schedule("random", 3, 400, seed=8), record=False)
     drain(machines, memory, solo_step_bound(3), t=t)
     assert all(m.done for m in machines)

@@ -273,7 +273,8 @@ def test_coin_streams_created_only_past_the_doorway():
 
             rt.process_rng = counted
         machines = rt.machines()
-        mem = rt.memory(record_trace=True)
+        mem = rt.memory()
+        mem.record_trace = True
         assert created == []  # set-up seeds no coin stream
         # the first four finish, and their losers close the doorway early
         run_live_uniform(machines[:4], mem, random.Random(2), 50_000_000)
