@@ -20,7 +20,8 @@ A *block op* ``('r', reg, k)`` stands for k reads of one register in a
 row: it takes k schedule slots, k steps and k trace entries, exactly as k
 single reads would, but the generator resumes only once, after the last
 read, with the value that read returned.  The coin-block wrapper yields a
-tails block this way.
+tails block this way.  Untraced, `run_live_uniform` counts a block's middle
+reads down itself, in bulk while every live machine is inside a long block.
 
 Two bookkeeping yields never touch shared memory and consume no schedule
 slot; they delimit object-level operations for history checking::
@@ -398,15 +399,23 @@ def run_live_uniform(
     subsequence, so observable behavior (step order, hence histories and
     outcomes) is distributed exactly as under `run` with a long 'random'
     schedule, at a fraction of the cost.  Returns the number of useful steps.
+    Raises ValueError on a duplicate pid, as `run` does.
 
-    `rng` needs one method, getrandbits(k).  Each index below the live
-    count c is drawn by rejection from getrandbits(c.bit_length()), keeping
-    the first value below c: the draws CPython's randrange(c) makes on a
-    random.Random, so both the indices and the rng's final state are those
-    of calling randrange(c) per step.
+    `rng` is a random.Random, or anything whose getrandbits(k) packs its
+    32-bit words as CPython's does.  Each index below the live count c is
+    drawn by rejection from getrandbits(c.bit_length()), keeping the first
+    value below c: the draws randrange(c) makes, so the indices and the
+    rng's final state are those of calling randrange(c) per step.  Any
+    uniform getrandbits samples the right distribution; only that packing
+    reproduces a seed's run.  Untraced, a middle read of a block op is
+    counted down in place, and once c <= 255 and every live machine has
+    more than `_SKIP` block reads left, `_skip_blocks` draws the slots up
+    to the first block's last read in bulk, exactly; see there.
     """
+    _by_pid(machines)  # raises on a duplicate pid
     live = [m for m in machines if not m.done]
     getrandbits = rng.getrandbits
+    untraced = not memory.record_trace
     c = len(live)
     bits = c.bit_length()
     t = 0
@@ -415,11 +424,49 @@ def run_live_uniform(
         while i >= c:
             i = getrandbits(bits)
         m = live[i]
-        m.step(memory, t, history)
-        if m.done:
-            live[i] = live[-1]
-            live.pop()
-            c -= 1
-            bits = c.bit_length()
+        left = m._left
+        if left > 1 and untraced:  # a middle read: no trace, event or resume
+            m._left = left - 1
+            m.steps += 1
+        else:
+            m.step(memory, t, history)
+            if m.done:
+                live[i] = live[-1]
+                live.pop()
+                c -= 1
+                bits = c.bit_length()
+            if untraced and 0 < c <= 255 and (m.done or m._left > _SKIP):
+                t += _skip_blocks(live, getrandbits, max_steps - t - 1)
         t += 1
     return t
+
+
+_SKIP = 32  # skip in bulk only while every live machine has more reads left
+_INDEX = {}  # live count c -> 256-byte table from a word's top byte to its index
+
+
+def _skip_blocks(live: list, getrandbits, budget: int) -> int:
+    """Take up to `budget` slots of middle block reads at once; return how many.
+
+    CPython's getrandbits(k) for k <= 32 is one Mersenne Twister word
+    shifted right by 32 - k, and getrandbits(32*w) packs w words, the first
+    least significant.  With c <= 255, a word's top byte thus gives the
+    index getrandbits(c.bit_length()) would have drawn (255: a rejection).
+    A stretch of w = min(reads left) - 1 draws ends no block and resumes no
+    program, so each machine is only credited the reads that landed on it.
+    """
+    c = len(live)
+    table = _INDEX.get(c)
+    if table is None:
+        shift = 8 - c.bit_length()
+        table = _INDEX[c] = bytes(v >> shift if v >> shift < c else 255 for v in range(256))
+    taken = 0
+    while taken < budget and (lo := min([m._left for m in live])) > _SKIP:
+        w = min(lo - 1, budget - taken)
+        idx = getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(table)
+        for k, m in enumerate(live):
+            r = idx.count(k)
+            m._left -= r
+            m.steps += r
+        taken += w - idx.count(255)
+    return taken

@@ -188,3 +188,16 @@ def test_tails_block_resumes_the_wrapped_generator_once():
     assert [(kind, reg) for (_, _, kind, reg, _) in memory.trace] == [("R", 0)] * (2 * b) + [
         ("R", 1)
     ]
+
+
+def test_wrapped_run_untraced_equals_traced():
+    # untraced, run_live_uniform counts tails blocks down in place and in bulk
+    outs = []
+    for traced in (True, False):
+        machines, memory, _ = wrapped_tas_system(4, b=1619, seed=2)
+        memory.record_trace = traced
+        h = History()
+        run_live_uniform(machines, memory, random.Random(2), 50_000_000, history=h)
+        assert all(m.done for m in machines)
+        outs.append((h.events, [(m.steps, m.result) for m in machines], memory.regs))
+    assert outs[0] == outs[1]

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from tasim import shm
 from tasim.shm import (
     Event,
     History,
@@ -334,3 +335,80 @@ def test_live_uniform_draws_as_randrange():
                 live.pop()
         assert [e[1] for e in mem.trace] == order
         assert rng.getstate() == ref.getstate()
+
+
+def test_live_uniform_rejects_duplicate_pids():
+    m = StepMachine(0, counter_prog(0, 0, 1))
+    twins = [StepMachine(0, counter_prog(0, 0, 1)), StepMachine(0, counter_prog(0, 0, 1))]
+    for machines in ([m, m], twins):
+        with pytest.raises(ValueError, match="duplicate pid"):
+            run_live_uniform(machines, Memory([16]), random.Random(0), 10)
+        assert all(x.steps == 0 for x in machines)
+
+
+def block_prog(pid, script):
+    # (reg, k): k reads of reg as one block op, or a write of the sum if k == 0
+    acc = 0
+    yield ("inv", "blk", ())
+    for reg, k in script:
+        if k:
+            acc += yield ("r", reg, k)
+        else:
+            yield ("w", reg, (acc + pid) % 256)
+    yield ("res", acc)
+    return acc
+
+
+def test_live_uniform_untraced_equals_traced(monkeypatch):
+    # untraced, middle block reads are counted down in place and long
+    # stretches of them skipped in bulk; traced, every read is a step call
+    skips = []
+    bulk = shm._skip_blocks
+
+    def spy(live, getrandbits, budget):
+        taken = bulk(live, getrandbits, budget)
+        skips.append((len(live), budget, taken))
+        return taken
+
+    monkeypatch.setattr(shm, "_skip_blocks", spy)
+    gen = random.Random(12)
+    for case in range(60):
+        n = gen.choice([1, 2, 3, 5, 16, 255, 256, 257])
+        if n < 255:
+            lengths = [0, 1, 2, 33, 34, 35, 2000]
+            scripts = [
+                [(gen.randrange(4), gen.choice(lengths + [gen.randint(1, 2000)])) for _ in range(gen.randint(1, 4))]
+                for _ in range(n)
+            ]
+        else:  # one block each: all machines end up inside blocks at once
+            scripts = [[(gen.randrange(4), gen.randint(60, 200))] for _ in range(n)]
+        total = sum(k or 1 for script in scripts for _, k in script)
+        cap = gen.choice([total, gen.randint(1, total)])
+        outs = []
+        for traced in (True, False):
+            mem = Memory([8] * 4, record_trace=traced)
+            machines = [StepMachine(p, block_prog(p, script)) for p, script in enumerate(scripts)]
+            rng = random.Random(case)
+            h = History()
+            got = run_live_uniform(machines, mem, rng, cap, history=h)
+            states = [(m.steps, m.done, m.result, m._left) for m in machines]
+            outs.append((got, states, mem.regs, rng.getstate(), h.events))
+        assert outs[0] == outs[1], case
+    assert any(c == 255 and taken for c, _, taken in skips)
+    assert all(c <= 255 for c, _, _ in skips)
+    assert any(0 < taken == budget for _, budget, taken in skips)  # a cap inside a stretch
+
+
+def test_getrandbits_packs_words_as_the_bulk_skip_assumes():
+    # run_live_uniform reads w index draws out of one getrandbits(32*w); an
+    # interpreter that packs words otherwise must fail here, not change runs
+    for seed in range(4):
+        for w in (1, 2, 7, 64):
+            bulk, words = random.Random(seed), random.Random(seed)
+            packed = sum(words.getrandbits(32) << (32 * j) for j in range(w))
+            assert bulk.getrandbits(32 * w) == packed
+            assert bulk.getstate() == words.getstate()
+        for k in range(1, 9):
+            short, words = random.Random(seed), random.Random(seed)
+            got = [short.getrandbits(k) for _ in range(50)]
+            assert got == [words.getrandbits(32) >> (32 - k) for _ in range(50)]

@@ -291,3 +291,18 @@ def test_coin_streams_created_only_past_the_doorway():
     assert sorted(created) == passed and len(set(created)) == len(created)
     assert passed and all(p < 4 for p in passed)
     assert one_run(counting=False)[1:] == (trace, outcome)
+
+
+def test_untraced_run_equals_traced():
+    # untraced, run_live_uniform counts tails blocks down in place and in bulk
+    outs = []
+    for traced in (True, False):
+        rt = RandTas(16, seed=4)
+        machines = rt.machines()
+        mem = rt.memory()
+        mem.record_trace = traced
+        h = History()
+        run_live_uniform(machines, mem, random.Random(4), 50_000_000, history=h)
+        assert all(m.done for m in machines)
+        outs.append((h.events, [(m.steps, m.result) for m in machines], mem.regs))
+    assert outs[0] == outs[1]
