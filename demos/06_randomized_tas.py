@@ -11,16 +11,16 @@ import random
 import statistics
 
 from tasim.shm import History, run_live_uniform
-from tasim.tas_rand import RandTas, pipeline_params
+from tasim.tas_rand import RandTas, gw_sizes
 from tasim.verify import check_tas
 
 
 def main():
     print("n      registers   stages(K)   group sizes (s1, z)")
     for n in (16, 64, 256, 1024):
-        p = pipeline_params(n)
+        s1, z = gw_sizes(n)[:2]
         rt = RandTas(n, seed=0)
-        print(f"{n:<6} {rt.register_count:<11} {p.K:<11} ({p.s1}, {p.z})")
+        print(f"{n:<6} {rt.register_count:<11} {rt.backstop_index:<11} ({s1}, {z})")
 
     for n in (16, 256):
         means, backstops = [], 0

@@ -51,7 +51,7 @@ from .tas_det import (
     wle_store,
 )
 from .randomized import HeadsRng, TailsRng, wrap, wrapped_tas_system
-from .tas_rand import CONTINUE, PipelineParams, RandTas, gw_steps, pipeline_params, split_steps
+from .tas_rand import CONTINUE, RandTas, gw_sizes, gw_steps, split_steps
 from .verify import (
     SearchBudgetExceeded,
     SnapshotSequential,

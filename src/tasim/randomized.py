@@ -30,9 +30,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .atomic import register_program
 from .shm import READ, WRITE, Memory, StepMachine
-from .tas_det import solo_step_bound, tas_machines, tas_register_widths, tas_snapshot
+from .tas_det import solo_step_bound, tas_machines, tas_program, tas_register_widths, tas_snapshot
 
 
 def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
@@ -68,17 +67,18 @@ def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs
     """The deterministic TAS with every process wrapped; the flagship use.
 
     Returns (machines, memory, logics).  `b` defaults to the registered solo
-    step bound; `coin_rngs` (pid -> rng) overrides the seeded per-process
-    coin streams, e.g. with HeadsRng for the degenerate-coin checks.
+    step bound; `coin_rngs` (pid -> rng, for every pid) replaces the seeded
+    per-process coin streams, e.g. with HeadsRng for the degenerate-coin checks.
     """
     if b is None:
         b = solo_step_bound(n)
     snap = tas_snapshot(n)
     logics = tas_machines(n)
-    machines = []
-    for lg in logics:
-        rng = coin_rngs[lg.pid] if coin_rngs else random.Random(f"coin:{seed}:{lg.pid}")
-        machines.append(StepMachine(lg.pid, wrap(register_program(lg, snap), n, b, rng)))
+    if coin_rngs is None:
+        coin_rngs = {lg.pid: random.Random(f"coin:{seed}:{lg.pid}") for lg in logics}
+    machines = [
+        StepMachine(lg.pid, wrap(tas_program(lg, snap), n, b, coin_rngs[lg.pid])) for lg in logics
+    ]
     return machines, Memory(tas_register_widths(n)), logics
 
 

@@ -19,7 +19,8 @@ The doorway serializes late arrivals behind the winner; the history checker
 validates the construction rather than trusting it.
 
 Total register count: 6*ell(n) + 2 (chain snapshot plus doorway), laid
-out by `tas_snapshot`.
+out by `tas_snapshot`; `tas_program` is the one lowering of a TAS process
+onto them, for every builder, wrapped or not, alone or in the pipeline.
 """
 
 from __future__ import annotations
@@ -150,6 +151,12 @@ def tas_snapshot(n: int, base: int = 0) -> BoundedSnapshot:
     return sifter_snapshot(n, base + 1, ell(n))
 
 
+def tas_program(logic: TasLogic, snap: BoundedSnapshot, history_ops: bool = True):
+    """Register-level program of `logic` on `snap`, whose doorway bit is the
+    register just below the chain snapshot (see `tas_snapshot`)."""
+    return register_program(logic, snap, snap.base - 1, history_ops)
+
+
 def tas_register_widths(n: int) -> list[int]:
     return [1] + tas_snapshot(n).register_widths()
 
@@ -158,5 +165,5 @@ def tas_system(n: int):
     """Register-level TAS: (machines, memory, logics); set memory.record_trace to trace."""
     snap = tas_snapshot(n)
     logics = tas_machines(n)
-    machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
+    machines = [StepMachine(lg.pid, tas_program(lg, snap)) for lg in logics]
     return machines, Memory(tas_register_widths(n)), logics

@@ -33,6 +33,11 @@ Each LE2 is a fresh 2-process instance of the deterministic TAS (14
 registers), wrapped for randomized wait-freedom; its two potential callers
 are the stage-i splitter winner (role 0) and the stage-(i+1) chain survivor
 (role 1), so roles never collide.
+
+Layout (`RandTas`): register 0 is the doorway; then the banks of sifters
+1..K-1, sized `gw_sizes(n)`, so K = len(gw_sizes(n)) + 1; the splitter pairs
+X, Y = X + 1 of stages 1..K; the LE2 objects of stages 1..K; and last the
+backstop.  Each TAS object is laid out by `tas_det.tas_snapshot`.
 """
 
 from __future__ import annotations
@@ -40,53 +45,28 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 
-from .atomic import register_program
 from .randomized import wrap
 from .shm import Memory, READ, WRITE, StepMachine
 from .sifter import LOSE, WIN
-from .tas_det import TasLogic, solo_step_bound, tas_register_widths, tas_snapshot
+from .tas_det import TasLogic, solo_step_bound, tas_program, tas_register_widths, tas_snapshot
 
 CONTINUE = "continue"
 BETA = 16  # the 2-sized sifters number ceil(BETA * log2 n)
 
 
-@dataclass(frozen=True)
-class PipelineParams:
-    """Stage sizes; stages = K sifters, K splitters, K LE2 chains."""
-
-    s1: int  # size of the first sifter
-    z: int  # size of sifters 2..ell_z+1
-    ell_z: int  # how many z-sized sifters
-    m: int  # how many 2-sized sifters
-
-    @property
-    def K(self) -> int:
-        """Index of the backstop (sifters are 1..K)."""
-        return self.ell_z + self.m + 2
-
-    def gw_size(self, i: int) -> int:
-        if i == 1:
-            return self.s1
-        if i <= 1 + self.ell_z:
-            return self.z
-        if i <= self.K - 1:
-            return 2
-        raise ValueError(f"sifter {i} is the backstop")
-
-
-def pipeline_params(n: int) -> PipelineParams:
+def gw_sizes(n: int) -> tuple[int, ...]:
+    """Sizes of the group-wise sifters 1..K-1; sifter K = len(gw_sizes(n)) + 1
+    is the backstop."""
     if n < 1:
         raise ValueError("n must be >= 1")
     lg = math.log2(n) if n > 1 else 0.0
     llg = math.log2(lg) if lg > 1 else 0.0
-    return PipelineParams(
-        s1=max(2, math.ceil(lg)),
-        z=max(2, math.ceil(2 * llg)),
-        ell_z=max(1, math.ceil(llg * llg)),
-        m=max(1, math.ceil(BETA * lg)),
-    )
+    s1 = max(2, math.ceil(lg))
+    z = max(2, math.ceil(2 * llg))
+    ell_z = max(1, math.ceil(llg * llg))
+    m = max(1, math.ceil(BETA * lg))
+    return (s1,) + (z,) * ell_z + (2,) * m
 
 
 def gw_steps(base: int, s: int, rng):
@@ -116,6 +96,11 @@ def split_steps(x_reg: int, y_reg: int, pid: int):
 class RandTas:
     """One shot of the pipeline: layout, per-process programs, counters.
 
+    The layout is kept in plain lists whose entry i-1 belongs to stage i:
+    `sizes` and `gw_base` (group-wise sifter i < K), `px_reg` (splitter X;
+    Y is X + 1) and `le2_snaps` (LE2 i's chain snapshot); `backstop_snap`
+    is stage K's, and `backstop_index` is K = len(gw_sizes(n)) + 1.
+
     Build a fresh instance per execution.  `entered[i]` counts compete()
     invocations of sifter i, `split_outcomes[i]` tallies splitter results,
     and `le2_claims` maps (stage, role) to the claiming pid, raising if any
@@ -125,46 +110,29 @@ class RandTas:
 
     def __init__(self, n: int, seed: int = 0):
         self.n = n
-        self.params = pipeline_params(n)
         self.seed = seed
-        p = self.params
+        self.sizes = gw_sizes(n)
+        self.backstop_index = K = len(self.sizes) + 1
         pid_w = max(1, (n - 1).bit_length())
 
         widths: list[int] = [1]  # register 0: global doorway
-        self.gw_base: dict[int, int] = {}
-        for i in range(1, p.K):
-            self.gw_base[i] = len(widths)
-            widths += [1] * p.gw_size(i)
-        self.px_reg: dict[int, int] = {}
-        self.py_reg: dict[int, int] = {}
-        for i in range(1, p.K + 1):
-            self.px_reg[i] = len(widths)
-            self.py_reg[i] = len(widths) + 1
-            widths += [pid_w, 1]
-        self.le2_base: dict[int, int] = {}
-        for i in range(1, p.K + 1):
-            self.le2_base[i] = len(widths)
-            widths += tas_register_widths(2)
-        self.backstop_base = len(widths)
-        widths += tas_register_widths(n)
-        self.widths = widths
 
-        self.le2_snaps = {i: tas_snapshot(2, self.le2_base[i]) for i in range(1, p.K + 1)}
-        self.backstop_snap = tas_snapshot(n, self.backstop_base)
+        def bank(bank_widths: list[int]) -> int:
+            widths.extend(bank_widths)
+            return len(widths) - len(bank_widths)
+
+        self.gw_base = [bank([1] * size) for size in self.sizes]
+        self.px_reg = [bank([pid_w, 1]) for _ in range(K)]
+        self.le2_snaps = [tas_snapshot(2, bank(tas_register_widths(2))) for _ in range(K)]
+        self.backstop_snap = tas_snapshot(n, bank(tas_register_widths(n)))
+        self.widths = widths
+        self.register_count = len(widths)
         self.b2 = solo_step_bound(2)
         self.bn = solo_step_bound(n)
 
         self.entered: Counter = Counter()
         self.split_outcomes: dict[int, Counter] = {}
         self.le2_claims: dict[tuple, int] = {}
-
-    @property
-    def register_count(self) -> int:
-        return len(self.widths)
-
-    @property
-    def backstop_index(self) -> int:
-        return self.params.K
 
     def memory(self) -> Memory:
         """Fresh registers; set `record_trace = True` on them to record accesses."""
@@ -174,18 +142,15 @@ class RandTas:
         """The coin stream of `pid`, created when it passes the doorway."""
         return random.Random(f"rtas:{self.seed}:{pid}")
 
-    def machine(self, pid: int) -> StepMachine:
-        return StepMachine(pid, self._program(pid))
-
     def machines(self) -> list[StepMachine]:
-        return [self.machine(p) for p in range(self.n)]
+        return [StepMachine(p, self._program(p)) for p in range(self.n)]
 
     # -- sub-programs ---------------------------------------------------------
 
-    def _wrapped_tas(self, pid: int, base: int, snap, n: int, b: int, rng):
-        """A wrapped deterministic TAS program whose doorway is register base."""
-        inner = register_program(TasLogic(pid, n), snap, base, history_ops=False)
-        return wrap(inner, n, b, rng, dummy_reg=base)
+    def _wrapped_tas(self, pid: int, snap, n: int, b: int, rng):
+        """A wrapped deterministic TAS program on `snap`; tails blocks read its doorway bit."""
+        inner = tas_program(TasLogic(pid, n), snap, history_ops=False)
+        return wrap(inner, n, b, rng, dummy_reg=snap.base - 1)
 
     def _claim_le2(self, stage: int, role: int, pid: int) -> None:
         key = (stage, role)
@@ -197,7 +162,7 @@ class RandTas:
         self.le2_claims[key] = pid
 
     def _program(self, pid: int):
-        p = self.params
+        K = self.backstop_index
         yield ("inv", "tas", ())
         d = yield (READ, 0)
         if d == 1:
@@ -208,39 +173,34 @@ class RandTas:
         i = 1
         while True:
             self.entered[i] += 1
-            if i < p.K:
-                out = yield from gw_steps(self.gw_base[i], p.gw_size(i), rng)
+            if i < K:
+                out = yield from gw_steps(self.gw_base[i - 1], self.sizes[i - 1], rng)
             else:
-                bit = yield from self._wrapped_tas(
-                    pid, self.backstop_base, self.backstop_snap, self.n, self.bn, rng
-                )
+                bit = yield from self._wrapped_tas(pid, self.backstop_snap, self.n, self.bn, rng)
                 out = WIN if bit == 0 else LOSE
             if out == LOSE:
                 break
-            sp = yield from split_steps(self.px_reg[i], self.py_reg[i], pid)
+            x = self.px_reg[i - 1]
+            sp = yield from split_steps(x, x + 1, pid)
             self.split_outcomes.setdefault(i, Counter())[sp] += 1
             if sp == LOSE:
                 break
             if sp == WIN:
                 won_at = i
                 break
-            if i == p.K:
+            if i == K:
                 # the backstop admits at most one process, which then splits
                 # alone and cannot continue
                 raise RuntimeError("split returned continue at the last stage")
             i += 1
         if won_at is not None:
-            ok = True
             for j in range(won_at, 0, -1):
                 role = 0 if j == won_at else 1
                 self._claim_le2(j, role, pid)
-                bit = yield from self._wrapped_tas(
-                    role, self.le2_base[j], self.le2_snaps[j], 2, self.b2, rng
-                )
+                bit = yield from self._wrapped_tas(role, self.le2_snaps[j - 1], 2, self.b2, rng)
                 if bit != 0:
-                    ok = False
                     break
-            if ok:
+            else:
                 yield ("res", 0)
                 return 0
         yield (WRITE, 0, 1)

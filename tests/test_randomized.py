@@ -105,6 +105,13 @@ def test_wrapped_runs_complete_and_linearize():
         assert check_tas(h).ok
 
 
+def test_coin_mapping_must_hold_every_pid():
+    # an empty or partial mapping raises instead of falling back to seeded coins
+    for coins in ({}, {0: HeadsRng()}):
+        with pytest.raises(KeyError):
+            wrapped_tas_system(2, coin_rngs=coins)
+
+
 def test_default_block_length_is_the_solo_bound():
     # a lone all-heads process must finish within one block: real steps only
     machines, memory, logics = wrapped_tas_system(1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tasim.atomic import explore, run_atomic_solo
-from tasim.shm import drain, make_schedule, run
+from tasim.shm import Memory, StepMachine, drain, make_schedule, run
 from tasim.sifter import LOSE, WIN
 from tasim.tas_det import (
     S_MAX,
@@ -18,7 +18,9 @@ from tasim.tas_det import (
     register_count,
     solo_step_bound,
     tas_machines,
+    tas_program,
     tas_register_widths,
+    tas_snapshot,
     tas_store,
     tas_system,
     wle_machines,
@@ -193,3 +195,19 @@ def test_solo_resume_stays_within_step_bound():
     rep = probe_solo(factory, samples=150, bound=bound, seed=9, prefix_max=800)
     assert rep.ok, rep.violations[:3]
     assert rep.max_steps <= bound
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_tas_program_shifts_by_exactly_its_base(n):
+    base = 9
+    machines, memory, _ = tas_system(n)
+    memory.record_trace = True
+    drain(machines[:1], memory, 100_000)
+    shifted = Memory([1] * base + tas_register_widths(n))
+    shifted.record_trace = True
+    m = StepMachine(0, tas_program(TasLogic(0, n), tas_snapshot(n, base)))
+    drain([m], shifted, 100_000)
+    assert m.result == machines[0].result == 0
+    touched = {reg for _, _, _, reg, _ in shifted.trace}
+    assert min(touched) == base and max(touched) <= base + 6 * ell(n) + 1  # base: the doorway
+    assert shifted.trace == [(t, p, k, reg + base, v) for t, p, k, reg, v in memory.trace]

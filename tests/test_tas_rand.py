@@ -10,8 +10,8 @@ from tasim.tas_det import ell, tas_register_widths, tas_snapshot
 from tasim.tas_rand import (
     CONTINUE,
     RandTas,
+    gw_sizes,
     gw_steps,
-    pipeline_params,
     split_steps,
 )
 from tasim.verify import check_tas
@@ -42,21 +42,13 @@ PARAM_TABLE = [
 ]
 
 
-def test_pipeline_params_frozen_values():
+def test_gw_sizes_frozen_values():
     for n, s1, z, ell_z, m, K in PARAM_TABLE:
-        p = pipeline_params(n)
-        assert (p.s1, p.z, p.ell_z, p.m, p.K) == (s1, z, ell_z, m, K), f"n={n}"
+        sizes = gw_sizes(n)
+        assert sizes == (s1,) + (z,) * ell_z + (2,) * m, f"n={n}"
+        assert len(sizes) + 1 == RandTas(n).backstop_index == K, f"n={n}"
     with pytest.raises(ValueError):
-        pipeline_params(0)
-
-
-def test_gw_size_schedule():
-    p = pipeline_params(16)
-    assert p.gw_size(1) == p.s1
-    assert all(p.gw_size(i) == p.z for i in range(2, 2 + p.ell_z))
-    assert all(p.gw_size(i) == 2 for i in range(2 + p.ell_z, p.K))
-    with pytest.raises(ValueError):
-        p.gw_size(p.K)
+        gw_sizes(0)
 
 
 def test_register_count_closed_form():
@@ -74,18 +66,29 @@ def test_register_count_closed_form():
 
 @pytest.mark.parametrize("n", [16, 1024])
 def test_register_map_agrees_with_tas_snapshot(n):
+    # walk the banks in layout order: each must start where the last ended
     rt = RandTas(n)
-    stages = set(range(1, rt.params.K + 1))
-    assert set(rt.le2_base) == set(rt.le2_snaps) == stages
-    le2 = tas_register_widths(2)
-    for i in stages:
-        base = rt.le2_base[i]
-        assert rt.le2_snaps[i].base == base + 1, f"stage {i}"
-        assert rt.widths[base : base + len(le2)] == le2, f"stage {i}"
+    sizes = gw_sizes(n)
+    K = len(sizes) + 1
+    assert rt.sizes == sizes and rt.backstop_index == K
+    assert len(rt.gw_base) == K - 1 and len(rt.px_reg) == len(rt.le2_snaps) == K
+    expect = [1]  # the doorway
+    for i in range(1, K):
+        assert rt.gw_base[i - 1] == len(expect), f"sifter {i}"
+        expect += [1] * sizes[i - 1]
+    pid_w = max(1, (n - 1).bit_length())
+    for i in range(1, K + 1):
+        assert rt.px_reg[i - 1] == len(expect), f"splitter {i}"
+        expect += [pid_w, 1]  # X, then Y = X + 1
+    for i in range(1, K + 1):
+        assert rt.le2_snaps[i - 1].base == len(expect) + 1, f"LE2 {i}"  # after its doorway
+        expect += tas_register_widths(2)
     full = tas_register_widths(n)
     assert full == [1] + tas_snapshot(n).register_widths()
-    assert rt.backstop_snap.base == rt.backstop_base + 1
-    assert rt.widths[rt.backstop_base :] == full  # the backstop closes the map
+    assert rt.backstop_snap.base == len(expect) + 1
+    expect += full
+    assert rt.widths == expect  # no gap, no overlap, and the backstop ends the map
+    assert rt.register_count == len(expect)
 
 
 def test_register_count_scales_logarithmically():
@@ -201,9 +204,7 @@ def test_backstop_plumbing_first_wins_second_loses():
     mem = rt.memory()
 
     def backstop(pid):
-        prog = rt._wrapped_tas(
-            pid, rt.backstop_base, rt.backstop_snap, rt.n, rt.bn, rt.process_rng(pid)
-        )
+        prog = rt._wrapped_tas(pid, rt.backstop_snap, rt.n, rt.bn, rt.process_rng(pid))
         return StepMachine(pid, prog)
 
     first = backstop(0)
@@ -224,7 +225,7 @@ def test_backstop_plumbing_first_wins_second_loses():
 def test_solo_pipeline_wins_quickly():
     rt = RandTas(8, seed=1)
     mem = rt.memory()
-    m = rt.machine(0)
+    m = rt.machines()[0]
     run([m], mem, [0] * 100_000, record=False)
     assert m.done and m.result == 0
     assert mem.regs[0] == 0  # winners never write the doorway
