@@ -106,6 +106,8 @@ class RandTas:
     and `le2_claims` maps (stage, role) to the claiming pid, raising if any
     (stage, role) is claimed twice (that would mean the occupancy argument
     failed).  Counters are harness instrumentation: no program reads them.
+    `process_rng` is the coin-stream hook: every sifter level and wrapper
+    coin is drawn from it, so `perfbench/` and the backstop test replace it.
     """
 
     def __init__(self, n: int, seed: int = 0):

@@ -81,6 +81,15 @@ def test_violation_exit_code(monkeypatch, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("obj", ["tas_rand", "wrapped"])
+def test_live_step_cap_is_reported(obj, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "LIVE_CAP", 5)
+    rc = cli.main(["simulate", "--object", obj, "--n", "3", "--trials", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert json.loads(out)["checker"] == "step cap exceeded"
+
+
 def _exit_code(argv):
     # argparse rejects an invocation by raising SystemExit
     try:

@@ -1,7 +1,9 @@
-"""The runtime needs nothing beyond the standard library, and its public namespace is pinned."""
+"""The runtime needs nothing beyond the standard library, and the `tasim`
+package re-exports nothing: every name is imported from its module."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,33 +14,22 @@ ROOT = Path(__file__).resolve().parents[1]
 # (site hooks of the installed environment), so only the ones the import adds
 # are judged.
 PROBE = """
+import importlib, json, pkgutil, sys
+before = set(sys.modules)
+import tasim
+modules = sorted(m.name for m in pkgutil.iter_modules(tasim.__path__))
+for name in modules:
+    importlib.import_module(f"tasim.{name}")
+print(json.dumps([modules, sorted(set(sys.modules) - before)]))
+"""
+
+BARE_PROBE = """
 import json, sys
 before = set(sys.modules)
-import tasim, tasim.cli
-print(json.dumps(sorted(set(sys.modules) - before)))
+import tasim
+names = sorted(name for name in vars(tasim) if not name.startswith("_"))
+print(json.dumps([names, sorted(set(sys.modules) - before)]))
 """
-
-
-NAMES_PROBE = """
-import json, tasim
-print(json.dumps(sorted(name for name in vars(tasim) if not name.startswith("_"))))
-"""
-
-# The public `tasim` namespace, submodules included; a change to it is deliberate.
-PUBLIC_NAMES = {
-    "AtomicStore", "BoundedSnapshot", "CONTINUE", "Event", "HeadsRng", "History", "LOSE",
-    "LogicMachine", "Memory", "NaiveSifterLogic", "OpRecord", "READ", "RandTas",
-    "RegisterWidthError", "S_MAX", "SearchBudgetExceeded", "SifterLogic", "SnapshotSequential",
-    "SoloProbeReport", "StepMachine", "TailsRng", "TasLogic", "TasSequential", "Verdict", "WIN",
-    "WRITE", "atomic", "check_linearizable", "check_tas", "ell", "explore",
-    "explore_interleavings", "export_trace_jsonl", "f", "floor_log32", "gw_sizes", "gw_steps",
-    "make_schedule", "ops_program", "probe_solo", "randomized", "register_count",
-    "register_program", "run", "run_atomic_solo", "run_live_uniform", "shm", "sifter",
-    "sifter_machines", "sifter_snapshot", "sifter_store", "sifter_system", "snapshot",
-    "solo_step_bound", "split_steps", "tas_det", "tas_machines", "tas_rand",
-    "tas_register_widths", "tas_store", "tas_system", "value_bits", "verify", "wle_machines",
-    "wle_store", "wrap", "wrapped_tas_system",
-}
 
 
 def _probe(code: str):
@@ -54,8 +45,9 @@ def _probe(code: str):
 
 
 def test_import_loads_only_tasim_and_stdlib():
-    loaded = _probe(PROBE)
-    assert "tasim.cli" in loaded
+    modules, loaded = _probe(PROBE)
+    assert len(modules) == 9
+    assert {f"tasim.{name}" for name in modules} <= set(loaded)
     foreign = [
         name for name in loaded
         if name.split(".")[0] not in ("tasim", *sys.builtin_module_names, *sys.stdlib_module_names)
@@ -63,9 +55,16 @@ def test_import_loads_only_tasim_and_stdlib():
     assert foreign == []
 
 
-def test_public_namespace_is_pinned():
-    names = _probe(NAMES_PROBE)
-    assert len(PUBLIC_NAMES) == 67
-    assert set(names) == PUBLIC_NAMES, (
-        f"added {sorted(set(names) - PUBLIC_NAMES)}, removed {sorted(PUBLIC_NAMES - set(names))}"
-    )
+def test_bare_import_defines_no_names_and_loads_no_submodule():
+    names, loaded = _probe(BARE_PROBE)
+    assert names == []
+    assert loaded == ["tasim"]
+
+
+def test_readme_table_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## What is inside", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `tasim\.(\w+)` \|", table, flags=re.M)
+    on_disk = sorted(p.stem for p in (ROOT / "src" / "tasim").glob("*.py") if p.stem != "__init__")
+    assert len(on_disk) == 9
+    assert sorted(listed) == on_disk

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tasim.shm import History, Memory, StepMachine, run, run_live_uniform
+from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run, run_live_uniform
 from tasim.sifter import LOSE, WIN
 from tasim.tas_det import ell, tas_register_widths, tas_snapshot
 from tasim.tas_rand import (
@@ -220,6 +220,34 @@ def test_backstop_plumbing_first_wins_second_loses():
     assert second.result == 1
     # backstop registers live in their own bank; doorway untouched
     assert mem.regs[0] == 0
+
+
+class AllHighRng:
+    """Every sifter draw climbs to the top level (everyone wins every
+    group-wise sifter) and every wrapper coin is heads."""
+
+    def getrandbits(self, k):
+        return 2**k - 1
+
+    def randrange(self, n):
+        return 0
+
+
+def test_pipeline_backstop_admits_one_to_its_splitter():
+    rt = RandTas(128, seed=0)
+    rt.process_rng = lambda pid: AllHighRng()
+    machines = rt.machines()
+    mem = rt.memory()
+    h = History()
+    _, t = run(machines, mem, make_schedule("rr", 128, 1000 * 128), history=h)
+    drain(machines, mem, 10**6, h, t)
+    K = rt.backstop_index
+    assert rt.entered[K] >= 2  # several processes get past every splitter before K
+    # only the backstop's winner goes on to the stage-K splitter
+    assert sum(rt.split_outcomes[K].values()) == 1
+    assert [m.result for m in machines].count(0) == 1
+    v = check_tas(h)
+    assert v.ok, v.reason
 
 
 def test_solo_pipeline_wins_quickly():
