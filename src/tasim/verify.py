@@ -128,6 +128,14 @@ def check_linearizable(h: History, spec, budget: int = 500_000) -> bool:
     invoked.  Completed operations must reproduce their recorded results;
     pending operations may be linearized with any result or left out.
 
+    The set of linearized ops is an integer bitmask.  Each op i has a
+    predecessor mask holding every op j (i itself included) with
+    ``not inv[i] < resp[j]``, a pending op's response being at infinity, so
+    i is enabled exactly when its mask has no un-linearized op in it.  An
+    explicit stack takes the children in ascending index order and counts a
+    node when it is entered, so the nodes, their order and the count at
+    which the budget runs out are those of the recursive search.
+
     Raises SearchBudgetExceeded when more than `budget` search nodes are
     expanded: the answer is then unknown, never a silent pass.
     """
@@ -138,39 +146,45 @@ def check_linearizable(h: History, spec, budget: int = 500_000) -> bool:
     INF = float("inf")
     inv = [o.inv for o in ops]
     resp = [o.resp if o.resp is not None else INF for o in ops]
-    results = [_norm(o.result) for o in ops]
-    completed = [o.resp is not None for o in ops]
-    names = [o.op for o in ops]
-    args = [o.args for o in ops]
-    all_completed = frozenset(i for i in range(n) if completed[i])
+    # per op, in descending index order so that pushes pop ascending:
+    # (bit, predecessor mask, (op, args, must match, recorded result))
+    enabling = [
+        (
+            1 << i,
+            sum(1 << j for j in range(n) if not inv[i] < resp[j]),
+            (ops[i].op, ops[i].args, ops[i].resp is not None, _norm(ops[i].result)),
+        )
+        for i in range(n - 1, -1, -1)
+    ]
+    all_completed = sum(1 << i for i in range(n) if ops[i].resp is not None)
+    apply = spec.apply
 
     seen: set = set()
     nodes = 0
-
-    def rec(done: frozenset, state) -> bool:
-        nonlocal nodes
+    # (done with the op, state before it, op); the op is applied when
+    # popped, so spec.apply runs in the same order as in the recursive search
+    stack: list = []
+    done, state = 0, spec.initial()
+    while True:
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(f"linearizability search exceeded {budget} nodes")
-        if all_completed <= done:
+        if done & all_completed == all_completed:
             return True
         key = (done, state)
-        if key in seen:
-            return False
-        seen.add(key)
-        live = [i for i in range(n) if i not in done]
-        min_resp = min(resp[i] for i in live)
-        for i in live:
-            if inv[i] < min_resp:
-                state2, ret = spec.apply(state, names[i], args[i])
-                if completed[i] and _norm(ret) != results[i]:
-                    continue
-                if rec(done | {i}, state2):
-                    return True
-        return False
-
-    return rec(frozenset(), spec.initial())
-
+        if key not in seen:
+            seen.add(key)
+            live = ~done
+            for bit, pred, move in enabling:
+                if bit & live and not pred & live:
+                    stack.append((done | bit, state, move))
+        while True:
+            if not stack:
+                return False
+            done, state, (name, args, must, want) = stack.pop()
+            state, ret = apply(state, name, args)
+            if not must or _norm(ret) == want:
+                break
 
 # ---------------------------------------------------------------------------
 # solo-progress probes (obstruction freedom)

@@ -1,5 +1,6 @@
 """Register simulator: schedules, step machines, histories, runners."""
 
+import dataclasses
 import io
 import json
 import random
@@ -163,6 +164,25 @@ def test_program_must_take_a_step():
 
     with pytest.raises(ValueError):
         StepMachine(0, empty())
+
+
+def test_event_is_a_frozen_dataclass():
+    e = Event(4, 1, "res", "tas", (), 0)
+    assert [f.name for f in dataclasses.fields(Event)] == [
+        "time", "pid", "kind", "op", "args", "result",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.result = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.time = 5
+    same = Event(time=4, pid=1, kind="res", op="tas", args=(), result=0)
+    assert same == e and hash(same) == hash(e)
+    assert Event(4, 1, "res", "tas", (), 1) != e
+    assert Event(0, 1, "inv", "tas", ()).result is None
+    assert Event(0, 1, "inv", "tas", ()) == Event(0, 1, "inv", "tas", (), None)
+    r = dataclasses.replace(e, result=1)
+    assert type(r) is Event and r.result == 1 and r.time == 4 and e.result == 0
+    assert dataclasses.astuple(r) == (4, 1, "res", "tas", (), 1)
 
 
 def test_history_ops_pairing_errors():

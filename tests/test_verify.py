@@ -1,5 +1,6 @@
 """History checkers: TAS verdicts, brute-force linearizability, solo probes."""
 
+import gc
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from tasim.verify import (
     SearchBudgetExceeded,
     SnapshotSequential,
     TasSequential,
+    _norm,
     check_linearizable,
     check_tas,
     probe_solo,
@@ -185,6 +187,119 @@ def test_tas_checker_agrees_with_bruteforce_on_samples():
         fast = check_tas(h, permissive=True).ok
         slow = check_linearizable(h, spec)
         assert fast == slow, f"disagreement on {events}"
+
+
+def frozenset_search(h: History, spec) -> tuple[bool, int]:
+    """Reference: the recursive frozenset search, unbudgeted, with its node count."""
+    ops = h.ops()
+    n = len(ops)
+    if n == 0:
+        return True, 0
+    INF = float("inf")
+    inv = [o.inv for o in ops]
+    resp = [o.resp if o.resp is not None else INF for o in ops]
+    results = [_norm(o.result) for o in ops]
+    completed = [o.resp is not None for o in ops]
+    all_completed = frozenset(i for i in range(n) if completed[i])
+    seen: set = set()
+    nodes = 0
+
+    def rec(done: frozenset, state) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if all_completed <= done:
+            return True
+        key = (done, state)
+        if key in seen:
+            return False
+        seen.add(key)
+        live = [i for i in range(n) if i not in done]
+        min_resp = min(resp[i] for i in live)
+        for i in live:
+            if inv[i] < min_resp:
+                state2, ret = spec.apply(state, ops[i].op, ops[i].args)
+                if completed[i] and _norm(ret) != results[i]:
+                    continue
+                if rec(done | {i}, state2):
+                    return True
+        return False
+
+    return rec(frozenset(), spec.initial()), nodes
+
+
+def random_history(rng: random.Random, kind: str) -> History:
+    """1-7 ops, one pid each, on small integer times so that equal
+    invocation/response times are common.  Results come from a sequential
+    run in the order of random linearization points inside the intervals;
+    then one result may be made wrong, some ops stay pending and a few
+    respond before they were invoked."""
+    spec = TasSequential() if kind == "tas" else SnapshotSequential(2, 0)
+    k = rng.randrange(1, 8)
+    span = rng.randrange(1, 2 * k + 2)
+    ops = []
+    for pid in range(k):
+        if kind == "tas":
+            name, args = "tas", ()
+        elif rng.random() < 0.5:
+            name, args = "update", (rng.randrange(2), rng.randrange(1, 3))
+        else:
+            name, args = "scan", ()
+        point = rng.randrange(span)
+        ti = point - rng.randrange(span)
+        ops.append([rng.random(), point, pid, name, args, ti, point + rng.randrange(span), None])
+    state = spec.initial()
+    for op in sorted(ops, key=lambda op: (op[1], op[0])):
+        state, op[7] = spec.apply(state, op[3], op[4])
+    if rng.random() < 0.4:
+        op = rng.choice(ops)
+        op[7] = 1 - op[7] if kind == "tas" else (rng.randrange(3), rng.randrange(3))
+    h = History()
+    for _, _, pid, name, args, ti, tr, res in ops:
+        h.events.append(Event(ti, pid, "inv", name, args))
+        u = rng.random()
+        if u < 0.15:
+            continue  # pending
+        if u < 0.18:
+            tr = ti - rng.randrange(1, 3)  # malformed: responds before invoked
+        if name == "scan" and u < 0.4:
+            res = list(res)
+        h.events.append(Event(tr, pid, "res", name, args, res))
+    return h
+
+
+def test_bitmask_search_matches_frozenset_search():
+    rng = random.Random(15)
+    specs = {"tas": TasSequential(), "snapshot": SnapshotSequential(2, 0)}
+    verdicts = {True: 0, False: 0}
+    ties = pending = 0
+    for trial in range(2400):
+        kind = "tas" if trial % 2 else "snapshot"
+        h = random_history(rng, kind)
+        ops = h.ops()
+        times = [o.inv for o in ops] + [o.resp for o in ops if o.resp is not None]
+        ties += len(set(times)) < len(times)
+        pending += any(o.pending for o in ops)
+        want, nodes = frozenset_search(h, specs[kind])
+        verdicts[want] += 1
+        assert check_linearizable(h, specs[kind], budget=nodes) == want, ops
+        with pytest.raises(SearchBudgetExceeded):
+            check_linearizable(h, specs[kind], budget=nodes - 1)
+    assert min(verdicts.values()) >= 400 and min(ties, pending) >= 400, (verdicts, ties, pending)
+
+
+def test_linearizability_check_leaves_no_reference_cycle():
+    good = hist((0, 0, "inv", None), (1, 1, "inv", None), (2, 0, "res", 0), (3, 1, "res", 1))
+    bad = hist((0, 0, "inv", None), (1, 0, "res", 1), (2, 1, "inv", None), (3, 1, "res", 0))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for h, want in ((good, True), (bad, False)):
+            gc.collect()
+            assert check_linearizable(h, TasSequential()) is want
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
