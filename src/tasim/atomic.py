@@ -246,10 +246,11 @@ def register_program(logic: LogicMachine, snap, base: int = 0, history_ops: bool
     the atomic store would have produced, so both granularities share one
     decision procedure.  Emits invocation/response markers when
     `history_ops` is set and the logic declares an interface op.  The
-    logic's own pid is used for snapshot handshakes, so each (logic, snap)
-    pair must have a pid unique within that snapshot instance.
+    logic's own pid is used for snapshot handshakes, so the logics of one
+    run on a snapshot must have distinct pids.
     """
     codec = snap.codec
+    parity = [0] * snap.m  # this process's bit per component (see `snapshot`)
     emit = history_ops and logic.op_name is not None
     if emit:
         yield ("inv", logic.op_name, ())
@@ -257,7 +258,7 @@ def register_program(logic: LogicMachine, snap, base: int = 0, history_ops: bool
         op = logic.op
         kind = op[0]
         if kind == "u":
-            yield from snap.update_steps(logic.pid, op[1], codec.encode(op[1], op[2]))
+            yield from snap.update_steps(logic.pid, op[1], codec.encode(op[1], op[2]), parity)
             res = None
         elif kind == "s":
             view = yield from snap.scan_steps(logic.pid)

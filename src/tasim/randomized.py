@@ -63,6 +63,15 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
         res = yield item
 
 
+def wrapped_tas_program(logic, snap, n: int, b: int, rng, history_ops: bool = True):
+    """The one wrapped TAS lowering: `logic` run on `snap` through `wrap`.
+
+    Tails blocks read the TAS object's doorway bit, the register just below
+    its chain snapshot (see `tas_det.tas_snapshot`).
+    """
+    return wrap(tas_program(logic, snap, history_ops), n, b, rng, dummy_reg=snap.base - 1)
+
+
 def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs=None):
     """The deterministic TAS with every process wrapped; the flagship use.
 
@@ -77,7 +86,8 @@ def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs
     if coin_rngs is None:
         coin_rngs = {lg.pid: random.Random(f"coin:{seed}:{lg.pid}") for lg in logics}
     machines = [
-        StepMachine(lg.pid, wrap(tas_program(lg, snap), n, b, coin_rngs[lg.pid])) for lg in logics
+        StepMachine(lg.pid, wrapped_tas_program(lg, snap, n, b, coin_rngs[lg.pid]))
+        for lg in logics
     ]
     return machines, Memory(tas_register_widths(n)), logics
 

@@ -69,7 +69,8 @@ class Event:
     Every run records two Events per operation, so the constructor stores
     the instance dict in one call instead of the frozen default's one
     ``object.__setattr__`` per field; equality, hashing and
-    ``dataclasses.replace`` are the dataclass's own.
+    ``dataclasses.replace`` are the dataclass's own.  Per-key writes into
+    ``self.__dict__`` would save ~136 bytes an Event but slow every read.
     """
 
     time: int
@@ -340,8 +341,9 @@ def run(
     `step(memory, t, history)`.  `schedule` is any iterable of pids.
     Entries addressed to finished or absent machines are absorbed as no-ops
     (they consume the slot but touch nothing).  Returns (history, t_next):
-    the history (None when record=False), extended in place, and the
-    schedule position after the last slot consumed.
+    a `history` passed in is extended in place and returned whatever
+    `record` is; without one, a new History when record is set, else None.
+    t_next is the schedule position after the last slot consumed.
     """
     if record and history is None:
         history = History()

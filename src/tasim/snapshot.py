@@ -15,6 +15,10 @@ from m value cells A[0..m-1] plus one handshake register S:
                    return the values of c1
 
 where p is the caller's process id and b alternates per (writer, component).
+Each writer keeps its own bits, one per component, in its program
+(`ops_program`, `atomic.register_program`), so a BoundedSnapshot is a pure
+layout: one instance serves any number of runs and processes, and the same
+schedule gives the same execution on each.
 
 Why it works: a successful scan rereads S as its own id, so no update began
 (wrote S) between the scanner's S-write and its final S-read.  Updates that
@@ -30,7 +34,8 @@ fresh solo scan is a single 2m+2 attempt).
 
 Values are non-negative integers below 2**value_bits.  A generic
 snapshot's cells additionally carry the writer id and the parity bit, so
-each is value_bits + pid_bits + 1 wide with pid_bits = ceil(log2(n+1)).
+each is value_bits + pid_bits + 1 wide with pid_bits = ceil(log2(n+1)):
+the cell is (x << (pid_bits + 1)) | ((p + 1) << 1) | b, and 0 is unwritten.
 
 An owner-tagged snapshot is declared with a component codec, an object
 with three methods: encode(comp, val) packs a component value into such an
@@ -40,17 +45,17 @@ update_steps and scan_steps move packed integers, and
 `atomic.register_program`, which lowers logic machines onto registers,
 packs and unpacks through `snap.codec`.  `sifter.sifter_snapshot` builds
 the sifter's snapshot with its codec.  Owner-tagged cells drop the writer
-field and are value_bits + 1 wide.  The argument above still holds there:
-a pending write by q differs from a cell last written by anyone else
-because the value names its writer, and from q's own previous write to
-that cell by the parity bit.  update() checks that the value names the
-caller, and the value 0 (an unwritten cell) must name no one.  The
-handshake register is pid_bits wide either way.
+field: the cell is (x << 1) | b, value_bits + 1 wide.  The argument above
+still holds there: a pending write by q differs from a cell last written
+by anyone else because the value names its writer, and from q's own
+previous write to that cell by the parity bit.  update() checks that the
+value names the caller, and the value 0 (an unwritten cell) must name no
+one.  The handshake register is pid_bits wide either way.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .shm import READ, WRITE, Memory
 
@@ -60,13 +65,11 @@ class BoundedSnapshot:
 
     Occupies registers base..base+m (m cells then the handshake register) of
     a shared Memory.  Several logical objects can coexist in one Memory at
-    different bases.  The per-(pid, component) parity counters live here,
-    which is sound because each counter is private to its writing process.
-    Passing `codec` declares the snapshot owner-tagged (see the module
-    docstring).
+    different bases.  An instance holds no run state, and passing `codec`
+    declares it owner-tagged (both in the module docstring).
     """
 
-    __slots__ = ("base", "m", "n", "value_bits", "pid_bits", "codec", "_shift", "_parity")
+    __slots__ = ("base", "m", "n", "value_bits", "pid_bits", "codec", "_shift")
 
     def __init__(
         self,
@@ -86,7 +89,6 @@ class BoundedSnapshot:
         self.codec = codec
         # bits below the value in a cell: parity, plus the writer field
         self._shift = 1 if codec is not None else self.pid_bits + 1
-        self._parity: dict[tuple[int, int], int] = {}
 
     # -- layout -------------------------------------------------------------
 
@@ -111,29 +113,11 @@ class BoundedSnapshot:
             raise ValueError("fresh_memory requires base == 0")
         return Memory(self.register_widths(), record_trace=record_trace)
 
-    # -- cell codec ----------------------------------------------------------
-
-    def encode_cell(self, w: int, pid: Optional[int], b: int) -> int:
-        if self.codec is not None:
-            return (w << 1) | b
-        p_code = 0 if pid is None else pid + 1
-        return (w << (self.pid_bits + 1)) | (p_code << 1) | b
-
-    def decode_cell(self, c: int, comp: Optional[int] = None) -> tuple[int, Optional[int], int]:
-        """(value, writer, parity) of a cell; an owner-tagged one needs `comp`."""
-        b = c & 1
-        w = c >> self._shift
-        if self.codec is not None:
-            if comp is None:
-                raise ValueError("an owner-tagged cell decodes only with its component")
-            return w, self.codec.owner(comp, w), b
-        p_code = (c >> 1) & ((1 << self.pid_bits) - 1)
-        return w, (None if p_code == 0 else p_code - 1), b
-
     # -- step programs --------------------------------------------------------
 
-    def update_steps(self, pid: int, comp: int, x: int) -> Iterator[tuple]:
-        """Yield the two register writes of update(comp, x)."""
+    def update_steps(self, pid: int, comp: int, x: int, parity: list[int]) -> Iterator[tuple]:
+        """Yield the two register writes of update(comp, x); the cell carries
+        the writer's own bit parity[comp] (all 0 at first), which then flips."""
         if not 0 <= comp < self.m:
             raise ValueError(f"component {comp} out of range")
         if not isinstance(x, int) or x < 0 or x >> self.value_bits:
@@ -144,10 +128,11 @@ class BoundedSnapshot:
             raise ValueError(
                 f"value {x} of component {comp} does not name its writer {pid}"
             )
-        b = self._parity.get((pid, comp), 0)
-        self._parity[(pid, comp)] = b ^ 1
+        b = parity[comp]
+        parity[comp] = b ^ 1
+        writer = 0 if self.codec is not None else (pid + 1) << 1
         yield (WRITE, self.s_reg, pid)
-        yield (WRITE, self.a_reg(comp), self.encode_cell(x, pid, b))
+        yield (WRITE, self.a_reg(comp), (x << self._shift) | writer | b)
 
     def scan_steps(self, pid: int):
         """Yield register steps of scan(); the generator returns the view."""
@@ -174,12 +159,13 @@ def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]):
     program check directly against the snapshot's sequential semantics.
     Returns the list of scan views.
     """
+    parity = [0] * snap.m
     views = []
     for op in script:
         if op[0] == "update":
             _, comp, x = op
             yield ("inv", "update", (comp, x))
-            yield from snap.update_steps(pid, comp, x)
+            yield from snap.update_steps(pid, comp, x, parity)
             yield ("res", None)
         elif op[0] == "scan":
             yield ("inv", "scan", ())

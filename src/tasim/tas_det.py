@@ -146,7 +146,6 @@ def tas_snapshot(n: int, base: int = 0) -> BoundedSnapshot:
 
     The one statement of the TAS layout: register base is the doorway bit;
     base+1..base+6*ell(n)+1 are the chain snapshot (cells, then handshake).
-    Build one per TAS object: it holds the parity counters its processes share.
     """
     return sifter_snapshot(n, base + 1, ell(n))
 

@@ -46,10 +46,10 @@ import math
 import random
 from collections import Counter
 
-from .randomized import wrap
+from .randomized import wrapped_tas_program
 from .shm import Memory, READ, WRITE, StepMachine
 from .sifter import LOSE, WIN
-from .tas_det import TasLogic, solo_step_bound, tas_program, tas_register_widths, tas_snapshot
+from .tas_det import TasLogic, solo_step_bound, tas_register_widths, tas_snapshot
 
 CONTINUE = "continue"
 BETA = 16  # the 2-sized sifters number ceil(BETA * log2 n)
@@ -149,11 +149,6 @@ class RandTas:
 
     # -- sub-programs ---------------------------------------------------------
 
-    def _wrapped_tas(self, pid: int, snap, n: int, b: int, rng):
-        """A wrapped deterministic TAS program on `snap`; tails blocks read its doorway bit."""
-        inner = tas_program(TasLogic(pid, n), snap, history_ops=False)
-        return wrap(inner, n, b, rng, dummy_reg=snap.base - 1)
-
     def _claim_le2(self, stage: int, role: int, pid: int) -> None:
         key = (stage, role)
         if key in self.le2_claims:
@@ -178,7 +173,10 @@ class RandTas:
             if i < K:
                 out = yield from gw_steps(self.gw_base[i - 1], self.sizes[i - 1], rng)
             else:
-                bit = yield from self._wrapped_tas(pid, self.backstop_snap, self.n, self.bn, rng)
+                bit = yield from wrapped_tas_program(
+                    TasLogic(pid, self.n), self.backstop_snap, self.n, self.bn, rng,
+                    history_ops=False,
+                )
                 out = WIN if bit == 0 else LOSE
             if out == LOSE:
                 break
@@ -199,7 +197,9 @@ class RandTas:
             for j in range(won_at, 0, -1):
                 role = 0 if j == won_at else 1
                 self._claim_le2(j, role, pid)
-                bit = yield from self._wrapped_tas(role, self.le2_snaps[j - 1], 2, self.b2, rng)
+                bit = yield from wrapped_tas_program(
+                    TasLogic(role, 2), self.le2_snaps[j - 1], 2, self.b2, rng, history_ops=False
+                )
                 if bit != 0:
                     break
             else:

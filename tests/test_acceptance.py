@@ -137,10 +137,12 @@ def test_criterion_03_snapshot():
     # independent of memory state, component, value, and parity phase
     snap = BoundedSnapshot(0, 6, n=3, value_bits=4)
     for pid in range(3):
+        parity = [0] * 6
         for comp in range(6):
             for value in (0, 9, 15):
-                for _ in range(2):  # both parity phases
-                    assert len(list(snap.update_steps(pid, comp, value))) == 2
+                for phase in (0, 1):  # both parity phases
+                    assert parity[comp] == phase
+                    assert len(list(snap.update_steps(pid, comp, value, parity))) == 2
 
     # solo scan from sampled reachable configurations, M=6
     M = 6

@@ -111,6 +111,18 @@ def test_noop_absorption_and_results():
     assert len(ops) == 1 and ops[0].result == 0 and not ops[0].pending
 
 
+def test_run_extends_a_given_history_even_unrecorded():
+    # record=False only skips creating a history: one passed in is extended
+    # and returned, which lets a caller collect the events of an unrecorded run
+    mem = Memory([16])
+    machines = [StepMachine(0, counter_prog(0, 0, 1))]
+    h = History()
+    got, t = run(machines, mem, [0, 0], history=h, record=False)
+    assert got is h and t == 2
+    assert [(e.kind, e.time, e.result) for e in h.events] == [("inv", 0, None), ("res", 3, 0)]
+    assert run(machines, mem, [0], record=False) == (None, 1)
+
+
 def test_auto_history_rejected():
     with pytest.raises(ValueError, match="inv/res"):
         StepMachine(0, counter_prog(0, 0, 1), auto_history=True)

@@ -244,13 +244,17 @@ def test_owner_tagged_snapshot_refuses_foreign_values():
     snap = sifter_snapshot(n)
     enc = snap.codec.encode
     assert snap.cell_width == value_bits(n) + 1
-    assert len(list(snap.update_steps(1, 0, enc(0, 1)))) == 2
+    parity = [0] * snap.m
+    assert len(list(snap.update_steps(1, 0, enc(0, 1), parity))) == 2
     w = enc(3, (1, (1, 2, None)))
-    steps = list(snap.update_steps(1, 3, w))
-    assert len(steps) == 2 and snap.decode_cell(steps[1][2], comp=3) == (w, 1, 0)
+    assert snap.codec.owner(3, w) == 1
+    for b in (0, 1, 0):  # an owner-tagged cell is (w << 1) | b
+        steps = list(snap.update_steps(1, 3, w, parity))
+        assert steps == [("w", snap.s_reg, 1), ("w", snap.a_reg(3), (w << 1) | b)]
+        assert steps[1][2] < 1 << snap.cell_width
     for comp, w in ((0, enc(0, 2)), (3, enc(3, (2, (2, 1, None)))), (0, 0), (3, 0)):
         with pytest.raises(ValueError, match="writer"):
-            list(snap.update_steps(1, comp, w))
+            list(snap.update_steps(1, comp, w, parity))
 
 
 def test_register_level_concurrent_outcomes():

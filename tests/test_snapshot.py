@@ -32,53 +32,80 @@ def test_layout_and_widths():
         BoundedSnapshot(0, 0, 1, 1)
 
 
-def test_cell_codec_roundtrip():
+def test_update_cell_layout():
+    # a generic cell is (x << (pid_bits+1)) | ((pid+1) << 1) | b, read off
+    # the cell write that update_steps yields
     s = BoundedSnapshot(0, 1, n=6, value_bits=9)
     rng = random.Random(0)
     for _ in range(200):
         w = rng.randrange(1 << 9)
-        pid = rng.choice([None, 0, 1, 2, 3, 4, 5])
+        pid = rng.randrange(6)
         b = rng.randrange(2)
-        c = s.encode_cell(w, pid, b)
-        assert c < (1 << s.cell_width)
-        assert s.decode_cell(c) == (w, pid, b)
-    assert s.decode_cell(0) == (0, None, 0)  # unwritten cell
+        parity = [b]
+        steps = list(s.update_steps(pid, 0, w, parity))
+        assert steps == [
+            ("w", s.s_reg, pid),
+            ("w", s.a_reg(0), (w << (s.pid_bits + 1)) | ((pid + 1) << 1) | b),
+        ]
+        assert 0 < steps[1][2] < (1 << s.cell_width)  # 0 is the unwritten cell
+        assert parity == [b ^ 1]
 
 
 def test_update_is_exactly_two_steps():
     s = BoundedSnapshot(0, 3, n=2, value_bits=4)
     for pid in range(2):
+        parity = [0] * 3
         for comp in range(3):
             for x in (0, 7, 15):
-                assert len(list(s.update_steps(pid, comp, x))) == 2
+                assert len(list(s.update_steps(pid, comp, x, parity))) == 2
 
 
 def test_update_parity_alternates_per_writer_component():
     s = BoundedSnapshot(0, 2, n=2, value_bits=4)
-    mem = s.fresh_memory()
+    p0, p1 = [0, 0], [0, 0]  # each writer's own bits
 
-    def cell_bits(pid, comp, x):
-        steps = list(s.update_steps(pid, comp, x))
+    def cell_bit(pid, parity, comp, x):
+        steps = list(s.update_steps(pid, comp, x, parity))
         assert steps[0] == ("w", s.s_reg, pid)
-        return s.decode_cell(steps[1][2])
+        assert steps[1][2] >> 1 == (x << s.pid_bits) | (pid + 1)  # layout: test above
+        return steps[1][2] & 1
 
-    assert cell_bits(0, 0, 5) == (5, 0, 0)
-    assert cell_bits(0, 0, 5) == (5, 0, 1)  # same writer+comp: parity flips
-    assert cell_bits(0, 0, 5) == (5, 0, 0)
-    assert cell_bits(0, 1, 5) == (5, 0, 0)  # other comp: independent counter
-    assert cell_bits(1, 0, 5) == (5, 1, 0)  # other writer: independent counter
+    assert cell_bit(0, p0, 0, 5) == 0
+    assert cell_bit(0, p0, 0, 5) == 1  # same writer+comp: parity flips
+    assert cell_bit(0, p0, 0, 5) == 0
+    assert cell_bit(0, p0, 1, 5) == 0  # other comp: independent bit
+    assert cell_bit(1, p1, 0, 5) == 0  # other writer's list: independent bit
+    assert p0 == [1, 1] and p1 == [1, 0]
 
 
 def test_update_domain_checks():
     s = BoundedSnapshot(0, 2, n=2, value_bits=4)
     with pytest.raises(ValueError):
-        list(s.update_steps(0, 2, 1))
+        list(s.update_steps(0, 2, 1, [0, 0]))
     with pytest.raises(ValueError):
-        list(s.update_steps(0, 0, 16))
+        list(s.update_steps(0, 0, 16, [0, 0]))
     with pytest.raises(ValueError):
-        list(s.update_steps(2, 0, 1))
+        list(s.update_steps(2, 0, 1, [0, 0]))
     with pytest.raises(ValueError):
         next(s.scan_steps(-1))
+
+
+def test_one_snapshot_serves_two_runs():
+    # the snapshot holds no run state, so a second run under the same
+    # schedule repeats the first register for register
+    snap = BoundedSnapshot(0, 2, n=2, value_bits=4)
+
+    def one_run():
+        memory = snap.fresh_memory(record_trace=True)
+        machines = [
+            StepMachine(pid, ops_program(snap, pid, [("update", 0, pid + 1), ("scan",)]))
+            for pid in range(2)
+        ]
+        history, _ = run(machines, memory, make_schedule("random", 2, 200, seed=5))
+        assert all(m.done for m in machines)
+        return memory.trace, history.events, [m.result for m in machines]
+
+    assert one_run() == one_run()
 
 
 def test_fresh_solo_scan_cost_and_view():

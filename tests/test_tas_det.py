@@ -184,6 +184,25 @@ def test_register_level_outcomes_and_histories():
         assert check_tas(h).ok
 
 
+def test_one_tas_snapshot_serves_two_runs():
+    # each process keeps its own parity bits, so one chain snapshot can lay
+    # out any number of runs and each repeats the same execution
+    n = 3
+    snap = tas_snapshot(n)
+
+    def one_run():
+        logics = tas_machines(n)
+        machines = [StepMachine(lg.pid, tas_program(lg, snap)) for lg in logics]
+        memory = Memory(tas_register_widths(n), record_trace=True)
+        h, t = run(machines, memory, make_schedule("random", n, 500, seed=7))
+        drain(machines, memory, solo_step_bound(n), h, t)
+        return memory.trace, h.events, [lg.result for lg in logics]
+
+    first = one_run()
+    assert sorted(first[2]) == [0, 1, 1]
+    assert one_run() == first
+
+
 def test_solo_resume_stays_within_step_bound():
     n = 4
     bound = solo_step_bound(n)

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run, run_live_uniform
+from tasim.randomized import wrapped_tas_program
 from tasim.sifter import LOSE, WIN
-from tasim.tas_det import ell, tas_register_widths, tas_snapshot
+from tasim.tas_det import TasLogic, ell, tas_register_widths, tas_snapshot
 from tasim.tas_rand import (
     CONTINUE,
     RandTas,
@@ -204,7 +205,9 @@ def test_backstop_plumbing_first_wins_second_loses():
     mem = rt.memory()
 
     def backstop(pid):
-        prog = rt._wrapped_tas(pid, rt.backstop_snap, rt.n, rt.bn, rt.process_rng(pid))
+        logic = TasLogic(pid, rt.n)
+        rng = rt.process_rng(pid)
+        prog = wrapped_tas_program(logic, rt.backstop_snap, rt.n, rt.bn, rng, history_ops=False)
         return StepMachine(pid, prog)
 
     first = backstop(0)
