@@ -12,16 +12,9 @@ need up to 4M+3 before the view settles.
 
 import random
 
-from tasim.shm import StepMachine, run
+from tasim.shm import StepMachine, drain, run
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.verify import SnapshotSequential, check_linearizable
-
-
-def drive_solo(machine, memory, limit=10_000):
-    t = 0
-    while not machine.done and t < limit:
-        machine.step(memory, t, None)
-        t += 1
 
 
 def main():
@@ -32,11 +25,11 @@ def main():
           f"cells {snap.cell_width} bits wide")
 
     writer = StepMachine(1, ops_program(snap, 1, [("update", 2, 99)]))
-    drive_solo(writer, memory)
+    drain([writer], memory, 10_000)
     print(f"solo update: {writer.steps} steps (always exactly 2)")
 
     scanner = StepMachine(0, ops_program(snap, 0, [("scan",)]))
-    drive_solo(scanner, memory)
+    drain([scanner], memory, 10_000)
     print(f"solo scan:   {scanner.steps} steps (fresh bound 2M+2 = {2 * m + 2}); "
           f"view = {scanner.result[0]}")
 

@@ -80,33 +80,24 @@ class LogicMachine:
     def advance(self, res) -> None:
         raise NotImplementedError
 
-    def step(self, store, t: int, history: Optional[History]) -> bool:
+    def step(self, store, t: int, history: Optional[History]) -> None:
         """Execute one store op at schedule position t, like `StepMachine.step`.
 
         Applies the poised op, counts the step and advances.  With a history
         and an interface op (`op_name`), records the invocation at 2t on the
-        first step and the response at 2t+1 on the finishing step.  Returns
-        False (a no-op) if the machine already finished.
+        first step and the response at 2t+1 on the finishing step.  Drivers
+        step only unfinished machines.
         """
-        if self.done:
-            return False
-        if history is None or self.op_name is None:
-            res = store.apply(self.op)
-            self.steps += 1
-            self.advance(res)
-            return True
-        if self.steps == 0:
-            history.events.append(
-                Event(2 * t, self.pid, "inv", self.op_name, (), None)
-            )
+        emit = history is not None and self.op_name is not None
+        if emit and self.steps == 0:
+            history.events.append(Event(2 * t, self.pid, "inv", self.op_name, (), None))
         res = store.apply(self.op)
         self.steps += 1
         self.advance(res)
-        if self.done:
+        if emit and self.done:
             history.events.append(
                 Event(2 * t + 1, self.pid, "res", self.op_name, (), self.result)
             )
-        return True
 
     def clone(self):
         c = object.__new__(type(self))
@@ -153,12 +144,11 @@ class AtomicStore:
 # store ops that leave the store as it was
 _READ_ONLY = ("s", "r")
 
-# One runner drives both kinds of machine: `shm.run` steps each scheduled
-# machine through its `step(store, t, history)`.  This name stays for
-# callers written against the snapshot-op runner.
+# Benchmark-only: only perfbench/ calls it outside its pin test; ROADMAP item 6 removes it.
 run_atomic = run
 
 
+# Benchmark-only: only perfbench/ calls it outside its pin test; ROADMAP item 6 removes it.
 def run_atomic_solo(machine, store: AtomicStore, max_steps: int) -> int:
     """Run one machine alone until it finishes; return steps taken.
 

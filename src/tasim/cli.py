@@ -137,17 +137,15 @@ def trial_tas_det(n: int, args, seed: int, record: bool = False) -> Trial:
 
 
 def _tas_report(machines, h: History, backstop: bool = False, trace: tuple = ()) -> Trial:
+    """Report what ran, capped or not; `check_tas` judges a finished run."""
     steps = tuple(m.steps for m in machines)
-    if not all(m.done for m in machines):
-        return Trial(0, 0, 0, "step cap exceeded", steps, backstop, trace)
-    wins = sum(1 for m in machines if m.result == 0)
-    loses = sum(1 for m in machines if m.result == 1)
-    if wins != 1:
-        checker = f"{wins} processes returned 0"
-    else:
+    results = [m.result for m in machines]
+    if all(m.done for m in machines):
         v = check_tas(h)
-        checker = "ok" if v.ok else (v.reason or "violation")
-    return Trial(wins, loses, max(steps), checker, steps, backstop, trace)
+        checker = "ok" if v.ok else v.reason
+    else:
+        checker = "step cap exceeded"
+    return Trial(results.count(0), results.count(1), max(steps), checker, steps, backstop, trace)
 
 
 def trial_snapshot(n: int, args, seed: int, record: bool = False) -> Trial:

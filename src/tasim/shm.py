@@ -33,7 +33,9 @@ A program that yields neither records nothing in a history.
 
 `run` drives any machine with a ``step(memory, t, history)`` method, so the
 snapshot-op-granularity ``atomic.LogicMachine``s over an ``atomic.AtomicStore``
-run through it too, as does `drain`.
+run through it too, as does `drain`, the one solo driver.  Only drivers
+(`run`, `drain`, `run_live_uniform`, ``atomic.explore``) check whether a
+machine has finished; a `step` is never called on a finished machine.
 """
 
 from __future__ import annotations
@@ -227,12 +229,12 @@ class StepMachine:
     shared step, which opens it at 2t; `_open` then holds its (name, args)
     until a ``res`` yield, read while resuming after step t, closes it at
     2t+1.  While a block op is in progress, `_left` counts its reads still
-    to take.  `auto_history` must be False; the keyword stays because
-    existing callers pass it.
+    to take.  `auto_history` must be False.
     """
 
     __slots__ = ("pid", "gen", "op", "done", "result", "steps", "_pending_inv", "_open", "_left")
 
+    # auto_history: only perfbench/ passes it outside its pin test; ROADMAP item 6 removes it
     def __init__(self, pid: int, gen: Program, auto_history: bool = False):
         if auto_history:
             raise ValueError("no automatic history: mark operations with inv/res yields")
@@ -280,10 +282,11 @@ class StepMachine:
             self.result = e.value
             return None
 
-    def step(self, memory: Memory, t: int, history: Optional[History]) -> bool:
+    def step(self, memory: Memory, t: int, history: Optional[History]) -> None:
         """Execute one shared-memory step at schedule position t.
 
-        Returns False (a no-op) if the machine already finished.
+        Drivers step only unfinished machines: whether one has finished is
+        theirs to check, not this method's.
         """
         left = self._left
         if left:
@@ -292,10 +295,8 @@ class StepMachine:
             self.steps += 1
             self._left = left = left - 1
             if left:
-                return True
+                return
         else:
-            if self.done:
-                return False
             if self._pending_inv is not None:
                 self._open = self._pending_inv
                 self._pending_inv = None
@@ -312,13 +313,12 @@ class StepMachine:
                     if k > 1:
                         self.steps += 1
                         self._left = k - 1
-                        return True
+                        return
             else:
                 memory.write(t, self.pid, op[1], op[2])
                 resp = None
             self.steps += 1
         self.op = self._resume(resp, t, history)
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +339,12 @@ def run(
     take one register access per entry, and `atomic.LogicMachine`s over an
     `atomic.AtomicStore` one snapshot operation; each steps through its own
     `step(memory, t, history)`.  `schedule` is any iterable of pids.
-    Entries addressed to finished or absent machines are absorbed as no-ops
-    (they consume the slot but touch nothing).  Returns (history, t_next):
-    a `history` passed in is extended in place and returned whatever
-    `record` is; without one, a new History when record is set, else None.
-    t_next is the schedule position after the last slot consumed.
+    Entries addressed to finished or absent machines are absorbed here as
+    no-ops (they consume the slot but touch nothing), never passed to
+    `step`.  Returns (history, t_next): a `history` passed in is extended
+    in place and returned whatever `record` is; without one, a new History
+    when record is set, else None.  t_next is the schedule position after
+    the last slot consumed.
     """
     if record and history is None:
         history = History()

@@ -10,7 +10,7 @@ from tasim.atomic import (
     register_program,
     run_atomic_solo,
 )
-from tasim.shm import History, StepMachine, run
+from tasim.shm import History, StepMachine, drain, run
 from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_store
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.tas_det import TasLogic, tas_store, wle_store
@@ -242,12 +242,8 @@ def test_register_program_solo_result():
     memory = snap.fresh_memory()
     logic = PutScanLogic(0, 2)
     m = StepMachine(0, register_program(logic, snap))
-    h = History()
-    t = 0
-    while not m.done:
-        m.step(memory, t, h)
-        t += 1
+    h, _ = drain([m], memory, 100, History())
     assert m.result == (1, None)  # the codec decodes an unwritten comp as None
-    assert t == 2 + (2 * 2 + 2)  # one update + one fresh scan
+    assert m.steps == 2 + (2 * 2 + 2)  # one update + one fresh scan
     ops = h.ops()
     assert len(ops) == 1 and ops[0].op == "putscan" and ops[0].result == (1, None)

@@ -85,9 +85,14 @@ def test_violation_exit_code(monkeypatch, capsys):
 def test_live_step_cap_is_reported(obj, monkeypatch, capsys):
     monkeypatch.setattr(cli, "LIVE_CAP", 5)
     rc = cli.main(["simulate", "--object", obj, "--n", "3", "--trials", "1"])
-    out = capsys.readouterr().out
+    rec = json.loads(capsys.readouterr().out)
     assert rc == 1
-    assert json.loads(out)["checker"] == "step cap exceeded"
+    assert rec["checker"] == "step cap exceeded"
+    # the line reports what ran: the largest per-process step count
+    args = cli.build_parser().parse_args(["simulate", "--object", obj, "--n", "3"])
+    steps = cli.TRIALS[obj](3, args, 0).steps
+    assert sum(steps) == 5
+    assert rec["max_steps"] == max(steps) > 0
 
 
 def _exit_code(argv):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from tasim import shm
+from tasim.atomic import AtomicStore, LogicMachine, explore
 from tasim.shm import (
     Event,
     History,
@@ -20,6 +21,7 @@ from tasim.shm import (
     run,
     run_live_uniform,
 )
+from tasim.verify import probe_solo
 
 
 def counter_prog(pid, reg, rounds):
@@ -444,3 +446,58 @@ def test_getrandbits_packs_words_as_the_bulk_skip_assumes():
             short, words = random.Random(seed), random.Random(seed)
             got = [short.getrandbits(k) for _ in range(50)]
             assert got == [words.getrandbits(32) >> (32 - k) for _ in range(50)]
+
+
+class GuardedStepMachine(StepMachine):
+    __slots__ = ()
+
+    def step(self, memory, t, history):
+        assert not self.done, f"pid {self.pid} stepped after it finished"
+        super().step(memory, t, history)
+
+
+class GuardedBump(LogicMachine):
+    """Read plain register 0, write it back plus one; fail if stepped after."""
+
+    op_name = "bump"
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.op = ("r", 0)
+
+    def advance(self, res):
+        if self.op[0] == "r":
+            self.op = ("w", 0, res + 1)
+        else:
+            self.op, self.done, self.result = None, True, self.pid
+
+    def step(self, store, t, history):
+        assert not self.done, f"pid {self.pid} stepped after it finished"
+        super().step(store, t, history)
+
+
+def test_drivers_never_step_a_finished_machine():
+    # a machine's step does not check `done`: every driver must
+    def step_system(rng=None):
+        script = [(0, 40), (0, 0), (0, 3)]  # ends on a block op: 44 steps
+        return [GuardedStepMachine(p, block_prog(p, script)) for p in range(3)], Memory([8])
+
+    def logic_system(rng=None):
+        return [GuardedBump(p) for p in range(3)], AtomicStore([], n_regs=1)
+
+    for make in (step_system, logic_system):
+        ms, mem = make()
+        run(ms, mem, [0, 1, 2] * 50 + [0] * 5)  # slots long after each finished
+        assert all(m.done for m in ms)
+        ms, mem = make()
+        _, t = run(ms, mem, [0] * 50)  # pid 0 finishes, then takes more slots
+        drain(ms, mem, 50, t=t)
+        assert all(m.done for m in ms)
+        assert probe_solo(make, 40, 50, seed=1, prefix_max=150).ok
+    for traced in (False, True):
+        ms, mem = step_system()
+        mem.record_trace = traced
+        run_live_uniform(ms, mem, random.Random(4), 10_000)
+        assert all(m.done for m in ms)
+    terminals, _ = explore(logic_system)
+    assert sum(terminals.values()) > 0

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tasim.atomic import explore, run_atomic_solo
+from tasim.atomic import explore
 from tasim.shm import drain, make_schedule, run
 from tasim.sifter import (
     B_EMPTY,
@@ -44,8 +44,8 @@ def test_helpers():
 
 def test_solo_compete_wins_in_exactly_12_ops():
     m = SifterLogic(3)
-    taken = run_atomic_solo(m, sifter_store(), 50)
-    assert m.result == WIN and taken == 12
+    drain([m], sifter_store(), 50)
+    assert m.result == WIN and m.steps == 12
     # write A0, scan, knockout (3 writes + 3 scans), write A1, scan,
     # write A2, scan: the lone-entry signature sends it through B once
 
@@ -54,10 +54,7 @@ def test_solo_register_level_wins_in_96_steps():
     for n in (2, 4, 7):
         machines, memory, logics = sifter_system(n)
         m = machines[n - 1]
-        t = 0
-        while not m.done and t < 500:
-            m.step(memory, t, None)
-            t += 1
+        drain([m], memory, 500)
         assert logics[n - 1].result == WIN
         # 6 updates (2 steps) + 6 scans (2*6+2 steps), independent of n
         assert m.steps == 6 * 2 + 6 * 14 == 96

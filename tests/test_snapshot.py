@@ -5,18 +5,9 @@ import random
 import pytest
 
 from tasim.atomic import explore_interleavings
-from tasim.shm import Memory, StepMachine, make_schedule, run
+from tasim.shm import Memory, StepMachine, drain, make_schedule, run
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.verify import SnapshotSequential, check_linearizable, probe_solo
-
-
-def drive_solo(machine, memory, limit=10_000):
-    t = 0
-    while not machine.done and t < limit:
-        machine.step(memory, t, None)
-        t += 1
-    assert machine.done
-    return machine.steps
 
 
 def test_layout_and_widths():
@@ -113,10 +104,10 @@ def test_fresh_solo_scan_cost_and_view():
     s = BoundedSnapshot(0, m, n=3, value_bits=4)
     mem = s.fresh_memory()
     writer = StepMachine(1, ops_program(s, 1, [("update", 4, 9)]))
-    drive_solo(writer, mem)
+    drain([writer], mem, 10_000)
     assert writer.steps == 2
     scanner = StepMachine(0, ops_program(s, 0, [("scan",)]))
-    drive_solo(scanner, mem)
+    drain([scanner], mem, 10_000)
     assert scanner.steps == 2 * m + 2
     assert scanner.result == [(0, 0, 0, 0, 9, 0)]
 

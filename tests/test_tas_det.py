@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tasim.atomic import explore, run_atomic_solo
+from tasim.atomic import explore
 from tasim.shm import Memory, StepMachine, drain, make_schedule, run
 from tasim.sifter import LOSE, WIN
 from tasim.tas_det import (
@@ -76,7 +76,7 @@ def test_chain_restarts_on_fresh_components():
     m = wle_machines(3)[0]  # ell(3) == 3 levels
     assert (m.base, m.top, m.op) == (0, 12, ("u", 0, 0))
     store = wle_store(3)
-    run_atomic_solo(m, store, 50)
+    drain([m], store, 50)
     assert m.result == WIN and m.base == m.top == 12
     # winner swept A of every level on its way up
     assert store.comps[0:3] == [0, 0, 0] and store.comps[6:9] == [0, 0, 0]
@@ -114,8 +114,8 @@ def test_wle_random_schedules_exactly_one_leader():
 def test_solo_tas_atomic_op_count():
     for n, expect in ((2, 1 + 2 * 12), (8, 1 + 6 * 12)):
         m = TasLogic(0, n)
-        taken = run_atomic_solo(m, tas_store(n), 200)
-        assert m.result == 0 and taken == expect
+        drain([m], tas_store(n), 200)
+        assert m.result == 0 and m.steps == expect
 
 
 def test_solo_tas_register_step_count():
@@ -123,10 +123,7 @@ def test_solo_tas_register_step_count():
     for n in (2, 8):
         machines, memory, logics = tas_system(n)
         m = machines[0]
-        t = 0
-        while not m.done and t < 10_000:
-            m.step(memory, t, None)
-            t += 1
+        drain([m], memory, 10_000)
         per_scan = 2 * (6 * ell(n)) + 2
         assert logics[0].result == 0
         assert m.steps == 1 + ell(n) * (12 + 6 * per_scan)

@@ -211,15 +211,10 @@ def test_backstop_plumbing_first_wins_second_loses():
         return StepMachine(pid, prog)
 
     first = backstop(0)
-    t = 0
-    while not first.done:
-        first.step(mem, t, None)
-        t += 1
+    _, t = drain([first], mem, 10**6)
     assert first.result == 0
     second = backstop(1)
-    while not second.done:
-        second.step(mem, t, None)
-        t += 1
+    drain([second], mem, 10**6, t=t)
     assert second.result == 1
     # backstop registers live in their own bank; doorway untouched
     assert mem.regs[0] == 0
