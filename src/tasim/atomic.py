@@ -225,23 +225,22 @@ def explore(
 # lowering logic machines to the register level
 
 
-def register_program(logic: LogicMachine, snap, base: int = 0, history_ops: bool = True):
+def register_program(logic: LogicMachine, snap):
     """Expand a logic machine into a register-level step generator.
 
     `snap` is an owner-tagged BoundedSnapshot, and plain register r is
-    register base + r.  Logic machines hold structured component values:
-    the snapshot's codec (`snap.codec`, see the snapshot module) packs them
-    with its encode before an update and unpacks scan results with its
-    decode.  The generator drives `logic.advance` with exactly the values
-    the atomic store would have produced, so both granularities share one
-    decision procedure.  Emits invocation/response markers when
-    `history_ops` is set and the logic declares an interface op.  The
-    logic's own pid is used for snapshot handshakes, so the logics of one
-    run on a snapshot must have distinct pids.
+    register snap.base - 1 - r, below the snapshot.  The snapshot's codec
+    (`snap.codec`, see the snapshot module) packs the logic's structured
+    component values before an update and unpacks scan results, so
+    `logic.advance` sees exactly what the atomic store would have produced
+    and both granularities share one decision procedure.  Like
+    `LogicMachine.step`, it emits invocation/response markers exactly when
+    the logic has an interface op (`op_name`).  The logic's pid is used for
+    snapshot handshakes, so the logics of one run need distinct pids.
     """
     codec = snap.codec
     parity = [0] * snap.m  # this process's bit per component (see `snapshot`)
-    emit = history_ops and logic.op_name is not None
+    emit = logic.op_name is not None
     if emit:
         yield ("inv", logic.op_name, ())
     while not logic.done:
@@ -254,9 +253,9 @@ def register_program(logic: LogicMachine, snap, base: int = 0, history_ops: bool
             view = yield from snap.scan_steps(logic.pid)
             res = tuple(codec.decode(i, view[i]) for i in range(op[1], op[2]))
         elif kind == "r":
-            res = yield (READ, base + op[1])
+            res = yield (READ, snap.base - 1 - op[1])
         elif kind == "w":
-            yield (WRITE, base + op[1], op[2])
+            yield (WRITE, snap.base - 1 - op[1], op[2])
             res = None
         else:
             raise ValueError(f"unknown op {op!r}")

@@ -37,7 +37,9 @@ accesses, and --trace exports trial 0's.
 Granularity: sifter and tas_det trials run at snapshot-op granularity for
 throughput (their step budgets are stated in object operations, and the
 obstruction-free TAS at register level under a uniform schedule needs
-millions of steps to finish already at n=8).  snapshot, tas_rand, and
+millions of steps to finish already at n=8), and after the schedule each
+process drains within its object's solo bound, S_MAX or S_MAX*ell(n)+2
+ops, or the run stops with drain's RuntimeError.  snapshot, tas_rand, and
 wrapped trials are always register-level and trace their own accesses; a
 sifter or tas_det trial makes none, so its trace re-runs its schedule kind
 and seed at register level.  --trace writes one access per JSON line.
@@ -69,12 +71,11 @@ from .shm import (
     run,
     run_live_uniform,
 )
-from .sifter import LOSE, WIN, sifter_machines, sifter_store, sifter_system
+from .sifter import LOSE, S_MAX, WIN, sifter_machines, sifter_store, sifter_system
 from .snapshot import BoundedSnapshot, ops_program
 from .tas_rand import RandTas
 from .verify import SearchBudgetExceeded, check_linearizable, check_tas, SnapshotSequential
 
-ATOMIC_SOLO_BOUND = 4000  # drain allowance per machine, object ops
 REGISTER_SOLO_BOUND = 100_000  # drain allowance per machine in register re-runs
 LIVE_CAP = 50_000_000  # absolute step cap for randomized runs
 
@@ -119,7 +120,7 @@ def _register_trace(system, n: int, args, seed: int) -> tuple:
 
 def trial_sifter(n: int, args, seed: int, record: bool = False) -> Trial:
     machines = sifter_machines(range(n))
-    _scheduled(machines, sifter_store(), 60, ATOMIC_SOLO_BOUND, args, seed)
+    _scheduled(machines, sifter_store(), 60, S_MAX, args, seed)
     wins = sum(1 for m in machines if m.result == WIN)
     loses = sum(1 for m in machines if m.result == LOSE)
     ok = 1 <= wins <= tas_det.f(n) and wins + loses == n
@@ -131,7 +132,7 @@ def trial_sifter(n: int, args, seed: int, record: bool = False) -> Trial:
 def trial_tas_det(n: int, args, seed: int, record: bool = False) -> Trial:
     machines = tas_det.tas_machines(n)
     h = History()
-    _scheduled(machines, tas_det.tas_store(n), 40, ATOMIC_SOLO_BOUND, args, seed, h)
+    _scheduled(machines, tas_det.tas_store(n), 40, S_MAX * tas_det.ell(n) + 2, args, seed, h)
     trace = _register_trace(tas_det.tas_system, n, args, seed) if record else ()
     return _tas_report(machines, h, trace=trace)
 

@@ -30,8 +30,9 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from .atomic import register_program
 from .shm import READ, WRITE, Memory, StepMachine
-from .tas_det import solo_step_bound, tas_machines, tas_program, tas_register_widths, tas_snapshot
+from .tas_det import solo_step_bound, tas_machines, tas_register_widths, tas_snapshot
 
 
 def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
@@ -63,13 +64,13 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
         res = yield item
 
 
-def wrapped_tas_program(logic, snap, n: int, b: int, rng, history_ops: bool = True):
-    """The one wrapped TAS lowering: `logic` run on `snap` through `wrap`.
+def wrapped_tas_program(logic, snap, b: int, rng):
+    """The one wrapped TAS lowering: `register_program(logic, snap)` through `wrap`.
 
-    Tails blocks read the TAS object's doorway bit, the register just below
-    its chain snapshot (see `tas_det.tas_snapshot`).
+    Coins are drawn over snap.n; tails blocks read the TAS object's doorway
+    bit, just below its chain snapshot (see `tas_det.tas_snapshot`).
     """
-    return wrap(tas_program(logic, snap, history_ops), n, b, rng, dummy_reg=snap.base - 1)
+    return wrap(register_program(logic, snap), snap.n, b, rng, dummy_reg=snap.base - 1)
 
 
 def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs=None):
@@ -86,7 +87,7 @@ def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs
     if coin_rngs is None:
         coin_rngs = {lg.pid: random.Random(f"coin:{seed}:{lg.pid}") for lg in logics}
     machines = [
-        StepMachine(lg.pid, wrapped_tas_program(lg, snap, n, b, coin_rngs[lg.pid]))
+        StepMachine(lg.pid, wrapped_tas_program(lg, snap, b, coin_rngs[lg.pid]))
         for lg in logics
     ]
     return machines, Memory(tas_register_widths(n)), logics

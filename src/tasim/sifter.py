@@ -29,7 +29,7 @@ The knockout subprotocol is what caps the number of winners: of the
 processes that saw the same signature with their id appearing once, at most
 one can sweep B before A changes.  A process running alone from any
 reachable point finishes within a constant number of snapshot operations
-(asserted as 20 in the tests); a fresh solo run takes exactly 12.
+(`S_MAX`, asserted in the tests); a fresh solo run takes exactly 12.
 
 The A-array-only variant without knockout (``NaiveSifterLogic``) guarantees
 at-least-one-winner but admits schedules where nearly everyone wins; it is
@@ -46,6 +46,11 @@ from .snapshot import BoundedSnapshot
 
 WIN = "win"
 LOSE = "lose"
+
+# Solo snapshot-op bound for one sifter from any reachable configuration
+# (a fresh solo compete takes exactly 12; the worst reachable case measured
+# is 16, asserted with headroom at 20).
+S_MAX = 20
 
 EMPTY_SIG = (None, None, None)
 B_EMPTY = (None, EMPTY_SIG)

@@ -19,8 +19,9 @@ The doorway serializes late arrivals behind the winner; the history checker
 validates the construction rather than trusting it.
 
 Total register count: 6*ell(n) + 2 (chain snapshot plus doorway), laid
-out by `tas_snapshot`; `tas_program` is the one lowering of a TAS process
-onto them, for every builder, wrapped or not, alone or in the pipeline.
+out by `tas_snapshot`.  `atomic.register_program(logic, snap)` lowers a
+TAS process onto them: the doorway, plain register 0, lands just below the
+chain snapshot, for every builder, wrapped or not, alone or in the pipeline.
 """
 
 from __future__ import annotations
@@ -29,13 +30,8 @@ from functools import lru_cache
 
 from .atomic import AtomicStore, register_program
 from .shm import Memory, StepMachine
-from .sifter import WIN, SifterLogic, sifter_snapshot, sifter_store
+from .sifter import S_MAX, WIN, SifterLogic, sifter_snapshot, sifter_store
 from .snapshot import BoundedSnapshot
-
-# Solo snapshot-op bound for one sifter from any reachable configuration
-# (a fresh solo compete takes exactly 12; the worst reachable case measured
-# is 16, asserted with headroom at 20).
-S_MAX = 20
 
 
 def f(k: int) -> int:
@@ -150,12 +146,6 @@ def tas_snapshot(n: int, base: int = 0) -> BoundedSnapshot:
     return sifter_snapshot(n, base + 1, ell(n))
 
 
-def tas_program(logic: TasLogic, snap: BoundedSnapshot, history_ops: bool = True):
-    """Register-level program of `logic` on `snap`, whose doorway bit is the
-    register just below the chain snapshot (see `tas_snapshot`)."""
-    return register_program(logic, snap, snap.base - 1, history_ops)
-
-
 def tas_register_widths(n: int) -> list[int]:
     return [1] + tas_snapshot(n).register_widths()
 
@@ -164,5 +154,5 @@ def tas_system(n: int):
     """Register-level TAS: (machines, memory, logics); set memory.record_trace to trace."""
     snap = tas_snapshot(n)
     logics = tas_machines(n)
-    machines = [StepMachine(lg.pid, tas_program(lg, snap)) for lg in logics]
+    machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
     return machines, Memory(tas_register_widths(n)), logics

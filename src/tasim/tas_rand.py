@@ -32,7 +32,7 @@ wins, and with kappa callers at most kappa-1 continue.
 Each LE2 is a fresh 2-process instance of the deterministic TAS (14
 registers), wrapped for randomized wait-freedom; its two potential callers
 are the stage-i splitter winner (role 0) and the stage-(i+1) chain survivor
-(role 1), so roles never collide.
+(role 1), so roles never collide.  A stage TAS records no interface events.
 
 Layout (`RandTas`): register 0 is the doorway; then the banks of sifters
 1..K-1, sized `gw_sizes(n)`, so K = len(gw_sizes(n)) + 1; the splitter pairs
@@ -53,6 +53,10 @@ from .tas_det import TasLogic, solo_step_bound, tas_register_widths, tas_snapsho
 
 CONTINUE = "continue"
 BETA = 16  # the 2-sized sifters number ceil(BETA * log2 n)
+
+
+class _StageTas(TasLogic):
+    op_name = None  # an LE2 or backstop: the pipeline's own tas() is the interface op
 
 
 def gw_sizes(n: int) -> tuple[int, ...]:
@@ -174,8 +178,7 @@ class RandTas:
                 out = yield from gw_steps(self.gw_base[i - 1], self.sizes[i - 1], rng)
             else:
                 bit = yield from wrapped_tas_program(
-                    TasLogic(pid, self.n), self.backstop_snap, self.n, self.bn, rng,
-                    history_ops=False,
+                    _StageTas(pid, self.n), self.backstop_snap, self.bn, rng
                 )
                 out = WIN if bit == 0 else LOSE
             if out == LOSE:
@@ -198,7 +201,7 @@ class RandTas:
                 role = 0 if j == won_at else 1
                 self._claim_le2(j, role, pid)
                 bit = yield from wrapped_tas_program(
-                    TasLogic(role, 2), self.le2_snaps[j - 1], 2, self.b2, rng, history_ops=False
+                    _StageTas(role, 2), self.le2_snaps[j - 1], self.b2, rng
                 )
                 if bit != 0:
                     break

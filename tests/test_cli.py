@@ -81,6 +81,14 @@ def test_violation_exit_code(monkeypatch, capsys):
     assert rc == 1
 
 
+def test_snapshot_op_trials_drain_by_the_solo_bound(monkeypatch):
+    # tas_det drains with S_MAX * ell(n) + 2 object ops; a bound too small
+    # for a solo finish stops the run with drain's error instead of a line
+    monkeypatch.setattr(cli, "S_MAX", 1)
+    with pytest.raises(RuntimeError, match="solo burst"):
+        cli.main("simulate --object tas_det --n 7 --trials 2 --seed 3".split())
+
+
 @pytest.mark.parametrize("obj", ["tas_rand", "wrapped"])
 def test_live_step_cap_is_reported(obj, monkeypatch, capsys):
     monkeypatch.setattr(cli, "LIVE_CAP", 5)

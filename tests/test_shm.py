@@ -199,7 +199,7 @@ def test_event_is_a_frozen_dataclass():
     assert dataclasses.astuple(r) == (4, 1, "res", "tas", (), 1)
 
 
-def test_history_ops_pairing_errors():
+def test_unpaired_events_make_ops_raise():
     h = History()
     h.events.append(Event(0, 1, "res", "op", ()))
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from tasim.shm import drain, make_schedule, run
 from tasim.sifter import (
     B_EMPTY,
     LOSE,
+    S_MAX,
     WIN,
     NaiveSifterLogic,
     SifterLogic,
@@ -25,8 +26,6 @@ from tasim.sifter import (
 )
 from tasim.tas_det import f
 from tasim.verify import probe_solo
-
-S_MAX = 20  # solo snapshot-op bound from any reachable configuration
 
 
 def test_helpers():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tasim.atomic import explore
+from tasim.atomic import explore, register_program
 from tasim.shm import Memory, StepMachine, drain, make_schedule, run
 from tasim.sifter import LOSE, WIN
 from tasim.tas_det import (
@@ -18,7 +18,6 @@ from tasim.tas_det import (
     register_count,
     solo_step_bound,
     tas_machines,
-    tas_program,
     tas_register_widths,
     tas_snapshot,
     tas_store,
@@ -189,7 +188,7 @@ def test_one_tas_snapshot_serves_two_runs():
 
     def one_run():
         logics = tas_machines(n)
-        machines = [StepMachine(lg.pid, tas_program(lg, snap)) for lg in logics]
+        machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
         memory = Memory(tas_register_widths(n), record_trace=True)
         h, t = run(machines, memory, make_schedule("random", n, 500, seed=7))
         drain(machines, memory, solo_step_bound(n), h, t)
@@ -214,14 +213,14 @@ def test_solo_resume_stays_within_step_bound():
 
 
 @pytest.mark.parametrize("n", [2, 5])
-def test_tas_program_shifts_by_exactly_its_base(n):
+def test_register_program_puts_the_doorway_below_the_snapshot(n):
     base = 9
     machines, memory, _ = tas_system(n)
     memory.record_trace = True
     drain(machines[:1], memory, 100_000)
     shifted = Memory([1] * base + tas_register_widths(n))
     shifted.record_trace = True
-    m = StepMachine(0, tas_program(TasLogic(0, n), tas_snapshot(n, base)))
+    m = StepMachine(0, register_program(TasLogic(0, n), tas_snapshot(n, base)))
     drain([m], shifted, 100_000)
     assert m.result == machines[0].result == 0
     touched = {reg for _, _, _, reg, _ in shifted.trace}

@@ -207,7 +207,7 @@ def test_backstop_plumbing_first_wins_second_loses():
     def backstop(pid):
         logic = TasLogic(pid, rt.n)
         rng = rt.process_rng(pid)
-        prog = wrapped_tas_program(logic, rt.backstop_snap, rt.n, rt.bn, rng, history_ops=False)
+        prog = wrapped_tas_program(logic, rt.backstop_snap, rt.bn, rng)
         return StepMachine(pid, prog)
 
     first = backstop(0)
@@ -218,6 +218,33 @@ def test_backstop_plumbing_first_wins_second_loses():
     assert second.result == 1
     # backstop registers live in their own bank; doorway untouched
     assert mem.regs[0] == 0
+
+
+class HeadsRecorder:
+    """Always heads; records the argument of every coin draw."""
+
+    def __init__(self):
+        self.draws = []
+
+    def randrange(self, n):
+        self.draws.append(n)
+        return 0
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+def test_every_stage_tas_is_lowered_onto_its_own_bank(n):
+    rt = RandTas(n)
+    for snap in rt.le2_snaps + [rt.backstop_snap]:
+        mem = rt.memory()
+        mem.record_trace = True
+        coin = HeadsRecorder()
+        m = StepMachine(0, wrapped_tas_program(TasLogic(0, snap.n), snap, 50, coin))
+        drain([m], mem, 10**6)
+        assert m.result == 0
+        touched = [reg for _, _, _, reg, _ in mem.trace]
+        assert touched[0] == snap.base - 1  # the doorway, first read
+        assert snap.base - 1 <= min(touched) and max(touched) <= snap.base + snap.m
+        assert coin.draws and set(coin.draws) == {snap.n}
 
 
 class AllHighRng:
