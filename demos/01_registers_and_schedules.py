@@ -21,7 +21,7 @@ def incr(pid, reg=0):
 def final_counter(schedule):
     memory = Memory([4])
     machines = [incr(0), incr(1)]
-    run(machines, memory, schedule, record=False)
+    run(machines, memory, schedule)
     return memory.regs[0]
 
 
@@ -32,7 +32,7 @@ def main():
     print(f"one-after-the-other:      counter = {kept}")
 
     memory = Memory([4], record_trace=True)
-    run([incr(0), incr(1)], memory, make_schedule("rr", 2, 4), record=False)
+    run([incr(0), incr(1)], memory, make_schedule("rr", 2, 4))
     print("register trace of the racy run (t, pid, kind, reg, value):")
     for entry in memory.trace:
         print("   ", entry)

@@ -12,7 +12,7 @@ need up to 4M+3 before the view settles.
 
 import random
 
-from tasim.shm import StepMachine, drain, run
+from tasim.shm import History, StepMachine, drain, run
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.verify import SnapshotSequential, check_linearizable
 
@@ -38,7 +38,7 @@ def main():
     mem2 = snap2.fresh_memory()
     scan2 = StepMachine(0, ops_program(snap2, 0, [("scan",)]))
     upd2 = StepMachine(1, ops_program(snap2, 1, [("update", 0, 7)]))
-    run([scan2, upd2], mem2, [0, 0, 0, 1, 1] + [0] * 40, record=False)
+    run([scan2, upd2], mem2, [0, 0, 0, 1, 1] + [0] * 40)
     print(f"scan crossed by an update: {scan2.steps} steps "
           f"(one wasted attempt), view = {scan2.result[0]}")
 
@@ -58,7 +58,7 @@ def main():
                     script.append(("scan",))
             machines.append(StepMachine(pid, ops_program(s, pid, script)))
         sched = [rng.randrange(3) for _ in range(400)]
-        h, _ = run(machines, mem, sched)
+        h, _ = run(machines, mem, sched, History())
         print(f"random workload {trial}: linearizable = {check_linearizable(h, spec)}")
 
 

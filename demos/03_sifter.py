@@ -21,7 +21,7 @@ NAIVE_BREAKER = [0, 0, 1, 1, 1, 1, 1, 1, 0, 2, 0, 2, 0, 0, 0, 0,
 def wins_under(make_machines, schedule, k):
     machines = make_machines(range(k))
     store = sifter_store()
-    run(machines, store, schedule, record=False)
+    run(machines, store, schedule)
     drain(machines, store, 100)
     return sum(1 for m in machines if m.result == WIN)
 

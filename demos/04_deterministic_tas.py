@@ -14,13 +14,13 @@ import random
 import statistics
 
 from tasim.shm import History, run_live_uniform
-from tasim.tas_det import register_count, solo_step_bound, tas_system
+from tasim.tas_det import solo_step_bound, tas_register_widths, tas_system
 from tasim.verify import check_tas
 
 
 def main():
     for n in (2, 8, 64, 1024):
-        print(f"n={n}: {register_count(n)} registers, "
+        print(f"n={n}: {len(tas_register_widths(n))} registers, "
               f"solo completion bound {solo_step_bound(n)} steps")
 
     for n in (2, 3, 4):

@@ -26,18 +26,18 @@ def main():
     sched = make_schedule("random", n, 1200, seed=5)
     plain, mem_plain, _ = tas_system(n)
     mem_plain.record_trace = True
-    run(plain, mem_plain, sched, record=False)
+    run(plain, mem_plain, sched)
     wrapped, mem_wrapped, _ = wrapped_tas_system(
         n, b=60, coin_rngs={p: HeadsRng() for p in range(n)}
     )
     mem_wrapped.record_trace = True
-    run(wrapped, mem_wrapped, sched, record=False)
+    run(wrapped, mem_wrapped, sched)
     print(f"all-heads trace identical to unwrapped: {mem_wrapped.trace == mem_plain.trace}")
 
     stalled, mem_stall, _ = wrapped_tas_system(
         n, b=10, coin_rngs={p: TailsRng() for p in range(n)}
     )
-    run(stalled, mem_stall, make_schedule("rr", n, 600), record=False)
+    run(stalled, mem_stall, make_schedule("rr", n, 600))
     print(f"all-tails registers untouched: {mem_stall.regs == [0] * len(mem_stall.regs)}")
 
     # real coins: per-process step totals stay within a few multiples of b

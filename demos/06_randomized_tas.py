@@ -20,7 +20,7 @@ def main():
     for n in (16, 64, 256, 1024):
         s1, z = gw_sizes(n)[:2]
         rt = RandTas(n, seed=0)
-        print(f"{n:<6} {rt.register_count:<11} {rt.backstop_index:<11} ({s1}, {z})")
+        print(f"{n:<6} {len(rt.widths):<11} {rt.backstop_index:<11} ({s1}, {z})")
 
     for n in (16, 256):
         means, backstops = [], 0

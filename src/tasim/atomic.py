@@ -145,7 +145,11 @@ class AtomicStore:
 _READ_ONLY = ("s", "r")
 
 # Benchmark-only: only perfbench/ calls it outside its pin test; ROADMAP item 6 removes it.
-run_atomic = run
+def run_atomic(machines, store, schedule, history=None, record=True, start_t=0):
+    """`shm.run` with its old defaults: a new History unless `record` is False."""
+    if record and history is None:
+        history = History()
+    return run(machines, store, schedule, history, start_t)
 
 
 # Benchmark-only: only perfbench/ calls it outside its pin test; ROADMAP item 6 removes it.

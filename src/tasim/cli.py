@@ -100,7 +100,7 @@ def _scheduled(machines, memory, per_process, bound, args, seed, history=None):
     """Run `per_process` slots per process of `args.schedule`, then drain."""
     n = len(machines)
     seq = make_schedule(args.schedule, n, per_process * n, seed=seed, burst=args.burst)
-    _, t = run(machines, memory, seq, history, record=False)
+    _, t = run(machines, memory, seq, history)
     drain(machines, memory, bound, history, t)
 
 
@@ -234,7 +234,7 @@ def cmd_sweep(args, out, _trace_fp) -> int:  # sweep has no --trace
     trial = TRIALS[args.object]
     det = args.object == "tas_det"  # else tas_rand
     for n in args.n_list:
-        regs = tas_det.register_count(n) if det else RandTas(n, seed=0).register_count
+        regs = len(tas_det.tas_register_widths(n) if det else RandTas(n, seed=0).widths)
         trials = [trial(n, args, args.seed + i) for i in range(args.trials)]
         all_ok = all_ok and all(tr.checker == "ok" for tr in trials)
         steps = [s for tr in trials for s in tr.steps]

@@ -36,6 +36,8 @@ snapshot-op-granularity ``atomic.LogicMachine``s over an ``atomic.AtomicStore``
 run through it too, as does `drain`, the one solo driver.  Only drivers
 (`run`, `drain`, `run_live_uniform`, ``atomic.explore``) check whether a
 machine has finished; a `step` is never called on a finished machine.
+Every driver records events only into a `History` it is given, and none
+makes one: without a history a run records nothing.
 """
 
 from __future__ import annotations
@@ -330,26 +332,20 @@ def run(
     memory,
     schedule: Iterable[int],
     history: Optional[History] = None,
-    record: bool = True,
-    start_t: int = 0,
+    t: int = 0,
 ) -> tuple[Optional[History], int]:
     """Drive machines through the schedule; one step per entry.
 
     The one runner for both granularities: `StepMachine`s over a `Memory`
     take one register access per entry, and `atomic.LogicMachine`s over an
     `atomic.AtomicStore` one snapshot operation; each steps through its own
-    `step(memory, t, history)`.  `schedule` is any iterable of pids.
-    Entries addressed to finished or absent machines are absorbed here as
-    no-ops (they consume the slot but touch nothing), never passed to
-    `step`.  Returns (history, t_next): a `history` passed in is extended
-    in place and returned whatever `record` is; without one, a new History
-    when record is set, else None.  t_next is the schedule position after
-    the last slot consumed.
+    `step(memory, t, history)`.  `schedule` is any iterable of pids, taken
+    from schedule position t on.  Entries addressed to finished or absent
+    machines are absorbed here as no-ops (they consume the slot but touch
+    nothing), never passed to `step`.  Returns (history, t_next), like
+    `drain`: t_next is the schedule position after the last slot consumed.
     """
-    if record and history is None:
-        history = History()
     get = _by_pid(machines).get
-    t = start_t
     for pid in schedule:
         m = get(pid)
         if m is not None and not m.done:

@@ -61,11 +61,6 @@ def ell(n: int) -> int:
     return floor_log32(n) + 1
 
 
-def register_count(n: int) -> int:
-    """Registers of the full TAS object: chain snapshot plus doorway bit."""
-    return 6 * ell(n) + 2
-
-
 def solo_step_bound(n: int) -> int:
     """Register steps a solo run needs from any reachable configuration.
 

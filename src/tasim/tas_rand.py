@@ -132,7 +132,6 @@ class RandTas:
         self.le2_snaps = [tas_snapshot(2, bank(tas_register_widths(2))) for _ in range(K)]
         self.backstop_snap = tas_snapshot(n, bank(tas_register_widths(n)))
         self.widths = widths
-        self.register_count = len(widths)
         self.b2 = solo_step_bound(2)
         self.bn = solo_step_bound(n)
 

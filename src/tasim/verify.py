@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .shm import History, OpRecord, drain, run
+from .shm import History, drain, run
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -228,7 +228,7 @@ def probe_solo(
         pids = [m.pid for m in machines]
         plen = rng.randrange(prefix_max + 1)
         prefix = [pids[rng.randrange(len(pids))] for _ in range(plen)]
-        run(machines, target, prefix, record=False)
+        run(machines, target, prefix)
         live = [m for m in machines if not m.done]
         if not live:
             report.trivial += 1

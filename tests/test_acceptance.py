@@ -30,7 +30,6 @@ from tasim.tas_det import (
     ell,
     f,
     floor_log32,
-    register_count,
     solo_step_bound,
     tas_machines,
     tas_register_widths,
@@ -87,7 +86,7 @@ def test_criterion_01_sifter_winner_bounds():
             machines = sifter_machines(range(k))
             store = sifter_store()
             sched = [rng.randrange(k) for _ in range(rng.randrange(5, 60 * k))]
-            run(machines, store, sched, record=False)
+            run(machines, store, sched)
             drain(machines, store, S_MAX)
             wins = sum(1 for m in machines if m.result == WIN)
             assert 1 <= wins <= f(k), (k, trial, wins)
@@ -220,9 +219,9 @@ def test_criterion_04_register_accounting():
     for n in (2, 16, 64, 1024):
         widths = tas_register_widths(n)
         expected = 6 * floor_log32(n) + 8
-        assert register_count(n) == expected == len(widths), n
+        assert len(widths) == expected, n
         count_details.append(f"n={n}: {expected}")
-    assert register_count(64) == 68  # 67 snapshot registers + 1 doorway bit
+    assert len(tas_register_widths(64)) == 68  # 67 snapshot registers + 1 doorway bit
     assert tas_register_widths(64)[0] == 1
 
     width_ok = True
@@ -295,7 +294,7 @@ def test_criterion_06_tas_det_histories():
             machines = tas_machines(n)
             store = tas_store(n)
             sched = [rng.randrange(n) for _ in range(rng.randrange(1, 25 * n))]
-            h, t = run(machines, store, sched)
+            h, t = run(machines, store, sched, History())
             drain(machines, store, bound, h, t)
             assert all(m.done for m in machines)
             results = [m.result for m in machines]
@@ -346,12 +345,12 @@ def test_criterion_07_wrapped_budget():
     sched = make_schedule("random", n, 4 * solo_step_bound(n), seed=4072)
     plain, mem_plain, logics_plain = tas_system(n)
     mem_plain.record_trace = True
-    run(plain, mem_plain, sched, record=False)
+    run(plain, mem_plain, sched)
     wrapped, mem_wrapped, logics_wrapped = wrapped_tas_system(
         n, b=b, coin_rngs={p: HeadsRng() for p in range(n)}
     )
     mem_wrapped.record_trace = True
-    run(wrapped, mem_wrapped, sched, record=False)
+    run(wrapped, mem_wrapped, sched)
     heads_ok = (
         mem_wrapped.trace == mem_plain.trace
         and [lg.result for lg in logics_wrapped] == [lg.result for lg in logics_plain]
@@ -385,7 +384,7 @@ def test_criterion_08_group_sifter():
         sched = [sched_rng.randrange(k) for _ in range(4 * k)]
         for p in range(k):  # drain: every call must finish to be counted
             sched += [p, p]
-        run(machines, mem, sched, record=False)
+        run(machines, mem, sched)
         assert all(m.done and m.steps == 2 for m in machines)
         winners.append(sum(1 for m in machines if m.result == WIN))
     mean = statistics.mean(winners)
@@ -468,7 +467,7 @@ def test_criterion_10_checker_cross_validation():
         machines = tas_machines(n)
         store = tas_store(n)
         sched = [rng.randrange(n) for _ in range(rng.randrange(1, 30 * n))]
-        h, t = run(machines, store, sched)
+        h, t = run(machines, store, sched, History())
         if rng.random() < 0.7:  # drain; otherwise leave ops pending
             drain(machines, store, S_MAX * ell(n) + 2, h, t)
         if rng.random() < 0.25:  # corrupt one response

@@ -8,12 +8,13 @@ from tasim.atomic import (
     explore,
     explore_interleavings,
     register_program,
+    run_atomic,
     run_atomic_solo,
 )
 from tasim.shm import History, StepMachine, drain, run
 from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_store
 from tasim.snapshot import BoundedSnapshot, ops_program
-from tasim.tas_det import TasLogic, tas_store, wle_store
+from tasim.tas_det import S_MAX, TasLogic, ell, tas_machines, tas_store, wle_store
 from tasim.verify import SnapshotSequential, check_linearizable
 
 
@@ -85,7 +86,7 @@ def test_fields_contract(name, make, store_of):
     # a fresh machine, and one stopped mid-run against a rival
     fresh = make(0)
     machines, store = [make(0), make(1)], store_of()
-    run(machines, store, [1, 1, 0, 0, 0], record=False)
+    run(machines, store, [1, 1, 0, 0, 0])
     mid = machines[0]
     assert 0 < mid.steps and not mid.done
     fields = type(fresh).FIELDS
@@ -103,7 +104,7 @@ def test_fields_contract(name, make, store_of):
 def test_run_atomic_history_convention():
     ms = [PutScanLogic(0, 2)]
     st = AtomicStore([None, None])
-    h, t_next = run(ms, st, [9, 0, 9, 0])  # absent pids absorbed
+    h, t_next = run(ms, st, [9, 0, 9, 0], History())  # absent pids absorbed
     assert t_next == 4
     ev = [(e.kind, e.time, e.result) for e in h.events]
     assert ev == [("inv", 2, None), ("res", 7, (1, None))]
@@ -113,6 +114,28 @@ def test_run_atomic_history_convention():
 def test_run_atomic_duplicate_pid():
     with pytest.raises(ValueError):
         run([SpinLogic(1), SpinLogic(1)], AtomicStore([], n_regs=1), [1])
+
+
+def test_run_atomic_keeps_the_benchmark_call_shapes():
+    # perfbench/ calls run_atomic three ways: by default it makes a History,
+    # record=False makes none, and history=h, start_t=t continues h from t
+    sched = [0, 1, 2] * 3
+    machines, store = tas_machines(3), tas_store(3)
+    h, t = run_atomic(machines, store, sched)
+    assert isinstance(h, History) and t == len(sched)
+    assert [e.kind for e in h.events] == ["inv"] * 3
+    quiet = tas_machines(3)
+    assert run_atomic(quiet, tas_store(3), sched, record=False) == (None, len(sched))
+    assert [m.key() for m in quiet] == [m.key() for m in machines]
+    bound = S_MAX * ell(3) + 2
+    for m in machines:
+        before = len(h.events)
+        got, t_next = run_atomic(machines, store, [m.pid] * bound, history=h, start_t=t)
+        assert got is h and t_next == t + bound and m.done
+        assert [(e.kind, e.pid) for e in h.events[before:]] == [("res", m.pid)]
+        assert 2 * t < h.events[-1].time < 2 * t_next
+        t = t_next
+    assert sorted(m.result for m in machines) == [0, 1, 1]
 
 
 def test_run_atomic_solo_bound():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from tasim import cli
-from tasim.tas_det import register_count
+from tasim.tas_det import tas_register_widths
 
 
 def test_simulate_stdout_json_lines(capsys):
@@ -254,6 +254,6 @@ def test_sweep_tas_det_counts_snapshot_ops(tmp_path):
     for row, n in zip(rows[1:], (16, 64)):
         cells = row.split(",")
         assert int(cells[0]) == n
-        assert int(cells[1]) == register_count(n)
+        assert int(cells[1]) == len(tas_register_widths(n))
         assert float(cells[2]) >= 1.0 and int(cells[3]) >= 1
         assert float(cells[4]) == 0.0  # the deterministic object has no backstop

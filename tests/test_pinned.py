@@ -41,7 +41,7 @@ def _digest(memory, machines) -> str:
 
 def _scheduled_then_drained(machines, memory, schedule) -> str:
     memory.record_trace = True
-    _, t = run(machines, memory, schedule, record=False)
+    _, t = run(machines, memory, schedule)
     drain(machines, memory, SOLO, t=t)
     return _digest(memory, machines)
 

@@ -41,13 +41,13 @@ def test_all_heads_equals_unwrapped_trace_for_trace():
 
     plain, mem_plain, logics_plain = tas_system(n)
     mem_plain.record_trace = True
-    run(plain, mem_plain, sched, record=False)
+    run(plain, mem_plain, sched)
 
     wrapped, mem_wrapped, logics_wrapped = wrapped_tas_system(
         n, b=50, coin_rngs={p: HeadsRng() for p in range(n)}
     )
     mem_wrapped.record_trace = True
-    run(wrapped, mem_wrapped, sched, record=False)
+    run(wrapped, mem_wrapped, sched)
 
     assert mem_wrapped.trace == mem_plain.trace
     assert [lg.result for lg in logics_wrapped] == [lg.result for lg in logics_plain]
@@ -60,7 +60,7 @@ def test_all_tails_never_advances_the_program():
         n, b=9, coin_rngs={p: TailsRng() for p in range(n)}
     )
     memory.record_trace = True
-    run(machines, memory, make_schedule("rr", n, 300), record=False)
+    run(machines, memory, make_schedule("rr", n, 300))
     assert all(not m.done for m in machines)
     assert all(lg.stage == "dr" for lg in logics)  # still before the doorway
     assert len(memory.trace) == 300
@@ -72,7 +72,7 @@ def test_coin_drawn_before_first_step_and_every_b_steps():
     b = 7
     coins = {0: CountingRng(HeadsRng()), 1: CountingRng(HeadsRng())}
     machines, memory, logics = wrapped_tas_system(2, b=b, coin_rngs=coins)
-    run(machines, memory, [0] * 400, record=False)
+    run(machines, memory, [0] * 400)
     assert machines[0].done and machines[0].steps == SOLO_STEPS_N2
     # draws at steps 0, b, 2b, ...: one more than full blocks completed
     assert coins[0].draws == (SOLO_STEPS_N2 - 1) // b + 1
@@ -86,7 +86,7 @@ def test_tails_block_costs_exactly_b_dummy_reads():
     coins = {0: SeqRng([1]), 1: HeadsRng()}
     machines, memory, logics = wrapped_tas_system(2, b=b, coin_rngs=coins)
     memory.record_trace = True
-    run(machines, memory, [0] * 500, record=False)
+    run(machines, memory, [0] * 500)
     m = machines[0]
     assert m.done and logics[0].result == 0
     assert m.steps == b + SOLO_STEPS_N2
@@ -115,7 +115,7 @@ def test_coin_mapping_must_hold_every_pid():
 def test_default_block_length_is_the_solo_bound():
     # a lone all-heads process must finish within one block: real steps only
     machines, memory, logics = wrapped_tas_system(1)
-    run(machines, memory, [0] * (solo_step_bound(1) + 5), record=False)
+    run(machines, memory, [0] * (solo_step_bound(1) + 5))
     assert machines[0].done and logics[0].result == 0
     assert machines[0].steps <= solo_step_bound(1)
 
@@ -188,7 +188,7 @@ def test_tails_block_resumes_the_wrapped_generator_once():
     m = StepMachine(0, counted(wrap(inner(), 2, b, SeqRng([1, 1]))))
     memory = Memory([1, 4], record_trace=True)
     memory.regs[1] = 3
-    run([m], memory, [0] * (2 * b + 5), record=False)
+    run([m], memory, [0] * (2 * b + 5))
     assert m.done and m.result == 3 and m.steps == 2 * b + 1
     # two tails blocks, one op each, then the real read
     assert ops == [("r", 0, b), ("r", 0, b), ("r", 1)]

@@ -21,6 +21,7 @@ from tasim.shm import (
     run,
     run_live_uniform,
 )
+from tasim.tas_det import S_MAX, ell, tas_machines, tas_store
 from tasim.verify import probe_solo
 
 
@@ -106,23 +107,38 @@ def test_lost_update_race_is_observable():
 def test_noop_absorption_and_results():
     mem = Memory([16])
     machines = [StepMachine(0, counter_prog(0, 0, 1))]
-    h, _ = run(machines, mem, [0] * 10)
+    h, _ = run(machines, mem, [0] * 10, History())
     m = machines[0]
     assert m.done and m.result == 0 and m.steps == 2  # 8 slots absorbed
     ops = h.ops()
     assert len(ops) == 1 and ops[0].result == 0 and not ops[0].pending
 
 
-def test_run_extends_a_given_history_even_unrecorded():
-    # record=False only skips creating a history: one passed in is extended
-    # and returned, which lets a caller collect the events of an unrecorded run
-    mem = Memory([16])
-    machines = [StepMachine(0, counter_prog(0, 0, 1))]
-    h = History()
-    got, t = run(machines, mem, [0, 0], history=h, record=False)
-    assert got is h and t == 2
-    assert [(e.kind, e.time, e.result) for e in h.events] == [("inv", 0, None), ("res", 3, 0)]
-    assert run(machines, mem, [0], record=False) == (None, 1)
+def test_drivers_record_only_a_given_history():
+    # run and drain, at register and at snapshot-op granularity, record into
+    # the History they are given and make none: without one a run records
+    # nothing and returns (None, t_next)
+    bound = S_MAX * ell(2) + 2
+    systems = (
+        lambda: ([StepMachine(p, counter_prog(p, 0, 1)) for p in range(2)], Memory([16])),
+        lambda: (tas_machines(2), tas_store(2)),
+    )
+    for make in systems:
+        ms, mem = make()
+        h = History()
+        assert run(ms, mem, [0] * bound, h) == (h, bound)
+        assert drain(ms, mem, bound, h, bound) == (h, 2 * bound)
+        s0, s1 = (m.steps for m in ms)
+        assert [(e.pid, e.kind, e.time, e.result) for e in h.events] == [
+            (0, "inv", 0, None),
+            (0, "res", 2 * s0 - 1, ms[0].result),
+            (1, "inv", 2 * bound, None),
+            (1, "res", 2 * (bound + s1) - 1, ms[1].result),
+        ]
+        quiet, mem = make()
+        assert run(quiet, mem, [0] * bound) == (None, bound)
+        assert drain(quiet, mem, bound, t=bound) == (None, 2 * bound)
+        assert [(m.result, m.steps) for m in quiet] == [(m.result, m.steps) for m in ms]
 
 
 def test_auto_history_rejected():
@@ -144,7 +160,7 @@ def test_explicit_history_res_then_inv():
 
     mem = Memory([4])
     machines = [StepMachine(0, prog())]
-    h, _ = run(machines, mem, [0, 0])
+    h, _ = run(machines, mem, [0, 0], History())
     ev = [(e.kind, e.op, e.time, e.result) for e in h.events]
     assert ev == [
         ("inv", "first", 0, None),
@@ -214,7 +230,7 @@ def test_unpaired_events_make_ops_raise():
 def test_drain_finishes_each_machine_in_solo_bursts():
     mem = Memory([16], record_trace=True)
     ms = [StepMachine(p, counter_prog(p, 0, 2)) for p in range(2)]
-    h, t = run(ms, mem, [0, 1])
+    h, t = run(ms, mem, [0, 1], History())
     assert t == 2
     h, t = drain(ms, mem, 10, h, t)
     assert all(m.done for m in ms) and t == 22
@@ -272,7 +288,7 @@ def test_block_op_takes_k_slots_and_resumes_once():
 
     mem = Memory([8, 8], record_trace=True)
     ms = [StepMachine(0, prog()), StepMachine(1, writer())]
-    h, t = run(ms, mem, [0, 0, 1, 0, 0, 0, 0, 0])
+    h, t = run(ms, mem, [0, 0, 1, 0, 0, 0, 0, 0], History())
     m = ms[0]
     assert t == 8 and m.done and m.result == 5
     assert resumed == [5]  # once, with the last read's value
@@ -297,7 +313,7 @@ def test_block_op_pending_invocation_attaches_to_first_read():
 
     mem = Memory([4], record_trace=True)
     m = StepMachine(0, prog())
-    h, t = run([m], mem, [1, 0, 0, 0, 0, 0])  # pid 1 is absent
+    h, t = run([m], mem, [1, 0, 0, 0, 0, 0], History())  # pid 1 is absent
     assert m.done and m.steps == 3 and t == 6
     assert [e[0] for e in mem.trace] == [1, 2, 3]
     assert [(e.kind, e.time, e.result) for e in h.events] == [
@@ -327,7 +343,7 @@ def test_block_op_equals_single_reads():
         mem = Memory([16], record_trace=True)
         ms = [StepMachine(0, reader(0, 7)), StepMachine(1, reader(0, 1))]
         ms += [StepMachine(2, counter_prog(2, 0, 6))]
-        h, _ = run(ms, mem, sched)
+        h, _ = run(ms, mem, sched, History())
         runs.append((mem.trace, h.events, [(m.result, m.steps) for m in ms]))
     assert runs[0] == runs[1]
 

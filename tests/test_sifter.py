@@ -77,7 +77,7 @@ def test_random_schedules_respect_winner_bounds():
         machines = sifter_machines(range(k))
         store = sifter_store()
         sched = [rng.randrange(k) for _ in range(rng.randrange(5, 60 * k))]
-        run(machines, store, sched, record=False)
+        run(machines, store, sched)
         drain(machines, store, S_MAX)
         wins = sum(1 for m in machines if m.result == WIN)
         loses = sum(1 for m in machines if m.result == LOSE)
@@ -165,13 +165,13 @@ NAIVE_BREAKER = [0, 0, 1, 1, 1, 1, 1, 1, 0, 2, 0, 2, 0, 0, 0, 0,
 def test_knockout_phase_is_load_bearing():
     naive = [NaiveSifterLogic(p) for p in range(5)]
     store = sifter_store()
-    run(naive, store, NAIVE_BREAKER, record=False)
+    run(naive, store, NAIVE_BREAKER)
     naive_wins = sum(1 for m in naive if m.result == WIN)
     assert naive_wins == 4 > f(5)
 
     full = sifter_machines(range(5))
     store2 = sifter_store()
-    run(full, store2, NAIVE_BREAKER, record=False)
+    run(full, store2, NAIVE_BREAKER)
     drain(full, store2, S_MAX)
     wins = sum(1 for m in full if m.result == WIN)
     assert 1 <= wins <= f(5) == 3
@@ -184,7 +184,7 @@ def test_naive_variant_still_has_a_winner():
         k = rng.randrange(2, 6)
         machines = [NaiveSifterLogic(p) for p in range(k)]
         store = sifter_store()
-        run(machines, store, [rng.randrange(k) for _ in range(40)], record=False)
+        run(machines, store, [rng.randrange(k) for _ in range(40)])
         drain(machines, store, 100)
         assert any(m.result == WIN for m in machines)
 
@@ -258,10 +258,10 @@ def test_register_level_concurrent_outcomes():
         n = 3
         machines, memory, logics = sifter_system(n)
         sched = make_schedule("random", n, 250, seed=seed)
-        run(machines, memory, sched, record=False)
+        run(machines, memory, sched)
         for m in machines:
             if not m.done:
-                run(machines, memory, [m.pid] * 600, record=False)
+                run(machines, memory, [m.pid] * 600)
         assert all(m.done for m in machines)
         wins = sum(1 for lg in logics if lg.result == WIN)
         assert 1 <= wins <= f(n)

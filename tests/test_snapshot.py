@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tasim.atomic import explore_interleavings
-from tasim.shm import Memory, StepMachine, drain, make_schedule, run
+from tasim.shm import History, StepMachine, drain, make_schedule, run
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.verify import SnapshotSequential, check_linearizable, probe_solo
 
@@ -92,7 +92,7 @@ def test_one_snapshot_serves_two_runs():
             StepMachine(pid, ops_program(snap, pid, [("update", 0, pid + 1), ("scan",)]))
             for pid in range(2)
         ]
-        history, _ = run(machines, memory, make_schedule("random", 2, 200, seed=5))
+        history, _ = run(machines, memory, make_schedule("random", 2, 200, seed=5), History())
         assert all(m.done for m in machines)
         return memory.trace, history.events, [m.result for m in machines]
 
@@ -120,7 +120,7 @@ def test_update_mid_scan_forces_retry():
     updater = StepMachine(1, ops_program(s, 1, [("update", 0, 3)]))
     # scanner does W S + first collect, updater lands both writes, scanner
     # finishes the attempt (c2 differs and S was overwritten), then retries
-    run([scanner, updater], mem, [0, 0, 0, 1, 1] + [0] * 20, record=False)
+    run([scanner, updater], mem, [0, 0, 0, 1, 1] + [0] * 20)
     assert scanner.done and updater.done
     assert scanner.steps == (2 * m + 2) * 2
     assert scanner.result == [(3, 0)]
@@ -132,7 +132,7 @@ def test_sequential_history_linearizes():
     m = StepMachine(
         0, ops_program(s, 0, [("update", 1, 5), ("scan",), ("update", 0, 2), ("scan",)])
     )
-    h, _ = run([m], mem, [0] * 40)
+    h, _ = run([m], mem, [0] * 40, History())
     assert m.result == [(0, 5), (2, 5)]
     assert check_linearizable(h, SnapshotSequential(2, 0))
 
@@ -153,10 +153,10 @@ def test_random_concurrent_histories_linearize():
                     script.append(("scan",))
             machines.append(StepMachine(p, ops_program(s, p, script)))
         sched = make_schedule("random", n, 150, seed=1000 + trial)
-        h, _ = run(machines, mem, sched)
+        h, _ = run(machines, mem, sched, History())
         for mm in machines:
             if not mm.done:
-                run(machines, mem, [mm.pid] * 200, history=h, start_t=150)
+                run(machines, mem, [mm.pid] * 200, history=h, t=150)
         assert all(mm.done for mm in machines)
         assert check_linearizable(h, SnapshotSequential(m, 0)), f"trial {trial}"
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tasim.atomic import explore, register_program
-from tasim.shm import Memory, StepMachine, drain, make_schedule, run
+from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run
 from tasim.sifter import LOSE, WIN
 from tasim.tas_det import (
     S_MAX,
@@ -15,7 +15,6 @@ from tasim.tas_det import (
     ell,
     f,
     floor_log32,
-    register_count,
     solo_step_bound,
     tas_machines,
     tas_register_widths,
@@ -59,13 +58,12 @@ def test_log32_against_fraction_oracle():
 def test_level_and_register_counts():
     assert ell(1) == 1 and ell(2) == 2 and ell(3) == 3
     assert ell(8) == 6 and ell(64) == 11
-    assert register_count(2) == 14
-    assert register_count(8) == 38
-    assert register_count(64) == 68  # = 6*floor_log32(64) + 8
+    assert len(tas_register_widths(2)) == 14
+    assert len(tas_register_widths(8)) == 38
+    assert len(tas_register_widths(64)) == 68  # = 6*floor_log32(64) + 8
     for n in (2, 8, 64, 1024):
-        assert register_count(n) == 6 * floor_log32(n) + 8
         widths = tas_register_widths(n)
-        assert len(widths) == register_count(n)
+        assert len(widths) == 6 * floor_log32(n) + 8
         assert widths[0] == 1  # doorway bit
         assert widths[-1] == n.bit_length()  # handshake register
         assert max(widths) == 3 * math.ceil(math.log2(n)) + 3
@@ -105,7 +103,7 @@ def test_wle_random_schedules_exactly_one_leader():
         n = rng.randrange(2, 7)
         machines = wle_machines(n)
         store = wle_store(n)
-        run(machines, store, [rng.randrange(n) for _ in range(30 * n)], record=False)
+        run(machines, store, [rng.randrange(n) for _ in range(30 * n)])
         drain(machines, store, S_MAX * ell(n))
         assert sum(1 for m in machines if m.result == WIN) == 1, f"trial {trial}"
 
@@ -135,7 +133,7 @@ def test_tas_atomic_histories_check_out():
         n = rng.randrange(2, 9)
         machines = tas_machines(n)
         store = tas_store(n)
-        h, t = run(machines, store, [rng.randrange(n) for _ in range(25 * n)])
+        h, t = run(machines, store, [rng.randrange(n) for _ in range(25 * n)], History())
         drain(machines, store, S_MAX * ell(n) + 2, h, t)
         assert all(m.done for m in machines)
         assert sorted(o.result for o in h.ops()) == [0] + [1] * (n - 1)
@@ -147,12 +145,12 @@ def test_late_arrival_loses_through_chain_then_doorway():
     machines = tas_machines(3)
     store = tas_store(3)
     # pids 0 and 1 finish completely before pid 2 takes its first step
-    h, t = run(machines, store, [0] * 80 + [1] * 80)
+    h, t = run(machines, store, [0] * 80 + [1] * 80, History())
     done_two = [m for m in machines if m.pid < 2]
     assert all(m.done for m in done_two)
     assert store.regs[0] == 1  # the chain loser marked the doorway
     late = machines[2]
-    h, t = run(machines, store, [2] * 5, history=h, start_t=t)
+    h, t = run(machines, store, [2] * 5, history=h, t=t)
     assert late.done and late.result == 1 and late.steps == 1  # doorway read
     assert check_tas(h).ok
 
@@ -160,7 +158,7 @@ def test_late_arrival_loses_through_chain_then_doorway():
 def test_doorway_bit_is_monotone_and_single_width():
     machines, memory, logics = tas_system(3)
     memory.record_trace = True
-    _, t = run(machines, memory, make_schedule("random", 3, 400, seed=8), record=False)
+    _, t = run(machines, memory, make_schedule("random", 3, 400, seed=8))
     drain(machines, memory, solo_step_bound(3), t=t)
     assert all(m.done for m in machines)
     writes = [e for e in memory.trace if e[2] == "W" and e[3] == 0]
@@ -172,7 +170,7 @@ def test_register_level_outcomes_and_histories():
     for seed in range(25):
         n = 3
         machines, memory, logics = tas_system(n)
-        h, t = run(machines, memory, make_schedule("random", n, 500, seed=seed))
+        h, t = run(machines, memory, make_schedule("random", n, 500, seed=seed), History())
         drain(machines, memory, solo_step_bound(n), h, t)
         assert all(m.done for m in machines)
         results = sorted(lg.result for lg in logics)
@@ -190,7 +188,7 @@ def test_one_tas_snapshot_serves_two_runs():
         logics = tas_machines(n)
         machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
         memory = Memory(tas_register_widths(n), record_trace=True)
-        h, t = run(machines, memory, make_schedule("random", n, 500, seed=7))
+        h, t = run(machines, memory, make_schedule("random", n, 500, seed=7), History())
         drain(machines, memory, solo_step_bound(n), h, t)
         return memory.trace, h.events, [lg.result for lg in logics]
 

@@ -62,7 +62,7 @@ def test_register_count_closed_form():
             + 14 * K  # one wrapped 2-process chain per stage
             + 6 * ell(n) + 2  # backstop chain
         )
-        assert rt.register_count == expect == len(rt.memory().widths), f"n={n}"
+        assert len(rt.widths) == expect == len(rt.memory().widths), f"n={n}"
 
 
 @pytest.mark.parametrize("n", [16, 1024])
@@ -89,12 +89,11 @@ def test_register_map_agrees_with_tas_snapshot(n):
     assert rt.backstop_snap.base == len(expect) + 1
     expect += full
     assert rt.widths == expect  # no gap, no overlap, and the backstop ends the map
-    assert rt.register_count == len(expect)
 
 
 def test_register_count_scales_logarithmically():
     # Theta(log n): the measured totals grow by ~constant per doubling
-    counts = {n: RandTas(n).register_count for n in (16, 64, 256, 1024)}
+    counts = {n: len(RandTas(n).widths) for n in (16, 64, 256, 1024)}
     assert counts[16] == 1313
     assert counts[64] == 1989
     assert counts[256] == 2629
@@ -157,7 +156,7 @@ def test_gw_never_all_lose():
         ]
         order = [p for p in range(k) for _ in range(2)]
         rng.shuffle(order)
-        run(machines, mem, order, record=False)
+        run(machines, mem, order)
         assert all(m.done for m in machines)
         assert any(m.result == WIN for m in machines), f"trial {trial}"
 
@@ -165,7 +164,7 @@ def test_gw_never_all_lose():
 def _run_split_pair(order):
     mem = Memory([max(1, 1), 1])  # X (pid width), Y
     ms = [StepMachine(p, split_steps(0, 1, p)) for p in range(2)]
-    run(ms, mem, list(order), record=False)
+    run(ms, mem, list(order))
     assert all(m.done for m in ms)
     return ms[0].result, ms[1].result
 
@@ -186,7 +185,7 @@ def test_split_exhaustive_two_process_interleavings():
 def test_split_lone_caller_wins():
     mem = Memory([1, 1])
     m = StepMachine(0, split_steps(0, 1, 0))
-    run([m], mem, [0, 0, 0, 0], record=False)
+    run([m], mem, [0, 0, 0, 0])
     assert m.result == WIN
 
 
@@ -279,7 +278,7 @@ def test_solo_pipeline_wins_quickly():
     rt = RandTas(8, seed=1)
     mem = rt.memory()
     m = rt.machines()[0]
-    run([m], mem, [0] * 100_000, record=False)
+    run([m], mem, [0] * 100_000)
     assert m.done and m.result == 0
     assert mem.regs[0] == 0  # winners never write the doorway
     assert rt.entered[rt.backstop_index] == 0
@@ -310,7 +309,7 @@ def test_latecomer_takes_doorway_fast_path():
     assert sum(1 for m in machines[:3] if m.result == 0) == 1
     assert mem.regs[0] == 1  # some loser marked the doorway
     late = machines[3]
-    run([late], mem, [3] * 3, record=False)
+    run([late], mem, [3] * 3)
     assert late.done and late.result == 1 and late.steps == 1
 
 

@@ -353,7 +353,7 @@ def test_probe_solo_trivial_configurations():
 
     def factory_long(rng):
         machines, mem = factory(rng)
-        run(machines, mem, [0, 0], record=False)  # pre-finish before the probe's prefix
+        run(machines, mem, [0, 0])  # pre-finish before the probe's prefix
         return machines, mem
 
     r2 = probe_solo(factory_long, samples=20, bound=5, seed=0)
