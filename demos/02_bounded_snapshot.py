@@ -58,7 +58,7 @@ def main():
                     script.append(("scan",))
             machines.append(StepMachine(pid, ops_program(s, pid, script)))
         sched = [rng.randrange(3) for _ in range(400)]
-        h, _ = run(machines, mem, sched, History())
+        h = run(machines, mem, sched, History())
         print(f"random workload {trial}: linearizable = {check_linearizable(h, spec)}")
 
 

@@ -109,13 +109,14 @@ class LogicMachine:
 
 
 class AtomicStore:
-    """Snapshot components, initially `comps`, and `n_regs` zeroed plain registers."""
+    """Components `comps`, `n_regs` zeroed plain registers, schedule position `t` (not keyed)."""
 
-    __slots__ = ("comps", "regs")
+    __slots__ = ("comps", "regs", "t")
 
     def __init__(self, comps, n_regs: int = 0):
         self.comps = list(comps)
         self.regs = [0] * n_regs
+        self.t = 0
 
     def apply(self, op: tuple):
         kind = op[0]
@@ -135,6 +136,7 @@ class AtomicStore:
         c = object.__new__(AtomicStore)
         c.comps = list(self.comps)
         c.regs = list(self.regs)
+        c.t = self.t
         return c
 
     def key(self) -> tuple:
@@ -145,11 +147,14 @@ class AtomicStore:
 _READ_ONLY = ("s", "r")
 
 # Benchmark-only: only perfbench/ calls it outside its pin test; ROADMAP item 6 removes it.
+# It starts the store's clock at `start_t` and returns (history, clock after the run).
 def run_atomic(machines, store, schedule, history=None, record=True, start_t=0):
     """`shm.run` with its old defaults: a new History unless `record` is False."""
     if record and history is None:
         history = History()
-    return run(machines, store, schedule, history, start_t)
+    store.t = start_t
+    run(machines, store, schedule, history)
+    return history, store.t
 
 
 # Benchmark-only: only perfbench/ calls it outside its pin test; ROADMAP item 6 removes it.

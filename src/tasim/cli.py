@@ -100,8 +100,8 @@ def _scheduled(machines, memory, per_process, bound, args, seed, history=None):
     """Run `per_process` slots per process of `args.schedule`, then drain."""
     n = len(machines)
     seq = make_schedule(args.schedule, n, per_process * n, seed=seed, burst=args.burst)
-    _, t = run(machines, memory, seq, history)
-    drain(machines, memory, bound, history, t)
+    run(machines, memory, seq, history)
+    drain(machines, memory, bound, history)
 
 
 def _register_trace(system, n: int, args, seed: int) -> tuple:

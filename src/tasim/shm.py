@@ -37,7 +37,8 @@ run through it too, as does `drain`, the one solo driver.  Only drivers
 (`run`, `drain`, `run_live_uniform`, ``atomic.explore``) check whether a
 machine has finished; a `step` is never called on a finished machine.
 Every driver records events only into a `History` it is given, and none
-makes one: without a history a run records nothing.
+makes one: without a history a run records nothing.  Every driver starts at
+`memory.t`, the memory's schedule position, and leaves it after its last slot.
 """
 
 from __future__ import annotations
@@ -144,15 +145,17 @@ class Memory:
     While `record_trace` (the one trace switch) is set, the trace records one
     entry per shared-memory step: ``(t, pid, 'R'|'W', reg, val)``.  Scheduling
     slots that land on finished machines absorb into no-ops and leave none.
+    `t` is the execution's schedule position, 0 when made; only drivers move it.
     """
 
-    __slots__ = ("widths", "regs", "trace", "record_trace")
+    __slots__ = ("widths", "regs", "trace", "record_trace", "t")
 
     def __init__(self, widths: Iterable[int], record_trace: bool = False):
         self.widths = list(widths)
         self.regs = [0] * len(self.widths)  # zeros fit any width
         self.trace: list[tuple] = []
         self.record_trace = record_trace
+        self.t = 0
 
     def _check(self, reg: int, val: int) -> None:
         if not isinstance(val, int) or val < 0 or val >> self.widths[reg]:
@@ -332,26 +335,27 @@ def run(
     memory,
     schedule: Iterable[int],
     history: Optional[History] = None,
-    t: int = 0,
-) -> tuple[Optional[History], int]:
+) -> Optional[History]:
     """Drive machines through the schedule; one step per entry.
 
     The one runner for both granularities: `StepMachine`s over a `Memory`
     take one register access per entry, and `atomic.LogicMachine`s over an
     `atomic.AtomicStore` one snapshot operation; each steps through its own
     `step(memory, t, history)`.  `schedule` is any iterable of pids, taken
-    from schedule position t on.  Entries addressed to finished or absent
-    machines are absorbed here as no-ops (they consume the slot but touch
-    nothing), never passed to `step`.  Returns (history, t_next), like
-    `drain`: t_next is the schedule position after the last slot consumed.
+    from schedule position `memory.t` on, which is left after the last slot
+    consumed.  Entries addressed to finished or absent machines are absorbed
+    here as no-ops (they consume the slot but touch nothing), never passed
+    to `step`.  Returns `history`, like `drain`.
     """
     get = _by_pid(machines).get
+    t = memory.t
     for pid in schedule:
         m = get(pid)
         if m is not None and not m.done:
             m.step(memory, t, history)
         t += 1
-    return history, t
+    memory.t = t
+    return history
 
 
 def _by_pid(machines: list) -> dict:
@@ -368,31 +372,31 @@ def drain(
     memory,
     bound: int,
     history: Optional[History] = None,
-    t: int = 0,
-):
+) -> Optional[History]:
     """Finish every unfinished machine with one solo burst of `bound` slots.
 
     Bursts run in list order, over a Memory or an AtomicStore, and continue
-    the run at schedule position t, recording into `history` when one is
-    given.  A burst steps its machine directly, slot by slot, and stops
-    early once it finishes; the burst still takes all `bound` slots of the
-    schedule, so the next burst starts `bound` slots later, as it would
-    under `run` with `[pid] * bound`.  Raises ValueError on a duplicate pid
-    and RuntimeError if a machine is still unfinished after its burst.
-    Returns (history, t_next).
+    the run at schedule position `memory.t`, recording into `history` when
+    one is given.  A burst steps its machine directly, slot by slot, and
+    stops early once it finishes; the burst still takes all `bound` slots of
+    the schedule, so the next burst starts `bound` slots later, as it would
+    under `run` with `[pid] * bound`, and `memory.t` is left after the last
+    burst.  Raises ValueError on a duplicate pid and RuntimeError if a
+    machine is still unfinished after its burst.  Returns `history`.
     """
     _by_pid(machines)  # raises on a duplicate pid, as run does
     for m in machines:
         if not m.done:
+            t = memory.t
+            memory.t = end = t + bound  # the burst takes all its slots, even failing
             step = m.step
-            for slot in range(t, t + bound):
+            for slot in range(t, end):
                 step(memory, slot, history)
                 if m.done:
                     break
             else:
                 raise RuntimeError(f"pid {m.pid} not done after a solo burst of {bound}")
-            t += bound
-    return history, t
+    return history
 
 
 def run_live_uniform(
@@ -409,8 +413,9 @@ def run_live_uniform(
     entry uniform over the unfinished ones.  This runner draws only that
     subsequence, so observable behavior (step order, hence histories and
     outcomes) is distributed exactly as under `run` with a long 'random'
-    schedule, at a fraction of the cost.  Returns the number of useful steps.
-    Raises ValueError on a duplicate pid, as `run` does.
+    schedule, at a fraction of the cost.  Starts at `memory.t`, leaves it
+    after its last slot, and returns the number of slots taken (at most
+    `max_steps`).  Raises ValueError on a duplicate pid, as `run` does.
 
     `rng` is a random.Random, or anything whose getrandbits(k) packs its
     32-bit words as CPython's does.  Each index below the live count c is
@@ -429,8 +434,9 @@ def run_live_uniform(
     untraced = not memory.record_trace
     c = len(live)
     bits = c.bit_length()
-    t = 0
-    while c and t < max_steps:
+    t = t0 = memory.t
+    end = t0 + max_steps
+    while c and t < end:
         i = getrandbits(bits)
         while i >= c:
             i = getrandbits(bits)
@@ -447,9 +453,10 @@ def run_live_uniform(
                 c -= 1
                 bits = c.bit_length()
             if untraced and 0 < c <= 255 and (m.done or m._left > _SKIP):
-                t += _skip_blocks(live, getrandbits, max_steps - t - 1)
+                t += _skip_blocks(live, getrandbits, end - t - 1)
         t += 1
-    return t
+    memory.t = t
+    return t - t0
 
 
 _SKIP = 32  # skip in bulk only while every live machine has more reads left

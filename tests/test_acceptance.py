@@ -294,8 +294,8 @@ def test_criterion_06_tas_det_histories():
             machines = tas_machines(n)
             store = tas_store(n)
             sched = [rng.randrange(n) for _ in range(rng.randrange(1, 25 * n))]
-            h, t = run(machines, store, sched, History())
-            drain(machines, store, bound, h, t)
+            h = run(machines, store, sched, History())
+            drain(machines, store, bound, h)
             assert all(m.done for m in machines)
             results = [m.result for m in machines]
             assert results.count(0) == 1, (n, trial, results)
@@ -467,9 +467,9 @@ def test_criterion_10_checker_cross_validation():
         machines = tas_machines(n)
         store = tas_store(n)
         sched = [rng.randrange(n) for _ in range(rng.randrange(1, 30 * n))]
-        h, t = run(machines, store, sched, History())
+        h = run(machines, store, sched, History())
         if rng.random() < 0.7:  # drain; otherwise leave ops pending
-            drain(machines, store, S_MAX * ell(n) + 2, h, t)
+            drain(machines, store, S_MAX * ell(n) + 2, h)
         if rng.random() < 0.25:  # corrupt one response
             idxs = [i for i, e in enumerate(h.events) if e.kind == "res"]
             if idxs:

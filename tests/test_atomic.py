@@ -50,6 +50,7 @@ class SpinLogic(LogicMachine):
 
 def test_store_ops_and_keys():
     st = AtomicStore([None, None], n_regs=1)
+    assert st.t == 0
     assert st.apply(("s", 0, 2)) == (None, None)
     st.apply(("u", 1, "x"))
     assert st.apply(("s", 0, 2)) == (None, "x")
@@ -60,6 +61,9 @@ def test_store_ops_and_keys():
     st.apply(("u", 0, "y"))
     assert snap.comps == [None, "x"] and st.comps == ["y", "x"]
     assert snap.key() != st.key()
+    key = st.key()
+    st.t = 5  # the schedule position is cloned but not keyed
+    assert st.key() == key and st.clone().t == 5
     with pytest.raises(ValueError):
         st.apply(("z",))
 
@@ -101,17 +105,17 @@ def test_fields_contract(name, make, store_of):
         assert vars(m) == before  # stepping the clone left the original alone
 
 
-def test_run_atomic_history_convention():
+def test_run_logic_machine_history_convention():
     ms = [PutScanLogic(0, 2)]
     st = AtomicStore([None, None])
-    h, t_next = run(ms, st, [9, 0, 9, 0], History())  # absent pids absorbed
-    assert t_next == 4
+    h = run(ms, st, [9, 0, 9, 0], History())  # absent pids absorbed
+    assert st.t == 4
     ev = [(e.kind, e.time, e.result) for e in h.events]
     assert ev == [("inv", 2, None), ("res", 7, (1, None))]
     assert ms[0].result == (1, None) and ms[0].steps == 2
 
 
-def test_run_atomic_duplicate_pid():
+def test_run_rejects_duplicate_logic_pids():
     with pytest.raises(ValueError):
         run([SpinLogic(1), SpinLogic(1)], AtomicStore([], n_regs=1), [1])
 
@@ -260,12 +264,23 @@ def test_explore_interleavings_requires_trace():
         explore_interleavings(make)
 
 
+def test_explore_interleavings_node_cap():
+    def make():
+        snap = BoundedSnapshot(0, 2, n=2, value_bits=2, codec=PutScanCodec())
+        memory = snap.fresh_memory(record_trace=True)
+        progs = [register_program(PutScanLogic(p, 2), snap) for p in range(2)]
+        return [StepMachine(p, prog) for p, prog in enumerate(progs)], memory
+
+    with pytest.raises(RuntimeError, match="exploration exceeds"):
+        explore_interleavings(make, max_nodes=3)
+
+
 def test_register_program_solo_result():
     snap = BoundedSnapshot(0, 2, n=1, value_bits=2, codec=PutScanCodec())
     memory = snap.fresh_memory()
     logic = PutScanLogic(0, 2)
     m = StepMachine(0, register_program(logic, snap))
-    h, _ = drain([m], memory, 100, History())
+    h = drain([m], memory, 100, History())
     assert m.result == (1, None)  # the codec decodes an unwritten comp as None
     assert m.steps == 2 + (2 * 2 + 2)  # one update + one fresh scan
     ops = h.ops()

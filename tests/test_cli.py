@@ -11,6 +11,7 @@ import pytest
 
 from tasim import cli
 from tasim.tas_det import tas_register_widths
+from tasim.verify import SearchBudgetExceeded
 
 
 def test_simulate_stdout_json_lines(capsys):
@@ -87,6 +88,17 @@ def test_snapshot_op_trials_drain_by_the_solo_bound(monkeypatch):
     monkeypatch.setattr(cli, "S_MAX", 1)
     with pytest.raises(RuntimeError, match="solo burst"):
         cli.main("simulate --object tas_det --n 7 --trials 2 --seed 3".split())
+
+
+def test_snapshot_search_budget_is_reported(monkeypatch, capsys):
+    def over_budget(*args):
+        raise SearchBudgetExceeded("budget")
+
+    monkeypatch.setattr(cli, "check_linearizable", over_budget)
+    rc = cli.main(["simulate", "--object", "snapshot", "--n", "3", "--trials", "1"])
+    rec = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert rec["checker"] == "unknown: search budget exceeded"
 
 
 @pytest.mark.parametrize("obj", ["tas_rand", "wrapped"])

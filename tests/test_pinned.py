@@ -41,8 +41,8 @@ def _digest(memory, machines) -> str:
 
 def _scheduled_then_drained(machines, memory, schedule) -> str:
     memory.record_trace = True
-    _, t = run(machines, memory, schedule)
-    drain(machines, memory, SOLO, t=t)
+    run(machines, memory, schedule)
+    drain(machines, memory, SOLO)
     return _digest(memory, machines)
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tasim.randomized import HeadsRng, TailsRng, wrap, wrapped_tas_system
-from tasim.shm import History, Memory, StepMachine, make_schedule, run, run_live_uniform
+from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run, run_live_uniform
 from tasim.tas_det import solo_step_bound, tas_system
 from tasim.verify import check_tas
 
@@ -115,7 +115,7 @@ def test_coin_mapping_must_hold_every_pid():
 def test_default_block_length_is_the_solo_bound():
     # a lone all-heads process must finish within one block: real steps only
     machines, memory, logics = wrapped_tas_system(1)
-    run(machines, memory, [0] * (solo_step_bound(1) + 5))
+    drain(machines, memory, solo_step_bound(1))
     assert machines[0].done and logics[0].result == 0
     assert machines[0].steps <= solo_step_bound(1)
 

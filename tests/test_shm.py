@@ -107,7 +107,7 @@ def test_lost_update_race_is_observable():
 def test_noop_absorption_and_results():
     mem = Memory([16])
     machines = [StepMachine(0, counter_prog(0, 0, 1))]
-    h, _ = run(machines, mem, [0] * 10, History())
+    h = run(machines, mem, [0] * 10, History())
     m = machines[0]
     assert m.done and m.result == 0 and m.steps == 2  # 8 slots absorbed
     ops = h.ops()
@@ -117,7 +117,8 @@ def test_noop_absorption_and_results():
 def test_drivers_record_only_a_given_history():
     # run and drain, at register and at snapshot-op granularity, record into
     # the History they are given and make none: without one a run records
-    # nothing and returns (None, t_next)
+    # nothing and returns None.  Each starts at the memory's position t and
+    # leaves it after its last slot
     bound = S_MAX * ell(2) + 2
     systems = (
         lambda: ([StepMachine(p, counter_prog(p, 0, 1)) for p in range(2)], Memory([16])),
@@ -125,9 +126,10 @@ def test_drivers_record_only_a_given_history():
     )
     for make in systems:
         ms, mem = make()
+        assert mem.t == 0
         h = History()
-        assert run(ms, mem, [0] * bound, h) == (h, bound)
-        assert drain(ms, mem, bound, h, bound) == (h, 2 * bound)
+        assert run(ms, mem, [0] * bound, h) is h and mem.t == bound
+        assert drain(ms, mem, bound, h) is h and mem.t == 2 * bound
         s0, s1 = (m.steps for m in ms)
         assert [(e.pid, e.kind, e.time, e.result) for e in h.events] == [
             (0, "inv", 0, None),
@@ -136,9 +138,23 @@ def test_drivers_record_only_a_given_history():
             (1, "res", 2 * (bound + s1) - 1, ms[1].result),
         ]
         quiet, mem = make()
-        assert run(quiet, mem, [0] * bound) == (None, bound)
-        assert drain(quiet, mem, bound, t=bound) == (None, 2 * bound)
+        assert run(quiet, mem, [0] * bound) is None and mem.t == bound
+        assert drain(quiet, mem, bound) is None and mem.t == 2 * bound
         assert [(m.result, m.steps) for m in quiet] == [(m.result, m.steps) for m in ms]
+
+    # run, drain and run_live_uniform on one Memory: each continues the last
+    mem = Memory([16], record_trace=True)
+    ms = [StepMachine(p, counter_prog(p, 0, 1)) for p in range(3)]
+    h = History()
+    run(ms, mem, [0, 1], h)
+    assert mem.t == 2
+    drain(ms[:2], mem, 10, h)  # pid 0 in slots 2..11, pid 1 in 12..21
+    assert mem.t == 22
+    assert run_live_uniform(ms[2:], mem, random.Random(0), 10, h) == 2
+    assert mem.t == 24 and all(m.done for m in ms)
+    assert [e[0] for e in mem.trace] == [0, 1, 2, 12, 22, 23]
+    times = [e.time for e in h.events]
+    assert times == sorted(set(times)) and times[-2:] == [44, 47]
 
 
 def test_auto_history_rejected():
@@ -160,7 +176,7 @@ def test_explicit_history_res_then_inv():
 
     mem = Memory([4])
     machines = [StepMachine(0, prog())]
-    h, _ = run(machines, mem, [0, 0], History())
+    h = run(machines, mem, [0, 0], History())
     ev = [(e.kind, e.op, e.time, e.result) for e in h.events]
     assert ev == [
         ("inv", "first", 0, None),
@@ -230,10 +246,10 @@ def test_unpaired_events_make_ops_raise():
 def test_drain_finishes_each_machine_in_solo_bursts():
     mem = Memory([16], record_trace=True)
     ms = [StepMachine(p, counter_prog(p, 0, 2)) for p in range(2)]
-    h, t = run(ms, mem, [0, 1], History())
-    assert t == 2
-    h, t = drain(ms, mem, 10, h, t)
-    assert all(m.done for m in ms) and t == 22
+    h = run(ms, mem, [0, 1], History())
+    assert mem.t == 2
+    drain(ms, mem, 10, h)
+    assert all(m.done for m in ms) and mem.t == 22
     # pid 0's burst covers slots 2..11, pid 1's slots 12..21
     assert [e[0] for e in mem.trace] == [0, 1, 2, 3, 4, 12, 13, 14]
     assert [o.pending for o in h.ops()] == [False, False]
@@ -288,9 +304,9 @@ def test_block_op_takes_k_slots_and_resumes_once():
 
     mem = Memory([8, 8], record_trace=True)
     ms = [StepMachine(0, prog()), StepMachine(1, writer())]
-    h, t = run(ms, mem, [0, 0, 1, 0, 0, 0, 0, 0], History())
+    h = run(ms, mem, [0, 0, 1, 0, 0, 0, 0, 0], History())
     m = ms[0]
-    assert t == 8 and m.done and m.result == 5
+    assert mem.t == 8 and m.done and m.result == 5
     assert resumed == [5]  # once, with the last read's value
     assert m.steps == 5  # four reads and the write; slots 6 and 7 are no-ops
     assert [e for e in mem.trace if e[1] == 0] == [
@@ -313,8 +329,8 @@ def test_block_op_pending_invocation_attaches_to_first_read():
 
     mem = Memory([4], record_trace=True)
     m = StepMachine(0, prog())
-    h, t = run([m], mem, [1, 0, 0, 0, 0, 0], History())  # pid 1 is absent
-    assert m.done and m.steps == 3 and t == 6
+    h = run([m], mem, [1, 0, 0, 0, 0, 0], History())  # pid 1 is absent
+    assert m.done and m.steps == 3 and mem.t == 6
     assert [e[0] for e in mem.trace] == [1, 2, 3]
     assert [(e.kind, e.time, e.result) for e in h.events] == [
         ("inv", 2, None),
@@ -343,7 +359,7 @@ def test_block_op_equals_single_reads():
         mem = Memory([16], record_trace=True)
         ms = [StepMachine(0, reader(0, 7)), StepMachine(1, reader(0, 1))]
         ms += [StepMachine(2, counter_prog(2, 0, 6))]
-        h, _ = run(ms, mem, sched, History())
+        h = run(ms, mem, sched, History())
         runs.append((mem.trace, h.events, [(m.result, m.steps) for m in ms]))
     assert runs[0] == runs[1]
 
@@ -506,8 +522,8 @@ def test_drivers_never_step_a_finished_machine():
         run(ms, mem, [0, 1, 2] * 50 + [0] * 5)  # slots long after each finished
         assert all(m.done for m in ms)
         ms, mem = make()
-        _, t = run(ms, mem, [0] * 50)  # pid 0 finishes, then takes more slots
-        drain(ms, mem, 50, t=t)
+        run(ms, mem, [0] * 50)  # pid 0 finishes, then takes more slots
+        drain(ms, mem, 50)
         assert all(m.done for m in ms)
         assert probe_solo(make, 40, 50, seed=1, prefix_max=150).ok
     for traced in (False, True):

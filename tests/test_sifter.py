@@ -259,9 +259,7 @@ def test_register_level_concurrent_outcomes():
         machines, memory, logics = sifter_system(n)
         sched = make_schedule("random", n, 250, seed=seed)
         run(machines, memory, sched)
-        for m in machines:
-            if not m.done:
-                run(machines, memory, [m.pid] * 600)
+        drain(machines, memory, 600)
         assert all(m.done for m in machines)
         wins = sum(1 for lg in logics if lg.result == WIN)
         assert 1 <= wins <= f(n)

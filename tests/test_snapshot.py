@@ -92,7 +92,7 @@ def test_one_snapshot_serves_two_runs():
             StepMachine(pid, ops_program(snap, pid, [("update", 0, pid + 1), ("scan",)]))
             for pid in range(2)
         ]
-        history, _ = run(machines, memory, make_schedule("random", 2, 200, seed=5), History())
+        history = run(machines, memory, make_schedule("random", 2, 200, seed=5), History())
         assert all(m.done for m in machines)
         return memory.trace, history.events, [m.result for m in machines]
 
@@ -132,7 +132,7 @@ def test_sequential_history_linearizes():
     m = StepMachine(
         0, ops_program(s, 0, [("update", 1, 5), ("scan",), ("update", 0, 2), ("scan",)])
     )
-    h, _ = run([m], mem, [0] * 40, History())
+    h = run([m], mem, [0] * 40, History())
     assert m.result == [(0, 5), (2, 5)]
     assert check_linearizable(h, SnapshotSequential(2, 0))
 
@@ -153,10 +153,8 @@ def test_random_concurrent_histories_linearize():
                     script.append(("scan",))
             machines.append(StepMachine(p, ops_program(s, p, script)))
         sched = make_schedule("random", n, 150, seed=1000 + trial)
-        h, _ = run(machines, mem, sched, History())
-        for mm in machines:
-            if not mm.done:
-                run(machines, mem, [mm.pid] * 200, history=h, t=150)
+        h = run(machines, mem, sched, History())
+        drain(machines, mem, 200, h)
         assert all(mm.done for mm in machines)
         assert check_linearizable(h, SnapshotSequential(m, 0)), f"trial {trial}"
 

@@ -133,8 +133,8 @@ def test_tas_atomic_histories_check_out():
         n = rng.randrange(2, 9)
         machines = tas_machines(n)
         store = tas_store(n)
-        h, t = run(machines, store, [rng.randrange(n) for _ in range(25 * n)], History())
-        drain(machines, store, S_MAX * ell(n) + 2, h, t)
+        h = run(machines, store, [rng.randrange(n) for _ in range(25 * n)], History())
+        drain(machines, store, S_MAX * ell(n) + 2, h)
         assert all(m.done for m in machines)
         assert sorted(o.result for o in h.ops()) == [0] + [1] * (n - 1)
         v = check_tas(h)
@@ -145,12 +145,12 @@ def test_late_arrival_loses_through_chain_then_doorway():
     machines = tas_machines(3)
     store = tas_store(3)
     # pids 0 and 1 finish completely before pid 2 takes its first step
-    h, t = run(machines, store, [0] * 80 + [1] * 80, History())
+    h = run(machines, store, [0] * 80 + [1] * 80, History())
     done_two = [m for m in machines if m.pid < 2]
     assert all(m.done for m in done_two)
     assert store.regs[0] == 1  # the chain loser marked the doorway
     late = machines[2]
-    h, t = run(machines, store, [2] * 5, history=h, t=t)
+    run(machines, store, [2] * 5, h)
     assert late.done and late.result == 1 and late.steps == 1  # doorway read
     assert check_tas(h).ok
 
@@ -158,8 +158,8 @@ def test_late_arrival_loses_through_chain_then_doorway():
 def test_doorway_bit_is_monotone_and_single_width():
     machines, memory, logics = tas_system(3)
     memory.record_trace = True
-    _, t = run(machines, memory, make_schedule("random", 3, 400, seed=8))
-    drain(machines, memory, solo_step_bound(3), t=t)
+    run(machines, memory, make_schedule("random", 3, 400, seed=8))
+    drain(machines, memory, solo_step_bound(3))
     assert all(m.done for m in machines)
     writes = [e for e in memory.trace if e[2] == "W" and e[3] == 0]
     assert writes and all(e[4] == 1 for e in writes)
@@ -170,8 +170,8 @@ def test_register_level_outcomes_and_histories():
     for seed in range(25):
         n = 3
         machines, memory, logics = tas_system(n)
-        h, t = run(machines, memory, make_schedule("random", n, 500, seed=seed), History())
-        drain(machines, memory, solo_step_bound(n), h, t)
+        h = run(machines, memory, make_schedule("random", n, 500, seed=seed), History())
+        drain(machines, memory, solo_step_bound(n), h)
         assert all(m.done for m in machines)
         results = sorted(lg.result for lg in logics)
         assert results == [0, 1, 1]
@@ -188,8 +188,8 @@ def test_one_tas_snapshot_serves_two_runs():
         logics = tas_machines(n)
         machines = [StepMachine(lg.pid, register_program(lg, snap)) for lg in logics]
         memory = Memory(tas_register_widths(n), record_trace=True)
-        h, t = run(machines, memory, make_schedule("random", n, 500, seed=7), History())
-        drain(machines, memory, solo_step_bound(n), h, t)
+        h = run(machines, memory, make_schedule("random", n, 500, seed=7), History())
+        drain(machines, memory, solo_step_bound(n), h)
         return memory.trace, h.events, [lg.result for lg in logics]
 
     first = one_run()

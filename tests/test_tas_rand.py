@@ -210,10 +210,10 @@ def test_backstop_plumbing_first_wins_second_loses():
         return StepMachine(pid, prog)
 
     first = backstop(0)
-    _, t = drain([first], mem, 10**6)
+    drain([first], mem, 10**6)
     assert first.result == 0
     second = backstop(1)
-    drain([second], mem, 10**6, t=t)
+    drain([second], mem, 10**6)
     assert second.result == 1
     # backstop registers live in their own bank; doorway untouched
     assert mem.regs[0] == 0
@@ -263,8 +263,8 @@ def test_pipeline_backstop_admits_one_to_its_splitter():
     machines = rt.machines()
     mem = rt.memory()
     h = History()
-    _, t = run(machines, mem, make_schedule("rr", 128, 1000 * 128), history=h)
-    drain(machines, mem, 10**6, h, t)
+    run(machines, mem, make_schedule("rr", 128, 1000 * 128), history=h)
+    drain(machines, mem, 10**6, h)
     K = rt.backstop_index
     assert rt.entered[K] >= 2  # several processes get past every splitter before K
     # only the backstop's winner goes on to the stage-K splitter
@@ -278,7 +278,7 @@ def test_solo_pipeline_wins_quickly():
     rt = RandTas(8, seed=1)
     mem = rt.memory()
     m = rt.machines()[0]
-    run([m], mem, [0] * 100_000)
+    drain([m], mem, 100_000)
     assert m.done and m.result == 0
     assert mem.regs[0] == 0  # winners never write the doorway
     assert rt.entered[rt.backstop_index] == 0
