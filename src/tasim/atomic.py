@@ -14,14 +14,19 @@ test-and-set analyses (their step bounds count snapshot operations), and it
 keeps state spaces small enough for exhaustive breadth-first exploration
 with duplicate-state elimination.  A logic machine steps with the same
 `step(store, t, history)` protocol as a register-level `shm.StepMachine`,
-so `shm.run` and `shm.drain` drive either kind, and `explore` steps through
-it too.
+so `shm.run` and `shm.drain` drive either kind.
 
 The same logic machines can instead be lowered onto the register-level
 machinery in `shm`/`snapshot` via `register_program`, which expands each
 snapshot operation into its constituent register reads and writes.  Both
 granularities execute the same decision logic, so coarse-grained exhaustive
-results and fine-grained spot checks corroborate each other.
+results and fine-grained checks corroborate each other.
+
+`explore` drives both granularities: logic machines over an AtomicStore,
+and step machines over a `shm.Memory` whose programs are cursors
+(`shm.Cursor`: `register_program`, `snapshot.ops_program`), which clone
+and key like logic machines.  At register level, retry loops revisit
+states, so the merged state graph is finite and closes with no depth cap.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from collections import Counter
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .shm import READ, WRITE, Event, History, drain, run
+from .shm import READ, WRITE, Cursor, Event, History, as_cursor, drain, run
 
 
 def _key_getter(fields: tuple) -> attrgetter:
@@ -173,13 +178,22 @@ def explore(
     make_system: Callable[[], tuple],
     state_check: Optional[Callable] = None,
     max_states: int = 2_000_000,
+    by_history: bool = False,
 ):
     """Exhaustive breadth-first exploration of all schedules.
 
-    `make_system()` returns (machines, store).  Every reachable system state
-    is visited exactly once (duplicate configurations merged via machine and
-    store keys), `state_check(machines, store)` runs on each, and terminal
-    states are tallied by the tuple of machine results.
+    `make_system()` returns (machines, store): logic machines over an
+    AtomicStore, or `shm.StepMachine`s whose programs are cursors over an
+    untraced `shm.Memory` (ValueError if it records a trace).  Every
+    reachable system state is visited exactly once (duplicate
+    configurations merged via machine and store keys), `state_check(machines,
+    store)` runs on each, and terminal states are tallied by the tuple of
+    machine results.
+
+    With `by_history`, a state also holds the interface events recorded on
+    the way to it, times dropped, so two states merge only if they agree on
+    those too, and terminal states are tallied by history: a tuple of
+    `shm.Event`s timed 0, 1, 2, ... in order, ready for a `shm.History`.
 
     Keys are carried incrementally.  Each distinct machine key and store
     key is numbered once, in first-seen order, and a state's key is the
@@ -187,55 +201,82 @@ def explore(
     frontier state carries that tuple, and a successor recomputes only the
     key of the machine that moved.  A successor whose step only read (a
     scan or a register read) shares its parent's store and store number,
-    since states are never mutated once built.
+    since states are never mutated once built.  A history is numbered by
+    its last event and the number of the history before it.
 
     Returns (terminals: Counter, states_visited: int).
     """
     machines0, store0 = make_system()
+    if getattr(store0, "record_trace", False):
+        raise ValueError("explore needs an untraced memory: successors share their parent's store")
+    record = History() if by_history else None
+    hnums: dict = {}  # (history number, event) -> number of the history it extends to
+    hlast = [None]  # history number -> (number before it, its last event); 0 is empty
     mnums: dict = {}  # machine key -> its number
     snums: dict = {}  # store key -> its number
     key0 = tuple(mnums.setdefault(m.key(), len(mnums)) for m in machines0)
     key0 += (snums.setdefault(store0.key(), len(snums)),)
-    seen = {key0}
-    frontier = [(machines0, store0, key0)]
+    seen = {key0 if record is None else (key0, 0)}
+    frontier = [(machines0, store0, key0, 0)]
     terminals: Counter = Counter()
     while frontier:
         nxt = []
-        for machines, store, key in frontier:
+        for machines, store, key, h in frontier:
             if state_check is not None:
                 state_check(machines, store)
             live = [i for i, m in enumerate(machines) if not m.done]
             if not live:
-                terminals[tuple(m.result for m in machines)] += 1
+                terminals[h if record is not None else tuple(m.result for m in machines)] += 1
                 continue
             for i in live:
                 mi = machines[i].clone()
                 if mi.op[0] in _READ_ONLY:
                     st = store
-                    mi.step(st, 0, None)
+                    mi.step(st, 0, record)
                     rest = key[i + 1 :]
                 else:
                     st = store.clone()
-                    mi.step(st, 0, None)
+                    mi.step(st, 0, record)
                     rest = key[i + 1 : -1] + (snums.setdefault(st.key(), len(snums)),)
-                k = key[:i] + (mnums.setdefault(mi.key(), len(mnums)),) + rest
-                if k not in seen:
+                k = sk = key[:i] + (mnums.setdefault(mi.key(), len(mnums)),) + rest
+                hk = h
+                if record is not None:
+                    for e in record.events:
+                        link = (hk, (e.pid, e.kind, e.op, e.args, e.result))
+                        hk = hnums.get(link)
+                        if hk is None:
+                            hk = hnums[link] = len(hlast)
+                            hlast.append(link)
+                    record.events.clear()
+                    sk = (k, hk)
+                if sk not in seen:
                     if len(seen) >= max_states:
                         raise RuntimeError(f"state space exceeds {max_states}")
-                    seen.add(k)
+                    seen.add(sk)
                     ms = list(machines)
                     ms[i] = mi
-                    nxt.append((ms, st, k))
+                    nxt.append((ms, st, k, hk))
         frontier = nxt
+    if record is not None:
+        terminals = Counter({_events(hlast, h): c for h, c in terminals.items()})
     return terminals, len(seen)
+
+
+def _events(hlast: list, h: int) -> tuple:
+    """History number h as its Events, timed by position."""
+    evs = []
+    while h:
+        h, ev = hlast[h]
+        evs.append(ev)
+    return tuple(Event(t, *ev) for t, ev in enumerate(reversed(evs)))
 
 
 # ---------------------------------------------------------------------------
 # lowering logic machines to the register level
 
 
-def register_program(logic: LogicMachine, snap):
-    """Expand a logic machine into a register-level step generator.
+def register_program(logic: LogicMachine, snap) -> "_Lowered":
+    """Expand a logic machine into a register-level program, a `shm.Cursor`.
 
     `snap` is an owner-tagged BoundedSnapshot, and plain register r is
     register snap.base - 1 - r, below the snapshot.  The snapshot's codec
@@ -245,44 +286,103 @@ def register_program(logic: LogicMachine, snap):
     and both granularities share one decision procedure.  Like
     `LogicMachine.step`, it emits invocation/response markers exactly when
     the logic has an interface op (`op_name`).  The logic's pid is used for
-    snapshot handshakes, so the logics of one run need distinct pids.
+    snapshot handshakes, so the logics of one run need distinct pids.  The
+    program advances `logic` itself; a clone advances a clone of it.
     """
-    codec = snap.codec
-    parity = [0] * snap.m  # this process's bit per component (see `snapshot`)
-    emit = logic.op_name is not None
-    if emit:
-        yield ("inv", logic.op_name, ())
-    while not logic.done:
+    return _Lowered(logic, snap)
+
+
+# `_Lowered.stage`: nothing returned yet; the next send starts the logic's next
+# op; the next send carries a plain register op's response; finished
+_START, _NEXT, _PLAIN, _END = range(4)
+
+
+class _Lowered(Cursor):
+    """`register_program`'s cursor: a snapshot op of the logic runs as `sub`."""
+
+    def __init__(self, logic: LogicMachine, snap):
+        self.logic = logic
+        self.snap = snap
+        self.stage = _START
+        self.sub = None
+        self.parity = [0] * snap.m  # this process's bit per component (see `snapshot`)
+
+    def send(self, val):
+        sub = self.sub
+        if sub is not None:
+            item = sub.step(val)
+            if item is not None:
+                return item
+            self.sub = None
+            logic = self.logic
+            op = logic.op
+            if op[0] == "s":
+                decode = self.snap.codec.decode
+                view = sub.result
+                logic.advance(tuple(decode(i, view[i]) for i in range(op[1], op[2])))
+            else:
+                logic.advance(None)
+        else:
+            logic = self.logic
+            stage = self.stage
+            if stage == _PLAIN:
+                logic.advance(val)
+            elif stage == _START:
+                self.stage = _NEXT
+                if logic.op_name is not None:
+                    return ("inv", logic.op_name, ())
+            elif stage == _END:
+                raise StopIteration(logic.result)
+        if logic.done:
+            self.stage = _END
+            if logic.op_name is not None:
+                return ("res", logic.result)
+            raise StopIteration(logic.result)
         op = logic.op
         kind = op[0]
+        snap = self.snap
+        if kind == "r":
+            self.stage = _PLAIN
+            return (READ, snap.base - 1 - op[1])
+        if kind == "w":
+            self.stage = _PLAIN
+            return (WRITE, snap.base - 1 - op[1], op[2])
+        self.stage = _NEXT
         if kind == "u":
-            yield from snap.update_steps(logic.pid, op[1], codec.encode(op[1], op[2]), parity)
-            res = None
+            sub = snap.update_steps(logic.pid, op[1], snap.codec.encode(op[1], op[2]), self.parity)
         elif kind == "s":
-            view = yield from snap.scan_steps(logic.pid)
-            res = tuple(codec.decode(i, view[i]) for i in range(op[1], op[2]))
-        elif kind == "r":
-            res = yield (READ, snap.base - 1 - op[1])
-        elif kind == "w":
-            yield (WRITE, snap.base - 1 - op[1], op[2])
-            res = None
+            sub = as_cursor(snap.scan_steps(logic.pid))
         else:
             raise ValueError(f"unknown op {op!r}")
-        logic.advance(res)
-    if emit:
-        yield ("res", logic.result)
-    return logic.result
+        self.sub = sub
+        return sub.step(None)
+
+    def clone(self) -> "_Lowered":
+        c = super().clone()
+        c.logic = self.logic.clone()
+        if self.sub is not None:
+            c.sub = self.sub.clone()
+        c.parity = list(self.parity)
+        return c
+
+    def key(self) -> tuple:
+        sub = self.sub
+        sub_key = None if sub is None else sub.key()
+        return (self.logic.key(), self.stage, sub_key, tuple(self.parity))
 
 
 # ---------------------------------------------------------------------------
 # register-level exhaustive exploration (replay based)
 
 
+# Benchmark-only: only `explore_interleavings` calls it; ROADMAP item 6 removes it.
 def _canon(h: History) -> tuple:
     # interface events with timestamps dropped; order is what matters
     return tuple((e.pid, e.kind, e.op, e.args, e.result) for e in h.events)
 
 
+# Benchmark-only: only perfbench/ calls it outside its pin tests; ROADMAP item 6 removes it.
+# `explore(..., by_history=True)` closes the same systems with no depth cap.
 def explore_interleavings(
     make_system: Callable[[], tuple],
     on_terminal: Optional[Callable] = None,
@@ -293,9 +393,9 @@ def explore_interleavings(
     """Exhaustively explore register-level interleavings by prefix replay.
 
     `make_system()` must return fresh (machines, memory) with deterministic
-    programs and `memory.record_trace` enabled.  Step generators cannot be
-    cloned, so each schedule prefix is replayed from scratch; prefixes are
-    merged when they agree on (interface history modulo timestamps, register
+    programs and `memory.record_trace` enabled.  Nothing is cloned: each
+    schedule prefix is replayed from scratch, and prefixes are merged when
+    they agree on (interface history modulo timestamps, register
     contents, per-pid observation sequence, done flags).  A deterministic
     program's continuation is a function of its own observations and the
     memory, and linearizability depends only on event order, so merged

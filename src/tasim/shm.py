@@ -9,12 +9,18 @@ the processes do (in particular not to their coin flips).  A seeded random
 schedule draws from its own `random.Random`, seeded with the string
 ``schedule:<seed>``, like the library's other seeded streams.
 
-Programs are written as generators that yield operation tuples and receive
-the operation's response::
+A program yields operation tuples and receives each operation's response.
+It is a generator::
 
     def prog(pid):
         v = yield ('r', 3)        # read register 3
         yield ('w', 0, v + 1)     # write register 0
+
+or an explicit iterator, a `Cursor`, whose ``send`` plays the generator's
+part and whose whole state is in its fields, so that it has `clone` and
+`key`: the snapshot's scan and update, ``snapshot.ops_program`` and
+``atomic.register_program`` are cursors.  Only a machine whose program is a
+cursor can be cloned and explored (``atomic.explore``).
 
 A *block op* ``('r', reg, k)`` stands for k reads of one register in a
 row: it takes k schedule slots, k steps and k trace entries, exactly as k
@@ -51,7 +57,7 @@ from typing import Any, Generator, Iterable, Optional
 READ = "r"
 WRITE = "w"
 
-Program = Generator[tuple, Any, Any]
+Program = Generator[tuple, Any, Any]  # or a `Cursor`
 
 
 class RegisterWidthError(ValueError):
@@ -175,6 +181,19 @@ class Memory:
         if self.record_trace:
             self.trace.append((t, pid, "W", reg, val))
 
+    def clone(self) -> "Memory":
+        c = object.__new__(Memory)
+        c.widths = self.widths  # never mutated
+        c.regs = list(self.regs)
+        c.trace = list(self.trace)
+        c.record_trace = self.record_trace
+        c.t = self.t
+        return c
+
+    def key(self) -> tuple:
+        """The register contents; `t` and the trace are left out."""
+        return tuple(self.regs)
+
 
 def export_trace_jsonl(trace: Iterable[tuple], fp) -> None:
     """Write trace entries as JSON lines: {"t","pid","op","reg","val"}."""
@@ -226,15 +245,78 @@ def make_schedule(
 # step machines
 
 
+class Cursor:
+    """An explicit program: the generator protocol, its state in its fields.
+
+    A subclass implements ``send(val)`` as a generator does: it takes the
+    response to the item it returned last (None for the first call and
+    after a bookkeeping yield) and returns the next item, or raises
+    StopIteration(result) at the end.  A sub-program (a snapshot's scan or
+    update) implements ``step(val)`` instead, which returns None at the end
+    and leaves the return value in `result`, and `send` is built on it
+    here: the program driving it calls `step`, since raising and catching
+    StopIteration costs about as much as four register steps.
+
+    ``clone()`` is an independent copy: the instance dict is copied here,
+    and a subclass copies its mutable fields on top.  ``key()`` is hashable
+    and equal for two cursors exactly when they behave alike from here on;
+    what is fixed at construction (the snapshot, a script) may be left out
+    of it, since exploration only compares cursors built alike.
+    """
+
+    result = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.send(None)
+
+    def send(self, val):
+        item = self.step(val)
+        if item is None:
+            raise StopIteration(self.result)
+        return item
+
+    def clone(self):
+        c = object.__new__(type(self))
+        c.__dict__ = self.__dict__.copy()
+        return c
+
+
+def as_cursor(program) -> Cursor:
+    """`program` if it is a cursor, else the generator `program` as a
+    sub-program that cannot be cloned: perfbench/ counts scans by replacing
+    `BoundedSnapshot.scan_steps` with a generator."""
+    return program if isinstance(program, Cursor) else _Generator(program)
+
+
+class _Generator(Cursor):
+    def __init__(self, gen):
+        self.gen = gen
+
+    def step(self, val):
+        try:
+            return self.gen.send(val)
+        except StopIteration as stop:
+            self.result = stop.value
+            return None
+
+    def clone(self):
+        raise TypeError(f"a {type(self.gen).__name__} program cannot be cloned")
+
+
 class StepMachine:
-    """Wraps a program generator; holds its poised operation between steps.
+    """Wraps a program; holds its poised operation between steps.
 
     The program records its operations in a history only through its own
     ``inv``/``res`` yields.  An ``inv`` waits in `_pending_inv` for the next
     shared step, which opens it at 2t; `_open` then holds its (name, args)
     until a ``res`` yield, read while resuming after step t, closes it at
     2t+1.  While a block op is in progress, `_left` counts its reads still
-    to take.  `auto_history` must be False.
+    to take.  `auto_history` must be False.  `clone` and `key` need a
+    `Cursor` program; the key leaves out `steps`, and `result` is the
+    program's to key.
     """
 
     __slots__ = ("pid", "gen", "op", "done", "result", "steps", "_pending_inv", "_open", "_left")
@@ -324,6 +406,25 @@ class StepMachine:
                 resp = None
             self.steps += 1
         self.op = self._resume(resp, t, history)
+
+    def clone(self) -> "StepMachine":
+        gen = self.gen
+        if not isinstance(gen, Cursor):
+            raise TypeError(f"pid {self.pid}: a {type(gen).__name__} program cannot be cloned")
+        c = object.__new__(type(self))
+        c.pid = self.pid
+        c.gen = gen.clone()
+        c.op = self.op
+        c.done = self.done
+        c.result = self.result
+        c.steps = self.steps
+        c._pending_inv = self._pending_inv
+        c._open = self._open
+        c._left = self._left
+        return c
+
+    def key(self) -> tuple:
+        return (self.pid, self.gen.key(), self.op, self._pending_inv, self._open, self._left)
 
 
 # ---------------------------------------------------------------------------

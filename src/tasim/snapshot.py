@@ -20,6 +20,13 @@ Each writer keeps its own bits, one per component, in its program
 layout: one instance serves any number of runs and processes, and the same
 schedule gives the same execution on each.
 
+Scan and update are written once, as cursors (`shm.Cursor`): `scan_steps`
+and `update_steps` return explicit sub-programs that a program drives with
+``step`` and that clone and key like the programs driving them, so
+register-level systems can be explored state by state.  A scan keeps its
+place in the attempt, the first collect c1 and whether the second collect
+has matched c1 so far; that is all it needs of c2.
+
 Why it works: a successful scan rereads S as its own id, so no update began
 (wrote S) between the scanner's S-write and its final S-read.  Updates that
 began earlier have at most one pending cell write each, and the parity bit
@@ -55,9 +62,7 @@ one.  The handshake register is pid_bits wide either way.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .shm import READ, WRITE, Memory
+from .shm import READ, WRITE, Cursor, Memory, as_cursor
 
 
 class BoundedSnapshot:
@@ -115,9 +120,9 @@ class BoundedSnapshot:
 
     # -- step programs --------------------------------------------------------
 
-    def update_steps(self, pid: int, comp: int, x: int, parity: list[int]) -> Iterator[tuple]:
-        """Yield the two register writes of update(comp, x); the cell carries
-        the writer's own bit parity[comp] (all 0 at first), which then flips."""
+    def update_steps(self, pid: int, comp: int, x: int, parity: list[int]) -> "_Update":
+        """The two register writes of update(comp, x); the cell carries the
+        writer's own bit parity[comp] (all 0 at first), which flips here."""
         if not 0 <= comp < self.m:
             raise ValueError(f"component {comp} out of range")
         if not isinstance(x, int) or x < 0 or x >> self.value_bits:
@@ -131,47 +136,137 @@ class BoundedSnapshot:
         b = parity[comp]
         parity[comp] = b ^ 1
         writer = 0 if self.codec is not None else (pid + 1) << 1
-        yield (WRITE, self.s_reg, pid)
-        yield (WRITE, self.a_reg(comp), (x << self._shift) | writer | b)
+        cell = (x << self._shift) | writer | b
+        return _Update((WRITE, self.s_reg, pid), (WRITE, self.a_reg(comp), cell))
 
-    def scan_steps(self, pid: int):
-        """Yield register steps of scan(); the generator returns the view."""
+    def scan_steps(self, pid: int) -> "_Scan":
+        """The register steps of scan(); the cursor returns the view."""
         if not 0 <= pid < self.n:
             raise ValueError(f"pid {pid} out of range")
-        while True:
-            yield (WRITE, self.s_reg, pid)
-            c1 = []
-            for i in range(self.m):
-                c1.append((yield (READ, self.a_reg(i))))
-            c2 = []
-            for i in range(self.m):
-                c2.append((yield (READ, self.a_reg(i))))
-            s = yield (READ, self.s_reg)
-            if s == pid and c1 == c2:
-                sh = self._shift
-                return tuple(c >> sh for c in c1)
+        return _Scan(self, pid)
 
 
-def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]):
+class _Update(Cursor):
+    """An update's S write then its cell write; `i` of them are returned."""
+
+    def __init__(self, s_write: tuple, cell_write: tuple):
+        self.ops = (s_write, cell_write)
+        self.i = 0
+
+    def step(self, val):
+        i = self.i
+        if i == 2:
+            return None
+        self.i = i + 1
+        return self.ops[i]
+
+    def key(self) -> tuple:
+        return (self.i, self.ops[1])
+
+
+class _Scan(Cursor):
+    """A scan: attempts of the S write, collects c1 and c2, and the S read.
+
+    `j` is the attempt's step returned last: -1 before the first, 0 the S
+    write, 1..m the reads of c1, m+1..2m those of c2, 2m+1 the S read.
+    """
+
+    def __init__(self, snap: BoundedSnapshot, pid: int):
+        self.pid = pid
+        self.base = snap.base
+        self.m = snap.m
+        self.shift = snap._shift
+        self.j = -1
+        self.c1: list[int] = []
+        self.eq = True  # c2 has matched c1 so far
+
+    def step(self, val):
+        j = self.j
+        m = self.m
+        if j > m:  # val answers a read of c2 or the S read
+            if j <= 2 * m:
+                if val != self.c1[j - m - 1]:
+                    self.eq = False
+                self.j = j + 1
+                return (READ, self.base + j - m)  # the next cell of c2, then S
+            if val == self.pid and self.eq:
+                sh = self.shift
+                self.result = tuple(c >> sh for c in self.c1)
+                return None
+            j = -1  # retry
+            self.c1 = []
+            self.eq = True
+        elif j > 0:  # val answers a read of c1
+            self.c1.append(val)
+        if j < 0:
+            self.j = 0
+            return (WRITE, self.base + m, self.pid)
+        self.j = j + 1
+        return (READ, self.base + (j if j < m else 0))  # the next cell of c1, then of c2
+
+    def clone(self) -> "_Scan":
+        c = super().clone()
+        c.c1 = list(self.c1)
+        return c
+
+    def key(self) -> tuple:
+        return (self.j, tuple(self.c1), self.eq)
+
+
+def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]) -> "_Script":
     """Run a list of ('update', comp, x) / ('scan',) ops as one program.
 
     Emits invocation/response markers per operation, so histories from this
     program check directly against the snapshot's sequential semantics.
-    Returns the list of scan views.
+    The program, a `shm.Cursor`, returns the list of scan views.
     """
-    parity = [0] * snap.m
-    views = []
-    for op in script:
+    return _Script(snap, pid, script)
+
+
+class _Script(Cursor):
+    """`ops_program`'s cursor: script op k-1 runs as `sub` between its markers."""
+
+    def __init__(self, snap: BoundedSnapshot, pid: int, script: list[tuple]):
+        self.snap = snap
+        self.pid = pid
+        self.script = tuple(script)
+        self.k = 0
+        self.sub = None
+        self.parity = [0] * snap.m
+        self.views: list[tuple] = []
+
+    def send(self, val):
+        sub = self.sub
+        if sub is not None:
+            item = sub.step(val)
+            if item is not None:
+                return item
+            self.sub = None
+            if self.script[self.k - 1][0] == "scan":
+                self.views.append(sub.result)
+            return ("res", sub.result)
+        k = self.k
+        if k == len(self.script):
+            raise StopIteration(self.views)
+        op = self.script[k]
+        self.k = k + 1
         if op[0] == "update":
             _, comp, x = op
-            yield ("inv", "update", (comp, x))
-            yield from snap.update_steps(pid, comp, x, parity)
-            yield ("res", None)
-        elif op[0] == "scan":
-            yield ("inv", "scan", ())
-            view = yield from snap.scan_steps(pid)
-            views.append(view)
-            yield ("res", view)
-        else:
-            raise ValueError(f"unknown script op {op!r}")
-    return views
+            self.sub = self.snap.update_steps(self.pid, comp, x, self.parity)
+            return ("inv", "update", (comp, x))
+        if op[0] == "scan":
+            self.sub = as_cursor(self.snap.scan_steps(self.pid))
+            return ("inv", "scan", ())
+        raise ValueError(f"unknown script op {op!r}")
+
+    def clone(self) -> "_Script":
+        c = super().clone()
+        if self.sub is not None:
+            c.sub = self.sub.clone()
+        c.parity = list(self.parity)
+        c.views = list(self.views)
+        return c
+
+    def key(self) -> tuple:
+        sub = self.sub
+        return (self.k, None if sub is None else sub.key(), tuple(self.parity), tuple(self.views))

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from tasim.atomic import explore, explore_interleavings
+from tasim.atomic import explore
 from tasim.randomized import HeadsRng, wrapped_tas_system
 from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run, run_live_uniform
 from tasim.sifter import WIN, sifter_machines, sifter_store, sifter_system
@@ -161,10 +161,15 @@ def test_criterion_03_snapshot():
     rep = probe_solo(scan_factory, samples=10_000, bound=4 * M + 3, seed=4031, prefix_max=120)
     assert rep.ok, rep.violations[:3]
 
-    # exhaustive interleavings of two 3-op scripts at register granularity,
-    # M=2: complete histories checked at terminals, capped branches checked
-    # with their pending ops (the mutual-scan retry tree is infinite)
+    # exhaustive closure of two 3-op scripts per pair at register
+    # granularity, M=2.  Retry loops revisit states, so the merged state
+    # graph is finite and `explore` closes it with no depth cap.  At every
+    # reachable state each live process finishes its current op within
+    # 4M+3 solo steps (obstruction-freedom), so every state reaches a
+    # terminal; linearizability is prefix-closed, so checking every distinct
+    # complete history covers every reachable prefix, pending ops included.
     spec = SnapshotSequential(2, 0)
+    solo_bound = 4 * 2 + 3
     pairs = [
         (
             [("update", 0, 1), ("scan",), ("scan",)],
@@ -179,34 +184,42 @@ def test_criterion_03_snapshot():
             [("update", 0, 3), ("scan",), ("update", 1, 4)],
         ),
     ]
-    totals = {"terminal": 0, "cut": 0}
+    closures = []
     for script_p, script_q in pairs:
         def make(script_p=script_p, script_q=script_q):
             s = BoundedSnapshot(0, 2, n=2, value_bits=4)
-            memory = s.fresh_memory(record_trace=True)
             ms = [
                 StepMachine(0, ops_program(s, 0, script_p)),
                 StepMachine(1, ops_program(s, 1, script_q)),
             ]
-            return ms, memory
+            return ms, s.fresh_memory()
 
-        def on_terminal(history, memory):
-            totals["terminal"] += 1
-            assert check_linearizable(history, spec)
+        solo_max = [0]
 
-        def on_cut(history, memory):
-            totals["cut"] += 1
-            assert check_linearizable(history, spec)
+        def solo_finishes_its_op(machines, memory):
+            for m in machines:
+                if m.done:
+                    continue
+                m, memory_c, h = m.clone(), memory.clone(), History()
+                for steps in range(1, solo_bound + 1):
+                    m.step(memory_c, 0, h)
+                    if h.events and h.events[-1].kind == "res":
+                        break
+                else:
+                    raise AssertionError(f"pid {m.pid} unfinished after {solo_bound} solo steps")
+                solo_max[0] = max(solo_max[0], steps)
 
-        explore_interleavings(make, on_terminal, max_depth=40, on_cut=on_cut)
-    assert totals["terminal"] > 0 and totals["cut"] > 0
+        terminals, states = explore(make, solo_finishes_its_op, by_history=True)
+        for h in terminals:
+            assert check_linearizable(History(list(h)), spec), h
+        closures.append(f"{states}/{len(terminals)}/{solo_max[0]}")
 
     _line(
         3,
         "snapshot: 2-step updates, scan resume <= 27, exhaustive histories linearize",
         True,
-        f"scan max {rep.max_steps}/27; {totals['terminal']} complete + "
-        f"{totals['cut']} capped histories",
+        f"scan max {rep.max_steps}/27; closures (states/complete histories/"
+        f"solo op max of {solo_bound}): {', '.join(closures)}",
     )
 
 

@@ -1,6 +1,8 @@
 """Coarse-grained engine: logic machines, exhaustive exploration, lowering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasim.atomic import (
     AtomicStore,
@@ -187,70 +189,100 @@ class PutScanCodec:
 
 def test_register_lowering_agrees_with_atomic():
     # the same decision logic, expanded to register steps through the
-    # snapshot's codec; the set of reachable outcome pairs must coincide
-    # with the atomic exploration.  concurrent scans can restart each other
-    # forever, so the tree is depth-capped; capped branches are real
-    # (counted via on_cut)
+    # snapshot's codec; the closure of every register-level interleaving
+    # (no depth cap: retrying scans revisit states) reaches exactly the
+    # outcome pairs of the atomic exploration
     def make():
         snap = BoundedSnapshot(0, 2, n=2, value_bits=2, codec=PutScanCodec())
-        memory = snap.fresh_memory(record_trace=True)
-        machines = []
-        for p in range(2):
-            prog = register_program(PutScanLogic(p, 2), snap)
-            machines.append(StepMachine(p, prog))
-        return machines, memory
+        machines = [StepMachine(p, register_program(PutScanLogic(p, 2), snap)) for p in range(2)]
+        return machines, snap.fresh_memory()
 
-    seen_views = set()
-    cuts = []
-
-    def on_terminal(history, memory):
-        res = {}
-        for o in history.ops():
-            res[o.pid] = o.result
-        seen_views.add((res[0], res[1]))
-
-    terminals, states = explore_interleavings(
-        make, on_terminal, max_depth=28, on_cut=lambda h, m: cuts.append(1)
-    )
-    assert seen_views == EXPECTED_VIEWS
-    assert terminals >= 3
-    assert cuts, "expected some still-running branches at the depth cap"
+    terminals, states = explore(make)
+    assert set(terminals) == EXPECTED_VIEWS
 
 
 def test_owner_tagged_snapshot_interleavings_linearize():
     # cells without a writer field: values name their writers (odd values
     # are pid 0's, even ones pid 1's) and pid 0 rewrites its own value, so
-    # only the parity bit tells its two writes apart; every history within
-    # the depth cap linearizes
+    # only the parity bit tells its two writes apart; every distinct
+    # complete history of the closure linearizes
     class ParityCodec(PutScanCodec):
         def owner(self, comp, x):
             return None if x == 0 else (x - 1) % 2
 
     def make():
         s = BoundedSnapshot(0, 2, n=2, value_bits=3, codec=ParityCodec())
-        mem = s.fresh_memory(record_trace=True)
         scripts = [
             [("update", 0, 1), ("scan",), ("update", 0, 1)],
             [("update", 0, 2), ("scan",)],
         ]
-        return [
-            StepMachine(p, ops_program(s, p, scripts[p]))
-            for p in range(2)
-        ], mem
+        return [StepMachine(p, ops_program(s, p, scripts[p])) for p in range(2)], s.fresh_memory()
 
     assert make()[1].widths == [4, 4, 2]
     spec = SnapshotSequential(2, 0)
-    stats = {"terminal": 0, "cut": 0}
+    terminals, states = explore(make, by_history=True)
+    assert len(terminals) > 1
+    for h in terminals:
+        assert check_linearizable(History(list(h)), spec)
 
-    def check(kind):
-        def on(h, mem):
-            stats[kind] += 1
-            assert check_linearizable(h, spec)
 
-        return on
+def test_explore_refuses_a_traced_memory():
+    def make():
+        snap = BoundedSnapshot(0, 2, n=2, value_bits=2, codec=PutScanCodec())
+        prog = register_program(PutScanLogic(0, 2), snap)
+        return [StepMachine(0, prog)], snap.fresh_memory(record_trace=True)
 
-    explore_interleavings(make, check("terminal"), max_depth=26, on_cut=check("cut"))
-    assert stats["terminal"] > 0 and stats["cut"] > 0
+    with pytest.raises(ValueError, match="untraced"):
+        explore(make)
+
+
+@st.composite
+def register_systems(draw):
+    """A 2-3 process register-level system, a schedule prefix and a suffix."""
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        op = st.one_of(
+            st.tuples(st.just("update"), st.integers(0, 1), st.integers(0, 15)),
+            st.just(("scan",)),
+        )
+        scripts = [draw(st.lists(op, min_size=1, max_size=3)) for _ in range(n)]
+
+        def make():
+            snap = BoundedSnapshot(0, 2, n=n, value_bits=4)
+            ms = [StepMachine(p, ops_program(snap, p, scripts[p])) for p in range(n)]
+            return ms, snap.fresh_memory(record_trace=True)
+    else:
+        def make():
+            snap = BoundedSnapshot(0, 2, n=n, value_bits=2, codec=PutScanCodec())
+            ms = [StepMachine(p, register_program(PutScanLogic(p, 2), snap)) for p in range(n)]
+            return ms, snap.fresh_memory(record_trace=True)
+    pids = st.lists(st.integers(0, n - 1), max_size=60)
+    return make, draw(pids), draw(pids)
+
+
+def _keys(machines, memory):
+    return [m.key() for m in machines], memory.key()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(register_systems())
+def test_a_cloned_system_runs_like_the_original(system):
+    make, prefix, suffix = system
+    machines, memory = make()
+    history = run(machines, memory, prefix, History())
+    twins, twin_memory = [m.clone() for m in machines], memory.clone()
+    twin_history = History(list(history.events))
+    before = _keys(machines, memory)
+    assert _keys(twins, twin_memory) == before
+    run(twins, twin_memory, suffix, twin_history)
+    assert _keys(machines, memory) == before  # the clone shares no state
+    run(machines, memory, suffix, history)
+    assert twin_memory.trace == memory.trace
+    assert twin_history.events == history.events
+    assert _keys(twins, twin_memory) == _keys(machines, memory)
+    assert [(m.done, m.result, m.steps) for m in twins] == [
+        (m.done, m.result, m.steps) for m in machines
+    ]
 
 
 def test_explore_interleavings_requires_trace():

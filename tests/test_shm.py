@@ -21,7 +21,9 @@ from tasim.shm import (
     run,
     run_live_uniform,
 )
+from tasim.randomized import wrapped_tas_system
 from tasim.tas_det import S_MAX, ell, tas_machines, tas_store
+from tasim.tas_rand import RandTas
 from tasim.verify import probe_solo
 
 
@@ -210,6 +212,16 @@ def test_program_must_take_a_step():
 
     with pytest.raises(ValueError):
         StepMachine(0, empty())
+
+
+def test_only_a_cursor_program_clones():
+    # a generator's state cannot be copied, so cloning a machine that runs
+    # one fails at once and names the process
+    m = RandTas(4, seed=0).machines()[2]
+    wrapped = wrapped_tas_system(2)[0][1]
+    for machine, pid in ((m, 2), (wrapped, 1)):
+        with pytest.raises(TypeError, match=f"pid {pid}: a generator program cannot be cloned"):
+            machine.clone()
 
 
 def test_event_is_a_frozen_dataclass():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tasim.atomic import explore_interleavings
+from tasim.atomic import explore
 from tasim.shm import History, StepMachine, drain, make_schedule, run
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.verify import SnapshotSequential, check_linearizable, probe_solo
@@ -160,28 +160,19 @@ def test_random_concurrent_histories_linearize():
 
 
 def test_exhaustive_small_interleavings_linearize():
-    # one update+scan per process, M=2: every reachable history within the
-    # depth cap linearizes (complete at terminals, pending-permissive at cuts)
+    # one update+scan per process, M=2: the closure of every interleaving
+    # has no depth cap, and every distinct complete history linearizes
     def make():
         s = BoundedSnapshot(0, 2, n=2, value_bits=4)
-        mem = s.fresh_memory(record_trace=True)
         a = StepMachine(0, ops_program(s, 0, [("update", 0, 1), ("scan",)]))
         b = StepMachine(1, ops_program(s, 1, [("update", 1, 2), ("scan",)]))
-        return [a, b], mem
+        return [a, b], s.fresh_memory()
 
     spec = SnapshotSequential(2, 0)
-    stats = {"terminal": 0, "cut": 0}
-
-    def on_terminal(h, mem):
-        stats["terminal"] += 1
-        assert check_linearizable(h, spec)
-
-    def on_cut(h, mem):
-        stats["cut"] += 1
-        assert check_linearizable(h, spec)
-
-    explore_interleavings(make, on_terminal, max_depth=26, on_cut=on_cut)
-    assert stats["terminal"] > 0 and stats["cut"] > 0
+    terminals, states = explore(make, by_history=True)
+    assert len(terminals) > 1
+    for h in terminals:
+        assert check_linearizable(History(list(h)), spec)
 
 
 def test_scan_solo_completion_bound_from_reachable_configs():
