@@ -22,11 +22,11 @@ snapshot operation into its constituent register reads and writes.  Both
 granularities execute the same decision logic, so coarse-grained exhaustive
 results and fine-grained checks corroborate each other.
 
-`explore` drives both granularities: logic machines over an AtomicStore,
-and step machines over a `shm.Memory` whose programs are cursors
-(`shm.Cursor`: `register_program`, `snapshot.ops_program`), which clone
-and key like logic machines.  At register level, retry loops revisit
-states, so the merged state graph is finite and closes with no depth cap.
+`explore` closes both granularities, logic machines over an AtomicStore and
+step machines over a `shm.Memory` whose programs are cursors (`shm.Cursor`:
+`register_program`, `snapshot.ops_program`), by breadth-first search over
+interned states, memoizing each deterministic step; retry loops revisit
+states, so a register-level closure needs no depth cap.
 """
 
 from __future__ import annotations
@@ -100,9 +100,7 @@ class LogicMachine:
         self.steps += 1
         self.advance(res)
         if emit and self.done:
-            history.events.append(
-                Event(2 * t + 1, self.pid, "res", self.op_name, (), self.result)
-            )
+            history.events.append(Event(2 * t + 1, self.pid, "res", self.op_name, (), self.result))
 
     def clone(self):
         c = object.__new__(type(self))
@@ -148,8 +146,7 @@ class AtomicStore:
         return (tuple(self.comps), tuple(self.regs))
 
 
-# store ops that leave the store as it was
-_READ_ONLY = ("s", "r")
+_READ_ONLY = ("s", "r")  # store ops that leave the store as it was
 
 # Benchmark-only: only perfbench/ calls it outside its pin test; ROADMAP item 6 removes it.
 # It starts the store's clock at `start_t` and returns (history, clock after the run).
@@ -164,11 +161,8 @@ def run_atomic(machines, store, schedule, history=None, record=True, start_t=0):
 
 # Benchmark-only: only perfbench/ calls it outside its pin test; ROADMAP item 6 removes it.
 def run_atomic_solo(machine, store: AtomicStore, max_steps: int) -> int:
-    """Run one machine alone until it finishes; return steps taken.
-
-    Raises RuntimeError if it is still unfinished after `max_steps` ops
-    (an obstruction-freedom violation at this granularity).
-    """
+    """Run one machine alone until it finishes and return its steps; RuntimeError if
+    it is unfinished after `max_steps` ops (an obstruction-freedom violation)."""
     before = machine.steps
     drain([machine], store, max_steps)
     return machine.steps - before
@@ -185,81 +179,103 @@ def explore(
     `make_system()` returns (machines, store): logic machines over an
     AtomicStore, or `shm.StepMachine`s whose programs are cursors over an
     untraced `shm.Memory` (ValueError if it records a trace).  Every
-    reachable system state is visited exactly once (duplicate
-    configurations merged via machine and store keys), `state_check(machines,
-    store)` runs on each, and terminal states are tallied by the tuple of
-    machine results.
+    reachable system state is visited once and `state_check(machines,
+    store)` runs on each.  Returns (terminals: Counter, states_visited:
+    int), terminals tallied by the tuple of machine results or, with
+    `by_history`, which also keys each state by the interface events on the
+    way to it, times dropped, by history: a tuple of `shm.Event`s timed 0,
+    1, 2, ..., for a `shm.History`.
 
-    With `by_history`, a state also holds the interface events recorded on
-    the way to it, times dropped, so two states merge only if they agree on
-    those too, and terminal states are tallied by history: a tuple of
-    `shm.Event`s timed 0, 1, 2, ... in order, ready for a `shm.History`.
-
-    Keys are carried incrementally.  Each distinct machine key and store
-    key is numbered once, in first-seen order, and a state's key is the
-    tuple of its machines' numbers followed by its store's number.  A
-    frontier state carries that tuple, and a successor recomputes only the
-    key of the machine that moved.  A successor whose step only read (a
-    scan or a register read) shares its parent's store and store number,
-    since states are never mutated once built.  A history is numbered by
-    its last event and the number of the history before it.
-
-    Returns (terminals: Counter, states_visited: int).
+    States are interned: each distinct machine key, store key and read
+    response is numbered once, a machine or store keeps one representative,
+    and a state is the tuple of its machine numbers, store number and
+    history number (its last event and the number before it).  (store
+    number, op) is memoized to a read's response number or a write's next
+    store, and (machine number, response) to the next machine number and
+    the events emitted: a step depends only on those, so only a miss clones
+    and steps, width checks included.  `state_check` gets the shared
+    representatives: it must not mutate them, and their `steps` is not this
+    path's.  A logic machine's first step emits its invocation and `steps`
+    is not keyed, so initial machines are numbered apart from later visits.
     """
     machines0, store0 = make_system()
     if getattr(store0, "record_trace", False):
         raise ValueError("explore needs an untraced memory: successors share their parent's store")
-    record = History() if by_history else None
+    n = len(machines0)
+    mreps = list(machines0)  # machine number -> representative; 0..n-1 have not stepped
+    mops = [None if m.done else m.op for m in mreps]  # machine number -> poised op, None if done
+    mnums: dict = {}  # key of a machine that has stepped -> its number
+    sreps = [store0]  # store number -> representative
+    snums = {store0.key(): 0}
+    sops: dict = {}  # (store number, op) -> a read's response number or a write's next store
+    rnums: dict = {}  # read response -> its number
+    moves: dict = {}  # (machine number, response number) -> (its next number, events emitted)
     hnums: dict = {}  # (history number, event) -> number of the history it extends to
     hlast = [None]  # history number -> (number before it, its last event); 0 is empty
-    mnums: dict = {}  # machine key -> its number
-    snums: dict = {}  # store key -> its number
-    key0 = tuple(mnums.setdefault(m.key(), len(mnums)) for m in machines0)
-    key0 += (snums.setdefault(store0.key(), len(snums)),)
-    seen = {key0 if record is None else (key0, 0)}
-    frontier = [(machines0, store0, key0, 0)]
+    frontier = [tuple(range(n)) + (0, 0)]
+    seen = set(frontier)
     terminals: Counter = Counter()
     while frontier:
         nxt = []
-        for machines, store, key, h in frontier:
+        for state in frontier:
+            s, h = state[n:]
             if state_check is not None:
-                state_check(machines, store)
-            live = [i for i, m in enumerate(machines) if not m.done]
-            if not live:
-                terminals[h if record is not None else tuple(m.result for m in machines)] += 1
-                continue
-            for i in live:
-                mi = machines[i].clone()
-                if mi.op[0] in _READ_ONLY:
-                    st = store
-                    mi.step(st, 0, record)
-                    rest = key[i + 1 :]
+                state_check([mreps[a] for a in state[:n]], sreps[s])
+            final = True
+            for i, a in enumerate(state[:n]):
+                op = mops[a]
+                if op is None:
+                    continue
+                final = False
+                x = sops.get((s, op))
+                if op[0] in _READ_ONLY:
+                    if x is None:  # read the response off the store
+                        st = sreps[s]
+                        res = st.regs[op[1]] if op[0] == "r" else tuple(st.comps[op[1] : op[2]])
+                        x = sops[s, op] = rnums.setdefault(res, len(rnums))
+                    mk, s2 = (a, x), s
                 else:
-                    st = store.clone()
+                    mk, s2 = (a, None), x
+                move = moves.get(mk)
+                if move is None or s2 is None:
+                    mi, record, st = mreps[a].clone(), History() if by_history else None, sreps[s]
+                    if op[0] not in _READ_ONLY:  # a write: step a copy of the store
+                        st = st.clone()
                     mi.step(st, 0, record)
-                    rest = key[i + 1 : -1] + (snums.setdefault(st.key(), len(snums)),)
-                k = sk = key[:i] + (mnums.setdefault(mi.key(), len(mnums)),) + rest
+                    if s2 is None:
+                        s2 = sops[s, op] = snums.setdefault(st.key(), len(sreps))
+                        if s2 == len(sreps):
+                            sreps.append(st)
+                    b = mnums.setdefault(mi.key(), len(mreps))
+                    if b == len(mreps):
+                        mreps.append(mi)
+                        mops.append(None if mi.done else mi.op)
+                    move = moves[mk] = (b, _canon(record) if by_history else ())
+                b, evs = move
                 hk = h
-                if record is not None:
-                    for e in record.events:
-                        link = (hk, (e.pid, e.kind, e.op, e.args, e.result))
-                        hk = hnums.get(link)
-                        if hk is None:
-                            hk = hnums[link] = len(hlast)
-                            hlast.append(link)
-                    record.events.clear()
-                    sk = (k, hk)
-                if sk not in seen:
+                for ev in evs:
+                    hk = hnums.setdefault(link := (hk, ev), len(hlast))
+                    if hk == len(hlast):
+                        hlast.append(link)
+                succ = list(state)
+                succ[i], succ[n], succ[n + 1] = b, s2, hk
+                succ = tuple(succ)
+                if succ not in seen:
                     if len(seen) >= max_states:
                         raise RuntimeError(f"state space exceeds {max_states}")
-                    seen.add(sk)
-                    ms = list(machines)
-                    ms[i] = mi
-                    nxt.append((ms, st, k, hk))
+                    seen.add(succ)
+                    nxt.append(succ)
+            if final:
+                terminals[h if by_history else tuple(mreps[a].result for a in state[:n])] += 1
         frontier = nxt
-    if record is not None:
+    if by_history:
         terminals = Counter({_events(hlast, h): c for h, c in terminals.items()})
     return terminals, len(seen)
+
+
+def _canon(h: History) -> tuple:
+    # interface events with timestamps dropped; order is what matters
+    return tuple((e.pid, e.kind, e.op, e.args, e.result) for e in h.events)
 
 
 def _events(hlast: list, h: int) -> tuple:
@@ -366,19 +382,12 @@ class _Lowered(Cursor):
         return c
 
     def key(self) -> tuple:
-        sub = self.sub
-        sub_key = None if sub is None else sub.key()
+        sub_key = None if self.sub is None else self.sub.key()
         return (self.logic.key(), self.stage, sub_key, tuple(self.parity))
 
 
 # ---------------------------------------------------------------------------
 # register-level exhaustive exploration (replay based)
-
-
-# Benchmark-only: only `explore_interleavings` calls it; ROADMAP item 6 removes it.
-def _canon(h: History) -> tuple:
-    # interface events with timestamps dropped; order is what matters
-    return tuple((e.pid, e.kind, e.op, e.args, e.result) for e in h.events)
 
 
 # Benchmark-only: only perfbench/ calls it outside its pin tests; ROADMAP item 6 removes it.
@@ -393,23 +402,15 @@ def explore_interleavings(
     """Exhaustively explore register-level interleavings by prefix replay.
 
     `make_system()` must return fresh (machines, memory) with deterministic
-    programs and `memory.record_trace` enabled.  Nothing is cloned: each
-    schedule prefix is replayed from scratch, and prefixes are merged when
-    they agree on (interface history modulo timestamps, register
-    contents, per-pid observation sequence, done flags).  A deterministic
-    program's continuation is a function of its own observations and the
-    memory, and linearizability depends only on event order, so merged
-    prefixes have identical futures in every sense the checks care about.
-
-    Obstruction-free algorithms that retry under contention make the raw
-    tree infinite (two scanners can disturb each other forever), so a
-    `max_depth` cap is required for such systems: branches still running at
-    the cap are handed to `on_cut(history, memory)` instead of being
-    extended, and every execution beyond the cap extends one of those
-    inspected prefixes.
-
-    `on_terminal(history, memory)` runs once per distinct completed
-    execution.  Returns (terminal_count, states_visited).
+    programs and `memory.record_trace` enabled.  Each schedule prefix is
+    replayed from scratch, and prefixes merge when they agree on interface
+    history modulo timestamps, register contents, per-pid observations and
+    done flags: a deterministic program's future is a function of those.
+    Retrying algorithms make the raw tree infinite, so such systems need
+    `max_depth`: branches still running at the cap go to `on_cut(history,
+    memory)` instead of being extended.  `on_terminal(history, memory)` runs
+    once per distinct completed execution.  Returns (terminal_count,
+    states_visited).
     """
     seen: set = set()
     terminals = 0

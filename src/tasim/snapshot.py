@@ -218,7 +218,7 @@ def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]) -> "_Scrip
 
     Emits invocation/response markers per operation, so histories from this
     program check directly against the snapshot's sequential semantics.
-    The program, a `shm.Cursor`, returns the list of scan views.
+    The program, a `shm.Cursor`, returns the tuple of scan views.
     """
     return _Script(snap, pid, script)
 
@@ -233,7 +233,7 @@ class _Script(Cursor):
         self.k = 0
         self.sub = None
         self.parity = [0] * snap.m
-        self.views: list[tuple] = []
+        self.views: tuple = ()
 
     def send(self, val):
         sub = self.sub
@@ -243,7 +243,7 @@ class _Script(Cursor):
                 return item
             self.sub = None
             if self.script[self.k - 1][0] == "scan":
-                self.views.append(sub.result)
+                self.views += (sub.result,)
             return ("res", sub.result)
         k = self.k
         if k == len(self.script):
@@ -264,9 +264,8 @@ class _Script(Cursor):
         if self.sub is not None:
             c.sub = self.sub.clone()
         c.parity = list(self.parity)
-        c.views = list(self.views)
         return c
 
     def key(self) -> tuple:
         sub = self.sub
-        return (self.k, None if sub is None else sub.key(), tuple(self.parity), tuple(self.views))
+        return (self.k, None if sub is None else sub.key(), tuple(self.parity), self.views)

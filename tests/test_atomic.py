@@ -1,5 +1,8 @@
 """Coarse-grained engine: logic machines, exhaustive exploration, lowering."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +16,8 @@ from tasim.atomic import (
     run_atomic,
     run_atomic_solo,
 )
-from tasim.shm import History, StepMachine, drain, run
-from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_store
+from tasim.shm import Event, History, StepMachine, drain, run
+from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_machines, sifter_store
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.tas_det import S_MAX, TasLogic, ell, tas_machines, tas_store, wle_store
 from tasim.verify import SnapshotSequential, check_linearizable
@@ -48,6 +51,33 @@ class SpinLogic(LogicMachine):
 
     def advance(self, res):
         self.op = ("r", 0)
+
+
+class WaitLogic(LogicMachine):
+    """Read register 0 until it is nonzero; a read of 0 returns to the initial state."""
+
+    op_name = "wait"
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.op = ("r", 0)
+
+    def advance(self, res):
+        if res:
+            self.done, self.result, self.op = True, res, None
+
+
+class SetLogic(LogicMachine):
+    """Write 1 to register 0."""
+
+    op_name = "set"
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.op = ("w", 0, 1)
+
+    def advance(self, res):
+        self.done, self.op = True, None
 
 
 def test_store_ops_and_keys():
@@ -234,6 +264,165 @@ def test_explore_refuses_a_traced_memory():
 
     with pytest.raises(ValueError, match="untraced"):
         explore(make)
+
+
+def test_explore_without_history_tallies_ops_program_results():
+    # an ops_program returns its views as a tuple, so a register-level
+    # closure without by_history can tally terminals by machine results
+    def make():
+        snap = BoundedSnapshot(0, 2, n=2, value_bits=2)
+        scripts = [[("update", 0, 1), ("scan",)], [("update", 1, 2), ("scan",)]]
+        ms = [StepMachine(p, ops_program(snap, p, scripts[p])) for p in range(2)]
+        return ms, snap.fresh_memory()
+
+    terminals, _ = explore(make)
+    assert set(terminals) == {
+        (((1, 0),), ((1, 2),)),  # p0's scan finished before p1's update
+        (((1, 2),), ((0, 2),)),  # p1's scan finished before p0's update
+        (((1, 2),), ((1, 2),)),  # both updates before both scans
+    }
+
+
+def reference_explore(make_system, state_check, by_history=False):
+    """Breadth-first search that clones and steps the whole system on every edge.
+
+    The oracle for `explore`: no number, representative or memo, and a
+    machine's state is its key plus whether it has stepped yet.
+    """
+    def key(ms, st, h):
+        return tuple((m.steps == 0, m.key()) for m in ms), st.key(), h
+
+    machines, store = make_system()
+    seen, frontier, terminals = {key(machines, store, ())}, [(machines, store, ())], Counter()
+    while frontier:
+        nxt = []
+        for ms, st, h in frontier:
+            state_check(ms, st)
+            live = [i for i, m in enumerate(ms) if not m.done]
+            if not live:
+                terminals[h if by_history else tuple(m.result for m in ms)] += 1
+            for i in live:
+                ms2, st2, rec = list(ms), st.clone(), History()
+                ms2[i] = ms[i].clone()
+                ms2[i].step(st2, 0, rec)
+                h2 = h + tuple((e.pid, e.kind, e.op, e.args, e.result) for e in rec.events)
+                h2 = h2 if by_history else ()
+                if key(ms2, st2, h2) not in seen:
+                    seen.add(key(ms2, st2, h2))
+                    nxt.append((ms2, st2, h2))
+        frontier = nxt
+    if by_history:
+        terminals = Counter(
+            {tuple(Event(t, *e) for t, e in enumerate(h)): c for h, c in terminals.items()}
+        )
+    return terminals, len(seen)
+
+
+def _putscan_lowered(n, m=2):
+    def make():
+        snap = BoundedSnapshot(0, m, n=n, value_bits=2, codec=PutScanCodec())
+        ms = [StepMachine(p, register_program(PutScanLogic(p, m), snap)) for p in range(n)]
+        return ms, snap.fresh_memory()
+    return make
+
+
+FIXED_SYSTEMS = {
+    "sifter2": lambda: (sifter_machines(range(2)), sifter_store()),
+    "tas2": lambda: (tas_machines(2), tas_store(2)),
+    "wait_set": lambda: ([WaitLogic(0), SetLogic(1), WaitLogic(2)], AtomicStore([], n_regs=1)),
+    "putscan_lowered": _putscan_lowered(2),
+}
+
+
+@pytest.mark.parametrize("by_history", [False, True])
+@pytest.mark.parametrize("name", FIXED_SYSTEMS)
+def test_interned_machines_step_like_fresh_clones(name, by_history):
+    # explore visits states in the reference's order; at each, the machine
+    # represented by each interned number has the key of the machine the
+    # reference reached along its own path, and a clone of either, stepped
+    # on a copy of the store, reaches the same key, store and events
+    make = FIXED_SYSTEMS[name]
+    got, want = [], []
+    terminals, states = explore(make, lambda ms, st: got.append((ms, st)), by_history=by_history)
+    ref = reference_explore(make, lambda ms, st: want.append((ms, st)), by_history)
+    assert (terminals, states) == ref and len(got) == len(want) == states
+    for (reps, store), (machines, ref_store) in zip(got, want):
+        assert [m.key() for m in reps] == [m.key() for m in machines]
+        assert store.key() == ref_store.key()
+        for rep, m in zip(reps, machines):
+            if m.done:
+                continue
+            outcomes = []
+            for machine in (rep, m):
+                c, st, h = machine.clone(), ref_store.clone(), History()
+                c.step(st, 0, h)
+                outcomes.append((c.key(), c.done, c.result, st.key(), h.events))
+            assert outcomes[0] == outcomes[1]
+
+
+def test_explore_numbers_a_fresh_machine_apart_from_its_revisits():
+    # a waiter that reads 0 is back at its initial key, but only its first
+    # step invokes: every complete history invokes each operation once
+    make = FIXED_SYSTEMS["wait_set"]
+    terminals, _ = explore(make, by_history=True)
+    assert terminals
+    for h in terminals:
+        assert sorted(e.pid for e in h if e.kind == "inv") == [0, 1, 2]
+        assert [e.result for e in h if e.kind == "res" and e.op == "wait"] == [1, 1]
+
+
+@st.composite
+def small_systems(draw):
+    """A small system at either granularity, and whether to explore by history."""
+    kind = draw(st.sampled_from(["putscan", "script", "lowered", "wait"]))
+    n = draw(st.integers(2, 3))
+    if kind == "putscan":
+        m = draw(st.integers(1, 2))
+        make = lambda: ([PutScanLogic(p, m) for p in range(n)], AtomicStore([None] * m))
+    elif kind == "script":
+        op = st.one_of(
+            st.tuples(st.just("update"), st.integers(0, 1), st.integers(0, 3)),
+            st.just(("scan",)),
+        )
+        size = 2 if n == 2 else 1
+        scripts = [draw(st.lists(op, min_size=1, max_size=size)) for _ in range(n)]
+
+        def make():
+            snap = BoundedSnapshot(0, 2, n=n, value_bits=2)
+            ms = [StepMachine(p, ops_program(snap, p, scripts[p])) for p in range(n)]
+            return ms, snap.fresh_memory()
+    elif kind == "lowered":  # at n=3 the reference takes ~10 s
+        make = _putscan_lowered(2, draw(st.integers(1, 2)))
+    else:
+        roles = draw(st.lists(st.sampled_from([WaitLogic, SetLogic]), min_size=n, max_size=n))
+        make = lambda: ([role(p) for p, role in enumerate(roles)], AtomicStore([], n_regs=1))
+    return make, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_systems())
+def test_explore_matches_a_clone_based_reference(system):
+    make, by_history = system
+    calls = Counter()
+    got = explore(make, lambda ms, st: calls.update(["explore"]), by_history=by_history)
+    want = reference_explore(make, lambda ms, st: calls.update(["reference"]), by_history)
+    assert got == want
+    assert calls["explore"] == calls["reference"] == got[1]
+
+
+def test_sifter3_state_checks_pinned():
+    # the (done, result) sequence state_check sees on the k=3 sifter, cut
+    # off at 60,000 states: visit order and the cut-off point, pinned
+    digest, calls = hashlib.sha256(), [0]
+
+    def chk(machines, store):
+        calls[0] += 1
+        digest.update(repr([(m.done, m.result) for m in machines]).encode())
+
+    with pytest.raises(RuntimeError, match="exceeds 60000"):
+        explore(lambda: (sifter_machines(range(3)), sifter_store()), chk, max_states=60_000)
+    assert calls[0] == 47666
+    assert digest.hexdigest() == "9640c3377cfd2217b9b76d9475dfae17c4dfe81fe536a370082919852a19b4e2"
 
 
 @st.composite

@@ -109,7 +109,7 @@ def test_fresh_solo_scan_cost_and_view():
     scanner = StepMachine(0, ops_program(s, 0, [("scan",)]))
     drain([scanner], mem, 10_000)
     assert scanner.steps == 2 * m + 2
-    assert scanner.result == [(0, 0, 0, 0, 9, 0)]
+    assert scanner.result == ((0, 0, 0, 0, 9, 0),)
 
 
 def test_update_mid_scan_forces_retry():
@@ -123,7 +123,7 @@ def test_update_mid_scan_forces_retry():
     run([scanner, updater], mem, [0, 0, 0, 1, 1] + [0] * 20)
     assert scanner.done and updater.done
     assert scanner.steps == (2 * m + 2) * 2
-    assert scanner.result == [(3, 0)]
+    assert scanner.result == ((3, 0),)
 
 
 def test_sequential_history_linearizes():
@@ -133,7 +133,7 @@ def test_sequential_history_linearizes():
         0, ops_program(s, 0, [("update", 1, 5), ("scan",), ("update", 0, 2), ("scan",)])
     )
     h = run([m], mem, [0] * 40, History())
-    assert m.result == [(0, 5), (2, 5)]
+    assert m.result == ((0, 5), (2, 5))
     assert check_linearizable(h, SnapshotSequential(2, 0))
 
 
