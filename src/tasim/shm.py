@@ -163,12 +163,6 @@ class Memory:
         self.record_trace = record_trace
         self.t = 0
 
-    def _check(self, reg: int, val: int) -> None:
-        if not isinstance(val, int) or val < 0 or val >> self.widths[reg]:
-            raise RegisterWidthError(
-                f"value {val!r} does not fit register {reg} ({self.widths[reg]} bits)"
-            )
-
     def read(self, t: int, pid: int, reg: int) -> int:
         v = self.regs[reg]
         if self.record_trace:
@@ -176,7 +170,10 @@ class Memory:
         return v
 
     def write(self, t: int, pid: int, reg: int, val: int) -> None:
-        self._check(reg, val)
+        if not isinstance(val, int) or val < 0 or val >> self.widths[reg]:
+            raise RegisterWidthError(
+                f"value {val!r} does not fit register {reg} ({self.widths[reg]} bits)"
+            )
         self.regs[reg] = val
         if self.record_trace:
             self.trace.append((t, pid, "W", reg, val))
@@ -333,79 +330,77 @@ class StepMachine:
         self._pending_inv: Optional[tuple] = None
         self._open: Optional[tuple] = None
         self._left = 0
-        self.op = self._resume(None, 0, None)
-        if self.done:
-            raise ValueError("program finished without a shared-memory step")
+        try:
+            self.op = self._resume(gen.send(None), 0, None)
+        except StopIteration:
+            raise ValueError("program finished without a shared-memory step") from None
 
-    def _resume(self, val, t: int, history: Optional[History]):
-        """Send `val` to the program; return its next shared op (None at its end).
+    def _resume(self, item, t: int, history: Optional[History]):
+        """`step`'s slow path: the program yielded `item`, a bookkeeping yield.
 
-        Bookkeeping yields on the way are handled here: a ``res`` is
-        recorded at once at 2t+1, t being the step whose response `val` is.
+        Handle it and those that follow, and return the next shared op; the
+        program's end raises StopIteration through here.  A ``res`` is
+        recorded at once at 2t+1, t being the step the program resumed after.
         """
         gen = self.gen
-        try:
-            item = gen.send(val)
-            while item[0] not in (READ, WRITE):
-                if item[0] == "inv":
-                    if self._pending_inv is not None or self._open is not None:
-                        raise ValueError(f"pid {self.pid}: nested invocation")
-                    self._pending_inv = (item[1], tuple(item[2]))
-                elif item[0] == "res":
-                    if self._open is None:
-                        raise ValueError(f"pid {self.pid}: response without open invocation")
-                    if history is not None:
-                        name, args = self._open
-                        history.events.append(
-                            Event(2 * t + 1, self.pid, "res", name, args, item[1])
-                        )
-                    self._open = None
-                else:
-                    raise ValueError(f"unknown yield {item!r}")
-                item = gen.send(None)
-            return item
-        except StopIteration as e:
-            self.done = True
-            self.result = e.value
-            return None
+        while item[0] not in (READ, WRITE):
+            if item[0] == "inv":
+                if self._pending_inv is not None or self._open is not None:
+                    raise ValueError(f"pid {self.pid}: nested invocation")
+                self._pending_inv = (item[1], tuple(item[2]))
+            elif item[0] == "res":
+                if self._open is None:
+                    raise ValueError(f"pid {self.pid}: response without open invocation")
+                if history is not None:
+                    name, args = self._open
+                    history.events.append(Event(2 * t + 1, self.pid, "res", name, args, item[1]))
+                self._open = None
+            else:
+                raise ValueError(f"unknown yield {item!r}")
+            item = gen.send(None)
+        return item
 
     def step(self, memory: Memory, t: int, history: Optional[History]) -> None:
         """Execute one shared-memory step at schedule position t.
 
-        Drivers step only unfinished machines: whether one has finished is
-        theirs to check, not this method's.
+        One frame in the common case: an untraced read is taken here, and a
+        program whose next item is a shared op is resumed here.  A write
+        and a traced read go through `Memory`, bookkeeping yields through
+        `_resume`.  Drivers step only unfinished machines: whether one has
+        finished is theirs to check, not this method's.
         """
-        left = self._left
-        if left:
-            # a later read of a block op: the generator waits for the last
-            resp = memory.read(t, self.pid, self.op[1])
+        if self._pending_inv is not None:
+            self._open = self._pending_inv
+            self._pending_inv = None
+            if history is not None:
+                name, args = self._open
+                history.events.append(Event(2 * t, self.pid, "inv", name, args))
+        op = self.op
+        if op[0] == READ:
+            resp = memory.read(t, self.pid, op[1]) if memory.record_trace else memory.regs[op[1]]
+            left = self._left
+            if not left and len(op) == 3:  # the first read of a block op
+                left = op[2]
+                if not isinstance(left, int) or left < 1:
+                    raise ValueError(f"pid {self.pid}: bad block length {left!r}")
             self.steps += 1
-            self._left = left = left - 1
-            if left:
-                return
+            if left:  # inside a block op: the program waits for its last read
+                self._left = left = left - 1
+                if left:
+                    return
         else:
-            if self._pending_inv is not None:
-                self._open = self._pending_inv
-                self._pending_inv = None
-                if history is not None:
-                    name, args = self._open
-                    history.events.append(Event(2 * t, self.pid, "inv", name, args))
-            op = self.op
-            if op[0] == READ:
-                resp = memory.read(t, self.pid, op[1])
-                if len(op) == 3:
-                    k = op[2]
-                    if not isinstance(k, int) or k < 1:
-                        raise ValueError(f"pid {self.pid}: bad block length {k!r}")
-                    if k > 1:
-                        self.steps += 1
-                        self._left = k - 1
-                        return
-            else:
-                memory.write(t, self.pid, op[1], op[2])
-                resp = None
+            memory.write(t, self.pid, op[1], op[2])
+            resp = None
             self.steps += 1
-        self.op = self._resume(resp, t, history)
+        try:
+            item = self.gen.send(resp)
+            if item[0] != READ and item[0] != WRITE:
+                item = self._resume(item, t, history)
+        except StopIteration as stop:
+            self.done = True
+            self.result = stop.value
+            item = None
+        self.op = item
 
     def clone(self) -> "StepMachine":
         gen = self.gen
@@ -527,7 +522,9 @@ def run_live_uniform(
     reproduces a seed's run.  Untraced, a middle read of a block op is
     counted down in place, and once c <= 255 and every live machine has
     more than `_SKIP` block reads left, `_skip_blocks` draws the slots up
-    to the first block's last read in bulk, exactly; see there.
+    to the first block's last read in bulk, exactly; see there.  `deep`
+    counts the live machines that far inside a block, so that test costs
+    O(1) a step; it is kept only untraced.
     """
     _by_pid(machines)  # raises on a duplicate pid
     live = [m for m in machines if not m.done]
@@ -535,6 +532,7 @@ def run_live_uniform(
     untraced = not memory.record_trace
     c = len(live)
     bits = c.bit_length()
+    deep = sum([m._left > _SKIP for m in live])
     t = t0 = memory.t
     end = t0 + max_steps
     while c and t < end:
@@ -546,6 +544,8 @@ def run_live_uniform(
         if left > 1 and untraced:  # a middle read: no trace, event or resume
             m._left = left - 1
             m.steps += 1
+            if left == _SKIP + 1:
+                deep -= 1
         else:
             m.step(memory, t, history)
             if m.done:
@@ -553,8 +553,11 @@ def run_live_uniform(
                 live.pop()
                 c -= 1
                 bits = c.bit_length()
-            if untraced and 0 < c <= 255 and (m.done or m._left > _SKIP):
+            elif m._left > _SKIP:
+                deep += 1
+            if deep == c and untraced and 0 < c <= 255:
                 t += _skip_blocks(live, getrandbits, end - t - 1)
+                deep = sum([m._left > _SKIP for m in live])
         t += 1
     memory.t = t
     return t - t0

@@ -74,7 +74,7 @@ class BoundedSnapshot:
     declares it owner-tagged (both in the module docstring).
     """
 
-    __slots__ = ("base", "m", "n", "value_bits", "pid_bits", "codec", "_shift")
+    __slots__ = ("base", "m", "n", "value_bits", "pid_bits", "codec", "_shift", "_reads", "_s_writes")
 
     def __init__(
         self,
@@ -94,6 +94,10 @@ class BoundedSnapshot:
         self.codec = codec
         # bits below the value in a cell: parity, plus the writer field
         self._shift = 1 if codec is not None else self.pid_bits + 1
+        # the op tuples of every scan and update: reads of A[0..m-1] then of
+        # S, and each process's S write
+        self._reads = tuple((READ, base + i) for i in range(m + 1))
+        self._s_writes = tuple((WRITE, base + m, p) for p in range(n))
 
     # -- layout -------------------------------------------------------------
 
@@ -137,7 +141,7 @@ class BoundedSnapshot:
         parity[comp] = b ^ 1
         writer = 0 if self.codec is not None else (pid + 1) << 1
         cell = (x << self._shift) | writer | b
-        return _Update((WRITE, self.s_reg, pid), (WRITE, self.a_reg(comp), cell))
+        return _Update(self._s_writes[pid], (WRITE, self.a_reg(comp), cell))
 
     def scan_steps(self, pid: int) -> "_Scan":
         """The register steps of scan(); the cursor returns the view."""
@@ -169,11 +173,13 @@ class _Scan(Cursor):
 
     `j` is the attempt's step returned last: -1 before the first, 0 the S
     write, 1..m the reads of c1, m+1..2m those of c2, 2m+1 the S read.
+    The op tuples returned are the snapshot's own, made once per snapshot.
     """
 
     def __init__(self, snap: BoundedSnapshot, pid: int):
         self.pid = pid
-        self.base = snap.base
+        self.reads = snap._reads
+        self.s_write = snap._s_writes[pid]
         self.m = snap.m
         self.shift = snap._shift
         self.j = -1
@@ -188,7 +194,7 @@ class _Scan(Cursor):
                 if val != self.c1[j - m - 1]:
                     self.eq = False
                 self.j = j + 1
-                return (READ, self.base + j - m)  # the next cell of c2, then S
+                return self.reads[j - m]  # the next cell of c2, then S
             if val == self.pid and self.eq:
                 sh = self.shift
                 self.result = tuple(c >> sh for c in self.c1)
@@ -200,9 +206,9 @@ class _Scan(Cursor):
             self.c1.append(val)
         if j < 0:
             self.j = 0
-            return (WRITE, self.base + m, self.pid)
+            return self.s_write
         self.j = j + 1
-        return (READ, self.base + (j if j < m else 0))  # the next cell of c1, then of c2
+        return self.reads[j if j < m else 0]  # the next cell of c1, then of c2
 
     def clone(self) -> "_Scan":
         c = super().clone()

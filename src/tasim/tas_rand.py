@@ -34,17 +34,19 @@ registers), wrapped for randomized wait-freedom; its two potential callers
 are the stage-i splitter winner (role 0) and the stage-(i+1) chain survivor
 (role 1), so roles never collide.  A stage TAS records no interface events.
 
-Layout (`RandTas`): register 0 is the doorway; then the banks of sifters
-1..K-1, sized `gw_sizes(n)`, so K = len(gw_sizes(n)) + 1; the splitter pairs
-X, Y = X + 1 of stages 1..K; the LE2 objects of stages 1..K; and last the
-backstop.  Each TAS object is laid out by `tas_det.tas_snapshot`.
+Layout (`layout(n)`, built once per n): register 0 is the doorway; then the
+banks of sifters 1..K-1, sized `gw_sizes(n)`, so K = len(gw_sizes(n)) + 1;
+the splitter pairs X, Y = X + 1 of stages 1..K; the LE2 objects of stages
+1..K; and last the backstop.  Each TAS object is laid out by
+`tas_det.tas_snapshot`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
+from functools import lru_cache
 
 from .randomized import wrapped_tas_program
 from .shm import Memory, READ, WRITE, StepMachine
@@ -97,13 +99,43 @@ def split_steps(x_reg: int, y_reg: int, pid: int):
     return WIN if x == pid else CONTINUE
 
 
+Layout = namedtuple("Layout", "sizes K gw_base px_reg le2_snaps backstop_snap widths b2 bn")
+
+
+@lru_cache(maxsize=16)
+def layout(n: int) -> Layout:
+    """The register layout of `RandTas(n)`, built once per n and shared.
+
+    Entry i-1 of `sizes`, `gw_base`, `px_reg` and `le2_snaps` belongs to
+    stage i (see `RandTas`); `widths` are the registers', and `b2`, `bn`
+    the solo step bounds the stage TASs are wrapped with.  Immutable:
+    tuples, and snapshots, which hold no run state.
+    """
+    sizes = gw_sizes(n)
+    K = len(sizes) + 1
+    pid_w = max(1, (n - 1).bit_length())
+    widths: list[int] = [1]  # register 0: global doorway
+
+    def bank(bank_widths: list[int]) -> int:
+        widths.extend(bank_widths)
+        return len(widths) - len(bank_widths)
+
+    gw_base = tuple(bank([1] * size) for size in sizes)
+    px_reg = tuple(bank([pid_w, 1]) for _ in range(K))
+    le2_snaps = tuple(tas_snapshot(2, bank(tas_register_widths(2))) for _ in range(K))
+    backstop_snap = tas_snapshot(n, bank(tas_register_widths(n)))
+    return Layout(sizes, K, gw_base, px_reg, le2_snaps, backstop_snap, tuple(widths),
+                  solo_step_bound(2), solo_step_bound(n))
+
+
 class RandTas:
     """One shot of the pipeline: layout, per-process programs, counters.
 
     The layout is kept in plain lists whose entry i-1 belongs to stage i:
     `sizes` and `gw_base` (group-wise sifter i < K), `px_reg` (splitter X;
     Y is X + 1) and `le2_snaps` (LE2 i's chain snapshot); `backstop_snap`
-    is stage K's, and `backstop_index` is K = len(gw_sizes(n)) + 1.
+    is stage K's, and `backstop_index` is K = len(gw_sizes(n)) + 1.  They
+    come from `layout(n)`, the lists copied per instance.
 
     Build a fresh instance per execution.  `entered[i]` counts compete()
     invocations of sifter i, `split_outcomes[i]` tallies splitter results,
@@ -115,25 +147,12 @@ class RandTas:
     """
 
     def __init__(self, n: int, seed: int = 0):
-        self.n = n
-        self.seed = seed
-        self.sizes = gw_sizes(n)
-        self.backstop_index = K = len(self.sizes) + 1
-        pid_w = max(1, (n - 1).bit_length())
-
-        widths: list[int] = [1]  # register 0: global doorway
-
-        def bank(bank_widths: list[int]) -> int:
-            widths.extend(bank_widths)
-            return len(widths) - len(bank_widths)
-
-        self.gw_base = [bank([1] * size) for size in self.sizes]
-        self.px_reg = [bank([pid_w, 1]) for _ in range(K)]
-        self.le2_snaps = [tas_snapshot(2, bank(tas_register_widths(2))) for _ in range(K)]
-        self.backstop_snap = tas_snapshot(n, bank(tas_register_widths(n)))
-        self.widths = widths
-        self.b2 = solo_step_bound(2)
-        self.bn = solo_step_bound(n)
+        lay = layout(n)
+        self.n, self.seed = n, seed
+        self.sizes, self.backstop_index, self.backstop_snap = lay.sizes, lay.K, lay.backstop_snap
+        self.gw_base, self.px_reg = list(lay.gw_base), list(lay.px_reg)
+        self.le2_snaps, self.widths = list(lay.le2_snaps), list(lay.widths)
+        self.b2, self.bn = lay.b2, lay.bn
 
         self.entered: Counter = Counter()
         self.split_outcomes: dict[int, Counter] = {}

@@ -199,10 +199,23 @@ def test_history_protocol_errors():
         yield ("res", 1)
         yield ("w", 0, 1)
 
+    def late_orphan_res():
+        yield ("w", 0, 1)
+        yield ("res", 1)
+
+    def unknown():
+        yield ("w", 0, 1)
+        yield ("x", 0)
+
     with pytest.raises(ValueError, match="nested"):
         run([StepMachine(0, nested())], Memory([4]), [0, 0])
     with pytest.raises(ValueError, match="without open"):
         StepMachine(0, orphan_res())
+    # the same faults met after a step, on the way to the next shared op
+    with pytest.raises(ValueError, match="without open"):
+        run([StepMachine(0, late_orphan_res())], Memory([4]), [0])
+    with pytest.raises(ValueError, match="unknown yield"):
+        run([StepMachine(0, unknown())], Memory([4]), [0])
 
 
 def test_program_must_take_a_step():
@@ -444,6 +457,8 @@ def test_live_uniform_untraced_equals_traced(monkeypatch):
     bulk = shm._skip_blocks
 
     def spy(live, getrandbits, budget):
+        # called only when it can skip: every live machine is deep in a block
+        assert all(m._left > shm._SKIP for m in live)
         taken = bulk(live, getrandbits, budget)
         skips.append((len(live), budget, taken))
         return taken

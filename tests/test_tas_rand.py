@@ -13,6 +13,7 @@ from tasim.tas_rand import (
     RandTas,
     gw_sizes,
     gw_steps,
+    layout,
     split_steps,
 )
 from tasim.verify import check_tas
@@ -100,6 +101,35 @@ def test_register_count_scales_logarithmically():
     assert counts[1024] == 3309
     for n in (16, 64, 256):
         assert counts[4 * n] - counts[n] < counts[n]
+
+
+def test_layout_is_built_once_per_n_and_shared():
+    a, b = RandTas(16, seed=5), RandTas(16, seed=5)
+    lay = layout(16)
+    assert layout(16) is lay and layout.cache_info().maxsize is not None  # cached, bounded
+    assert a.backstop_snap is b.backstop_snap is lay.backstop_snap
+    assert all(x is y is z for x, y, z in zip(a.le2_snaps, b.le2_snaps, lay.le2_snaps))
+    # the layout is immutable; an instance's lists are its own copies
+    assert all(type(f) is tuple for f in (lay.sizes, lay.gw_base, lay.px_reg, lay.le2_snaps, lay.widths))
+    hash(lay)
+    with pytest.raises(AttributeError):
+        lay.widths = ()
+    for field in ("gw_base", "px_reg", "le2_snaps", "widths"):
+        mine, theirs = getattr(a, field), getattr(b, field)
+        assert type(mine) is list and mine == list(getattr(lay, field)) and mine is not theirs
+
+    def one_run(rt):
+        machines = rt.machines()
+        mem = rt.memory()
+        h = History()
+        run_live_uniform(machines, mem, random.Random(5), 50_000_000, history=h)
+        return (h.events, [(m.steps, m.result) for m in machines], mem.regs,
+                rt.entered, rt.split_outcomes, rt.le2_claims)
+
+    first = one_run(a)
+    assert first[3] and first[4] and first[5]  # it reached an LE2
+    assert not b.entered and not b.split_outcomes and not b.le2_claims
+    assert one_run(b) == one_run(RandTas(16, seed=5))
 
 
 def test_gw_steps_exactly_two_and_winner_rule():
