@@ -11,7 +11,7 @@ import random
 import statistics
 
 from tasim.shm import History, run_live_uniform
-from tasim.tas_rand import RandTas, gw_sizes
+from tasim.tas_rand import RandTas, gw_sizes, layout
 from tasim.verify import check_tas
 
 
@@ -19,8 +19,8 @@ def main():
     print("n      registers   stages(K)   group sizes (s1, z)")
     for n in (16, 64, 256, 1024):
         s1, z = gw_sizes(n)[:2]
-        rt = RandTas(n, seed=0)
-        print(f"{n:<6} {len(rt.widths):<11} {rt.backstop_index:<11} ({s1}, {z})")
+        lay = layout(n)
+        print(f"{n:<6} {len(lay.widths):<11} {lay.K:<11} ({s1}, {z})")
 
     for n in (16, 256):
         means, backstops = [], 0

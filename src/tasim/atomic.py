@@ -26,43 +26,31 @@ results and fine-grained checks corroborate each other.
 step machines over a `shm.Memory` whose programs are cursors (`shm.Cursor`:
 `register_program`, `snapshot.ops_program`), by breadth-first search over
 interned states, memoizing each deterministic step; retry loops revisit
-states, so a register-level closure needs no depth cap.
+states, so a register-level closure needs no depth cap.  A logic machine's
+FIELDS and a cursor's follow one contract, `shm.Explicit`, which gives both
+their `clone` and `key`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter
 from typing import Callable, Optional
 
-from .shm import READ, WRITE, Cursor, Event, History, as_cursor, drain, run
+from .shm import READ, WRITE, Cursor, Event, Explicit, History, as_cursor, drain, run
 
 
-def _key_getter(fields: tuple) -> attrgetter:
-    # `steps` is bookkeeping, not protocol state: keeping it out of the key
-    # lets exploration of non-terminating interleavings reach a fixpoint over
-    # the finite protocol state space
-    return attrgetter(*(f for f in fields if f != "steps"))
-
-
-class LogicMachine:
+class LogicMachine(Explicit):
     """Explicit-state protocol participant.
 
     Subclasses poise the next operation in `self.op` and implement
     `advance(res)` to consume the operation's result and choose the next one
-    (or set `done`/`result`).  `step`, `clone` and `key` then come for free;
-    the last two are what make exhaustive exploration cheap.
-
-    The FIELDS contract: an instance's attributes are exactly the names in
-    its class's FIELDS, and their values are hashable.  `clone` copies the
-    instance dict, so an attribute outside FIELDS would be cloned but left
-    out of `key`, and two configurations that differ in it would be merged.
-    `key` reads FIELDS minus `steps` through one `operator.attrgetter` per
-    class, built when the class is defined.
+    (or set `done`/`result`).  `step` comes for free; `clone` and `key`,
+    which make exhaustive exploration cheap, follow the FIELDS contract of
+    `shm.Explicit`, more strictly: an instance's attributes are exactly the
+    names in its class's FIELDS, and there are no NESTED parts.
     """
 
     FIELDS = ("pid", "op", "done", "result", "steps")
-    _key = _key_getter(FIELDS)
 
     pid: int
     op: Optional[tuple]
@@ -70,10 +58,6 @@ class LogicMachine:
     result: object
     steps: int
     op_name: Optional[str] = None  # interface op for histories, e.g. "tas"
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._key = _key_getter(cls.FIELDS)
 
     def __init__(self, pid: int):
         self.pid = pid
@@ -101,14 +85,6 @@ class LogicMachine:
         self.advance(res)
         if emit and self.done:
             history.events.append(Event(2 * t + 1, self.pid, "res", self.op_name, (), self.result))
-
-    def clone(self):
-        c = object.__new__(type(self))
-        c.__dict__ = self.__dict__.copy()
-        return c
-
-    def key(self) -> tuple:
-        return self._key(self)
 
 
 class AtomicStore:
@@ -316,12 +292,15 @@ _START, _NEXT, _PLAIN, _END = range(4)
 class _Lowered(Cursor):
     """`register_program`'s cursor: a snapshot op of the logic runs as `sub`."""
 
+    FIELDS = ("stage", "parity")
+    NESTED = ("logic", "sub")
+
     def __init__(self, logic: LogicMachine, snap):
         self.logic = logic
         self.snap = snap
         self.stage = _START
         self.sub = None
-        self.parity = [0] * snap.m  # this process's bit per component (see `snapshot`)
+        self.parity = 0  # this process's bits, bit i for component i (see `snapshot`)
 
     def send(self, val):
         sub = self.sub
@@ -365,25 +344,14 @@ class _Lowered(Cursor):
             return (WRITE, snap.base - 1 - op[1], op[2])
         self.stage = _NEXT
         if kind == "u":
-            sub = snap.update_steps(logic.pid, op[1], snap.codec.encode(op[1], op[2]), self.parity)
+            x = snap.codec.encode(op[1], op[2])
+            sub, self.parity = snap.update_steps(logic.pid, op[1], x, self.parity)
         elif kind == "s":
             sub = as_cursor(snap.scan_steps(logic.pid))
         else:
             raise ValueError(f"unknown op {op!r}")
         self.sub = sub
         return sub.step(None)
-
-    def clone(self) -> "_Lowered":
-        c = super().clone()
-        c.logic = self.logic.clone()
-        if self.sub is not None:
-            c.sub = self.sub.clone()
-        c.parity = list(self.parity)
-        return c
-
-    def key(self) -> tuple:
-        sub_key = None if self.sub is None else self.sub.key()
-        return (self.logic.key(), self.stage, sub_key, tuple(self.parity))
 
 
 # ---------------------------------------------------------------------------

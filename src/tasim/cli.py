@@ -73,7 +73,7 @@ from .shm import (
 )
 from .sifter import LOSE, S_MAX, WIN, sifter_machines, sifter_store, sifter_system
 from .snapshot import BoundedSnapshot, ops_program
-from .tas_rand import RandTas
+from .tas_rand import RandTas, layout
 from .verify import SearchBudgetExceeded, check_linearizable, check_tas, SnapshotSequential
 
 REGISTER_SOLO_BOUND = 100_000  # drain allowance per machine in register re-runs
@@ -234,7 +234,7 @@ def cmd_sweep(args, out, _trace_fp) -> int:  # sweep has no --trace
     trial = TRIALS[args.object]
     det = args.object == "tas_det"  # else tas_rand
     for n in args.n_list:
-        regs = len(tas_det.tas_register_widths(n) if det else RandTas(n, seed=0).widths)
+        regs = len(tas_det.tas_register_widths(n) if det else layout(n).widths)
         trials = [trial(n, args, args.seed + i) for i in range(args.trials)]
         all_ok = all_ok and all(tr.checker == "ok" for tr in trials)
         steps = [s for tr in trials for s in tr.steps]

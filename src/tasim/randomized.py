@@ -101,7 +101,8 @@ class HeadsRng:
 
 
 class TailsRng:
-    """Stub coin: always tails (the inner program never advances)."""
+    """Stub coin: tails whenever n > 1 (the inner program never advances);
+    randrange(1) can only return 0, which is heads."""
 
     def randrange(self, n: int) -> int:
         return n - 1 if n > 1 else 0

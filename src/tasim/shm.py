@@ -17,10 +17,12 @@ It is a generator::
         yield ('w', 0, v + 1)     # write register 0
 
 or an explicit iterator, a `Cursor`, whose ``send`` plays the generator's
-part and whose whole state is in its fields, so that it has `clone` and
-`key`: the snapshot's scan and update, ``snapshot.ops_program`` and
+part and whose whole state is declared (`Explicit`), so that it has `clone`
+and `key`: the snapshot's scan and update, ``snapshot.ops_program`` and
 ``atomic.register_program`` are cursors.  Only a machine whose program is a
-cursor can be cloned and explored (``atomic.explore``).
+cursor can be cloned and explored (``atomic.explore``).  `Explicit` is also
+the contract of ``atomic.LogicMachine``: a program's and a logic's state is
+one set of declared attributes, and none of them holds a list.
 
 A *block op* ``('r', reg, k)`` stands for k reads of one register in a
 row: it takes k schedule slots, k steps and k trace entries, exactly as k
@@ -52,6 +54,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Generator, Iterable, Optional
 
 READ = "r"
@@ -242,8 +245,55 @@ def make_schedule(
 # step machines
 
 
-class Cursor:
-    """An explicit program: the generator protocol, its state in its fields.
+class Explicit:
+    """A state declared per class: a logic machine, a program or a sub-program.
+
+    FIELDS name the attributes holding hashable values, NESTED those holding
+    explicit parts or None; any other attribute is fixed at construction and
+    not keyed, since exploration compares only states built alike.  `clone`
+    copies the instance dict and clones the NESTED parts; `key` is the FIELDS
+    but ``steps`` (bookkeeping) through one `operator.attrgetter` per class,
+    then the NESTED parts' keys.  A list in FIELDS would be shared by a clone,
+    and an attribute a step changes outside both would be cloned but not
+    keyed, merging states that differ: no state holds a list.
+    """
+
+    FIELDS: tuple = ()
+    NESTED: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        keyed = [f for f in cls.FIELDS if f != "steps"]
+        if keyed:
+            cls._fields = attrgetter(*keyed)
+        if cls.NESTED:  # else a copy of the dict, and the getter alone
+            cls.clone, cls.key = Explicit._clone_nested, Explicit._key_nested
+
+    def clone(self):
+        c = object.__new__(type(self))
+        c.__dict__ = self.__dict__.copy()
+        return c
+
+    def key(self) -> tuple:
+        return self._fields(self)
+
+    def _clone_nested(self):
+        c = Explicit.clone(self)
+        for name in self.NESTED:
+            if (part := getattr(self, name)) is not None:
+                setattr(c, name, part.clone())
+        return c
+
+    def _key_nested(self) -> tuple:
+        key = [self._fields(self)]
+        for name in self.NESTED:
+            part = getattr(self, name)
+            key.append(None if part is None else part.key())
+        return tuple(key)
+
+
+class Cursor(Explicit):
+    """An explicit program: the generator protocol, its state declared.
 
     A subclass implements ``send(val)`` as a generator does: it takes the
     response to the item it returned last (None for the first call and
@@ -252,13 +302,8 @@ class Cursor:
     update) implements ``step(val)`` instead, which returns None at the end
     and leaves the return value in `result`, and `send` is built on it
     here: the program driving it calls `step`, since raising and catching
-    StopIteration costs about as much as four register steps.
-
-    ``clone()`` is an independent copy: the instance dict is copied here,
-    and a subclass copies its mutable fields on top.  ``key()`` is hashable
-    and equal for two cursors exactly when they behave alike from here on;
-    what is fixed at construction (the snapshot, a script) may be left out
-    of it, since exploration only compares cursors built alike.
+    StopIteration costs about as much as four register steps.  Its state
+    follows `Explicit`: tuples and ints in FIELDS, sub-programs in NESTED.
     """
 
     result = None
@@ -275,16 +320,11 @@ class Cursor:
             raise StopIteration(self.result)
         return item
 
-    def clone(self):
-        c = object.__new__(type(self))
-        c.__dict__ = self.__dict__.copy()
-        return c
-
 
 def as_cursor(program) -> Cursor:
     """`program` if it is a cursor, else the generator `program` as a
-    sub-program that cannot be cloned: perfbench/ counts scans by replacing
-    `BoundedSnapshot.scan_steps` with a generator."""
+    sub-program that can be neither cloned nor keyed: perfbench/ counts
+    scans by replacing `BoundedSnapshot.scan_steps` with a generator."""
     return program if isinstance(program, Cursor) else _Generator(program)
 
 
@@ -301,6 +341,9 @@ class _Generator(Cursor):
 
     def clone(self):
         raise TypeError(f"a {type(self.gen).__name__} program cannot be cloned")
+
+    def key(self):
+        raise TypeError(f"a {type(self.gen).__name__} program cannot be keyed")
 
 
 class StepMachine:

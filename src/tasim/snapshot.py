@@ -15,8 +15,10 @@ from m value cells A[0..m-1] plus one handshake register S:
                    return the values of c1
 
 where p is the caller's process id and b alternates per (writer, component).
-Each writer keeps its own bits, one per component, in its program
-(`ops_program`, `atomic.register_program`), so a BoundedSnapshot is a pure
+Each writer keeps its own bits in its program (`ops_program`,
+`atomic.register_program`) as one int, bit i for component i:
+`update_steps` takes them and returns the writer's new bits with the
+sub-program, so the flip rule lives here.  A BoundedSnapshot is thus a pure
 layout: one instance serves any number of runs and processes, and the same
 schedule gives the same execution on each.
 
@@ -24,8 +26,8 @@ Scan and update are written once, as cursors (`shm.Cursor`): `scan_steps`
 and `update_steps` return explicit sub-programs that a program drives with
 ``step`` and that clone and key like the programs driving them, so
 register-level systems can be explored state by state.  A scan keeps its
-place in the attempt, the first collect c1 and whether the second collect
-has matched c1 so far; that is all it needs of c2.
+place in the attempt, the first collect c1 (a tuple) and whether the second
+collect has matched c1 so far; that is all it needs of c2.
 
 Why it works: a successful scan rereads S as its own id, so no update began
 (wrote S) between the scanner's S-write and its final S-read.  Updates that
@@ -124,9 +126,10 @@ class BoundedSnapshot:
 
     # -- step programs --------------------------------------------------------
 
-    def update_steps(self, pid: int, comp: int, x: int, parity: list[int]) -> "_Update":
-        """The two register writes of update(comp, x); the cell carries the
-        writer's own bit parity[comp] (all 0 at first), which flips here."""
+    def update_steps(self, pid: int, comp: int, x: int, parity: int) -> tuple:
+        """The two register writes of update(comp, x), and the writer's new
+        bits: the cell carries bit comp of `parity` (all 0 at first), which
+        flips in the bits returned."""
         if not 0 <= comp < self.m:
             raise ValueError(f"component {comp} out of range")
         if not isinstance(x, int) or x < 0 or x >> self.value_bits:
@@ -137,11 +140,11 @@ class BoundedSnapshot:
             raise ValueError(
                 f"value {x} of component {comp} does not name its writer {pid}"
             )
-        b = parity[comp]
-        parity[comp] = b ^ 1
+        b = (parity >> comp) & 1
         writer = 0 if self.codec is not None else (pid + 1) << 1
         cell = (x << self._shift) | writer | b
-        return _Update(self._s_writes[pid], (WRITE, self.a_reg(comp), cell))
+        sub = _Update(self._s_writes[pid], (WRITE, self.a_reg(comp), cell))
+        return sub, parity ^ (1 << comp)
 
     def scan_steps(self, pid: int) -> "_Scan":
         """The register steps of scan(); the cursor returns the view."""
@@ -152,6 +155,8 @@ class BoundedSnapshot:
 
 class _Update(Cursor):
     """An update's S write then its cell write; `i` of them are returned."""
+
+    FIELDS = ("i", "ops")
 
     def __init__(self, s_write: tuple, cell_write: tuple):
         self.ops = (s_write, cell_write)
@@ -164,9 +169,6 @@ class _Update(Cursor):
         self.i = i + 1
         return self.ops[i]
 
-    def key(self) -> tuple:
-        return (self.i, self.ops[1])
-
 
 class _Scan(Cursor):
     """A scan: attempts of the S write, collects c1 and c2, and the S read.
@@ -176,6 +178,8 @@ class _Scan(Cursor):
     The op tuples returned are the snapshot's own, made once per snapshot.
     """
 
+    FIELDS = ("j", "c1", "eq")
+
     def __init__(self, snap: BoundedSnapshot, pid: int):
         self.pid = pid
         self.reads = snap._reads
@@ -183,7 +187,7 @@ class _Scan(Cursor):
         self.m = snap.m
         self.shift = snap._shift
         self.j = -1
-        self.c1: list[int] = []
+        self.c1: tuple = ()
         self.eq = True  # c2 has matched c1 so far
 
     def step(self, val):
@@ -200,23 +204,15 @@ class _Scan(Cursor):
                 self.result = tuple(c >> sh for c in self.c1)
                 return None
             j = -1  # retry
-            self.c1 = []
+            self.c1 = ()
             self.eq = True
         elif j > 0:  # val answers a read of c1
-            self.c1.append(val)
+            self.c1 += (val,)
         if j < 0:
             self.j = 0
             return self.s_write
         self.j = j + 1
         return self.reads[j if j < m else 0]  # the next cell of c1, then of c2
-
-    def clone(self) -> "_Scan":
-        c = super().clone()
-        c.c1 = list(self.c1)
-        return c
-
-    def key(self) -> tuple:
-        return (self.j, tuple(self.c1), self.eq)
 
 
 def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]) -> "_Script":
@@ -232,13 +228,16 @@ def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]) -> "_Scrip
 class _Script(Cursor):
     """`ops_program`'s cursor: script op k-1 runs as `sub` between its markers."""
 
+    FIELDS = ("k", "parity", "views")
+    NESTED = ("sub",)
+
     def __init__(self, snap: BoundedSnapshot, pid: int, script: list[tuple]):
         self.snap = snap
         self.pid = pid
         self.script = tuple(script)
         self.k = 0
         self.sub = None
-        self.parity = [0] * snap.m
+        self.parity = 0  # the writer's bits, bit i for component i
         self.views: tuple = ()
 
     def send(self, val):
@@ -258,20 +257,9 @@ class _Script(Cursor):
         self.k = k + 1
         if op[0] == "update":
             _, comp, x = op
-            self.sub = self.snap.update_steps(self.pid, comp, x, self.parity)
+            self.sub, self.parity = self.snap.update_steps(self.pid, comp, x, self.parity)
             return ("inv", "update", (comp, x))
         if op[0] == "scan":
             self.sub = as_cursor(self.snap.scan_steps(self.pid))
             return ("inv", "scan", ())
         raise ValueError(f"unknown script op {op!r}")
-
-    def clone(self) -> "_Script":
-        c = super().clone()
-        if self.sub is not None:
-            c.sub = self.sub.clone()
-        c.parity = list(self.parity)
-        return c
-
-    def key(self) -> tuple:
-        sub = self.sub
-        return (self.k, None if sub is None else sub.key(), tuple(self.parity), self.views)

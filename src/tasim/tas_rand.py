@@ -106,10 +106,11 @@ Layout = namedtuple("Layout", "sizes K gw_base px_reg le2_snaps backstop_snap wi
 def layout(n: int) -> Layout:
     """The register layout of `RandTas(n)`, built once per n and shared.
 
-    Entry i-1 of `sizes`, `gw_base`, `px_reg` and `le2_snaps` belongs to
-    stage i (see `RandTas`); `widths` are the registers', and `b2`, `bn`
-    the solo step bounds the stage TASs are wrapped with.  Immutable:
-    tuples, and snapshots, which hold no run state.
+    Entry i-1 of `sizes`, `gw_base` (group-wise sifter i < K), `px_reg`
+    (splitter X; Y is X + 1) and `le2_snaps` (LE2 i's chain snapshot)
+    belongs to stage i, and `backstop_snap` to stage K; `widths` are the
+    registers', and `b2`, `bn` the solo step bounds the stage TASs are
+    wrapped with.  Immutable: tuples, and snapshots, which hold no run state.
     """
     sizes = gw_sizes(n)
     K = len(sizes) + 1
@@ -129,13 +130,10 @@ def layout(n: int) -> Layout:
 
 
 class RandTas:
-    """One shot of the pipeline: layout, per-process programs, counters.
+    """One shot of the pipeline: its layout, per-process programs, counters.
 
-    The layout is kept in plain lists whose entry i-1 belongs to stage i:
-    `sizes` and `gw_base` (group-wise sifter i < K), `px_reg` (splitter X;
-    Y is X + 1) and `le2_snaps` (LE2 i's chain snapshot); `backstop_snap`
-    is stage K's, and `backstop_index` is K = len(gw_sizes(n)) + 1.  They
-    come from `layout(n)`, the lists copied per instance.
+    `layout` is `layout(n)`, shared by every instance for n, and
+    `backstop_index` is its K = len(gw_sizes(n)) + 1, the backstop's stage.
 
     Build a fresh instance per execution.  `entered[i]` counts compete()
     invocations of sifter i, `split_outcomes[i]` tallies splitter results,
@@ -147,12 +145,9 @@ class RandTas:
     """
 
     def __init__(self, n: int, seed: int = 0):
-        lay = layout(n)
         self.n, self.seed = n, seed
-        self.sizes, self.backstop_index, self.backstop_snap = lay.sizes, lay.K, lay.backstop_snap
-        self.gw_base, self.px_reg = list(lay.gw_base), list(lay.px_reg)
-        self.le2_snaps, self.widths = list(lay.le2_snaps), list(lay.widths)
-        self.b2, self.bn = lay.b2, lay.bn
+        self.layout = layout(n)
+        self.backstop_index = self.layout.K
 
         self.entered: Counter = Counter()
         self.split_outcomes: dict[int, Counter] = {}
@@ -160,7 +155,7 @@ class RandTas:
 
     def memory(self) -> Memory:
         """Fresh registers; set `record_trace = True` on them to record accesses."""
-        return Memory(self.widths)
+        return Memory(self.layout.widths)
 
     def process_rng(self, pid: int) -> random.Random:
         """The coin stream of `pid`, created when it passes the doorway."""
@@ -181,7 +176,8 @@ class RandTas:
         self.le2_claims[key] = pid
 
     def _program(self, pid: int):
-        K = self.backstop_index
+        lay = self.layout
+        K = lay.K
         yield ("inv", "tas", ())
         d = yield (READ, 0)
         if d == 1:
@@ -193,15 +189,15 @@ class RandTas:
         while True:
             self.entered[i] += 1
             if i < K:
-                out = yield from gw_steps(self.gw_base[i - 1], self.sizes[i - 1], rng)
+                out = yield from gw_steps(lay.gw_base[i - 1], lay.sizes[i - 1], rng)
             else:
                 bit = yield from wrapped_tas_program(
-                    _StageTas(pid, self.n), self.backstop_snap, self.bn, rng
+                    _StageTas(pid, self.n), lay.backstop_snap, lay.bn, rng
                 )
                 out = WIN if bit == 0 else LOSE
             if out == LOSE:
                 break
-            x = self.px_reg[i - 1]
+            x = lay.px_reg[i - 1]
             sp = yield from split_steps(x, x + 1, pid)
             self.split_outcomes.setdefault(i, Counter())[sp] += 1
             if sp == LOSE:
@@ -219,7 +215,7 @@ class RandTas:
                 role = 0 if j == won_at else 1
                 self._claim_le2(j, role, pid)
                 bit = yield from wrapped_tas_program(
-                    _StageTas(role, 2), self.le2_snaps[j - 1], self.b2, rng
+                    _StageTas(role, 2), lay.le2_snaps[j - 1], lay.b2, rng
                 )
                 if bit != 0:
                     break

@@ -1,12 +1,15 @@
 """Coarse-grained engine: logic machines, exhaustive exploration, lowering."""
 
 import hashlib
+import importlib
+import pkgutil
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tasim
 from tasim.atomic import (
     AtomicStore,
     LogicMachine,
@@ -16,10 +19,10 @@ from tasim.atomic import (
     run_atomic,
     run_atomic_solo,
 )
-from tasim.shm import Event, History, StepMachine, drain, run
+from tasim.shm import Cursor, Event, Explicit, History, StepMachine, as_cursor, drain, run
 from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_machines, sifter_store
 from tasim.snapshot import BoundedSnapshot, ops_program
-from tasim.tas_det import S_MAX, TasLogic, ell, tas_machines, tas_store, wle_store
+from tasim.tas_det import S_MAX, TasLogic, ell, tas_machines, tas_store, tas_system, wle_store
 from tasim.verify import SnapshotSequential, check_linearizable
 
 
@@ -109,32 +112,113 @@ def test_logic_clone_and_key_exclude_steps():
     assert a.key() != b.key() and a.stage == "u" and b.stage == "s"
 
 
-LIBRARY_LOGICS = (
-    ("sifter", SifterLogic, sifter_store),
-    ("naive", NaiveSifterLogic, sifter_store),
-    ("wle", lambda p: SifterLogic(p, 2), lambda: wle_store(2)),
-    ("tas", lambda p: TasLogic(p, 2), lambda: tas_store(2)),
+def _ops_program_system():
+    # p1's update lands between p0's collects, so p0's scan retries
+    snap = BoundedSnapshot(0, 2, n=2, value_bits=2)
+    scripts = [[("update", 0, 1), ("scan",), ("update", 1, 2)], [("update", 0, 3), ("scan",)]]
+    ms = [StepMachine(p, ops_program(snap, p, scripts[p])) for p in range(2)]
+    return ms, snap.fresh_memory()
+
+
+# (name, make_system, schedule): every state along the schedule is checked
+EXPLICIT_SYSTEMS = (
+    ("sifter", lambda: ([SifterLogic(0), SifterLogic(1)], sifter_store()), [1, 1, 0, 0, 0]),
+    ("naive", lambda: ([NaiveSifterLogic(0), NaiveSifterLogic(1)], sifter_store()), [1, 1, 0, 0, 0]),
+    ("wle", lambda: ([SifterLogic(p, 2) for p in range(2)], wle_store(2)), [1, 1, 0, 0, 0]),
+    ("tas", lambda: (tas_machines(2), tas_store(2)), [1, 1, 0, 0, 0]),
+    ("ops_program", _ops_program_system, [0] * 5 + [1] * 2 + [0] * 12 + [1] * 8),
+    ("lowered_tas", lambda: tas_system(2)[:2], [0] * 9 + [1] * 30 + [0] * 40 + [1] * 40),
 )
 
 
-@pytest.mark.parametrize("name,make,store_of", LIBRARY_LOGICS, ids=[c[0] for c in LIBRARY_LOGICS])
-def test_fields_contract(name, make, store_of):
-    # a fresh machine, and one stopped mid-run against a rival
-    fresh = make(0)
-    machines, store = [make(0), make(1)], store_of()
-    run(machines, store, [1, 1, 0, 0, 0])
-    mid = machines[0]
-    assert 0 < mid.steps and not mid.done
-    fields = type(fresh).FIELDS
-    assert len(set(fields)) == len(fields)
-    for m, st in ((fresh, store_of()), (mid, store)):
-        assert set(vars(m)) == set(fields), name
-        before = dict(vars(m))
-        c = m.clone()
-        assert type(c) is type(m) and c.key() == m.key()
-        c.step(st.clone(), 0, None)
-        assert c.steps == m.steps + 1
-        assert vars(m) == before  # stepping the clone left the original alone
+def _top(m):
+    """A machine's explicit state: a logic machine, or a step machine's program."""
+    return m if isinstance(m, LogicMachine) else m.gen
+
+
+def _parts(x):
+    """`x` and every explicit state it holds, depth first."""
+    out = [x]
+    for v in vars(x).values():
+        if isinstance(v, Explicit):
+            out += _parts(v)
+    return out
+
+
+def _check_explicit(m, store):
+    """The explicit-state contract (`shm.Explicit`) at one state of machine `m`."""
+    parts = _parts(_top(m))
+    for p in parts:
+        cls = type(p)
+        assert cls.FIELDS or cls.NESTED, cls
+        assert len(set(cls.FIELDS + cls.NESTED)) == len(cls.FIELDS + cls.NESTED)
+        hash(tuple(getattr(p, f) for f in cls.FIELDS))
+        for name, v in vars(p).items():  # a part is NESTED, and NESTED holds parts
+            assert isinstance(v, Explicit) == (name in cls.NESTED) or v is None, (cls, name)
+        if isinstance(p, LogicMachine):
+            assert set(vars(p)) == set(cls.FIELDS), cls
+        assert p.clone().key() == p.key()
+    before = [dict(vars(p)) for p in parts]
+    key = m.key()
+    c = m.clone()
+    assert type(c) is type(m) and c.key() == key
+    if m.done:
+        return
+    cparts = _parts(_top(c))
+    cbefore = [dict(vars(p)) for p in cparts]
+    c.step(store.clone(), 0, None)
+    left = set(map(id, _parts(_top(c))))
+    gone = object()
+    for p, d in zip(cparts, cbefore):
+        now = vars(p)
+        changed = {a for a in d.keys() | now.keys() if d.get(a, gone) != now.get(a, gone)}
+        allowed = set(type(p).FIELDS + type(p).NESTED)
+        if id(p) not in left:
+            allowed.add("result")  # a sub-program that ended
+        assert changed <= allowed, (type(p), changed - allowed)
+    assert [dict(vars(p)) for p in parts] == before and m.key() == key  # the original untouched
+    twin = m.clone()
+    twin.step(store.clone(), 0, None)
+    assert twin.key() == c.key() and (twin.done, twin.result) == (c.done, c.result)
+
+
+@pytest.mark.parametrize(
+    "name,make,schedule", EXPLICIT_SYSTEMS, ids=[c[0] for c in EXPLICIT_SYSTEMS]
+)
+def test_fields_contract(name, make, schedule):
+    # every state along the schedule, from the fresh system to mid-run ones
+    machines, store = make()
+    kinds = set()
+    for pid in [None] + schedule:
+        if pid is not None:
+            run(machines, store, [pid])
+        for m in machines:
+            _check_explicit(m, store)
+            kinds |= {type(p).__name__ for p in _parts(_top(m))}
+    assert 0 < machines[0].steps
+    if name == "ops_program":  # a retried scan, and both sub-programs, were checked
+        assert machines[0].steps == 2 + 2 * 6 + 2 and machines[0].done
+        assert {"_Script", "_Scan", "_Update"} <= kinds
+    if name == "lowered_tas":
+        assert {"_Lowered", "TasLogic", "_Scan", "_Update"} <= kinds
+
+
+def test_every_explicit_class_declares_its_state():
+    # every LogicMachine and Cursor class in the package declares the state
+    # that clone copies and key reads, or refuses both
+    for mod in pkgutil.iter_modules(tasim.__path__):
+        importlib.import_module(f"tasim.{mod.name}")
+    classes, todo = set(), [Explicit]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            classes.add(sub)
+            todo.append(sub)
+    classes = {c for c in classes if c.__module__.startswith("tasim.")}
+    assert {"LogicMachine", "Cursor", "_Update", "_Scan", "_Script", "_Lowered"} <= {
+        c.__name__ for c in classes
+    }
+    undeclared = {c for c in classes - {Cursor} if not (c.FIELDS or c.NESTED)}
+    assert undeclared == {type(as_cursor(x for x in ()))}  # it refuses (test_shm)
 
 
 def test_run_logic_machine_history_convention():

@@ -15,6 +15,7 @@ from tasim.shm import (
     Memory,
     RegisterWidthError,
     StepMachine,
+    as_cursor,
     drain,
     export_trace_jsonl,
     make_schedule,
@@ -235,6 +236,20 @@ def test_only_a_cursor_program_clones():
     for machine, pid in ((m, 2), (wrapped, 1)):
         with pytest.raises(TypeError, match=f"pid {pid}: a generator program cannot be cloned"):
             machine.clone()
+
+
+def test_a_generator_sub_program_refuses_clone_and_key():
+    # as_cursor adapts a generator scan (perfbench's counting scan) but
+    # cannot copy or key its state, so two of its states must never merge
+    def read_once():
+        yield ("r", 0)
+
+    sub = as_cursor(read_once())
+    assert sub.step(None) == ("r", 0)
+    with pytest.raises(TypeError, match="a generator program cannot be cloned"):
+        sub.clone()
+    with pytest.raises(TypeError, match="a generator program cannot be keyed"):
+        sub.key()
 
 
 def test_event_is_a_frozen_dataclass():

@@ -32,41 +32,43 @@ def test_update_cell_layout():
         w = rng.randrange(1 << 9)
         pid = rng.randrange(6)
         b = rng.randrange(2)
-        parity = [b]
-        steps = list(s.update_steps(pid, 0, w, parity))
+        sub, parity = s.update_steps(pid, 0, w, b)
+        steps = list(sub)
         assert steps == [
             ("w", s.s_reg, pid),
             ("w", s.a_reg(0), (w << (s.pid_bits + 1)) | ((pid + 1) << 1) | b),
         ]
         assert 0 < steps[1][2] < (1 << s.cell_width)  # 0 is the unwritten cell
-        assert parity == [b ^ 1]
+        assert parity == b ^ 1
 
 
 def test_update_is_exactly_two_steps():
     s = BoundedSnapshot(0, 3, n=2, value_bits=4)
     for pid in range(2):
-        parity = [0] * 3
+        parity = 0
         for comp in range(3):
             for x in (0, 7, 15):
-                assert len(list(s.update_steps(pid, comp, x, parity))) == 2
+                sub, parity = s.update_steps(pid, comp, x, parity)
+                assert len(list(sub)) == 2
 
 
 def test_update_parity_alternates_per_writer_component():
     s = BoundedSnapshot(0, 2, n=2, value_bits=4)
-    p0, p1 = [0, 0], [0, 0]  # each writer's own bits
+    bits = [0, 0]  # each writer's own bits, bit i for component i
 
-    def cell_bit(pid, parity, comp, x):
-        steps = list(s.update_steps(pid, comp, x, parity))
+    def cell_bit(pid, comp, x):
+        sub, bits[pid] = s.update_steps(pid, comp, x, bits[pid])
+        steps = list(sub)
         assert steps[0] == ("w", s.s_reg, pid)
         assert steps[1][2] >> 1 == (x << s.pid_bits) | (pid + 1)  # layout: test above
         return steps[1][2] & 1
 
-    assert cell_bit(0, p0, 0, 5) == 0
-    assert cell_bit(0, p0, 0, 5) == 1  # same writer+comp: parity flips
-    assert cell_bit(0, p0, 0, 5) == 0
-    assert cell_bit(0, p0, 1, 5) == 0  # other comp: independent bit
-    assert cell_bit(1, p1, 0, 5) == 0  # other writer's list: independent bit
-    assert p0 == [1, 1] and p1 == [1, 0]
+    assert cell_bit(0, 0, 5) == 0
+    assert cell_bit(0, 0, 5) == 1  # same writer+comp: parity flips
+    assert cell_bit(0, 0, 5) == 0
+    assert cell_bit(0, 1, 5) == 0  # other comp: independent bit
+    assert cell_bit(1, 0, 5) == 0  # other writer's bits: independent bit
+    assert bits == [0b11, 0b01]
 
 
 def test_update_domain_checks():

@@ -55,7 +55,7 @@ def test_gw_sizes_frozen_values():
 
 def test_register_count_closed_form():
     for n, s1, z, ell_z, m, K in PARAM_TABLE:
-        rt = RandTas(n)
+        lay = layout(n)
         expect = (
             1  # doorway
             + s1 + ell_z * z + 2 * m  # sifter banks
@@ -63,38 +63,38 @@ def test_register_count_closed_form():
             + 14 * K  # one wrapped 2-process chain per stage
             + 6 * ell(n) + 2  # backstop chain
         )
-        assert len(rt.widths) == expect == len(rt.memory().widths), f"n={n}"
+        assert len(lay.widths) == expect == len(RandTas(n).memory().widths), f"n={n}"
 
 
 @pytest.mark.parametrize("n", [16, 1024])
 def test_register_map_agrees_with_tas_snapshot(n):
     # walk the banks in layout order: each must start where the last ended
-    rt = RandTas(n)
+    lay = layout(n)
     sizes = gw_sizes(n)
     K = len(sizes) + 1
-    assert rt.sizes == sizes and rt.backstop_index == K
-    assert len(rt.gw_base) == K - 1 and len(rt.px_reg) == len(rt.le2_snaps) == K
+    assert lay.sizes == sizes and lay.K == K
+    assert len(lay.gw_base) == K - 1 and len(lay.px_reg) == len(lay.le2_snaps) == K
     expect = [1]  # the doorway
     for i in range(1, K):
-        assert rt.gw_base[i - 1] == len(expect), f"sifter {i}"
+        assert lay.gw_base[i - 1] == len(expect), f"sifter {i}"
         expect += [1] * sizes[i - 1]
     pid_w = max(1, (n - 1).bit_length())
     for i in range(1, K + 1):
-        assert rt.px_reg[i - 1] == len(expect), f"splitter {i}"
+        assert lay.px_reg[i - 1] == len(expect), f"splitter {i}"
         expect += [pid_w, 1]  # X, then Y = X + 1
     for i in range(1, K + 1):
-        assert rt.le2_snaps[i - 1].base == len(expect) + 1, f"LE2 {i}"  # after its doorway
+        assert lay.le2_snaps[i - 1].base == len(expect) + 1, f"LE2 {i}"  # after its doorway
         expect += tas_register_widths(2)
     full = tas_register_widths(n)
     assert full == [1] + tas_snapshot(n).register_widths()
-    assert rt.backstop_snap.base == len(expect) + 1
+    assert lay.backstop_snap.base == len(expect) + 1
     expect += full
-    assert rt.widths == expect  # no gap, no overlap, and the backstop ends the map
+    assert list(lay.widths) == expect  # no gap, no overlap, and the backstop ends the map
 
 
 def test_register_count_scales_logarithmically():
     # Theta(log n): the measured totals grow by ~constant per doubling
-    counts = {n: len(RandTas(n).widths) for n in (16, 64, 256, 1024)}
+    counts = {n: len(layout(n).widths) for n in (16, 64, 256, 1024)}
     assert counts[16] == 1313
     assert counts[64] == 1989
     assert counts[256] == 2629
@@ -107,16 +107,13 @@ def test_layout_is_built_once_per_n_and_shared():
     a, b = RandTas(16, seed=5), RandTas(16, seed=5)
     lay = layout(16)
     assert layout(16) is lay and layout.cache_info().maxsize is not None  # cached, bounded
-    assert a.backstop_snap is b.backstop_snap is lay.backstop_snap
-    assert all(x is y is z for x, y, z in zip(a.le2_snaps, b.le2_snaps, lay.le2_snaps))
-    # the layout is immutable; an instance's lists are its own copies
+    assert a.layout is b.layout is lay and a.backstop_index == lay.K
+    # the layout is immutable, and an instance copies none of it
     assert all(type(f) is tuple for f in (lay.sizes, lay.gw_base, lay.px_reg, lay.le2_snaps, lay.widths))
     hash(lay)
     with pytest.raises(AttributeError):
         lay.widths = ()
-    for field in ("gw_base", "px_reg", "le2_snaps", "widths"):
-        mine, theirs = getattr(a, field), getattr(b, field)
-        assert type(mine) is list and mine == list(getattr(lay, field)) and mine is not theirs
+    assert set(vars(a)) == {"n", "seed", "layout", "backstop_index", "entered", "split_outcomes", "le2_claims"}
 
     def one_run(rt):
         machines = rt.machines()
@@ -236,7 +233,7 @@ def test_backstop_plumbing_first_wins_second_loses():
     def backstop(pid):
         logic = TasLogic(pid, rt.n)
         rng = rt.process_rng(pid)
-        prog = wrapped_tas_program(logic, rt.backstop_snap, rt.bn, rng)
+        prog = wrapped_tas_program(logic, rt.layout.backstop_snap, rt.layout.bn, rng)
         return StepMachine(pid, prog)
 
     first = backstop(0)
@@ -263,7 +260,7 @@ class HeadsRecorder:
 @pytest.mark.parametrize("n", [16, 1024])
 def test_every_stage_tas_is_lowered_onto_its_own_bank(n):
     rt = RandTas(n)
-    for snap in rt.le2_snaps + [rt.backstop_snap]:
+    for snap in (*rt.layout.le2_snaps, rt.layout.backstop_snap):
         mem = rt.memory()
         mem.record_trace = True
         coin = HeadsRecorder()
