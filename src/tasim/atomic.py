@@ -17,10 +17,11 @@ with duplicate-state elimination.  A logic machine steps with the same
 so `shm.run` and `shm.drain` drive either kind.
 
 The same logic machines can instead be lowered onto the register-level
-machinery in `shm`/`snapshot` via `register_program`, which expands each
-snapshot operation into its constituent register reads and writes.  Both
-granularities execute the same decision logic, so coarse-grained exhaustive
-results and fine-grained checks corroborate each other.
+machinery in `shm`/`snapshot` via `register_program`, which runs each
+store op as the register sub-program its snapshot builds for it
+(`BoundedSnapshot.op_steps`).  Both granularities execute the same
+decision logic, so coarse-grained exhaustive results and fine-grained
+checks corroborate each other.
 
 `explore` closes both granularities, logic machines over an AtomicStore and
 step machines over a `shm.Memory` whose programs are cursors (`shm.Cursor`:
@@ -36,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Optional
 
-from .shm import READ, WRITE, Cursor, Event, Explicit, History, as_cursor, drain, run
+from .shm import Cursor, Event, Explicit, History, drain, run
 
 
 class LogicMachine(Explicit):
@@ -270,27 +271,26 @@ def _events(hlast: list, h: int) -> tuple:
 def register_program(logic: LogicMachine, snap) -> "_Lowered":
     """Expand a logic machine into a register-level program, a `shm.Cursor`.
 
-    `snap` is an owner-tagged BoundedSnapshot, and plain register r is
-    register snap.base - 1 - r, below the snapshot.  The snapshot's codec
-    (`snap.codec`, see the snapshot module) packs the logic's structured
-    component values before an update and unpacks scan results, so
-    `logic.advance` sees exactly what the atomic store would have produced
-    and both granularities share one decision procedure.  Like
-    `LogicMachine.step`, it emits invocation/response markers exactly when
-    the logic has an interface op (`op_name`).  The logic's pid is used for
-    snapshot handshakes, so the logics of one run need distinct pids.  The
-    program advances `logic` itself; a clone advances a clone of it.
+    `snap` is an owner-tagged BoundedSnapshot, and each store op of the
+    logic, plain register ops too, runs as the sub-program `snap.op_steps`
+    builds.  The snapshot's codec (`snap.codec`, see the snapshot module)
+    packs the logic's component values before an update and unpacks scan
+    results, so `logic.advance` sees exactly what the atomic store would
+    have produced and both granularities share one decision procedure.
+    Like `LogicMachine.step`, it emits invocation/response markers exactly
+    when the logic has an interface op (`op_name`).  The logic's pid is
+    used for snapshot handshakes, so the logics of one run need distinct
+    pids.  The program advances `logic` itself; a clone advances a clone.
     """
     return _Lowered(logic, snap)
 
 
-# `_Lowered.stage`: nothing returned yet; the next send starts the logic's next
-# op; the next send carries a plain register op's response; finished
-_START, _NEXT, _PLAIN, _END = range(4)
+# `_Lowered.stage`: nothing returned yet; the next send starts the logic's next op; finished
+_START, _NEXT, _END = range(3)
 
 
 class _Lowered(Cursor):
-    """`register_program`'s cursor: a snapshot op of the logic runs as `sub`."""
+    """`register_program`'s cursor: each store op of the logic runs as `sub`."""
 
     FIELDS = ("stage", "parity")
     NESTED = ("logic", "sub")
@@ -304,54 +304,34 @@ class _Lowered(Cursor):
 
     def send(self, val):
         sub = self.sub
+        logic = self.logic
         if sub is not None:
             item = sub.step(val)
             if item is not None:
                 return item
             self.sub = None
-            logic = self.logic
             op = logic.op
+            res = sub.result
             if op[0] == "s":
                 decode = self.snap.codec.decode
-                view = sub.result
-                logic.advance(tuple(decode(i, view[i]) for i in range(op[1], op[2])))
-            else:
-                logic.advance(None)
-        else:
-            logic = self.logic
-            stage = self.stage
-            if stage == _PLAIN:
-                logic.advance(val)
-            elif stage == _START:
-                self.stage = _NEXT
-                if logic.op_name is not None:
-                    return ("inv", logic.op_name, ())
-            elif stage == _END:
-                raise StopIteration(logic.result)
+                res = tuple(decode(i, res[i]) for i in range(op[1], op[2]))
+            logic.advance(res)
+        elif self.stage == _START:
+            self.stage = _NEXT
+            if logic.op_name is not None:
+                return ("inv", logic.op_name, ())
+        elif self.stage == _END:
+            raise StopIteration(logic.result)
         if logic.done:
             self.stage = _END
             if logic.op_name is not None:
                 return ("res", logic.result)
             raise StopIteration(logic.result)
         op = logic.op
-        kind = op[0]
-        snap = self.snap
-        if kind == "r":
-            self.stage = _PLAIN
-            return (READ, snap.base - 1 - op[1])
-        if kind == "w":
-            self.stage = _PLAIN
-            return (WRITE, snap.base - 1 - op[1], op[2])
-        self.stage = _NEXT
-        if kind == "u":
-            x = snap.codec.encode(op[1], op[2])
-            sub, self.parity = snap.update_steps(logic.pid, op[1], x, self.parity)
-        elif kind == "s":
-            sub = as_cursor(snap.scan_steps(logic.pid))
-        else:
-            raise ValueError(f"unknown op {op!r}")
-        self.sub = sub
-        return sub.step(None)
+        if op[0] == "u":
+            op = ("u", op[1], self.snap.codec.encode(op[1], op[2]))
+        self.sub, self.parity = self.snap.op_steps(logic.pid, op, self.parity)
+        return self.sub.step(None)
 
 
 # ---------------------------------------------------------------------------

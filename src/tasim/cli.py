@@ -173,11 +173,11 @@ def trial_snapshot(n: int, args, seed: int, record: bool = False) -> Trial:
     return Trial(0, 0, max(m.steps for m in machines), checker, trace=tuple(memory.trace))
 
 
-def _live(machines, memory, seed: int, record: bool) -> History:
-    """Run under the live-uniform schedule of `seed`, up to LIVE_CAP steps."""
+def _live(machines, memory, seed: int, record: bool, cap: int) -> History:
+    """Run under the live-uniform schedule of `seed`, up to `cap` steps."""
     memory.record_trace = record
     h = History()
-    run_live_uniform(machines, memory, random.Random(f"sched:{seed}"), LIVE_CAP, history=h)
+    run_live_uniform(machines, memory, random.Random(f"sched:{seed}"), cap, history=h)
     return h
 
 
@@ -185,14 +185,18 @@ def trial_tas_rand(n: int, args, seed: int, record: bool = False) -> Trial:
     rt = RandTas(n, seed=seed)
     memory = rt.memory()
     machines = rt.machines()
-    h = _live(machines, memory, seed, record)
+    h = _live(machines, memory, seed, record, LIVE_CAP)
     backstop = rt.entered[rt.backstop_index] > 0
     return _tas_report(machines, h, backstop, tuple(memory.trace))
 
 
 def trial_wrapped(n: int, args, seed: int, record: bool = False) -> Trial:
-    machines, memory, _ = wrapped_tas_system(n, b=args.b, seed=seed)
-    h = _live(machines, memory, seed, record)
+    """Capped at 1000*n*n*b slots (LIVE_CAP at most): with b at the solo bound,
+    finishing runs for n <= 8 took at most 12*n*b, and a b below it that
+    never finishes stops in seconds."""
+    b = tas_det.solo_step_bound(n) if args.b is None else args.b
+    machines, memory, _ = wrapped_tas_system(n, b=b, seed=seed)
+    h = _live(machines, memory, seed, record, min(LIVE_CAP, 1000 * n * n * b))
     return _tas_report(machines, h, trace=tuple(memory.trace))
 
 

@@ -68,9 +68,10 @@ def wrapped_tas_program(logic, snap, b: int, rng):
     """The one wrapped TAS lowering: `register_program(logic, snap)` through `wrap`.
 
     Coins are drawn over snap.n; tails blocks read the TAS object's doorway
-    bit, just below its chain snapshot (see `tas_det.tas_snapshot`).
+    bit, plain register 0, where the lowering puts it: `snap.plain_reg(0)`,
+    just below the chain snapshot (see `tas_det.tas_snapshot`).
     """
-    return wrap(register_program(logic, snap), snap.n, b, rng, dummy_reg=snap.base - 1)
+    return wrap(register_program(logic, snap), snap.n, b, rng, dummy_reg=snap.plain_reg(0))
 
 
 def wrapped_tas_system(n: int, b: Optional[int] = None, seed: int = 0, coin_rngs=None):

@@ -29,6 +29,13 @@ register-level systems can be explored state by state.  A scan keeps its
 place in the attempt, the first collect c1 (a tuple) and whether the second
 collect has matched c1 so far; that is all it needs of c2.
 
+`op_steps` turns any store op of `atomic` into its register sub-program,
+so a lowered logic machine (`atomic.register_program`) takes every
+register step from here: an update or a scan as above, and a read or write
+of plain register r as one op on register base - 1 - r (`plain_reg`),
+below the snapshot.  A snapshot at base b thus has b plain registers, and
+`op_steps` refuses the others.
+
 Why it works: a successful scan rereads S as its own id, so no update began
 (wrote S) between the scanner's S-write and its final S-read.  Updates that
 began earlier have at most one pending cell write each, and the parity bit
@@ -143,7 +150,7 @@ class BoundedSnapshot:
         b = (parity >> comp) & 1
         writer = 0 if self.codec is not None else (pid + 1) << 1
         cell = (x << self._shift) | writer | b
-        sub = _Update(self._s_writes[pid], (WRITE, self.a_reg(comp), cell))
+        sub = _Ops((self._s_writes[pid], (WRITE, self.a_reg(comp), cell)))
         return sub, parity ^ (1 << comp)
 
     def scan_steps(self, pid: int) -> "_Scan":
@@ -152,19 +159,40 @@ class BoundedSnapshot:
             raise ValueError(f"pid {pid} out of range")
         return _Scan(self, pid)
 
+    def plain_reg(self, r: int) -> int:
+        """The register of plain register r (see `op_steps`), below the snapshot."""
+        return self.base - 1 - r
 
-class _Update(Cursor):
-    """An update's S write then its cell write; `i` of them are returned."""
+    def op_steps(self, pid: int, op: tuple, parity: int) -> tuple:
+        """Store op `op` (see `atomic`) over packed values as a register
+        sub-program, and the writer's new bits: an update or a scan, or one
+        op on `plain_reg(r)` for plain register r, which exists if r < base."""
+        kind = op[0]
+        if kind == "u":
+            return self.update_steps(pid, op[1], op[2], parity)
+        if kind == "s":  # as_cursor: perfbench/ swaps scan_steps for a generator
+            return as_cursor(self.scan_steps(pid)), parity
+        if kind != READ and kind != WRITE:
+            raise ValueError(f"unknown store op {op!r}")
+        if not 0 <= op[1] < self.base:
+            raise ValueError(f"store op {op!r}: no plain register {op[1]} below base {self.base}")
+        return _Ops(((kind, self.plain_reg(op[1])) + op[2:],)), parity
+
+
+class _Ops(Cursor):
+    """A fixed sequence of register ops, an update's or a plain register op;
+    `i` of them are returned, and `result` is the response to the last."""
 
     FIELDS = ("i", "ops")
 
-    def __init__(self, s_write: tuple, cell_write: tuple):
-        self.ops = (s_write, cell_write)
+    def __init__(self, ops: tuple):
+        self.ops = ops
         self.i = 0
 
     def step(self, val):
         i = self.i
-        if i == 2:
+        if i == len(self.ops):
+            self.result = val
             return None
         self.i = i + 1
         return self.ops[i]

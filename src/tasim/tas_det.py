@@ -20,8 +20,10 @@ validates the construction rather than trusting it.
 
 Total register count: 6*ell(n) + 2 (chain snapshot plus doorway), laid
 out by `tas_snapshot`.  `atomic.register_program(logic, snap)` lowers a
-TAS process onto them: the doorway, plain register 0, lands just below the
-chain snapshot, for every builder, wrapped or not, alone or in the pipeline.
+TAS process onto them, each store op through `snap.op_steps`, so the
+doorway, plain register 0, lands just below the chain snapshot for every
+builder, wrapped or not, alone or in the pipeline; at base 0 there is no
+room for it, and the lowering raises ValueError at the doorway read.
 """
 
 from __future__ import annotations

@@ -198,9 +198,9 @@ def test_fields_contract(name, make, schedule):
     assert 0 < machines[0].steps
     if name == "ops_program":  # a retried scan, and both sub-programs, were checked
         assert machines[0].steps == 2 + 2 * 6 + 2 and machines[0].done
-        assert {"_Script", "_Scan", "_Update"} <= kinds
+        assert {"_Script", "_Scan", "_Ops"} <= kinds
     if name == "lowered_tas":
-        assert {"_Lowered", "TasLogic", "_Scan", "_Update"} <= kinds
+        assert {"_Lowered", "TasLogic", "_Scan", "_Ops"} <= kinds
 
 
 def test_every_explicit_class_declares_its_state():
@@ -214,7 +214,7 @@ def test_every_explicit_class_declares_its_state():
             classes.add(sub)
             todo.append(sub)
     classes = {c for c in classes if c.__module__.startswith("tasim.")}
-    assert {"LogicMachine", "Cursor", "_Update", "_Scan", "_Script", "_Lowered"} <= {
+    assert {"LogicMachine", "Cursor", "_Ops", "_Scan", "_Script", "_Lowered"} <= {
         c.__name__ for c in classes
     }
     undeclared = {c for c in classes - {Cursor} if not (c.FIELDS or c.NESTED)}

@@ -115,6 +115,18 @@ def test_live_step_cap_is_reported(obj, monkeypatch, capsys):
     assert rec["max_steps"] == max(steps) > 0
 
 
+def test_wrapped_run_below_the_solo_bound_stops_at_its_cap(capsys):
+    # b = 1 leaves no solo window long enough to finish, so the trial runs
+    # to its cap of 1000*n*n*b slots, far below LIVE_CAP
+    rc = cli.main(["simulate", "--object", "wrapped", "--n", "8", "--b", "1", "--trials", "1"])
+    rec = json.loads(capsys.readouterr().out)
+    assert rc == 1 and rec["checker"] == "step cap exceeded"
+    args = cli.build_parser().parse_args(["simulate", "--object", "wrapped", "--b", "1"])
+    steps = cli.TRIALS["wrapped"](8, args, 0).steps
+    assert sum(steps) == 1000 * 8 * 8 * 1 < cli.LIVE_CAP
+    assert rec["max_steps"] == max(steps)
+
+
 def _exit_code(argv):
     # argparse rejects an invocation by raising SystemExit
     try:

@@ -281,6 +281,9 @@ def test_unpaired_events_make_ops_raise():
     h2.events.append(Event(2, 1, "inv", "op", ()))
     with pytest.raises(ValueError):
         h2.ops()
+    h3 = History([Event(0, 1, "ack", "op", ())])
+    with pytest.raises(ValueError, match="unknown event kind 'ack'"):
+        h3.ops()
 
 
 def test_drain_finishes_each_machine_in_solo_bursts():

@@ -45,6 +45,8 @@ def test_solo_compete_wins_in_exactly_12_ops():
     m = SifterLogic(3)
     drain([m], sifter_store(), 50)
     assert m.result == WIN and m.steps == 12
+    with pytest.raises(RuntimeError, match="advance on finished machine"):
+        m.advance(None)
     # write A0, scan, knockout (3 writes + 3 scans), write A1, scan,
     # write A2, scan: the lone-entry signature sends it through B once
 

@@ -83,6 +83,31 @@ def test_update_domain_checks():
         next(s.scan_steps(-1))
 
 
+def test_op_steps_builds_every_store_op():
+    # plain register r sits at base - 1 - r; only an update changes the bits
+    s = BoundedSnapshot(3, 2, n=2, value_bits=4)
+    sub, bits = s.op_steps(1, ("u", 1, 5), 0b01)
+    assert list(sub) == [("w", s.s_reg, 1), ("w", s.a_reg(1), (5 << 3) | (2 << 1))]
+    assert bits == 0b11
+    for op, steps in ((("r", 0), [("r", 2)]), (("w", 2, 1), [("w", 0, 1)])):
+        sub, bits = s.op_steps(1, op, 0b01)
+        assert list(sub) == steps and bits == 0b01
+    sub, _ = s.op_steps(1, ("r", 0), 0)  # its result is the read's response
+    assert sub.step(None) == ("r", 2) and sub.step(7) is None and sub.result == 7
+    sub, bits = s.op_steps(0, ("s", 0, 2), 0b01)
+    assert sub.step(None) == ("w", s.s_reg, 0) and bits == 0b01
+    with pytest.raises(ValueError, match=r"unknown store op \('x', 0\)"):
+        s.op_steps(0, ("x", 0), 0)
+    with pytest.raises(ValueError, match=r"store op \('w', 3, 1\): no plain register 3 below base 3"):
+        s.op_steps(0, ("w", 3, 1), 0)
+
+
+def test_ops_program_refuses_an_unknown_script_op():
+    s = BoundedSnapshot(0, 2, n=2, value_bits=4)
+    with pytest.raises(ValueError, match=r"unknown script op \('swap',\)"):
+        StepMachine(0, ops_program(s, 0, [("swap",)]))
+
+
 def test_one_snapshot_serves_two_runs():
     # the snapshot holds no run state, so a second run under the same
     # schedule repeats the first register for register

@@ -8,7 +8,8 @@ import pytest
 
 from tasim.atomic import explore, register_program
 from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run
-from tasim.sifter import LOSE, WIN
+from tasim.sifter import LOSE, WIN, sifter_snapshot
+from tasim.snapshot import BoundedSnapshot
 from tasim.tas_det import (
     S_MAX,
     TasLogic,
@@ -53,6 +54,8 @@ def test_log32_against_fraction_oracle():
         assert Fraction(3, 2) ** c >= n
         if c:
             assert Fraction(3, 2) ** (c - 1) < n
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        floor_log32(0)
 
 
 def test_level_and_register_counts():
@@ -224,3 +227,38 @@ def test_register_program_puts_the_doorway_below_the_snapshot(n):
     touched = {reg for _, _, _, reg, _ in shifted.trace}
     assert min(touched) == base and max(touched) <= base + 6 * ell(n) + 1  # base: the doorway
     assert shifted.trace == [(t, p, k, reg + base, v) for t, p, k, reg, v in memory.trace]
+
+
+def test_lowering_refuses_a_plain_register_below_base_0():
+    # at base 0 no register lies below the chain snapshot, so the doorway
+    # read has nowhere to go (register -1 would be the last one, the handshake)
+    snap = sifter_snapshot(2, 0, ell(2))
+    with pytest.raises(ValueError, match=r"store op \('r', 0\): no plain register 0 below base 0"):
+        StepMachine(0, register_program(TasLogic(0, 2), snap))
+
+
+def test_a_generator_scan_lowers_like_the_cursor_scan(monkeypatch):
+    # perfbench/ counts scans by swapping scan_steps for a forwarding
+    # generator; the lowered TAS must run step for step as with the cursor
+    def one_run():
+        machines, memory, logics = tas_system(3)
+        memory.record_trace = True
+        h = run(machines, memory, make_schedule("random", 3, 500, seed=4), History())
+        drain(machines, memory, solo_step_bound(3), h)
+        return memory.trace, h.events, [lg.result for lg in logics]
+
+    plain = one_run()
+    cursor_scan = BoundedSnapshot.scan_steps
+    scans = []
+
+    def forwarding_scan(self, pid):
+        scans.append(pid)
+        sub = cursor_scan(self, pid)
+        item = sub.step(None)
+        while item is not None:
+            item = sub.step((yield item))
+        return sub.result
+
+    monkeypatch.setattr(BoundedSnapshot, "scan_steps", forwarding_scan)
+    assert one_run() == plain
+    assert len(scans) > 3 and sorted(plain[2]) == [0, 1, 1]

@@ -107,6 +107,13 @@ def test_linearizable_empty_history():
     assert check_linearizable(History(), SnapshotSequential(2))
 
 
+def test_sequential_specs_refuse_an_unknown_op():
+    with pytest.raises(ValueError, match="unknown op 'scan'"):
+        TasSequential().apply(0, "scan", ())
+    with pytest.raises(ValueError, match="unknown op 'tas'"):
+        SnapshotSequential(2).apply((0, 0), "tas", ())
+
+
 def test_linearizable_sequential_update_scan():
     h = snap_hist(
         (0, 1, 0, "update", (1, 5), None),
