@@ -12,9 +12,8 @@ Running them against `AtomicStore` treats every snapshot operation as a
 single indivisible step.  This is the natural cost model for the sifter and
 test-and-set analyses (their step bounds count snapshot operations), and it
 keeps state spaces small enough for exhaustive breadth-first exploration
-with duplicate-state elimination.  A logic machine steps with the same
-`step(store, t, history)` protocol as a register-level `shm.StepMachine`,
-so `shm.run` and `shm.drain` drive either kind.
+with duplicate-state elimination.  A logic machine is a `shm.Machine`, so
+`shm.run` and `shm.drain` drive it as they drive a register-level one.
 
 The same logic machines can instead be lowered onto the register-level
 machinery in `shm`/`snapshot` via `register_program`, which runs each
@@ -23,13 +22,12 @@ store op as the register sub-program its snapshot builds for it
 decision logic, so coarse-grained exhaustive results and fine-grained
 checks corroborate each other.
 
-`explore` closes both granularities, logic machines over an AtomicStore and
-step machines over a `shm.Memory` whose programs are cursors (`shm.Cursor`:
-`register_program`, `snapshot.ops_program`), by breadth-first search over
-interned states, memoizing each deterministic step; retry loops revisit
-states, so a register-level closure needs no depth cap.  A logic machine's
-FIELDS and a cursor's follow one contract, `shm.Explicit`, which gives both
-their `clone` and `key`.
+`explore` closes both granularities, any `shm.Machine`s over their store
+whose programs, if any, are cursors (`shm.Cursor`: `register_program`,
+`snapshot.ops_program`), by breadth-first search over interned states,
+memoizing each deterministic step; retry loops revisit states, so a
+register-level closure needs no depth cap.  Machines and cursors follow
+one contract, `shm.Explicit`, which gives each its `clone` and `key`.
 """
 
 from __future__ import annotations
@@ -37,46 +35,31 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Optional
 
-from .shm import Cursor, Event, Explicit, History, drain, run
+from .shm import Cursor, Event, History, Machine, drain, run
 
 
-class LogicMachine(Explicit):
-    """Explicit-state protocol participant.
+class LogicMachine(Machine):
+    """Explicit-state protocol participant, a `shm.Machine` over a store.
 
     Subclasses poise the next operation in `self.op` and implement
     `advance(res)` to consume the operation's result and choose the next one
     (or set `done`/`result`).  `step` comes for free; `clone` and `key`,
-    which make exhaustive exploration cheap, follow the FIELDS contract of
-    `shm.Explicit`, more strictly: an instance's attributes are exactly the
-    names in its class's FIELDS, and there are no NESTED parts.
+    which make exhaustive exploration cheap, follow `shm.Explicit`, more
+    strictly: an instance's attributes are exactly the names in its class's
+    FIELDS, and there are no NESTED parts.
     """
 
-    FIELDS = ("pid", "op", "done", "result", "steps")
-
-    pid: int
-    op: Optional[tuple]
-    done: bool
-    result: object
-    steps: int
     op_name: Optional[str] = None  # interface op for histories, e.g. "tas"
-
-    def __init__(self, pid: int):
-        self.pid = pid
-        self.op = None
-        self.done = False
-        self.result = None
-        self.steps = 0
 
     def advance(self, res) -> None:
         raise NotImplementedError
 
     def step(self, store, t: int, history: Optional[History]) -> None:
-        """Execute one store op at schedule position t, like `StepMachine.step`.
+        """Execute one store op at schedule position t (`shm.Machine`).
 
         Applies the poised op, counts the step and advances.  With a history
         and an interface op (`op_name`), records the invocation at 2t on the
-        first step and the response at 2t+1 on the finishing step.  Drivers
-        step only unfinished machines.
+        first step and the response at 2t+1 on the finishing step.
         """
         emit = history is not None and self.op_name is not None
         if emit and self.steps == 0:
@@ -153,15 +136,15 @@ def explore(
 ):
     """Exhaustive breadth-first exploration of all schedules.
 
-    `make_system()` returns (machines, store): logic machines over an
-    AtomicStore, or `shm.StepMachine`s whose programs are cursors over an
-    untraced `shm.Memory` (ValueError if it records a trace).  Every
-    reachable system state is visited once and `state_check(machines,
-    store)` runs on each.  Returns (terminals: Counter, states_visited:
-    int), terminals tallied by the tuple of machine results or, with
-    `by_history`, which also keys each state by the interface events on the
-    way to it, times dropped, by history: a tuple of `shm.Event`s timed 0,
-    1, 2, ..., for a `shm.History`.
+    `make_system()` returns (machines, store): `shm.Machine`s over their
+    store, a step machine's program a cursor and a `shm.Memory` untraced
+    (ValueError if it records a trace).  Every reachable system state is
+    visited once and `state_check(machines, store)` runs on each.  Returns
+    (terminals: Counter, states_visited: int), terminals tallied by the
+    tuple of machine results or, with `by_history`, which also keys each
+    state by the interface events on the way to it, times dropped, by
+    history: a tuple of `shm.Event`s timed 0, 1, 2, ..., for a
+    `shm.History`.
 
     States are interned: each distinct machine key, store key and read
     response is numbered once, a machine or store keeps one representative,

@@ -21,8 +21,8 @@ part and whose whole state is declared (`Explicit`), so that it has `clone`
 and `key`: the snapshot's scan and update, ``snapshot.ops_program`` and
 ``atomic.register_program`` are cursors.  Only a machine whose program is a
 cursor can be cloned and explored (``atomic.explore``).  `Explicit` is also
-the contract of ``atomic.LogicMachine``: a program's and a logic's state is
-one set of declared attributes, and none of them holds a list.
+the contract of every `Machine`: a machine's and a program's state is one
+set of declared attributes, and none of them holds a list.
 
 A *block op* ``('r', reg, k)`` stands for k reads of one register in a
 row: it takes k schedule slots, k steps and k trace entries, exactly as k
@@ -39,14 +39,12 @@ slot; they delimit object-level operations for history checking::
 
 A program that yields neither records nothing in a history.
 
-`run` drives any machine with a ``step(memory, t, history)`` method, so the
-snapshot-op-granularity ``atomic.LogicMachine``s over an ``atomic.AtomicStore``
-run through it too, as does `drain`, the one solo driver.  Only drivers
-(`run`, `drain`, `run_live_uniform`, ``atomic.explore``) check whether a
-machine has finished; a `step` is never called on a finished machine.
-Every driver records events only into a `History` it is given, and none
-makes one: without a history a run records nothing.  Every driver starts at
-`memory.t`, the memory's schedule position, and leaves it after its last slot.
+A process is a `Machine`, which states the contract every driver (`run`,
+`drain`, `run_live_uniform`, ``atomic.explore``) follows, over a `Memory` or,
+at snapshot-op granularity, an ``atomic.AtomicStore``.  Every driver records
+events only into a `History` it is given, and none makes one: without a
+history a run records nothing.  Every driver starts at `memory.t`, the
+memory's schedule position, and leaves it after its last slot.
 """
 
 from __future__ import annotations
@@ -246,16 +244,18 @@ def make_schedule(
 
 
 class Explicit:
-    """A state declared per class: a logic machine, a program or a sub-program.
+    """A state declared per class: a `Machine`, a program or a sub-program.
 
     FIELDS name the attributes holding hashable values, NESTED those holding
     explicit parts or None; any other attribute is fixed at construction and
     not keyed, since exploration compares only states built alike.  `clone`
-    copies the instance dict and clones the NESTED parts; `key` is the FIELDS
-    but ``steps`` (bookkeeping) through one `operator.attrgetter` per class,
-    then the NESTED parts' keys.  A list in FIELDS would be shared by a clone,
-    and an attribute a step changes outside both would be cloned but not
-    keyed, merging states that differ: no state holds a list.
+    copies the instance dict and clones the NESTED parts, and raises
+    TypeError on a part that is not explicit (a `StepMachine`'s generator
+    program); `key` is the FIELDS but ``steps`` (bookkeeping) through one
+    `operator.attrgetter` per class, then the NESTED parts' keys.  A list in
+    FIELDS would be shared by a clone, and an attribute a step changes
+    outside both would be cloned but not keyed, merging states that differ:
+    no state holds a list.
     """
 
     FIELDS: tuple = ()
@@ -280,8 +280,11 @@ class Explicit:
     def _clone_nested(self):
         c = Explicit.clone(self)
         for name in self.NESTED:
-            if (part := getattr(self, name)) is not None:
+            part = getattr(self, name)
+            if isinstance(part, Explicit):
                 setattr(c, name, part.clone())
+            elif part is not None:
+                raise TypeError(f"pid {self.pid}: a {type(part).__name__} program cannot be cloned")
         return c
 
     def _key_nested(self) -> tuple:
@@ -293,7 +296,7 @@ class Explicit:
 
 
 class Cursor(Explicit):
-    """An explicit program: the generator protocol, its state declared.
+    """An explicit program of a `Machine`: the generator protocol, its state declared.
 
     A subclass implements ``send(val)`` as a generator does: it takes the
     response to the item it returned last (None for the first call and
@@ -346,7 +349,25 @@ class _Generator(Cursor):
         raise TypeError(f"a {type(self.gen).__name__} program cannot be keyed")
 
 
-class StepMachine:
+class Machine(Explicit):
+    """A process: its state declared (`Explicit`), driven one step at a time.
+
+    Every driver (`run`, `drain`, `run_live_uniform`, ``atomic.explore``)
+    reads the state declared here, calls ``step(memory, t, history)`` for
+    one step at schedule position t, and never calls it on a finished one.
+    """
+
+    FIELDS = ("pid", "op", "done", "result", "steps")
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.op: Optional[tuple] = None  # the poised operation, None once done
+        self.done = False
+        self.result: Any = None
+        self.steps = 0
+
+
+class StepMachine(Machine):
     """Wraps a program; holds its poised operation between steps.
 
     The program records its operations in a history only through its own
@@ -354,22 +375,19 @@ class StepMachine:
     shared step, which opens it at 2t; `_open` then holds its (name, args)
     until a ``res`` yield, read while resuming after step t, closes it at
     2t+1.  While a block op is in progress, `_left` counts its reads still
-    to take.  `auto_history` must be False.  `clone` and `key` need a
-    `Cursor` program; the key leaves out `steps`, and `result` is the
-    program's to key.
+    to take.  `auto_history` must be False.  Only a machine whose program
+    is a `Cursor` can be cloned and keyed.
     """
 
-    __slots__ = ("pid", "gen", "op", "done", "result", "steps", "_pending_inv", "_open", "_left")
+    FIELDS = Machine.FIELDS + ("_pending_inv", "_open", "_left")
+    NESTED = ("gen",)
 
     # auto_history: only perfbench/ passes it outside its pin test; ROADMAP item 6 removes it
     def __init__(self, pid: int, gen: Program, auto_history: bool = False):
         if auto_history:
             raise ValueError("no automatic history: mark operations with inv/res yields")
-        self.pid = pid
+        super().__init__(pid)
         self.gen = gen
-        self.done = False
-        self.result: Any = None
-        self.steps = 0
         self._pending_inv: Optional[tuple] = None
         self._open: Optional[tuple] = None
         self._left = 0
@@ -409,8 +427,7 @@ class StepMachine:
         One frame in the common case: an untraced read is taken here, and a
         program whose next item is a shared op is resumed here.  A write
         and a traced read go through `Memory`, bookkeeping yields through
-        `_resume`.  Drivers step only unfinished machines: whether one has
-        finished is theirs to check, not this method's.
+        `_resume`.
         """
         if self._pending_inv is not None:
             self._open = self._pending_inv
@@ -445,25 +462,6 @@ class StepMachine:
             item = None
         self.op = item
 
-    def clone(self) -> "StepMachine":
-        gen = self.gen
-        if not isinstance(gen, Cursor):
-            raise TypeError(f"pid {self.pid}: a {type(gen).__name__} program cannot be cloned")
-        c = object.__new__(type(self))
-        c.pid = self.pid
-        c.gen = gen.clone()
-        c.op = self.op
-        c.done = self.done
-        c.result = self.result
-        c.steps = self.steps
-        c._pending_inv = self._pending_inv
-        c._open = self._open
-        c._left = self._left
-        return c
-
-    def key(self) -> tuple:
-        return (self.pid, self.gen.key(), self.op, self._pending_inv, self._open, self._left)
-
 
 # ---------------------------------------------------------------------------
 # runners
@@ -477,10 +475,8 @@ def run(
 ) -> Optional[History]:
     """Drive machines through the schedule; one step per entry.
 
-    The one runner for both granularities: `StepMachine`s over a `Memory`
-    take one register access per entry, and `atomic.LogicMachine`s over an
-    `atomic.AtomicStore` one snapshot operation; each steps through its own
-    `step(memory, t, history)`.  `schedule` is any iterable of pids, taken
+    The one runner for every `Machine`: an entry is one `step`, a register
+    access or a snapshot operation.  `schedule` is any iterable of pids, taken
     from schedule position `memory.t` on, which is left after the last slot
     consumed.  Entries addressed to finished or absent machines are absorbed
     here as no-ops (they consume the slot but touch nothing), never passed
@@ -514,7 +510,7 @@ def drain(
 ) -> Optional[History]:
     """Finish every unfinished machine with one solo burst of `bound` slots.
 
-    Bursts run in list order, over a Memory or an AtomicStore, and continue
+    Bursts run in list order, over any `Machine`'s store, and continue
     the run at schedule position `memory.t`, recording into `history` when
     one is given.  A burst steps its machine directly, slot by slot, and
     stops early once it finishes; the burst still takes all `bound` slots of

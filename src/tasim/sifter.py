@@ -47,9 +47,10 @@ from .snapshot import BoundedSnapshot
 WIN = "win"
 LOSE = "lose"
 
-# Solo snapshot-op bound for one sifter from any reachable configuration
-# (a fresh solo compete takes exactly 12; the worst reachable case measured
-# is 16, asserted with headroom at 20).
+# Solo snapshot-op bound for one sifter from any reachable configuration.
+# A fresh solo compete takes exactly 12, and so does the longest solo run
+# from any state of the k=2 closure (pinned in test_sifter) or any sampled
+# one of criterion 2 (k=2..5); 20 leaves headroom for the k no closure covers.
 S_MAX = 20
 
 EMPTY_SIG = (None, None, None)

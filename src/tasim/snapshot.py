@@ -30,11 +30,11 @@ place in the attempt, the first collect c1 (a tuple) and whether the second
 collect has matched c1 so far; that is all it needs of c2.
 
 `op_steps` turns any store op of `atomic` into its register sub-program,
-so a lowered logic machine (`atomic.register_program`) takes every
-register step from here: an update or a scan as above, and a read or write
-of plain register r as one op on register base - 1 - r (`plain_reg`),
-below the snapshot.  A snapshot at base b thus has b plain registers, and
-`op_steps` refuses the others.
+so a lowered logic machine (`atomic.register_program`) and a script
+(`ops_program`) take every register step from here: an update or a scan as
+above, and a read or write of plain register r as one op on register
+base - 1 - r (`plain_reg`), below the snapshot.  A snapshot at base b thus
+has b plain registers, and `op_steps` refuses the others.
 
 Why it works: a successful scan rereads S as its own id, so no update began
 (wrote S) between the scanner's S-write and its final S-read.  Updates that
@@ -254,7 +254,8 @@ def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]) -> "_Scrip
 
 
 class _Script(Cursor):
-    """`ops_program`'s cursor: script op k-1 runs as `sub` between its markers."""
+    """`ops_program`'s cursor: script op k-1 runs as `sub`, its store op's
+    `op_steps`, between its markers."""
 
     FIELDS = ("k", "parity", "views")
     NESTED = ("sub",)
@@ -282,12 +283,13 @@ class _Script(Cursor):
         if k == len(self.script):
             raise StopIteration(self.views)
         op = self.script[k]
-        self.k = k + 1
         if op[0] == "update":
             _, comp, x = op
-            self.sub, self.parity = self.snap.update_steps(self.pid, comp, x, self.parity)
-            return ("inv", "update", (comp, x))
-        if op[0] == "scan":
-            self.sub = as_cursor(self.snap.scan_steps(self.pid))
-            return ("inv", "scan", ())
-        raise ValueError(f"unknown script op {op!r}")
+            store_op, inv = ("u", comp, x), ("inv", "update", (comp, x))
+        elif op[0] == "scan":
+            store_op, inv = ("s", 0, self.snap.m), ("inv", "scan", ())
+        else:
+            raise ValueError(f"unknown script op {op!r}")
+        self.k = k + 1
+        self.sub, self.parity = self.snap.op_steps(self.pid, store_op, self.parity)
+        return inv

@@ -212,14 +212,14 @@ def probe_solo(
 ) -> SoloProbeReport:
     """Sample reachable configurations; resume one unfinished process solo.
 
-    `factory(rng)` must build a fresh system and return
-    ``(machines, target)``: step machines over a Memory or logic machines
-    over an AtomicStore.  For each sample a random schedule prefix, run by
-    `shm.run`, reaches a configuration; then `shm.drain` resumes a random
-    unfinished machine alone for up to `bound` of its own steps, and the
-    probe records how many steps it needed.  A machine still unfinished
-    after `bound` solo steps (drain raises RuntimeError) is a violation: the
-    algorithm would not be obstruction-free.
+    `factory(rng)` must build a fresh system and return ``(machines,
+    target)``: `shm.Machine`s over their store.  For each sample a random
+    schedule prefix, run by `shm.run`, reaches a configuration; then
+    `shm.drain` resumes a random unfinished machine alone for up to `bound`
+    of its own steps, and the probe records how many steps it needed.  A
+    machine still unfinished after `bound` solo steps (drain raises
+    RuntimeError) is a violation: the algorithm would not be
+    obstruction-free.
     """
     rng = random.Random(seed)
     report = SoloProbeReport(samples=samples)

@@ -19,7 +19,18 @@ from tasim.atomic import (
     run_atomic,
     run_atomic_solo,
 )
-from tasim.shm import Cursor, Event, Explicit, History, StepMachine, as_cursor, drain, run
+from tasim.shm import (
+    Cursor,
+    Event,
+    Explicit,
+    History,
+    Machine,
+    Memory,
+    StepMachine,
+    as_cursor,
+    drain,
+    run,
+)
 from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_machines, sifter_store
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.tas_det import S_MAX, TasLogic, ell, tas_machines, tas_store, tas_system, wle_store
@@ -131,11 +142,6 @@ EXPLICIT_SYSTEMS = (
 )
 
 
-def _top(m):
-    """A machine's explicit state: a logic machine, or a step machine's program."""
-    return m if isinstance(m, LogicMachine) else m.gen
-
-
 def _parts(x):
     """`x` and every explicit state it holds, depth first."""
     out = [x]
@@ -147,7 +153,7 @@ def _parts(x):
 
 def _check_explicit(m, store):
     """The explicit-state contract (`shm.Explicit`) at one state of machine `m`."""
-    parts = _parts(_top(m))
+    parts = _parts(m)
     for p in parts:
         cls = type(p)
         assert cls.FIELDS or cls.NESTED, cls
@@ -164,10 +170,10 @@ def _check_explicit(m, store):
     assert type(c) is type(m) and c.key() == key
     if m.done:
         return
-    cparts = _parts(_top(c))
+    cparts = _parts(c)
     cbefore = [dict(vars(p)) for p in cparts]
     c.step(store.clone(), 0, None)
-    left = set(map(id, _parts(_top(c))))
+    left = set(map(id, _parts(c)))
     gone = object()
     for p, d in zip(cparts, cbefore):
         now = vars(p)
@@ -194,31 +200,47 @@ def test_fields_contract(name, make, schedule):
             run(machines, store, [pid])
         for m in machines:
             _check_explicit(m, store)
-            kinds |= {type(p).__name__ for p in _parts(_top(m))}
+            kinds |= {type(p).__name__ for p in _parts(m)}
     assert 0 < machines[0].steps
     if name == "ops_program":  # a retried scan, and both sub-programs, were checked
         assert machines[0].steps == 2 + 2 * 6 + 2 and machines[0].done
-        assert {"_Script", "_Scan", "_Ops"} <= kinds
+        assert {"StepMachine", "_Script", "_Scan", "_Ops"} <= kinds
     if name == "lowered_tas":
-        assert {"_Lowered", "TasLogic", "_Scan", "_Ops"} <= kinds
+        assert {"StepMachine", "_Lowered", "TasLogic", "_Scan", "_Ops"} <= kinds
+
+
+def _tasim_classes():
+    """Every class defined in a `tasim` module."""
+    classes = set()
+    for mod in pkgutil.iter_modules(tasim.__path__):
+        module = importlib.import_module(f"tasim.{mod.name}")
+        classes |= {
+            c for c in vars(module).values() if isinstance(c, type) and c.__module__ == module.__name__
+        }
+    return classes
 
 
 def test_every_explicit_class_declares_its_state():
-    # every LogicMachine and Cursor class in the package declares the state
+    # every Machine and Cursor class in the package declares the state
     # that clone copies and key reads, or refuses both
-    for mod in pkgutil.iter_modules(tasim.__path__):
-        importlib.import_module(f"tasim.{mod.name}")
-    classes, todo = set(), [Explicit]
-    while todo:
-        for sub in todo.pop().__subclasses__():
-            classes.add(sub)
-            todo.append(sub)
-    classes = {c for c in classes if c.__module__.startswith("tasim.")}
-    assert {"LogicMachine", "Cursor", "_Ops", "_Scan", "_Script", "_Lowered"} <= {
-        c.__name__ for c in classes
-    }
+    classes = {c for c in _tasim_classes() if issubclass(c, Explicit)} - {Explicit}
+    assert {
+        "Machine", "LogicMachine", "StepMachine", "Cursor", "_Ops", "_Scan", "_Script", "_Lowered"
+    } <= {c.__name__ for c in classes}
+    assert LogicMachine.__base__ is Machine and StepMachine.__base__ is Machine
     undeclared = {c for c in classes - {Cursor} if not (c.FIELDS or c.NESTED)}
     assert undeclared == {type(as_cursor(x for x in ()))}  # it refuses (test_shm)
+
+
+def test_one_clone_and_key_contract():
+    # a class with a clone or key of its own declares its state through
+    # shm.Explicit, which gives it both, unless it is one of the two stores
+    own = {c for c in _tasim_classes() if {"clone", "key"} & vars(c).keys()}
+    assert {Memory, AtomicStore, Explicit, StepMachine} <= own
+    assert {c for c in own if not issubclass(c, Explicit)} == {Memory, AtomicStore}
+    # StepMachine's are the ones Explicit installs for a class with NESTED parts
+    assert "__slots__" not in vars(StepMachine)
+    assert (StepMachine.clone, StepMachine.key) == (Explicit._clone_nested, Explicit._key_nested)
 
 
 def test_run_logic_machine_history_convention():

@@ -72,6 +72,23 @@ def test_exhaustive_k2_exactly_one_winner():
     assert terminals == {(WIN, LOSE): 41, (LOSE, WIN): 41}
 
 
+def test_exact_solo_maximum_over_the_k2_closure():
+    # from every state of the k=2 closure, each live machine runs alone to
+    # its end; the longest such run is the exact solo maximum at k=2, the
+    # same 12 ops as a fresh solo compete, well inside S_MAX
+    solo = []
+
+    def drain_each(machines, store):  # shared representatives: drain clones
+        for m in machines:
+            if not m.done:
+                c = m.clone()
+                drain([c], store.clone(), S_MAX)
+                solo.append(c.steps - m.steps)
+
+    _, states = explore(lambda: (sifter_machines(range(2)), sifter_store()), drain_each)
+    assert states == 1765 and max(solo) == 12
+
+
 def test_random_schedules_respect_winner_bounds():
     rng = random.Random(12)
     for trial in range(300):

@@ -102,10 +102,33 @@ def test_op_steps_builds_every_store_op():
         s.op_steps(0, ("w", 3, 1), 0)
 
 
-def test_ops_program_refuses_an_unknown_script_op():
+def _recording_op_steps(monkeypatch):
+    """Record every store op `BoundedSnapshot.op_steps` builds."""
+    built, op_steps = [], BoundedSnapshot.op_steps
+
+    def recording(self, pid, op, parity):
+        built.append(op)
+        return op_steps(self, pid, op, parity)
+
+    monkeypatch.setattr(BoundedSnapshot, "op_steps", recording)
+    return built
+
+
+def test_ops_program_builds_its_steps_through_op_steps(monkeypatch):
+    built = _recording_op_steps(monkeypatch)
+    s = BoundedSnapshot(0, 2, n=1, value_bits=4)
+    m = StepMachine(0, ops_program(s, 0, [("update", 1, 3), ("scan",), ("update", 1, 2)]))
+    drain([m], s.fresh_memory(), 50)
+    assert built == [("u", 1, 3), ("s", 0, 2), ("u", 1, 2)]
+    assert m.result == ((0, 3),) and m.steps == 2 + (2 * 2 + 2) + 2
+
+
+def test_ops_program_refuses_an_unknown_script_op(monkeypatch):
+    built = _recording_op_steps(monkeypatch)
     s = BoundedSnapshot(0, 2, n=2, value_bits=4)
     with pytest.raises(ValueError, match=r"unknown script op \('swap',\)"):
         StepMachine(0, ops_program(s, 0, [("swap",)]))
+    assert built == []  # it raises before building any store op
 
 
 def test_one_snapshot_serves_two_runs():
