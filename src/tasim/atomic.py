@@ -8,8 +8,10 @@ machines (`LogicMachine`) whose poised operations act on an abstract store:
     ('r', ridx)        read a plain register
     ('w', ridx, val)   write a plain register
 
-Running them against `AtomicStore` treats every snapshot operation as a
-single indivisible step.  This is the natural cost model for the sifter and
+`LogicMachine.step` applies each op to an `AtomicStore` itself, which
+makes every snapshot operation a single indivisible step.  The decision
+rules stay in each logic's `advance`, the one place both granularities
+call.  This is the natural cost model for the sifter and
 test-and-set analyses (their step bounds count snapshot operations), and it
 keeps state spaces small enough for exhaustive breadth-first exploration
 with duplicate-state elimination.  A logic machine is a `shm.Machine`, so
@@ -57,22 +59,42 @@ class LogicMachine(Machine):
     def step(self, store, t: int, history: Optional[History]) -> None:
         """Execute one store op at schedule position t (`shm.Machine`).
 
-        Applies the poised op, counts the step and advances.  With a history
-        and an interface op (`op_name`), records the invocation at 2t on the
-        first step and the response at 2t+1 on the finishing step.
+        Applies the poised op to the `AtomicStore` (ValueError on an unknown
+        op), counts the step and advances.  With a history and an interface
+        op (`op_name`), records the invocation at 2t on the first step and
+        the response at 2t+1 on the finishing step.
         """
-        emit = history is not None and self.op_name is not None
-        if emit and self.steps == 0:
+        op = self.op
+        kind = op[0]
+        if kind == "s":
+            res = tuple(store.comps[op[1] : op[2]])
+        elif kind == "u":
+            store.comps[op[1]] = op[2]
+            res = None
+        elif kind == "r":
+            res = store.regs[op[1]]
+        elif kind == "w":
+            store.regs[op[1]] = op[2]
+            res = None
+        else:
+            raise ValueError(f"unknown op {op!r}")
+        steps = self.steps
+        self.steps = steps + 1
+        if history is None or self.op_name is None:
+            self.advance(res)
+            return
+        if not steps:
             history.events.append(Event(2 * t, self.pid, "inv", self.op_name, (), None))
-        res = store.apply(self.op)
-        self.steps += 1
         self.advance(res)
-        if emit and self.done:
+        if self.done:
             history.events.append(Event(2 * t + 1, self.pid, "res", self.op_name, (), self.result))
 
 
 class AtomicStore:
-    """Components `comps`, `n_regs` zeroed plain registers, schedule position `t` (not keyed)."""
+    """Components `comps`, `n_regs` zeroed plain registers, schedule position `t` (not keyed).
+
+    A logic machine's `step` applies its ops to them.
+    """
 
     __slots__ = ("comps", "regs", "t")
 
@@ -80,20 +102,6 @@ class AtomicStore:
         self.comps = list(comps)
         self.regs = [0] * n_regs
         self.t = 0
-
-    def apply(self, op: tuple):
-        kind = op[0]
-        if kind == "s":
-            return tuple(self.comps[op[1] : op[2]])
-        if kind == "u":
-            self.comps[op[1]] = op[2]
-            return None
-        if kind == "r":
-            return self.regs[op[1]]
-        if kind == "w":
-            self.regs[op[1]] = op[2]
-            return None
-        raise ValueError(f"unknown op {op!r}")
 
     def clone(self) -> "AtomicStore":
         c = object.__new__(AtomicStore)

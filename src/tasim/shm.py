@@ -100,7 +100,7 @@ class Event:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     pid: int
     op: str
@@ -215,8 +215,9 @@ def make_schedule(
 ) -> list[int]:
     """Build a schedule: a list of `length` pids over 0..n-1.
 
-    kinds: 'rr' round robin; 'random' iid uniform, one randrange(n) per
-    entry from random.Random(f"schedule:{seed}"), so any integer seed works;
+    kinds: 'rr' round robin; 'random' iid uniform, the draws of one
+    randrange(n) per entry (`draw_pids`) from
+    random.Random(f"schedule:{seed}"), so any integer seed works;
     'solo' round robin of solo bursts of `burst` consecutive steps.
     The whole sequence is materialized here, before any machine takes a
     step or flips a coin, which is what makes the adversary oblivious.
@@ -228,8 +229,7 @@ def make_schedule(
     elif kind == "random":
         if seed is None:
             raise ValueError("random schedule needs a seed")
-        rng = random.Random(f"schedule:{seed}")
-        s = [rng.randrange(n) for _ in range(length)]
+        s = draw_pids(random.Random(f"schedule:{seed}"), n, length)
     elif kind == "solo":
         if not burst or burst <= 0:
             raise ValueError("solo schedule needs a positive burst")
@@ -237,6 +237,39 @@ def make_schedule(
     else:
         raise ValueError(f"unknown schedule kind {kind!r}")
     return s
+
+
+def draw_pids(rng, n: int, count: int) -> list[int]:
+    """`count` pids below n, exactly as `count` calls of rng.randrange(n).
+
+    randrange(n) keeps the first of its getrandbits(n.bit_length()) draws
+    that is below n; this makes those draws, so the list and the rng's final
+    state are the same, and raises ValueError for n <= 0.  `rng` is a
+    random.Random, or packs getrandbits' words as CPython's does (see
+    `run_live_uniform`).  Below 256, while more than 16 pids are wanted, it
+    draws one word per pid still wanted in one call and reads each word's
+    index off its top byte (`_index_table`): a word yields at most one pid,
+    so it never draws past the last one.  The rest it draws one at a time,
+    which costs less than a bulk call for so few.
+    """
+    if n <= 0:
+        raise ValueError(f"no pid below {n}")
+    getrandbits = rng.getrandbits
+    out: list[int] = []
+    if n < 256:
+        table = _index_table(n)
+        while count > 16:
+            got = getrandbits(32 * count).to_bytes(4 * count, "little")[3::4].translate(table)
+            got = got.replace(b"\xff", b"")
+            out += got
+            count -= len(got)
+    bits = n.bit_length()
+    for _ in range(count):
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        out.append(i)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +282,13 @@ class Explicit:
     FIELDS name the attributes holding hashable values, NESTED those holding
     explicit parts or None; any other attribute is fixed at construction and
     not keyed, since exploration compares only states built alike.  `clone`
-    copies the instance dict and clones the NESTED parts, and raises
-    TypeError on a part that is not explicit (a `StepMachine`'s generator
-    program); `key` is the FIELDS but ``steps`` (bookkeeping) through one
-    `operator.attrgetter` per class, then the NESTED parts' keys.  A list in
-    FIELDS would be shared by a clone, and an attribute a step changes
-    outside both would be cloned but not keyed, merging states that differ:
-    no state holds a list.
+    copies the instance dict and clones the NESTED parts; `key` is the
+    FIELDS but ``steps`` (bookkeeping) through one `operator.attrgetter` per
+    class, then the NESTED parts' keys.  Both raise a TypeError naming the
+    pid on a part that is not explicit (a `StepMachine`'s generator
+    program).  A list in FIELDS would be shared by a clone, and an
+    attribute a step changes outside both would be cloned but not keyed,
+    merging states that differ: no state holds a list.
     """
 
     FIELDS: tuple = ()
@@ -291,7 +324,12 @@ class Explicit:
         key = [self._fields(self)]
         for name in self.NESTED:
             part = getattr(self, name)
-            key.append(None if part is None else part.key())
+            if isinstance(part, Explicit):
+                key.append(part.key())
+            elif part is None:
+                key.append(None)
+            else:
+                raise TypeError(f"pid {self.pid}: a {type(part).__name__} program cannot be keyed")
         return tuple(key)
 
 
@@ -603,7 +641,17 @@ def run_live_uniform(
 
 
 _SKIP = 32  # skip in bulk only while every live machine has more reads left
-_INDEX = {}  # live count c -> 256-byte table from a word's top byte to its index
+_INDEX = {}  # c -> `_index_table(c)`
+
+
+def _index_table(c: int) -> bytes:
+    """The 256-byte table from a word's top byte to the index below c < 256 that
+    getrandbits(c.bit_length()) takes from that word, 255 for a rejection."""
+    table = _INDEX.get(c)
+    if table is None:
+        shift = 8 - c.bit_length()
+        table = _INDEX[c] = bytes(v >> shift if v >> shift < c else 255 for v in range(256))
+    return table
 
 
 def _skip_blocks(live: list, getrandbits, budget: int) -> int:
@@ -619,11 +667,7 @@ def _skip_blocks(live: list, getrandbits, budget: int) -> int:
     `RandTas(1024)` trials, 0.05 of the ~1,671 slots per trial drawn there
     were middle block reads; that stretch is doorway exits.
     """
-    c = len(live)
-    table = _INDEX.get(c)
-    if table is None:
-        shift = 8 - c.bit_length()
-        table = _INDEX[c] = bytes(v >> shift if v >> shift < c else 255 for v in range(256))
+    table = _index_table(len(live))
     taken = 0
     while taken < budget and (lo := min([m._left for m in live])) > _SKIP:
         w = min(lo - 1, budget - taken)

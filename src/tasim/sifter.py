@@ -113,9 +113,18 @@ class SifterLogic(LogicMachine):
     knockout = True  # a class attribute, so not one of the FIELDS
 
     def __init__(self, pid: int, levels: int = 1):
-        super().__init__(pid)
+        # The state `shm.Machine.__init__` and then `_start_level(0)` give,
+        # each field set once and no call made: a trial builds a machine per
+        # process, and those calls cost more than the fields.
+        self.pid = pid
+        self.op = ("u", 0, pid)
+        self.done = False
+        self.result = None
+        self.steps = 0
         self.top = 6 * (levels - 1)
-        self._start_level(0)
+        self.base = 0
+        self.sig: Optional[tuple] = None
+        self.stage = "wa"
 
     def _start_level(self, base: int) -> None:
         self.base = base

@@ -84,9 +84,17 @@ class TasLogic(SifterLogic):
     op_name = "tas"
 
     def __init__(self, pid: int, n: int):
-        super().__init__(pid, ell(n))
-        self.stage = "dr"
+        # `SifterLogic.__init__`'s state poised at the doorway read instead,
+        # each field set once, for the same reason
+        self.pid = pid
         self.op = ("r", 0)
+        self.done = False
+        self.result = None
+        self.steps = 0
+        self.top = 6 * (ell(n) - 1)
+        self.base = 0
+        self.sig = None
+        self.stage = "dr"
 
     def _other_stage(self, stage: str, res) -> None:
         if stage == "dr":

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .shm import History, drain, run
+from .shm import History, drain, draw_pids, run
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -35,7 +35,7 @@ class Verdict:
 
 
 def check_tas(h: History, permissive: bool = False) -> Verdict:
-    """Check a one-shot test-and-set history.
+    """Check a one-shot test-and-set history in one pass over its events.
 
     A complete history is correct iff exactly one operation returned 0 and
     its invocation precedes every 1-response (equivalently: no loser finished
@@ -47,36 +47,64 @@ def check_tas(h: History, permissive: bool = False) -> Verdict:
     exists, some pending operation must be invocable first, i.e. its
     invocation must precede every completed response (it is the notional
     winner whose response we never saw).
+
+    A malformed history raises ValueError, first where `History.ops` would
+    fail to pair it: at the first invocation while its pid has one open,
+    response without one, or unknown event kind.  Otherwise for the first
+    operation, in invocation order, that is not a ``tas`` (checked first)
+    or responded with neither 0 nor 1; then, in strict mode, for a pending
+    operation.
     """
-    ops = h.ops()
-    for o in ops:
-        if o.op != "tas":
-            raise ValueError(f"non-tas operation {o.op!r} in history")
-        if o.resp is not None and o.result not in (0, 1):
-            raise ValueError(f"tas returned {o.result!r}")
-    pending = [o for o in ops if o.pending]
-    if pending and not permissive:
+    opened: dict = {}  # pid -> (invocation index, time) of its open op
+    invoked = 0
+    bad = None  # (invocation index, message) of the first malformed op
+    zeros = []  # (pid, invocation time) per 0-response
+    ones = []  # (invocation index, pid, response time) per 1-response
+    for ev in h.events:
+        kind = ev.kind
+        pid = ev.pid
+        if kind == "inv":
+            if pid in opened:
+                raise ValueError(f"pid {pid}: invocation while one is open")
+            if bad is None and ev.op != "tas":
+                bad = (invoked, f"non-tas operation {ev.op!r} in history")
+            opened[pid] = (invoked, ev.time)
+            invoked += 1
+        elif kind == "res":
+            rec = opened.pop(pid, None)
+            if rec is None:
+                raise ValueError(f"pid {pid}: response without invocation")
+            result = ev.result
+            if result == 0:
+                zeros.append((pid, rec[1]))
+            elif result == 1:
+                ones.append((rec[0], pid, ev.time))
+            elif bad is None or rec[0] < bad[0]:  # a non-tas op set bad when invoked
+                bad = (rec[0], f"tas returned {result!r}")
+        else:
+            raise ValueError(f"unknown event kind {kind!r}")
+    if bad is not None:
+        raise ValueError(bad[1])
+    if opened and not permissive:
         raise ValueError("incomplete history (use permissive=True)")
-    completed = [o for o in ops if not o.pending]
-    zeros = [o for o in completed if o.result == 0]
-    ones = [o for o in completed if o.result == 1]
     if len(zeros) > 1:
         return Verdict(False, f"{len(zeros)} operations returned 0")
-    if len(zeros) == 1:
-        w = zeros[0]
-        for o in ones:
-            if o.resp < w.inv:
-                return Verdict(
-                    False,
-                    f"pid {o.pid} returned 1 before the 0-returner (pid {w.pid}) was invoked",
-                )
-        return Verdict(True, winner=w.pid)
-    # no 0-response
-    if not completed:
+    if zeros:
+        w, w_inv = zeros[0]
+        early = [(i, pid) for i, pid, resp in ones if resp < w_inv]
+        if early:
+            return Verdict(
+                False,
+                f"pid {min(early)[1]} returned 1 before the 0-returner (pid {w}) was invoked",
+            )
+        return Verdict(True, winner=w)
+    # no 0-response: every completed op returned 1
+    if not ones:
         return Verdict(True)  # nothing observable happened (or only pendings)
-    for p in pending:
-        if all(p.inv < c.resp for c in completed):
-            return Verdict(True, winner=p.pid)
+    first_resp = min(resp for _, _, resp in ones)
+    first = min(((i, pid) for pid, (i, inv) in opened.items() if inv < first_resp), default=None)
+    if first is not None:
+        return Verdict(True, winner=first[1])
     return Verdict(False, "no operation returned 0 and no pending op can be first")
 
 
@@ -227,7 +255,7 @@ def probe_solo(
         machines, target = factory(rng)
         pids = [m.pid for m in machines]
         plen = rng.randrange(prefix_max + 1)
-        prefix = [pids[rng.randrange(len(pids))] for _ in range(plen)]
+        prefix = [pids[i] for i in draw_pids(rng, len(pids), plen)]
         run(machines, target, prefix)
         live = [m for m in machines if not m.done]
         if not live:

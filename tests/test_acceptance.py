@@ -22,7 +22,16 @@ import numpy as np
 
 from tasim.atomic import explore
 from tasim.randomized import HeadsRng, wrapped_tas_system
-from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run, run_live_uniform
+from tasim.shm import (
+    History,
+    Memory,
+    StepMachine,
+    drain,
+    draw_pids,
+    make_schedule,
+    run,
+    run_live_uniform,
+)
 from tasim.sifter import WIN, sifter_machines, sifter_store, sifter_system
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.tas_det import (
@@ -85,7 +94,7 @@ def test_criterion_01_sifter_winner_bounds():
         for trial in range(20_000):
             machines = sifter_machines(range(k))
             store = sifter_store()
-            sched = [rng.randrange(k) for _ in range(rng.randrange(5, 60 * k))]
+            sched = draw_pids(rng, k, rng.randrange(5, 60 * k))
             run(machines, store, sched)
             drain(machines, store, S_MAX)
             wins = sum(1 for m in machines if m.result == WIN)
@@ -307,7 +316,7 @@ def test_criterion_06_tas_det_histories():
         for trial in range(trials_per_n):
             machines = tas_machines(n)
             store = tas_store(n)
-            sched = [rng.randrange(n) for _ in range(rng.randrange(1, 25 * n))]
+            sched = draw_pids(rng, n, rng.randrange(1, 25 * n))
             h = run(machines, store, sched, History())
             drain(machines, store, bound, h)
             assert all(m.done for m in machines)

@@ -94,24 +94,47 @@ class SetLogic(LogicMachine):
         self.done, self.op = True, None
 
 
+class OneOpLogic(LogicMachine):
+    """Take one store op and return its response."""
+
+    def __init__(self, pid, op):
+        super().__init__(pid)
+        self.op = op
+
+    def advance(self, res):
+        self.done, self.result, self.op = True, res, None
+
+
+def _take(store, op):
+    """Step a one-op logic machine over `store`; its response."""
+    m = OneOpLogic(0, op)
+    run([m], store, [0])
+    assert m.done and m.steps == 1
+    return m.result
+
+
 def test_store_ops_and_keys():
     st = AtomicStore([None, None], n_regs=1)
     assert st.t == 0
-    assert st.apply(("s", 0, 2)) == (None, None)
-    st.apply(("u", 1, "x"))
-    assert st.apply(("s", 0, 2)) == (None, "x")
-    assert st.apply(("r", 0)) == 0
-    st.apply(("w", 0, 9))
-    assert st.apply(("r", 0)) == 9
+    assert _take(st, ("s", 0, 2)) == (None, None)
+    assert _take(st, ("u", 1, "x")) is None
+    assert _take(st, ("s", 0, 2)) == (None, "x")
+    assert _take(st, ("s", 1, 2)) == ("x",)
+    assert _take(st, ("r", 0)) == 0
+    assert _take(st, ("w", 0, 9)) is None
+    assert _take(st, ("r", 0)) == 9
     snap = st.clone()
-    st.apply(("u", 0, "y"))
+    _take(st, ("u", 0, "y"))
     assert snap.comps == [None, "x"] and st.comps == ["y", "x"]
     assert snap.key() != st.key()
     key = st.key()
     st.t = 5  # the schedule position is cloned but not keyed
     assert st.key() == key and st.clone().t == 5
-    with pytest.raises(ValueError):
-        st.apply(("z",))
+    # an unknown op is refused before the store or the machine changes
+    m = OneOpLogic(0, ("z", 0))
+    with pytest.raises(ValueError, match=r"unknown op \('z', 0\)"):
+        m.step(st, 0, History())
+    assert st.key() == key and m.steps == 0 and not m.done
 
 
 def test_logic_clone_and_key_exclude_steps():

@@ -17,6 +17,7 @@ from tasim.shm import (
     StepMachine,
     as_cursor,
     drain,
+    draw_pids,
     export_trace_jsonl,
     make_schedule,
     run,
@@ -71,6 +72,30 @@ def test_schedule_kinds():
     s2 = make_schedule("random", 4, 100, seed=5)
     assert s1 == s2 and all(0 <= p < 4 for p in s1)
     assert make_schedule("random", 4, 100, seed=6) != s1
+
+
+def test_draw_pids_draws_as_randrange():
+    # the same list and the same final state as one randrange(n) per pid,
+    # across the bulk path (n < 256, more than 16 wanted) and the per-pid one
+    for n in range(1, 1025):
+        for count in (0, 1, 16, 17, 40, 150):
+            ref, rng = random.Random(n * 1000 + count), random.Random(n * 1000 + count)
+            assert draw_pids(rng, n, count) == [ref.randrange(n) for _ in range(count)], (n, count)
+            assert rng.getstate() == ref.getstate(), (n, count)
+    for n in (0, -3):
+        for count in (0, 5):
+            with pytest.raises(ValueError):
+                draw_pids(random.Random(1), n, count)
+
+
+def test_random_schedule_keeps_its_lists():
+    # make_schedule("random") draws through draw_pids; these are the lists
+    # its one-randrange-per-entry loop gave
+    for n, length, seed in ((1, 9, 0), (2, 50, 1), (3, 200, 7), (8, 1000, 42), (255, 300, 3),
+                            (300, 300, 5), (1024, 77, -2)):
+        rng = random.Random(f"schedule:{seed}")
+        want = [rng.randrange(n) for _ in range(length)]
+        assert make_schedule("random", n, length, seed=seed) == want, (n, length, seed)
 
 
 def test_schedule_rejects_bad_args():
@@ -236,6 +261,14 @@ def test_only_a_cursor_program_clones():
     for machine, pid in ((m, 2), (wrapped, 1)):
         with pytest.raises(TypeError, match=f"pid {pid}: a generator program cannot be cloned"):
             machine.clone()
+
+
+def test_a_generator_machine_refuses_clone_and_key_naming_its_pid():
+    m = RandTas(4, seed=0).machines()[2]
+    with pytest.raises(TypeError, match="pid 2: a generator program cannot be cloned"):
+        m.clone()
+    with pytest.raises(TypeError, match="pid 2: a generator program cannot be keyed"):
+        m.key()
 
 
 def test_a_generator_sub_program_refuses_clone_and_key():

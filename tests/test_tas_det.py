@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from tasim.atomic import explore, register_program
-from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run
-from tasim.sifter import LOSE, WIN, sifter_snapshot
+from tasim.shm import History, Machine, Memory, StepMachine, drain, make_schedule, run
+from tasim.sifter import LOSE, WIN, NaiveSifterLogic, SifterLogic, sifter_snapshot
 from tasim.snapshot import BoundedSnapshot
 from tasim.tas_det import (
     S_MAX,
@@ -70,6 +70,26 @@ def test_level_and_register_counts():
         assert widths[0] == 1  # doorway bit
         assert widths[-1] == n.bit_length()  # handshake register
         assert max(widths) == 3 * math.ceil(math.log2(n)) + 3
+
+
+def test_builders_set_the_state_the_init_chain_would():
+    # SifterLogic and TasLogic set each field once; the reference is
+    # Machine.__init__, then the chain's top and _start_level(0), then, for
+    # the TAS, the doorway read; field order included
+    def chain(cls, pid, levels):
+        m = object.__new__(cls)
+        Machine.__init__(m, pid)
+        m.top = 6 * (levels - 1)
+        m._start_level(0)
+        return m
+
+    for pid, levels in ((0, 1), (3, 1), (2, 4)):
+        for cls in (SifterLogic, NaiveSifterLogic):
+            assert list(vars(cls(pid, levels)).items()) == list(vars(chain(cls, pid, levels)).items())
+    for pid, n in ((0, 2), (4, 5), (7, 8)):
+        ref = chain(TasLogic, pid, ell(n))
+        ref.stage, ref.op = "dr", ("r", 0)
+        assert list(vars(TasLogic(pid, n)).items()) == list(vars(ref).items())
 
 
 def test_chain_restarts_on_fresh_components():

@@ -2,14 +2,17 @@
 
 import gc
 import random
+import re
 
 import pytest
 
-from tasim.shm import Event, History, Memory, StepMachine, run
+from tasim.shm import Event, History, Memory, StepMachine, drain, run
+from tasim.tas_det import S_MAX, ell, tas_machines, tas_store
 from tasim.verify import (
     SearchBudgetExceeded,
     SnapshotSequential,
     TasSequential,
+    Verdict,
     _norm,
     check_linearizable,
     check_tas,
@@ -86,6 +89,114 @@ def test_tas_rejects_malformed():
     h2 = hist((0, 0, "inv", None), (1, 0, "res", 7))
     with pytest.raises(ValueError, match="returned"):
         check_tas(h2)
+
+
+def ops_check_tas(h: History, permissive: bool = False) -> Verdict:
+    """Reference: `check_tas` judged over `History.ops`' records."""
+    ops = h.ops()
+    for o in ops:
+        if o.op != "tas":
+            raise ValueError(f"non-tas operation {o.op!r} in history")
+        if o.resp is not None and o.result not in (0, 1):
+            raise ValueError(f"tas returned {o.result!r}")
+    pending = [o for o in ops if o.pending]
+    if pending and not permissive:
+        raise ValueError("incomplete history (use permissive=True)")
+    completed = [o for o in ops if not o.pending]
+    zeros = [o for o in completed if o.result == 0]
+    ones = [o for o in completed if o.result == 1]
+    if len(zeros) > 1:
+        return Verdict(False, f"{len(zeros)} operations returned 0")
+    if len(zeros) == 1:
+        w = zeros[0]
+        for o in ones:
+            if o.resp < w.inv:
+                return Verdict(
+                    False,
+                    f"pid {o.pid} returned 1 before the 0-returner (pid {w.pid}) was invoked",
+                )
+        return Verdict(True, winner=w.pid)
+    if not completed:
+        return Verdict(True)
+    for p in pending:
+        if all(p.inv < c.resp for c in completed):
+            return Verdict(True, winner=p.pid)
+    return Verdict(False, "no operation returned 0 and no pending op can be first")
+
+
+def _tas_outcome(check, h: History, permissive: bool):
+    try:
+        return check(h, permissive)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def _malform(rng: random.Random, events: list, how: str) -> None:
+    """Make one event list malformed in place, in the way `how` names."""
+    i = rng.randrange(len(events))
+    e = events[i]
+    if how == "orphan response":  # a response without an invocation
+        invs = [j for j, x in enumerate(events) if x.kind == "inv"]
+        del events[rng.choice(invs)]
+    elif how == "nested invocation":
+        events.insert(i + 1, Event(e.time, e.pid, "inv", "tas", ()))
+    elif how == "non-tas op":
+        events[i] = Event(e.time, e.pid, e.kind, "scan", (), e.result)
+    else:  # a result of 7, if anything responded
+        res = [j for j, x in enumerate(events) if x.kind == "res"]
+        if res:
+            j = rng.choice(res)
+            events[j] = Event(events[j].time, events[j].pid, "res", events[j].op, (), 7)
+
+
+def test_one_pass_check_tas_matches_the_ops_reference():
+    rng = random.Random(27)
+    kinds = ("orphan response", "nested invocation", "non-tas op", "result 7")
+    seen = {}
+    for trial in range(3000):
+        n = rng.randrange(2, 6)
+        machines, store = tas_machines(n), tas_store(n)
+        h = run(machines, store, [rng.randrange(n) for _ in range(rng.randrange(1, 25 * n))],
+                History())
+        mode = rng.choice(("clean", "pending", "flipped", "moved", "malformed", "synthetic"))
+        if mode != "pending":
+            drain(machines, store, S_MAX * ell(n) + 2, h)
+        if mode == "synthetic":  # random times: ties, early responses, any order
+            h = random_history(rng, "tas")
+        events = h.events
+        res = [j for j, e in enumerate(events) if e.kind == "res"]
+        if mode == "flipped":
+            j = rng.choice(res)
+            events[j] = Event(events[j].time, events[j].pid, "res", "tas", (), 1 - events[j].result)
+        if mode == "moved":  # the 0 moves to another op, often one invoked late
+            w = rng.choice(res)
+            for j in res:
+                events[j] = Event(events[j].time, events[j].pid, "res", "tas", (), int(j != w))
+        if mode == "malformed" or rng.random() < 0.1:
+            for how in rng.sample(kinds, rng.choice((1, 1, 2, 3))):
+                _malform(rng, events, how)
+        for permissive in (False, True):
+            want = _tas_outcome(ops_check_tas, h, permissive)
+            assert _tas_outcome(check_tas, h, permissive) == want, (mode, permissive, events)
+            if isinstance(want, tuple):
+                key = re.sub(r"\d+", "N", want[1])
+            else:
+                key = (want.ok, re.sub(r"\d+", "N", want.reason or ""), want.winner is not None)
+            seen[key] = seen.get(key, 0) + 1
+    # every verdict and every ValueError the generator can provoke
+    assert seen.keys() == {
+        (True, "", True),
+        (True, "", False),
+        (False, "N operations returned N", False),
+        (False, "pid N returned N before the N-returner (pid N) was invoked", False),
+        (False, "no operation returned N and no pending op can be first", False),
+        "pid N: invocation while one is open",
+        "pid N: response without invocation",
+        "non-tas operation 'scan' in history",
+        "tas returned N",
+        "incomplete history (use permissive=True)",
+    }, seen
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------
