@@ -45,8 +45,8 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
     through unchanged and uncounted).  Returns the inner program's return
     value.
     """
-    if n < 1 or b < 1:
-        raise ValueError("n and b must be positive")
+    if not isinstance(n, int) or not isinstance(b, int) or n < 1 or b < 1:
+        raise ValueError(f"n and b must be positive integers, not {n!r} and {b!r}")
     tails = (READ, dummy_reg, b)
     steps = 0  # real steps left in the current heads block
     res = None

@@ -100,46 +100,15 @@ class Event:
         )
 
 
-@dataclass(slots=True)
-class OpRecord:
-    pid: int
-    op: str
-    args: tuple
-    result: Any
-    inv: int
-    resp: Optional[int]  # None while pending
-
-    @property
-    def pending(self) -> bool:
-        return self.resp is None
-
-
 @dataclass
 class History:
-    """Sequence of interface events, ordered by time."""
+    """Sequence of interface events, ordered by time.
+
+    A run records events here and nothing more; ``verify``'s checkers pair
+    each invocation with its response and judge the history.
+    """
 
     events: list[Event] = field(default_factory=list)
-
-    def ops(self) -> list[OpRecord]:
-        """Pair up invocations with responses, per process, in order."""
-        open_by_pid: dict[int, OpRecord] = {}
-        out: list[OpRecord] = []
-        for ev in self.events:
-            if ev.kind == "inv":
-                if ev.pid in open_by_pid:
-                    raise ValueError(f"pid {ev.pid}: invocation while one is open")
-                rec = OpRecord(ev.pid, ev.op, ev.args, None, ev.time, None)
-                open_by_pid[ev.pid] = rec
-                out.append(rec)
-            elif ev.kind == "res":
-                rec = open_by_pid.pop(ev.pid, None)
-                if rec is None:
-                    raise ValueError(f"pid {ev.pid}: response without invocation")
-                rec.result = ev.result
-                rec.resp = ev.time
-            else:
-                raise ValueError(f"unknown event kind {ev.kind!r}")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +216,18 @@ def draw_pids(rng, n: int, count: int) -> list[int]:
     state are the same, and raises ValueError for n <= 0.  `rng` is a
     random.Random, or packs getrandbits' words as CPython's does (see
     `run_live_uniform`).  Below 256, while more than 16 pids are wanted, it
-    draws one word per pid still wanted in one call and reads each word's
-    index off its top byte (`_index_table`): a word yields at most one pid,
-    so it never draws past the last one.  The rest it draws one at a time,
-    which costs less than a bulk call for so few.
+    draws one word per pid still wanted in one call (`_word_indices`): a
+    word yields at most one pid, so it never draws past the last one.  The
+    rest it draws one at a time, which costs less than a bulk call for so
+    few.
     """
     if n <= 0:
         raise ValueError(f"no pid below {n}")
     getrandbits = rng.getrandbits
     out: list[int] = []
     if n < 256:
-        table = _index_table(n)
         while count > 16:
-            got = getrandbits(32 * count).to_bytes(4 * count, "little")[3::4].translate(table)
-            got = got.replace(b"\xff", b"")
+            got = _word_indices(getrandbits, n, count).replace(b"\xff", b"")
             out += got
             count -= len(got)
     bits = n.bit_length()
@@ -270,6 +237,26 @@ def draw_pids(rng, n: int, count: int) -> list[int]:
             i = getrandbits(bits)
         out.append(i)
     return out
+
+
+_INDEX = {}  # c -> the table `_word_indices` reads indices below c through
+
+
+def _word_indices(getrandbits, c: int, w: int) -> bytes:
+    """The indices below c < 256 that w calls of getrandbits(c.bit_length())
+    would draw, one byte per call, 255 for a rejection; draws w words.
+
+    CPython's getrandbits(k) for k <= 32 is one Mersenne Twister word
+    shifted right by 32 - k, and getrandbits(32*w) packs w words, the first
+    least significant.  A word's top byte shifted right by 8 - k is thus the
+    value getrandbits(k) would return, and a 256-byte table per c maps it to
+    itself below c and to 255 otherwise.
+    """
+    table = _INDEX.get(c)
+    if table is None:
+        shift = 8 - c.bit_length()
+        table = _INDEX[c] = bytes(v >> shift if v >> shift < c else 255 for v in range(256))
+    return getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(table)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +397,10 @@ class StepMachine(Machine):
 
     The program records its operations in a history only through its own
     ``inv``/``res`` yields.  An ``inv`` waits in `_pending_inv` for the next
-    shared step, which opens it at 2t; `_open` then holds its (name, args)
-    until a ``res`` yield, read while resuming after step t, closes it at
-    2t+1.  While a block op is in progress, `_left` counts its reads still
+    shared step, which opens it at 2t, and a program that ends before that
+    step raises ValueError; `_open` then holds its (name, args) until a
+    ``res`` yield, read while resuming after step t, closes it at 2t+1.
+    While a block op is in progress, `_left` counts its reads still
     to take.  `auto_history` must be False.  Only a machine whose program
     is a `Cursor` can be cloned and keyed.
     """
@@ -495,6 +483,11 @@ class StepMachine(Machine):
             if item[0] != READ and item[0] != WRITE:
                 item = self._resume(item, t, history)
         except StopIteration as stop:
+            if self._pending_inv is not None:
+                raise ValueError(
+                    f"pid {self.pid}: program ended after invoking {self._pending_inv[0]!r}"
+                    " without a step"
+                ) from None
             self.done = True
             self.result = stop.value
             item = None
@@ -641,37 +634,24 @@ def run_live_uniform(
 
 
 _SKIP = 32  # skip in bulk only while every live machine has more reads left
-_INDEX = {}  # c -> `_index_table(c)`
-
-
-def _index_table(c: int) -> bytes:
-    """The 256-byte table from a word's top byte to the index below c < 256 that
-    getrandbits(c.bit_length()) takes from that word, 255 for a rejection."""
-    table = _INDEX.get(c)
-    if table is None:
-        shift = 8 - c.bit_length()
-        table = _INDEX[c] = bytes(v >> shift if v >> shift < c else 255 for v in range(256))
-    return table
 
 
 def _skip_blocks(live: list, getrandbits, budget: int) -> int:
     """Take up to `budget` slots of middle block reads at once; return how many.
 
-    CPython's getrandbits(k) for k <= 32 is one Mersenne Twister word
-    shifted right by 32 - k, and getrandbits(32*w) packs w words, the first
-    least significant.  With c <= 255, a word's top byte thus gives the
-    index getrandbits(c.bit_length()) would have drawn (255: a rejection).
-    A stretch of w = min(reads left) - 1 draws ends no block and resumes no
-    program, so each machine is only credited the reads that landed on it.
-    Above 255 live machines a wider index would buy nothing: in 40
-    `RandTas(1024)` trials, 0.05 of the ~1,671 slots per trial drawn there
-    were middle block reads; that stretch is doorway exits.
+    With c <= 255 live machines, `_word_indices` makes the next w =
+    min(reads left) - 1 index draws in one call, exactly as
+    getrandbits(c.bit_length()) would one by one.  Those draws end no block
+    and resume no program, so each machine is only credited the reads that
+    landed on it.  Above 255 live machines a wider index would
+    buy nothing: in 40 `RandTas(1024)` trials, 0.05 of the ~1,671 slots per
+    trial drawn there were middle block reads; that stretch is doorway exits.
     """
-    table = _index_table(len(live))
+    c = len(live)
     taken = 0
     while taken < budget and (lo := min([m._left for m in live])) > _SKIP:
         w = min(lo - 1, budget - taken)
-        idx = getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(table)
+        idx = _word_indices(getrandbits, c, w)
         for k, m in enumerate(live):
             r = idx.count(k)
             m._left -= r

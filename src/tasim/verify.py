@@ -48,12 +48,12 @@ def check_tas(h: History, permissive: bool = False) -> Verdict:
     invocation must precede every completed response (it is the notional
     winner whose response we never saw).
 
-    A malformed history raises ValueError, first where `History.ops` would
-    fail to pair it: at the first invocation while its pid has one open,
-    response without one, or unknown event kind.  Otherwise for the first
-    operation, in invocation order, that is not a ``tas`` (checked first)
-    or responded with neither 0 nor 1; then, in strict mode, for a pending
-    operation.
+    A malformed history raises ValueError, first at the first event that
+    cannot be paired, with `check_linearizable`'s message: an invocation
+    while its pid has one open, a response without one, or an unknown kind.
+    Otherwise for the first operation, in invocation order, that is not a
+    ``tas`` (checked first) or responded with neither 0 nor 1; then, in
+    strict mode, for a pending operation.
     """
     opened: dict = {}  # pid -> (invocation index, time) of its open op
     invoked = 0
@@ -165,26 +165,38 @@ def check_linearizable(h: History, spec, budget: int = 500_000) -> bool:
     which the budget runs out are those of the recursive search.
 
     Raises SearchBudgetExceeded when more than `budget` search nodes are
-    expanded: the answer is then unknown, never a silent pass.
+    expanded: the answer is then unknown, never a silent pass.  One pass
+    over the events pairs each invocation with its pid's next response and
+    raises ValueError at the first event it cannot pair, as `check_tas`
+    does.
     """
-    ops = h.ops()
+    INF = float("inf")
+    ops: list = []  # per op: [inv, resp, op, args, completed, recorded result]
+    opened: dict = {}  # pid -> its open op
+    for ev in h.events:
+        kind = ev.kind
+        if kind == "inv":
+            if ev.pid in opened:
+                raise ValueError(f"pid {ev.pid}: invocation while one is open")
+            opened[ev.pid] = op = [ev.time, INF, ev.op, ev.args, False, None]
+            ops.append(op)
+        elif kind == "res":
+            op = opened.pop(ev.pid, None)
+            if op is None:
+                raise ValueError(f"pid {ev.pid}: response without invocation")
+            op[1], op[4], op[5] = ev.time, True, _norm(ev.result)
+        else:
+            raise ValueError(f"unknown event kind {kind!r}")
     n = len(ops)
     if n == 0:
         return True
-    INF = float("inf")
-    inv = [o.inv for o in ops]
-    resp = [o.resp if o.resp is not None else INF for o in ops]
     # per op, in descending index order so that pushes pop ascending:
     # (bit, predecessor mask, (op, args, must match, recorded result))
     enabling = [
-        (
-            1 << i,
-            sum(1 << j for j in range(n) if not inv[i] < resp[j]),
-            (ops[i].op, ops[i].args, ops[i].resp is not None, _norm(ops[i].result)),
-        )
+        (1 << i, sum(1 << j for j in range(n) if not ops[i][0] < ops[j][1]), tuple(ops[i][2:]))
         for i in range(n - 1, -1, -1)
     ]
-    all_completed = sum(1 << i for i in range(n) if ops[i].resp is not None)
+    all_completed = sum(1 << i for i in range(n) if ops[i][4])
     apply = spec.apply
 
     seen: set = set()

@@ -633,5 +633,6 @@ def test_register_program_solo_result():
     h = drain([m], memory, 100, History())
     assert m.result == (1, None)  # the codec decodes an unwritten comp as None
     assert m.steps == 2 + (2 * 2 + 2)  # one update + one fresh scan
-    ops = h.ops()
-    assert len(ops) == 1 and ops[0].op == "putscan" and ops[0].result == (1, None)
+    assert [(e.kind, e.op, e.result) for e in h.events] == [
+        ("inv", "putscan", None), ("res", "putscan", (1, None)),
+    ]

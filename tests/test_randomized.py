@@ -128,6 +128,11 @@ def test_wrap_validates_parameters():
         next(wrap(prog(), 0, 5, HeadsRng()))
     with pytest.raises(ValueError):
         next(wrap(prog(), 2, 0, HeadsRng()))
+    # a fractional block length would count past 0 and stop flipping coins
+    with pytest.raises(ValueError, match="integers"):
+        next(wrap(prog(), 2, 2.5, HeadsRng()))
+    with pytest.raises(ValueError, match="integers"):
+        next(wrap(prog(), 2.0, 3, HeadsRng()))
 
 
 def test_wrap_passes_through_immediate_return():

@@ -138,8 +138,7 @@ def test_noop_absorption_and_results():
     h = run(machines, mem, [0] * 10, History())
     m = machines[0]
     assert m.done and m.result == 0 and m.steps == 2  # 8 slots absorbed
-    ops = h.ops()
-    assert len(ops) == 1 and ops[0].result == 0 and not ops[0].pending
+    assert [(e.kind, e.result) for e in h.events] == [("inv", None), ("res", 0)]
 
 
 def test_drivers_record_only_a_given_history():
@@ -244,6 +243,19 @@ def test_history_protocol_errors():
         run([StepMachine(0, unknown())], Memory([4]), [0])
 
 
+def test_program_ending_after_an_invocation_raises():
+    # an inv waits for the next shared step to open it; a program that ends
+    # first would otherwise leave the operation in no history at all
+    def dangling():
+        yield ("w", 0, 1)
+        yield ("inv", "op", ())
+
+    h = History()
+    with pytest.raises(ValueError, match="pid 3: program ended after invoking 'op'"):
+        run([StepMachine(3, dangling())], Memory([4]), [3], h)
+    assert h.events == []
+
+
 def test_program_must_take_a_step():
     def empty():
         return 1
@@ -304,21 +316,6 @@ def test_event_is_a_frozen_dataclass():
     assert dataclasses.astuple(r) == (4, 1, "res", "tas", (), 1)
 
 
-def test_unpaired_events_make_ops_raise():
-    h = History()
-    h.events.append(Event(0, 1, "res", "op", ()))
-    with pytest.raises(ValueError):
-        h.ops()
-    h2 = History()
-    h2.events.append(Event(0, 1, "inv", "op", ()))
-    h2.events.append(Event(2, 1, "inv", "op", ()))
-    with pytest.raises(ValueError):
-        h2.ops()
-    h3 = History([Event(0, 1, "ack", "op", ())])
-    with pytest.raises(ValueError, match="unknown event kind 'ack'"):
-        h3.ops()
-
-
 def test_drain_finishes_each_machine_in_solo_bursts():
     mem = Memory([16], record_trace=True)
     ms = [StepMachine(p, counter_prog(p, 0, 2)) for p in range(2)]
@@ -328,7 +325,9 @@ def test_drain_finishes_each_machine_in_solo_bursts():
     assert all(m.done for m in ms) and mem.t == 22
     # pid 0's burst covers slots 2..11, pid 1's slots 12..21
     assert [e[0] for e in mem.trace] == [0, 1, 2, 3, 4, 12, 13, 14]
-    assert [o.pending for o in h.ops()] == [False, False]
+    assert [(e.pid, e.kind) for e in h.events] == [
+        (0, "inv"), (1, "inv"), (0, "res"), (1, "res"),
+    ]
     with pytest.raises(RuntimeError, match="solo burst"):
         drain([StepMachine(0, counter_prog(0, 0, 5))], Memory([16]), 3)
     with pytest.raises(ValueError, match="duplicate pid"):

@@ -159,7 +159,8 @@ def test_tas_atomic_histories_check_out():
         h = run(machines, store, [rng.randrange(n) for _ in range(25 * n)], History())
         drain(machines, store, S_MAX * ell(n) + 2, h)
         assert all(m.done for m in machines)
-        assert sorted(o.result for o in h.ops()) == [0] + [1] * (n - 1)
+        results = sorted(e.result for e in h.events if e.kind == "res")
+        assert results == [0] + [1] * (n - 1) and len(h.events) == 2 * n
         v = check_tas(h)
         assert v.ok, v.reason
 

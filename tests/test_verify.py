@@ -3,6 +3,8 @@
 import gc
 import random
 import re
+from dataclasses import dataclass
+from typing import Any, Optional
 
 import pytest
 
@@ -91,9 +93,47 @@ def test_tas_rejects_malformed():
         check_tas(h2)
 
 
+@dataclass
+class RefOp:
+    """One operation as the references see it; `resp` is None while pending."""
+
+    pid: int
+    op: str
+    args: tuple
+    result: Any
+    inv: int
+    resp: Optional[int]
+
+    @property
+    def pending(self) -> bool:
+        return self.resp is None
+
+
+def pair_ops(h: History) -> list[RefOp]:
+    """Reference pairing, apart from the checkers' own passes: each
+    invocation with its pid's next response, in invocation order."""
+    open_by_pid: dict[int, RefOp] = {}
+    out: list[RefOp] = []
+    for ev in h.events:
+        if ev.kind == "inv":
+            if ev.pid in open_by_pid:
+                raise ValueError(f"pid {ev.pid}: invocation while one is open")
+            rec = open_by_pid[ev.pid] = RefOp(ev.pid, ev.op, ev.args, None, ev.time, None)
+            out.append(rec)
+        elif ev.kind == "res":
+            rec = open_by_pid.pop(ev.pid, None)
+            if rec is None:
+                raise ValueError(f"pid {ev.pid}: response without invocation")
+            rec.result = ev.result
+            rec.resp = ev.time
+        else:
+            raise ValueError(f"unknown event kind {ev.kind!r}")
+    return out
+
+
 def ops_check_tas(h: History, permissive: bool = False) -> Verdict:
-    """Reference: `check_tas` judged over `History.ops`' records."""
-    ops = h.ops()
+    """Reference: `check_tas` judged over `pair_ops`' records."""
+    ops = pair_ops(h)
     for o in ops:
         if o.op != "tas":
             raise ValueError(f"non-tas operation {o.op!r} in history")
@@ -122,6 +162,39 @@ def ops_check_tas(h: History, permissive: bool = False) -> Verdict:
         if all(p.inv < c.resp for c in completed):
             return Verdict(True, winner=p.pid)
     return Verdict(False, "no operation returned 0 and no pending op can be first")
+
+
+def test_checkers_refuse_pairing_faults_alike():
+    def inv(t, pid, op="tas"):
+        return Event(t, pid, "inv", op, ())
+
+    def res(t, pid, r):
+        return Event(t, pid, "res", "tas", (), r)
+
+    orphan = "pid 1: response without invocation"
+    nested = "pid 0: invocation while one is open"
+    unknown = "unknown event kind 'ack'"
+    cases = [
+        ([inv(0, 0), res(1, 1, 0), res(2, 0, 0)], orphan),
+        ([inv(0, 0), inv(1, 0), res(2, 0, 0)], nested),
+        ([inv(0, 0), Event(1, 0, "ack", "tas", ()), res(2, 0, 0)], unknown),
+        # two faults: the first in event order wins
+        ([inv(0, 0), res(1, 1, 1), inv(2, 0)], orphan),
+        ([inv(0, 0), inv(1, 0), res(2, 1, 1)], nested),
+        ([Event(0, 2, "ack", "tas", ()), inv(1, 0), inv(2, 0)], unknown),
+        # a pairing fault comes before any judgment of the paired ops
+        ([inv(0, 2, "scan"), res(1, 2, 7), res(2, 1, 0)], orphan),
+    ]
+    for events, message in cases:
+        h = History(events)
+        for check in (
+            check_tas,
+            lambda h: check_tas(h, permissive=True),
+            lambda h: check_linearizable(h, TasSequential()),
+        ):
+            with pytest.raises(ValueError) as err:
+                check(h)
+            assert str(err.value) == message, events
 
 
 def _tas_outcome(check, h: History, permissive: bool):
@@ -309,7 +382,7 @@ def test_tas_checker_agrees_with_bruteforce_on_samples():
 
 def frozenset_search(h: History, spec) -> tuple[bool, int]:
     """Reference: the recursive frozenset search, unbudgeted, with its node count."""
-    ops = h.ops()
+    ops = pair_ops(h)
     n = len(ops)
     if n == 0:
         return True, 0
@@ -393,7 +466,7 @@ def test_bitmask_search_matches_frozenset_search():
     for trial in range(2400):
         kind = "tas" if trial % 2 else "snapshot"
         h = random_history(rng, kind)
-        ops = h.ops()
+        ops = pair_ops(h)
         times = [o.inv for o in ops] + [o.resp for o in ops if o.resp is not None]
         ties += len(set(times)) < len(times)
         pending += any(o.pending for o in ops)
