@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Optional
 
-from .shm import Cursor, Event, History, Machine, drain, run
+from .shm import Cursor, Event, History, Machine, _by_pid, drain, run
 
 
 class LogicMachine(Machine):
@@ -146,13 +146,13 @@ def explore(
 
     `make_system()` returns (machines, store): `shm.Machine`s over their
     store, a step machine's program a cursor and a `shm.Memory` untraced
-    (ValueError if it records a trace).  Every reachable system state is
-    visited once and `state_check(machines, store)` runs on each.  Returns
-    (terminals: Counter, states_visited: int), terminals tallied by the
-    tuple of machine results or, with `by_history`, which also keys each
-    state by the interface events on the way to it, times dropped, by
-    history: a tuple of `shm.Event`s timed 0, 1, 2, ..., for a
-    `shm.History`.
+    (ValueError if it records a trace, and on a duplicate pid as `run`).
+    Every reachable system state is visited once and `state_check(machines,
+    store)` runs on each.  Returns (terminals: Counter, states_visited:
+    int), terminals tallied by the tuple of machine results or, with
+    `by_history`, which also keys each state by the interface events on the
+    way to it, times dropped, by history: a tuple of `shm.Event`s timed 0,
+    1, 2, ..., for a `shm.History`.
 
     States are interned: each distinct machine key, store key and read
     response is numbered once, a machine or store keeps one representative,
@@ -169,6 +169,7 @@ def explore(
     machines0, store0 = make_system()
     if getattr(store0, "record_trace", False):
         raise ValueError("explore needs an untraced memory: successors share their parent's store")
+    _by_pid(machines0)
     n = len(machines0)
     mreps = list(machines0)  # machine number -> representative; 0..n-1 have not stepped
     mops = [None if m.done else m.op for m in mreps]  # machine number -> poised op, None if done

@@ -38,15 +38,15 @@ Granularity: sifter and tas_det trials run at snapshot-op granularity for
 throughput (their step budgets are stated in object operations, and the
 obstruction-free TAS at register level under a uniform schedule needs
 millions of steps to finish already at n=8), and after the schedule each
-process drains within its object's solo bound, S_MAX or S_MAX*ell(n)+2
-ops, or the run stops with drain's RuntimeError.  snapshot, tas_rand, and
-wrapped trials are always register-level and trace their own accesses; a
-sifter or tas_det trial makes none, so its trace re-runs its schedule kind
-and seed at register level.  --trace writes one access per JSON line.
-tas_rand and wrapped require --schedule random: their guarantees are
-against randomized scheduling, sampled step by step over unfinished
-processes (distributionally exact for an oblivious uniform schedule,
-skipping only no-op slots).
+process drains within its object's solo bound, S_MAX or
+`tas_det.solo_op_bound(n)` ops, or the run stops with drain's
+RuntimeError.  snapshot, tas_rand, and wrapped trials are always
+register-level and trace their own accesses; a sifter or tas_det trial
+makes none, so its trace re-runs its schedule kind and seed at register
+level.  --trace writes one access per JSON line.  tas_rand and wrapped
+require --schedule random: their guarantees are against randomized
+scheduling, sampled step by step over unfinished processes (distributionally
+exact for an oblivious uniform schedule, skipping only no-op slots).
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def trial_sifter(n: int, args, seed: int, record: bool = False) -> Trial:
 def trial_tas_det(n: int, args, seed: int, record: bool = False) -> Trial:
     machines = tas_det.tas_machines(n)
     h = History()
-    _scheduled(machines, tas_det.tas_store(n), 40, S_MAX * tas_det.ell(n) + 2, args, seed, h)
+    _scheduled(machines, tas_det.tas_store(n), 40, tas_det.solo_op_bound(n), args, seed, h)
     trace = _register_trace(tas_det.tas_system, n, args, seed) if record else ()
     return _tas_report(machines, h, trace=trace)
 

@@ -51,6 +51,7 @@ LOSE = "lose"
 # A fresh solo compete takes exactly 12, and so does the longest solo run
 # from any state of the k=2 closure (pinned in test_sifter) or any sampled
 # one of criterion 2 (k=2..5); 20 leaves headroom for the k no closure covers.
+# The TAS bounds derive from it: `tas_det.solo_op_bound`, `solo_step_bound`.
 S_MAX = 20
 
 EMPTY_SIG = (None, None, None)

@@ -46,7 +46,8 @@ linearizable between the collects.  An update linearizes at its cell write.
 Costs: an update is exactly 2 steps; a scan attempt is 2m+2 steps, and a
 process running alone completes a scan within at most one damaged attempt
 plus one clean one, i.e. 4m+3 steps from any reachable configuration (a
-fresh solo scan is a single 2m+2 attempt).
+fresh solo scan is a single 2m+2 attempt).  `solo_op_steps` states that
+bound for any one op of `op_steps`.
 
 Values are non-negative integers below 2**value_bits.  A generic
 snapshot's cells additionally carry the writer id and the parity bit, so
@@ -120,6 +121,12 @@ class BoundedSnapshot:
     @property
     def cell_width(self) -> int:
         return self.value_bits + self._shift
+
+    @property
+    def solo_op_steps(self) -> int:
+        """Most register steps any one `op_steps` op takes alone from a
+        reachable configuration: an update 2, a plain op 1, a scan 4m+3."""
+        return 4 * self.m + 3
 
     def register_widths(self) -> list[int]:
         """Widths for registers base..base+m, cells first, then S."""

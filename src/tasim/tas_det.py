@@ -63,15 +63,16 @@ def ell(n: int) -> int:
     return floor_log32(n) + 1
 
 
-def solo_step_bound(n: int) -> int:
-    """Register steps a solo run needs from any reachable configuration.
+def solo_op_bound(n: int) -> int:
+    """Snapshot ops and doorway accesses a solo TAS run needs from any
+    reachable configuration: at most S_MAX per level, plus the doorway's two."""
+    return S_MAX * ell(n) + 2
 
-    Per level at most S_MAX snapshot operations, each at most one scan over
-    all 6*ell components (4M+3 register steps from a reachable state), plus
-    the two doorway accesses.
-    """
-    m = 6 * ell(n)
-    return S_MAX * ell(n) * (4 * m + 3) + 2
+
+def solo_step_bound(n: int) -> int:
+    """Register steps a solo run needs from any reachable configuration:
+    `solo_op_bound`'s snapshot ops at `solo_op_steps` each, a doorway access 1."""
+    return S_MAX * ell(n) * tas_snapshot(n).solo_op_steps + 2
 
 
 # ---------------------------------------------------------------------------

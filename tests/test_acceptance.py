@@ -32,13 +32,13 @@ from tasim.shm import (
     run,
     run_live_uniform,
 )
-from tasim.sifter import WIN, sifter_machines, sifter_store, sifter_system
+from tasim.sifter import WIN, sifter_machines, sifter_snapshot, sifter_store, sifter_system
 from tasim.snapshot import BoundedSnapshot, ops_program
 from tasim.tas_det import (
     S_MAX,
-    ell,
     f,
     floor_log32,
+    solo_op_bound,
     solo_step_bound,
     tas_machines,
     tas_register_widths,
@@ -117,20 +117,24 @@ def test_criterion_02_sifter_solo_resume():
         k = rng.randrange(2, 6)
         return sifter_machines(range(k)), sifter_store()
 
-    rep_ops = probe_solo(atomic_factory, samples=10_000, bound=20, seed=4021, prefix_max=200)
+    rep_ops = probe_solo(atomic_factory, samples=10_000, bound=S_MAX, seed=4021, prefix_max=200)
     assert rep_ops.ok, rep_ops.violations[:3]
 
+    ks = [2, 3, 4, 5]
+
     def register_factory(rng):
-        k = rng.choice([2, 3, 4, 5])
+        k = rng.choice(ks)
         machines, memory, logics = sifter_system(k)
         return machines, memory
 
-    rep_reg = probe_solo(register_factory, samples=10_000, bound=540, seed=4022, prefix_max=400)
+    # each of at most S_MAX snapshot ops finishes within its solo cost
+    reg_bound = S_MAX * max(sifter_snapshot(k).solo_op_steps for k in ks)
+    rep_reg = probe_solo(register_factory, samples=10_000, bound=reg_bound, seed=4022, prefix_max=400)
     assert rep_reg.ok, rep_reg.violations[:3]
 
     _line(
         2,
-        "sifter solo resume within 20 ops / 540 register steps",
+        f"sifter solo resume within {S_MAX} ops / {reg_bound} register steps",
         True,
         f"observed maxima: {rep_ops.max_steps} ops, {rep_reg.max_steps} register steps",
     )
@@ -168,18 +172,20 @@ def test_criterion_03_snapshot():
             machines.append(StepMachine(pid, ops_program(s, pid, script)))
         return machines, memory
 
-    rep = probe_solo(scan_factory, samples=10_000, bound=4 * M + 3, seed=4031, prefix_max=120)
+    scan_bound = BoundedSnapshot(0, M, 3, value_bits=4).solo_op_steps
+    rep = probe_solo(scan_factory, samples=10_000, bound=scan_bound, seed=4031, prefix_max=120)
     assert rep.ok, rep.violations[:3]
 
     # exhaustive closure of two 3-op scripts per pair at register
     # granularity, M=2.  Retry loops revisit states, so the merged state
     # graph is finite and `explore` closes it with no depth cap.  At every
     # reachable state each live process finishes its current op within
-    # 4M+3 solo steps (obstruction-freedom), so every state reaches a
-    # terminal; linearizability is prefix-closed, so checking every distinct
-    # complete history covers every reachable prefix, pending ops included.
+    # solo_op_steps (4M+3) solo steps (obstruction-freedom), so every state
+    # reaches a terminal; linearizability is prefix-closed, so checking every
+    # distinct complete history covers every reachable prefix, pending ops
+    # included.
     spec = SnapshotSequential(2, 0)
-    solo_bound = 4 * 2 + 3
+    solo_bound = BoundedSnapshot(0, 2, n=2, value_bits=4).solo_op_steps
     pairs = [
         (
             [("update", 0, 1), ("scan",), ("scan",)],
@@ -226,9 +232,9 @@ def test_criterion_03_snapshot():
 
     _line(
         3,
-        "snapshot: 2-step updates, scan resume <= 27, exhaustive histories linearize",
+        f"snapshot: 2-step updates, scan resume <= {scan_bound}, exhaustive histories linearize",
         True,
-        f"scan max {rep.max_steps}/27; closures (states/complete histories/"
+        f"scan max {rep.max_steps}/{scan_bound}; closures (states/complete histories/"
         f"solo op max of {solo_bound}): {', '.join(closures)}",
     )
 
@@ -312,7 +318,7 @@ def test_criterion_06_tas_det_histories():
     trials_per_n = math.ceil(100_000 / 7)
     for n in range(2, 9):
         rng = random.Random(6000 + n)
-        bound = S_MAX * ell(n) + 2
+        bound = solo_op_bound(n)
         for trial in range(trials_per_n):
             machines = tas_machines(n)
             store = tas_store(n)
@@ -492,7 +498,7 @@ def test_criterion_10_checker_cross_validation():
         sched = [rng.randrange(n) for _ in range(rng.randrange(1, 30 * n))]
         h = run(machines, store, sched, History())
         if rng.random() < 0.7:  # drain; otherwise leave ops pending
-            drain(machines, store, S_MAX * ell(n) + 2, h)
+            drain(machines, store, solo_op_bound(n), h)
         if rng.random() < 0.25:  # corrupt one response
             idxs = [i for i, e in enumerate(h.events) if e.kind == "res"]
             if idxs:

@@ -33,7 +33,14 @@ from tasim.shm import (
 )
 from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_machines, sifter_store
 from tasim.snapshot import BoundedSnapshot, ops_program
-from tasim.tas_det import S_MAX, TasLogic, ell, tas_machines, tas_store, tas_system, wle_store
+from tasim.tas_det import (
+    TasLogic,
+    solo_op_bound,
+    tas_machines,
+    tas_store,
+    tas_system,
+    wle_store,
+)
 from tasim.verify import SnapshotSequential, check_linearizable
 
 
@@ -292,7 +299,7 @@ def test_run_atomic_keeps_the_benchmark_call_shapes():
     quiet = tas_machines(3)
     assert run_atomic(quiet, tas_store(3), sched, record=False) == (None, len(sched))
     assert [m.key() for m in quiet] == [m.key() for m in machines]
-    bound = S_MAX * ell(3) + 2
+    bound = solo_op_bound(3)
     for m in machines:
         before = len(h.events)
         got, t_next = run_atomic(machines, store, [m.pid] * bound, history=h, start_t=t)
@@ -393,6 +400,18 @@ def test_explore_refuses_a_traced_memory():
 
     with pytest.raises(ValueError, match="untraced"):
         explore(make)
+
+
+def test_explore_rejects_duplicate_pids():
+    # as run, drain and run_live_uniform do; unchecked, two pid-0 sifters
+    # tally ('win', 'win') and two pid-0 TAS processes both return 0
+    systems = (
+        (lambda: (sifter_machines([0, 0]), sifter_store()), False),
+        (lambda: ([TasLogic(0, 2), TasLogic(0, 2)], tas_store(2)), True),
+    )
+    for make, by_history in systems:
+        with pytest.raises(ValueError, match="duplicate pid 0"):
+            explore(make, by_history=by_history)
 
 
 def test_explore_without_history_tallies_ops_program_results():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tasim import cli
+from tasim import cli, tas_det
 from tasim.tas_det import tas_register_widths
 from tasim.verify import SearchBudgetExceeded
 
@@ -83,9 +83,9 @@ def test_violation_exit_code(monkeypatch, capsys):
 
 
 def test_snapshot_op_trials_drain_by_the_solo_bound(monkeypatch):
-    # tas_det drains with S_MAX * ell(n) + 2 object ops; a bound too small
-    # for a solo finish stops the run with drain's error instead of a line
-    monkeypatch.setattr(cli, "S_MAX", 1)
+    # tas_det drains with tas_det.solo_op_bound(n) object ops; a bound too
+    # small for a solo finish stops the run with drain's error instead of a line
+    monkeypatch.setattr(tas_det, "solo_op_bound", lambda n: 1)
     with pytest.raises(RuntimeError, match="solo burst"):
         cli.main("simulate --object tas_det --n 7 --trials 2 --seed 3".split())
 

@@ -24,7 +24,7 @@ from tasim.shm import (
     run_live_uniform,
 )
 from tasim.randomized import wrapped_tas_system
-from tasim.tas_det import S_MAX, ell, tas_machines, tas_store
+from tasim.tas_det import solo_op_bound, tas_machines, tas_store
 from tasim.tas_rand import RandTas
 from tasim.verify import probe_solo
 
@@ -146,7 +146,7 @@ def test_drivers_record_only_a_given_history():
     # the History they are given and make none: without one a run records
     # nothing and returns None.  Each starts at the memory's position t and
     # leaves it after its last slot
-    bound = S_MAX * ell(2) + 2
+    bound = solo_op_bound(2)
     systems = (
         lambda: ([StepMachine(p, counter_prog(p, 0, 1)) for p in range(2)], Memory([16])),
         lambda: (tas_machines(2), tas_store(2)),

@@ -227,9 +227,9 @@ def test_exhaustive_small_interleavings_linearize():
 
 def test_scan_solo_completion_bound_from_reachable_configs():
     # remaining work after any prefix: <= 2 updates + a damaged scan attempt
-    # + a clean one + a fresh scan = 2*2 + (4*2+3) + (2*2+2) own steps
+    # + a clean one (solo_op_steps, 4*2+3) + a fresh scan (2*2+2) own steps
     m = 2
-    bound = 2 * 2 + (4 * m + 3) + (2 * m + 2)
+    bound = 2 * 2 + BoundedSnapshot(0, m, n=3, value_bits=4).solo_op_steps + (2 * m + 2)
 
     def factory(rng):
         s = BoundedSnapshot(0, m, n=3, value_bits=4)

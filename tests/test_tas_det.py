@@ -16,6 +16,7 @@ from tasim.tas_det import (
     ell,
     f,
     floor_log32,
+    solo_op_bound,
     solo_step_bound,
     tas_machines,
     tas_register_widths,
@@ -25,6 +26,7 @@ from tasim.tas_det import (
     wle_machines,
     wle_store,
 )
+from tasim.tas_rand import layout
 from tasim.verify import check_tas, probe_solo
 
 
@@ -70,6 +72,18 @@ def test_level_and_register_counts():
         assert widths[0] == 1  # doorway bit
         assert widths[-1] == n.bit_length()  # handshake register
         assert max(widths) == 3 * math.ceil(math.log2(n)) + 3
+
+
+def test_solo_bounds_pinned():
+    # the closed forms that set b for every wrapped run (ROADMAP item 11)
+    assert (solo_op_bound(2), solo_op_bound(3)) == (42, 62)
+    assert (solo_step_bound(2), solo_step_bound(3)) == (2042, 4502)
+    for n in (2, 3, 16, 64):
+        assert (layout(n).b2, layout(n).bn) == (solo_step_bound(2), solo_step_bound(n))
+    # 4m+3 per op; criterion 3 closes m=2 and samples m=6
+    assert [BoundedSnapshot(0, m, 3, 4).solo_op_steps for m in (1, 2, 6, 18)] == [7, 11, 27, 75]
+    for k in (2, 3, 5):
+        assert S_MAX * sifter_snapshot(k).solo_op_steps == 540  # criterion 2
 
 
 def test_builders_set_the_state_the_init_chain_would():
@@ -157,7 +171,7 @@ def test_tas_atomic_histories_check_out():
         machines = tas_machines(n)
         store = tas_store(n)
         h = run(machines, store, [rng.randrange(n) for _ in range(25 * n)], History())
-        drain(machines, store, S_MAX * ell(n) + 2, h)
+        drain(machines, store, solo_op_bound(n), h)
         assert all(m.done for m in machines)
         results = sorted(e.result for e in h.events if e.kind == "res")
         assert results == [0] + [1] * (n - 1) and len(h.events) == 2 * n

@@ -9,7 +9,7 @@ from typing import Any, Optional
 import pytest
 
 from tasim.shm import Event, History, Memory, StepMachine, drain, run
-from tasim.tas_det import S_MAX, ell, tas_machines, tas_store
+from tasim.tas_det import solo_op_bound, tas_machines, tas_store
 from tasim.verify import (
     SearchBudgetExceeded,
     SnapshotSequential,
@@ -233,7 +233,7 @@ def test_one_pass_check_tas_matches_the_ops_reference():
                 History())
         mode = rng.choice(("clean", "pending", "flipped", "moved", "malformed", "synthetic"))
         if mode != "pending":
-            drain(machines, store, S_MAX * ell(n) + 2, h)
+            drain(machines, store, solo_op_bound(n), h)
         if mode == "synthetic":  # random times: ties, early responses, any order
             h = random_history(rng, "tas")
         events = h.events
