@@ -229,6 +229,8 @@ def test_criterion_03_snapshot():
         for h in terminals:
             assert check_linearizable(History(list(h)), spec), h
         closures.append(f"{states}/{len(terminals)}/{solo_max[0]}")
+    # a machine or scan state that keys more or less than it must moves these
+    assert closures == ["45513/1278/11", "21953/1856/11", "18761/1418/11"]
 
     _line(
         3,

@@ -30,6 +30,7 @@ DIGESTS = {
     "wrapped_tas_system": "03ed0fd06546df87c44f0f9c9f483748e547092e8e1e36e8802c6a249762afca",
     "rand_tas": "09256fd70fa6029fa36b60a7b310137bd57dbc04f49d33fc326f3fd025bd5936",
     "rand_tas_1024": "e9ab954a5b8addb54a32db274f93dad6308f87b154923b999c1520353c41b93e",
+    "wrapped_short_blocks": "a8d7c75f8828a47ed00a93efcd218f2a6fef4ec30d61153f0a4ecc1299d367a4",
 }
 
 
@@ -67,6 +68,16 @@ def test_tas_system_pinned():
 def test_wrapped_tas_system_pinned():
     machines, memory, _ = wrapped_tas_system(4, b=1619, seed=3)
     assert _live_uniform(machines, memory, 3) == DIGESTS["wrapped_tas_system"]
+
+
+def test_wrapped_blocks_shorter_than_a_scan_pinned():
+    # b = 9 against 24-cell collects (a scan attempt is 50 steps): heads
+    # blocks end inside most collects; the cap stops the run before its end
+    machines, memory, _ = wrapped_tas_system(4, b=9, seed=6)
+    memory.record_trace = True
+    assert run_live_uniform(machines, memory, random.Random("sched:6"), 10_000) == 10_000
+    blob = json.dumps([memory.trace, [(m.done, m.result, m.steps) for m in machines]])
+    assert hashlib.sha256(blob.encode()).hexdigest() == DIGESTS["wrapped_short_blocks"]
 
 
 def test_rand_tas_pinned():
