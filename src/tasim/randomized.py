@@ -18,7 +18,11 @@ A tails block is yielded as one block op, b reads of the dummy register
 (see `shm`): the step machine takes the b reads in b schedule slots, each
 traced and counted like any other step, and resumes the wrapper once, after
 the last one, to flip the next coin.  The coin is thus flipped at the same
-point of the run as if every dummy read were yielded on its own.
+point of the run as if every dummy read were yielded on its own.  A collect
+op of the wrapped program (a scan's collect, see `shm`) is charged its
+length in real steps, and one that runs past the end of its heads block is
+split there, so that each coin is again flipped where its reads one by one
+would flip it.
 
 Against an adaptive scheduler this argument breaks down (the scheduler could
 starve whoever draws heads), which is why schedules here are materialized
@@ -31,7 +35,7 @@ import random
 from typing import Optional
 
 from .atomic import register_program
-from .shm import READ, WRITE, Memory, StepMachine
+from .shm import COLLECT, READ, WRITE, Memory, StepMachine
 from .tas_det import solo_step_bound, tas_machines, tas_register_widths, tas_snapshot
 
 
@@ -42,7 +46,11 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
     block yields the inner program's shared ops one per wrapped step; a
     tails block yields one block op ``(READ, dummy_reg, b)``, which
     `shm.StepMachine` runs as b reads in a row (bookkeeping yields pass
-    through unchanged and uncounted).  Returns the inner program's return
+    through unchanged and uncounted).  A collect op of k reads takes k
+    real steps: it is yielded whole if the heads block has k left, else
+    in parts, each ending where a heads block ends, and the program
+    receives the parts' answers joined (the values read, in order, or
+    whether all of them matched).  Returns the inner program's return
     value.
     """
     if not isinstance(n, int) or not isinstance(b, int) or n < 1 or b < 1:
@@ -55,13 +63,48 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
             item = inner.send(res)
         except StopIteration as e:
             return e.value
-        if item[0] in (READ, WRITE):
+        kind = item[0]
+        if kind == READ or kind == WRITE:
             if steps == 0:
-                while rng.randrange(n) != 0:
-                    yield tails
+                yield from _until_heads(rng, n, tails)
                 steps = b
             steps -= 1
+        elif kind == COLLECT:
+            if steps == 0:
+                yield from _until_heads(rng, n, tails)
+                steps = b
+            if len(item[1]) > steps:
+                res, steps = yield from _split(item, steps, b, rng, n, tails)
+                continue
+            steps -= len(item[1])
         res = yield item
+
+
+def _until_heads(rng, n: int, tails: tuple):
+    """Flip until heads, yielding a tails block per tails."""
+    while rng.randrange(n) != 0:
+        yield tails
+
+
+def _split(collect: tuple, steps: int, b: int, rng, n: int, tails: tuple):
+    """Yield `collect` in parts that end where heads blocks end, the
+    first `steps` reads long; return the joined answer and the real steps
+    left in the heads block after the last part."""
+    _, reads, against = collect
+    got = () if against is None else True
+    while reads:
+        if steps == 0:
+            yield from _until_heads(rng, n, tails)
+            steps = b
+        k = min(steps, len(reads))
+        if against is None:
+            got += yield (COLLECT, reads[:k], None)
+        else:
+            got = (yield (COLLECT, reads[:k], against[:k])) and got
+            against = against[k:]
+        reads = reads[k:]
+        steps -= k
+    return got, steps
 
 
 def wrapped_tas_program(logic, snap, b: int, rng):

@@ -31,6 +31,16 @@ read, with the value that read returned.  The coin-block wrapper yields a
 tails block this way.  Untraced, `run_live_uniform` counts a block's middle
 reads down itself, in bulk while every live machine is inside a long block.
 
+A *collect op* ``('c', reads, against)`` stands for the single read ops
+in the tuple `reads`, taken in order, one per schedule slot: each is the
+machine's `op` while it is poised at it, is traced through `Memory` and
+counts as a step, but the program resumes only once, after the last
+read.  With `against` None it receives the tuple of values read; with a
+tuple of as many values, whether every value read equals its own.  A
+snapshot scan yields its two collects this way.  Nothing checks a
+collect's shape (`reads` not empty, `against` as long), since one is set
+up at every resume that yields it: that is its maker's to get right.
+
 Two bookkeeping yields never touch shared memory and consume no schedule
 slot; they delimit object-level operations for history checking::
 
@@ -57,6 +67,7 @@ from typing import Any, Generator, Iterable, Optional
 
 READ = "r"
 WRITE = "w"
+COLLECT = "c"
 
 Program = Generator[tuple, Any, Any]  # or a `Cursor`
 
@@ -287,7 +298,9 @@ class Explicit:
         if keyed:
             cls._fields = attrgetter(*keyed)
         if cls.NESTED:  # else a copy of the dict, and the getter alone
-            cls.clone, cls.key = Explicit._clone_nested, Explicit._key_nested
+            own = vars(cls)  # a class's own clone and key stay
+            cls.clone = own.get("clone", Explicit._clone_nested)
+            cls.key = own.get("key", Explicit._key_nested)
 
     def clone(self):
         c = object.__new__(type(self))
@@ -400,12 +413,21 @@ class StepMachine(Machine):
     shared step, which opens it at 2t, and a program that ends before that
     step raises ValueError; `_open` then holds its (name, args) until a
     ``res`` yield, read while resuming after step t, closes it at 2t+1.
-    While a block op is in progress, `_left` counts its reads still
-    to take.  `auto_history` must be False.  Only a machine whose program
-    is a `Cursor` can be cloned and keyed.
+    While a block op is in progress, `_left` counts its reads still to
+    take.  While a collect op is in progress, `_collect` holds it, `op` is
+    its read due next, -`_left` counts its reads still to take, that one
+    included, and `_got` holds what the program will receive so far: the
+    values read, or whether they all matched.  `auto_history` must be
+    False.  Only a machine whose program is a `Cursor` can be cloned and
+    keyed.
+
+    A subclass may build a machine with no program (`gen` None), poised
+    at its first op with an invocation pending; its first step is then
+    its `_start(memory, t, history)`, which takes that step and, unless
+    the machine is done, sets `gen` and the next op.
     """
 
-    FIELDS = Machine.FIELDS + ("_pending_inv", "_open", "_left")
+    FIELDS = Machine.FIELDS + ("_pending_inv", "_open", "_left", "_collect", "_got")
     NESTED = ("gen",)
 
     # auto_history: only perfbench/ passes it outside its pin test; ROADMAP item 6 removes it
@@ -417,16 +439,19 @@ class StepMachine(Machine):
         self._pending_inv: Optional[tuple] = None
         self._open: Optional[tuple] = None
         self._left = 0
+        self._collect: Optional[tuple] = None
+        self._got = None
         try:
             self.op = self._resume(gen.send(None), 0, None)
         except StopIteration:
             raise ValueError("program finished without a shared-memory step") from None
 
     def _resume(self, item, t: int, history: Optional[History]):
-        """`step`'s slow path: the program yielded `item`, a bookkeeping yield.
+        """`step`'s slow path: the program yielded `item`, not a read or write.
 
-        Handle it and those that follow, and return the next shared op; the
-        program's end raises StopIteration through here.  A ``res`` is
+        Handle it and the bookkeeping yields that follow, and return the
+        next shared op, a collect's first read once the collect is set up;
+        the program's end raises StopIteration through here.  A ``res`` is
         recorded at once at 2t+1, t being the step the program resumed after.
         """
         gen = self.gen
@@ -442,20 +467,33 @@ class StepMachine(Machine):
                     name, args = self._open
                     history.events.append(Event(2 * t + 1, self.pid, "res", name, args, item[1]))
                 self._open = None
+            elif item[0] == COLLECT:
+                return self._begin(item)
             else:
                 raise ValueError(f"unknown yield {item!r}")
             item = gen.send(None)
         return item
 
+    def _begin(self, collect: tuple) -> tuple:
+        """Poise the machine at collect op `collect`; return its first read."""
+        self._collect = collect
+        reads = collect[1]
+        self._left = -len(reads)
+        self._got = () if collect[2] is None else True
+        return reads[0]
+
     def step(self, memory: Memory, t: int, history: Optional[History]) -> None:
         """Execute one shared-memory step at schedule position t.
 
-        One frame in the common case: an untraced read is taken here, and a
-        program whose next item is a shared op is resumed here.  A write
-        and a traced read go through `Memory`, bookkeeping yields through
-        `_resume`.
+        One frame in the common case: an untraced read is taken here, a
+        collect's read is served here, and a program whose next item is a
+        read or a write is resumed here.  A write and a traced read go
+        through `Memory`, other items through `_resume`.
         """
         if self._pending_inv is not None:
+            if self.gen is None:
+                self._start(memory, t, history)
+                return
             self._open = self._pending_inv
             self._pending_inv = None
             if history is not None:
@@ -470,18 +508,37 @@ class StepMachine(Machine):
                 if not isinstance(left, int) or left < 1:
                     raise ValueError(f"pid {self.pid}: bad block length {left!r}")
             self.steps += 1
-            if left:  # inside a block op: the program waits for its last read
-                self._left = left = left - 1
-                if left:
-                    return
+            if left:  # the program waits for a block's or a collect's last read
+                if left > 0:  # a block op
+                    self._left = left = left - 1
+                    if left:
+                        return
+                else:  # a collect op, whose read -left from its end this is
+                    _, reads, against = self._collect
+                    got = self._got + (resp,) if against is None else self._got and resp == against[left]
+                    left += 1
+                    if left:
+                        self._left, self._got, self.op = left, got, reads[left]
+                        return
+                    self._left = 0
+                    self._collect = self._got = None
+                    resp = got
         else:
             memory.write(t, self.pid, op[1], op[2])
             resp = None
             self.steps += 1
         try:
             item = self.gen.send(resp)
-            if item[0] != READ and item[0] != WRITE:
-                item = self._resume(item, t, history)
+            kind = item[0]
+            if kind != READ and kind != WRITE:
+                if kind == COLLECT:  # `_begin`, inline: one call fewer per collect
+                    self._collect = item
+                    reads = item[1]
+                    self._left = -len(reads)
+                    self._got = () if item[2] is None else True
+                    item = reads[0]
+                else:
+                    item = self._resume(item, t, history)
         except StopIteration as stop:
             if self._pending_inv is not None:
                 raise ValueError(

@@ -25,9 +25,13 @@ schedule gives the same execution on each.
 Scan and update are written once, as cursors (`shm.Cursor`): `scan_steps`
 and `update_steps` return explicit sub-programs that a program drives with
 ``step`` and that clone and key like the programs driving them, so
-register-level systems can be explored state by state.  A scan keeps its
-place in the attempt, the first collect c1 (a tuple) and whether the second
-collect has matched c1 so far; that is all it needs of c2.
+register-level systems can be explored state by state.  A scan attempt
+is three ops: the S write, the collect c1 of A[0..m-1], and the collect c2
+of A[0..m-1] then S, matched against c1 and the scanner's pid, so that its
+answer is the attempt's test.  A collect op (see `shm`) takes its reads
+one per slot, and the step machine holds c1's values so far, or whether c2
+has matched so far, until the scan resumes after the last read.  The scan
+keeps its stage and c1 once collected; that is all it needs of c2.
 
 `op_steps` turns any store op of `atomic` into its register sub-program,
 so a lowered logic machine (`atomic.register_program`) and a script
@@ -72,7 +76,7 @@ one.  The handshake register is pid_bits wide either way.
 
 from __future__ import annotations
 
-from .shm import READ, WRITE, Cursor, Memory, as_cursor
+from .shm import COLLECT, READ, WRITE, Cursor, Memory, as_cursor
 
 
 class BoundedSnapshot:
@@ -84,7 +88,8 @@ class BoundedSnapshot:
     declares it owner-tagged (both in the module docstring).
     """
 
-    __slots__ = ("base", "m", "n", "value_bits", "pid_bits", "codec", "_shift", "_reads", "_s_writes")
+    __slots__ = ("base", "m", "n", "value_bits", "pid_bits", "codec", "_shift", "_c1", "_c2_reads",
+                 "_s_writes")
 
     def __init__(
         self,
@@ -104,9 +109,11 @@ class BoundedSnapshot:
         self.codec = codec
         # bits below the value in a cell: parity, plus the writer field
         self._shift = 1 if codec is not None else self.pid_bits + 1
-        # the op tuples of every scan and update: reads of A[0..m-1] then of
-        # S, and each process's S write
-        self._reads = tuple((READ, base + i) for i in range(m + 1))
+        # the op tuples of every scan and update: the collect c1 of A[0..m-1],
+        # the reads of c2's collect (A[0..m-1], then S), and each process's S write
+        reads = tuple((READ, base + i) for i in range(m + 1))
+        self._c1 = (COLLECT, reads[:m], None)
+        self._c2_reads = reads
         self._s_writes = tuple((WRITE, base + m, p) for p in range(n))
 
     # -- layout -------------------------------------------------------------
@@ -206,48 +213,43 @@ class _Ops(Cursor):
 
 
 class _Scan(Cursor):
-    """A scan: attempts of the S write, collects c1 and c2, and the S read.
+    """A scan: attempts of the S write, the collect c1, and the collect c2
+    that ends with the S read.
 
-    `j` is the attempt's step returned last: -1 before the first, 0 the S
-    write, 1..m the reads of c1, m+1..2m those of c2, 2m+1 the S read.
-    The op tuples returned are the snapshot's own, made once per snapshot.
+    `j` is the attempt's op returned last: -1 before the first, 0 the S
+    write, 1 c1, 2 c2, which then matches c1 and the scanner's pid, and
+    answers whether every value did; `c1` is held from stage 2 on.  The
+    op tuples returned are the snapshot's own, made once per snapshot,
+    but for c2's collect, which carries c1.
     """
 
-    FIELDS = ("j", "c1", "eq")
+    FIELDS = ("j", "c1")
 
     def __init__(self, snap: BoundedSnapshot, pid: int):
         self.pid = pid
-        self.reads = snap._reads
+        self.c1_op = snap._c1
+        self.c2_reads = snap._c2_reads
         self.s_write = snap._s_writes[pid]
-        self.m = snap.m
         self.shift = snap._shift
         self.j = -1
         self.c1: tuple = ()
-        self.eq = True  # c2 has matched c1 so far
 
     def step(self, val):
         j = self.j
-        m = self.m
-        if j > m:  # val answers a read of c2 or the S read
-            if j <= 2 * m:
-                if val != self.c1[j - m - 1]:
-                    self.eq = False
-                self.j = j + 1
-                return self.reads[j - m]  # the next cell of c2, then S
-            if val == self.pid and self.eq:
-                sh = self.shift
-                self.result = tuple(c >> sh for c in self.c1)
-                return None
-            j = -1  # retry
-            self.c1 = ()
-            self.eq = True
-        elif j > 0:  # val answers a read of c1
-            self.c1 += (val,)
-        if j < 0:
-            self.j = 0
-            return self.s_write
-        self.j = j + 1
-        return self.reads[j if j < m else 0]  # the next cell of c1, then of c2
+        if j == 0:
+            self.j = 1
+            return self.c1_op
+        if j == 1:  # val is c1
+            self.j = 2
+            self.c1 = val
+            return (COLLECT, self.c2_reads, val + (self.pid,))
+        if j == 2 and val:  # c2 equals c1, and S still holds the pid
+            sh = self.shift
+            self.result = tuple(c >> sh for c in self.c1)
+            return None
+        self.j = 0  # the first attempt, or a retry
+        self.c1 = ()
+        return self.s_write
 
 
 def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]) -> "_Script":

@@ -17,6 +17,12 @@ reserves the expensive machinery for a shrinking remainder:
   * one global doorway bit turning the leader election into linearizable
     test-and-set.
 
+A process starts poised at the doorway read with its tas() invocation
+pending and no program: the machine takes the doorway itself, and one that
+reads 1 returns 1 in that step (invocation at 2t, response at 2t+1), which
+is most callers at large n.  Only a process that reads 0 gets its pipeline
+program, and from then on it is an ordinary `shm.StepMachine`.
+
 Randomized sifter (two steps over s single-bit registers R[1..s]): draw a
 level i in {1..s} with Pr(i) = 2^(-i) (residual mass on s), write R[i] := 1,
 then read R[i+1]: win iff it is 0, meaning no one is known to sit above you.
@@ -49,7 +55,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .randomized import wrapped_tas_program
-from .shm import Memory, READ, WRITE, StepMachine
+from .shm import Event, Machine, Memory, READ, WRITE, StepMachine
 from .sifter import LOSE, WIN
 from .tas_det import TasLogic, solo_step_bound, tas_register_widths, tas_snapshot
 
@@ -158,11 +164,18 @@ class RandTas:
         return Memory(self.layout.widths)
 
     def process_rng(self, pid: int) -> random.Random:
-        """The coin stream of `pid`, created when it passes the doorway."""
+        """The coin stream of `pid`, created when it passes the doorway.
+
+        Seeding one costs 8-10 us, mostly CPython's Mersenne Twister
+        set-up (``random.Random(0)`` alone takes about 7.5 us), and it is
+        the largest fixed cost of a process past the doorway.  It stays:
+        any other seeding changes every draw.
+        """
         return random.Random(f"rtas:{self.seed}:{pid}")
 
     def machines(self) -> list[StepMachine]:
-        return [StepMachine(p, self._program(p)) for p in range(self.n)]
+        """The n processes, each poised at the doorway read (`_Caller`)."""
+        return [_Caller(self, p) for p in range(self.n)]
 
     # -- sub-programs ---------------------------------------------------------
 
@@ -176,13 +189,9 @@ class RandTas:
         self.le2_claims[key] = pid
 
     def _program(self, pid: int):
+        """The pipeline of `pid` past the doorway, its tas() open."""
         lay = self.layout
         K = lay.K
-        yield ("inv", "tas", ())
-        d = yield (READ, 0)
-        if d == 1:
-            yield ("res", 1)
-            return 1
         rng = self.process_rng(pid)  # seeded by pid, so creating it late changes no draw
         won_at = None
         i = 1
@@ -199,7 +208,10 @@ class RandTas:
                 break
             x = lay.px_reg[i - 1]
             sp = yield from split_steps(x, x + 1, pid)
-            self.split_outcomes.setdefault(i, Counter())[sp] += 1
+            tally = self.split_outcomes.get(i)
+            if tally is None:
+                tally = self.split_outcomes[i] = Counter()
+            tally[sp] += 1
             if sp == LOSE:
                 break
             if sp == WIN:
@@ -225,3 +237,52 @@ class RandTas:
         yield (WRITE, 0, 1)
         yield ("res", 1)
         return 1
+
+
+_DOORWAY = (READ, 0)
+_TAS = ("tas", ())
+
+
+class _Caller(StepMachine):
+    """A `RandTas` process: poised at the doorway read, its tas() pending,
+    with no program until it reads 0 there (`shm.StepMachine._start`).
+
+    Like any machine whose program is a generator, it can be neither
+    cloned nor keyed, before its first step too.
+    """
+
+    def __init__(self, rt: RandTas, pid: int):
+        Machine.__init__(self, pid)
+        self.op = _DOORWAY
+        self.gen = None
+        self._pending_inv = _TAS
+        self._open = None
+        self._left = 0
+        self._collect = self._got = None
+        self.rt = rt
+
+    def _start(self, memory: Memory, t: int, history) -> None:
+        """Take the doorway read at t: return 1 on reading 1, else open the
+        tas() and poise the pipeline's first op."""
+        pid = self.pid
+        d = memory.read(t, pid, 0) if memory.record_trace else memory.regs[0]
+        self.steps = 1
+        self._pending_inv = None
+        if history is not None:
+            history.events.append(Event(2 * t, pid, "inv", "tas", ()))
+        if d == 1:
+            if history is not None:
+                history.events.append(Event(2 * t + 1, pid, "res", "tas", (), 1))
+            self.op = None
+            self.done = True
+            self.result = 1
+            return
+        self._open = _TAS
+        self.gen = gen = self.rt._program(pid)
+        self.op = gen.send(None)  # a sifter's write
+
+    def clone(self):
+        raise TypeError(f"pid {self.pid}: a generator program cannot be cloned")
+
+    def key(self):
+        raise TypeError(f"pid {self.pid}: a generator program cannot be keyed")

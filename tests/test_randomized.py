@@ -202,6 +202,50 @@ def test_tails_block_resumes_the_wrapped_generator_once():
     ]
 
 
+class SlotRecorder:
+    """Scripted coin that records, at each draw, how many steps its
+    process had taken: the slot the coin is flipped at."""
+
+    def __init__(self, vals, memory):
+        self.vals, self.memory, self.at = list(vals), memory, []
+
+    def randrange(self, n):
+        self.at.append(len(self.memory.trace))
+        return self.vals.pop(0) if self.vals else 0
+
+
+def test_a_collect_straddling_a_heads_block_flips_where_single_reads_do():
+    reads = tuple(("r", r) for r in (1, 2, 1, 3, 2, 1, 3))
+
+    def inner(whole):
+        yield ("w", 3, 4)
+        if whole:
+            c1 = yield ("c", reads, None)
+            same = yield ("c", reads, c1)
+        else:
+            c1 = ()
+            for op in reads:
+                c1 += ((yield op),)
+            same = True
+            for op, v in zip(reads, c1):
+                same = (yield op) == v and same
+        yield ("w", 2, 1)
+        return c1, same
+
+    runs = []
+    for b in (1, 2, 3, 5, 7, 20):
+        for whole in (False, True):
+            memory = Memory([8] * 4, record_trace=True)
+            memory.regs[1] = 6
+            coin = SlotRecorder([1, 0, 2, 1, 0, 0, 3, 0, 1, 1, 0], memory)
+            m = StepMachine(0, wrap(inner(whole), 4, b, coin))
+            run([m], memory, [0] * 400)
+            assert m.done
+            runs.append((memory.trace, coin.at, m.result, m.steps))
+        assert runs[-1] == runs[-2], b
+    assert runs[0][2] == ((6, 0, 6, 4, 0, 6, 4), True)
+
+
 def test_wrapped_run_untraced_equals_traced():
     # untraced, run_live_uniform counts tails blocks down in place and in bulk
     outs = []

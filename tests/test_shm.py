@@ -448,6 +448,111 @@ def test_block_op_rejects_bad_length():
             run([StepMachine(0, prog(k))], Memory([4]), [0])
 
 
+def test_collect_op_takes_k_slots_and_resumes_once():
+    reads = (("r", 1), ("r", 0), ("r", 1))
+    resumed = []
+
+    def prog():
+        yield ("inv", "look", ())
+        vals = yield ("c", reads, None)  # the values read
+        resumed.append(vals)
+        same = yield ("c", reads, (5, 0, 5))  # whether each value matched
+        resumed.append(same)
+        yield ("res", same)
+        return same
+
+    def writer():
+        yield ("inv", "put", ())
+        yield ("w", 1, 5)
+        yield ("res", None)
+
+    mem = Memory([8, 8], record_trace=True)
+    ms = [StepMachine(0, prog()), StepMachine(1, writer())]
+    m, h, poised = ms[0], History(), []
+    for pid in [0, 0, 1, 0, 0, 0, 0, 0, 0]:
+        if pid == 0 and not m.done:
+            poised.append(m.op)  # the collect's read due next
+        run(ms, mem, [pid], h)
+    assert mem.t == 9 and m.done and m.result is True
+    assert resumed == [(0, 0, 5), True]  # once per collect, after its last read
+    assert m.steps == 6 and poised == list(reads) * 2
+    assert [e for e in mem.trace if e[1] == 0] == [
+        (0, 0, "R", 1, 0),
+        (1, 0, "R", 0, 0),
+        (3, 0, "R", 1, 5),
+        (4, 0, "R", 1, 5),
+        (5, 0, "R", 0, 0),
+        (6, 0, "R", 1, 5),
+    ]
+    ev = [(e.pid, e.kind, e.time) for e in h.events]
+    assert ev == [(0, "inv", 0), (1, "inv", 4), (1, "res", 5), (0, "res", 13)]
+
+
+def test_collect_op_pending_invocation_attaches_to_first_read():
+    def prog():
+        yield ("inv", "look", ())
+        v = yield ("c", (("r", 0), ("r", 0)), None)
+        yield ("res", v)
+        return v
+
+    mem = Memory([4], record_trace=True)
+    m = StepMachine(0, prog())
+    h = run([m], mem, [1, 0, 1, 0, 0], History())  # pid 1 is absent
+    assert m.done and m.steps == 2 and m.result == (0, 0) and mem.t == 5
+    assert [e[0] for e in mem.trace] == [1, 3]
+    assert [(e.kind, e.time, e.result) for e in h.events] == [
+        ("inv", 2, None),
+        ("res", 7, (0, 0)),
+    ]
+
+
+def collect_prog(pid, script, whole):
+    # per tuple of registers: collect them, collect them again against the
+    # first values, then write; as collect ops if `whole`, else read by read
+    acc = 0
+    yield ("inv", "look", ())
+    for regs in script:
+        reads = tuple(("r", r) for r in regs)
+        if whole:
+            c1 = yield ("c", reads, None)
+            same = yield ("c", reads, c1)
+        else:
+            c1 = ()
+            for op in reads:
+                c1 += ((yield op),)
+            same = True
+            for op, v in zip(reads, c1):
+                same = (yield op) == v and same
+        acc += sum(c1) + same
+        yield ("w", regs[0], (acc + pid) % 256)
+    yield ("res", acc)
+    return acc
+
+
+def test_collect_op_equals_single_reads():
+    gen = random.Random(7)
+    for case in range(30):
+        n = gen.choice([1, 2, 3, 5])
+        scripts = [
+            [tuple(gen.randrange(4) for _ in range(gen.randint(1, 5))) for _ in range(gen.randint(1, 4))]
+            for _ in range(n)
+        ]
+        sched = make_schedule("random", n, 120, seed=case)
+        for driver in ("run", "traced", "untraced"):
+            outs = []
+            for whole in (False, True):
+                mem = Memory([8] * 4, record_trace=driver != "untraced")
+                ms = [StepMachine(p, collect_prog(p, script, whole)) for p, script in enumerate(scripts)]
+                h, rng = History(), random.Random(case)
+                if driver == "run":
+                    run(ms, mem, sched, h)
+                else:
+                    run_live_uniform(ms, mem, rng, 150, history=h)
+                states = [(m.steps, m.done, m.result) for m in ms]
+                outs.append((mem.trace, h.events, states, mem.regs, mem.t, rng.getstate()))
+            assert outs[0] == outs[1], (case, driver)
+
+
 def test_live_uniform_draws_as_randrange():
     # pid p takes p + 1 steps, so machines finish at staggered times and the
     # live count falls from 17 through every power of two down to 1

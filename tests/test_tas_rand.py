@@ -373,6 +373,37 @@ def test_coin_streams_created_only_past_the_doorway():
     assert one_run(counting=False)[1:] == (trace, outcome)
 
 
+def test_a_doorway_exit_builds_no_program():
+    # the machine takes the doorway itself: a process that reads 1 there
+    # returns 1 in that one step, and only one that reads 0 gets a pipeline
+    rt = RandTas(4, seed=3)
+    built = []
+    pipeline = rt._program
+
+    def counted(pid):
+        built.append(pid)
+        return pipeline(pid)
+
+    rt._program = counted
+    machines = rt.machines()
+    mem = rt.memory()
+    mem.record_trace = True
+    h = History()
+    run(machines[:1], mem, [0], h)  # reads 0: passes, with its tas() open
+    assert built == [0] and machines[0].steps == 1 and not machines[0].done
+    mem.regs[0] = 1  # the doorway closes
+    late = machines[2]
+    run([late], mem, [9, 9, 2, 2, 2], h)  # pid 9 is absent
+    assert built == [0] and late.gen is None
+    assert late.done and late.result == 1 and late.steps == 1 and mem.t == 6
+    assert mem.trace[-1] == (3, 2, "R", 0, 1)
+    assert [(e.pid, e.kind, e.time, e.result) for e in h.events] == [
+        (0, "inv", 0, None),
+        (2, "inv", 6, None),
+        (2, "res", 7, 1),
+    ]
+
+
 def test_untraced_run_equals_traced():
     # untraced, run_live_uniform counts tails blocks down in place and in bulk
     outs = []
