@@ -14,15 +14,15 @@ The wrapper changes nothing else: it touches exactly the wrapped program's
 registers (dummies are reads), and a process whose coins are all heads
 behaves step-for-step like the unwrapped program.
 
-A tails block is yielded as one block op, b reads of the dummy register
-(see `shm`): the step machine takes the b reads in b schedule slots, each
-traced and counted like any other step, and resumes the wrapper once, after
-the last one, to flip the next coin.  The coin is thus flipped at the same
-point of the run as if every dummy read were yielded on its own.  A collect
-op of the wrapped program (a scan's collect, see `shm`) is charged its
-length in real steps, and one that runs past the end of its heads block is
-split there, so that each coin is again flipped where its reads one by one
-would flip it.
+A tails block is yielded as one multi-read op, the dummy read b times (see
+`shm`): the step machine takes the b reads in b schedule slots, each traced
+and counted like any other step, and resumes the wrapper once, after the
+last one, to flip the next coin.  The coin is thus flipped at the same
+point of the run as if every dummy read were yielded on its own.  A
+collect of the wrapped program (a scan's, a multi-read op over a tuple of
+reads) is charged its length in real steps, and one that runs past the end
+of its heads block is split there, so that each coin is again flipped
+where its reads one by one would flip it.
 
 Against an adaptive scheduler this argument breaks down (the scheduler could
 starve whoever draws heads), which is why schedules here are materialized
@@ -44,18 +44,18 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
 
     `rng` needs one method, randrange(n); a draw of 0 is heads.  A heads
     block yields the inner program's shared ops one per wrapped step; a
-    tails block yields one block op ``(READ, dummy_reg, b)``, which
-    `shm.StepMachine` runs as b reads in a row (bookkeeping yields pass
-    through unchanged and uncounted).  A collect op of k reads takes k
-    real steps: it is yielded whole if the heads block has k left, else
-    in parts, each ending where a heads block ends, and the program
-    receives the parts' answers joined (the values read, in order, or
-    whether all of them matched).  Returns the inner program's return
-    value.
+    tails block yields one multi-read op ``(COLLECT, (READ, dummy_reg), b)``,
+    which `shm.StepMachine` runs as b reads in a row (bookkeeping yields
+    pass through unchanged and uncounted).  A collect of k reads, the
+    inner program's only kind of multi-read op, takes k real steps: it is
+    yielded whole if the heads block has k left, else in parts, each
+    ending where a heads block ends, and the program receives the parts'
+    answers joined (the values read, in order, or whether all of them
+    matched).  Returns the inner program's return value.
     """
     if not isinstance(n, int) or not isinstance(b, int) or n < 1 or b < 1:
         raise ValueError(f"n and b must be positive integers, not {n!r} and {b!r}")
-    tails = (READ, dummy_reg, b)
+    tails = (COLLECT, (READ, dummy_reg), b)
     steps = 0  # real steps left in the current heads block
     res = None
     while True:

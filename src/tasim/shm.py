@@ -24,22 +24,18 @@ cursor can be cloned and explored (``atomic.explore``).  `Explicit` is also
 the contract of every `Machine`: a machine's and a program's state is one
 set of declared attributes, and none of them holds a list.
 
-A *block op* ``('r', reg, k)`` stands for k reads of one register in a
-row: it takes k schedule slots, k steps and k trace entries, exactly as k
-single reads would, but the generator resumes only once, after the last
-read, with the value that read returned.  The coin-block wrapper yields a
-tails block this way.  Untraced, `run_live_uniform` counts a block's middle
-reads down itself, in bulk while every live machine is inside a long block.
-
-A *collect op* ``('c', reads, against)`` stands for the single read ops
-in the tuple `reads`, taken in order, one per schedule slot: each is the
-machine's `op` while it is poised at it, is traced through `Memory` and
-counts as a step, but the program resumes only once, after the last
-read.  With `against` None it receives the tuple of values read; with a
-tuple of as many values, whether every value read equals its own.  A
-snapshot scan yields its two collects this way.  Nothing checks a
-collect's shape (`reads` not empty, `against` as long), since one is set
-up at every resume that yields it: that is its maker's to get right.
+A *multi-read op* ``('c', reads, answer)`` stands for several reads taken in
+order, one per schedule slot: each is the machine's `op` while it is poised
+at it, is traced through `Memory` and counts as a step, but the program
+resumes only once, after the last read, with the answer `answer` picks.
+With `answer` None, `reads` is a tuple of read ops and the answer is the
+tuple of values read (a scan's collect c1); with a tuple of as many values,
+whether each value read equals its own (c2, which reads on without comparing
+after a mismatch); with an int k, `reads` is one read op, taken k times, and
+the answer is the last value read (a tails block of the coin-block wrapper).
+A bad shape raises a ValueError naming the pid when the machine is poised at
+the op.  Untraced, `run_live_uniform` counts a block's reads down itself, in
+bulk while every live machine is deep inside one.
 
 Two bookkeeping yields never touch shared memory and consume no schedule
 slot; they delimit object-level operations for history checking::
@@ -413,13 +409,13 @@ class StepMachine(Machine):
     shared step, which opens it at 2t, and a program that ends before that
     step raises ValueError; `_open` then holds its (name, args) until a
     ``res`` yield, read while resuming after step t, closes it at 2t+1.
-    While a block op is in progress, `_left` counts its reads still to
-    take.  While a collect op is in progress, `_collect` holds it, `op` is
-    its read due next, -`_left` counts its reads still to take, that one
-    included, and `_got` holds what the program will receive so far: the
-    values read, or whether they all matched.  `auto_history` must be
-    False.  Only a machine whose program is a `Cursor` can be cloned and
-    keyed.
+    While the machine is poised at a multi-read op, `_multi` holds it, `op`
+    is its read due next, the countdown `_left` counts its reads still to
+    take, that one included (0 while an invocation is pending, so that no
+    runner takes the read that opens it), and `_got` is None for a block,
+    else the answer so far: the values read, or whether they all matched.
+    `auto_history` must be False.  Only a machine whose program is a
+    `Cursor` can be cloned and keyed.
 
     A subclass may build a machine with no program (`gen` None), poised
     at its first op with an invocation pending; its first step is then
@@ -427,7 +423,7 @@ class StepMachine(Machine):
     the machine is done, sets `gen` and the next op.
     """
 
-    FIELDS = Machine.FIELDS + ("_pending_inv", "_open", "_left", "_collect", "_got")
+    FIELDS = Machine.FIELDS + ("_pending_inv", "_open", "_left", "_multi", "_got")
     NESTED = ("gen",)
 
     # auto_history: only perfbench/ passes it outside its pin test; ROADMAP item 6 removes it
@@ -436,11 +432,8 @@ class StepMachine(Machine):
             raise ValueError("no automatic history: mark operations with inv/res yields")
         super().__init__(pid)
         self.gen = gen
-        self._pending_inv: Optional[tuple] = None
-        self._open: Optional[tuple] = None
+        self._pending_inv = self._open = self._multi = self._got = None
         self._left = 0
-        self._collect: Optional[tuple] = None
-        self._got = None
         try:
             self.op = self._resume(gen.send(None), 0, None)
         except StopIteration:
@@ -450,7 +443,7 @@ class StepMachine(Machine):
         """`step`'s slow path: the program yielded `item`, not a read or write.
 
         Handle it and the bookkeeping yields that follow, and return the
-        next shared op, a collect's first read once the collect is set up;
+        next shared op, a multi-read op's first read once it is set up;
         the program's end raises StopIteration through here.  A ``res`` is
         recorded at once at 2t+1, t being the step the program resumed after.
         """
@@ -474,21 +467,30 @@ class StepMachine(Machine):
             item = gen.send(None)
         return item
 
-    def _begin(self, collect: tuple) -> tuple:
-        """Poise the machine at collect op `collect`; return its first read."""
-        self._collect = collect
-        reads = collect[1]
-        self._left = -len(reads)
-        self._got = () if collect[2] is None else True
+    def _begin(self, multi: tuple) -> tuple:
+        """Poise the machine at multi-read op `multi`: check its shape, fix
+        its answer mode and start its countdown; return its first read."""
+        _, reads, answer = multi
+        k = len(reads)
+        if answer is None or type(answer) is tuple and len(answer) == k:  # a collect
+            self._got = () if answer is None else True  # the values so far, or a match
+        elif isinstance(answer, int) and answer > 0 and reads[0] == READ:  # a block
+            self._got, k, reads = None, answer, (reads,)
+        else:
+            k = 0
+        if not k:
+            raise ValueError(f"pid {self.pid}: bad multi-read op {multi!r}")
+        self._multi = multi
+        self._left = k if self._pending_inv is None else 0
         return reads[0]
 
     def step(self, memory: Memory, t: int, history: Optional[History]) -> None:
         """Execute one shared-memory step at schedule position t.
 
-        One frame in the common case: an untraced read is taken here, a
-        collect's read is served here, and a program whose next item is a
-        read or a write is resumed here.  A write and a traced read go
-        through `Memory`, other items through `_resume`.
+        One frame in the common case: an untraced read, a multi-read op's read
+        and the resume of a program whose next item is a read or a write are
+        taken here.  A write and a traced read go through `Memory`, a
+        multi-read op through `_begin`, other items through `_resume`.
         """
         if self._pending_inv is not None:
             if self.gen is None:
@@ -499,30 +501,30 @@ class StepMachine(Machine):
             if history is not None:
                 name, args = self._open
                 history.events.append(Event(2 * t, self.pid, "inv", name, args))
+            if self._multi is not None:  # its countdown starts with the invocation
+                self._begin(self._multi)
         op = self.op
         if op[0] == READ:
             resp = memory.read(t, self.pid, op[1]) if memory.record_trace else memory.regs[op[1]]
-            left = self._left
-            if not left and len(op) == 3:  # the first read of a block op
-                left = op[2]
-                if not isinstance(left, int) or left < 1:
-                    raise ValueError(f"pid {self.pid}: bad block length {left!r}")
             self.steps += 1
-            if left:  # the program waits for a block's or a collect's last read
-                if left > 0:  # a block op
-                    self._left = left = left - 1
-                    if left:
+            left = self._left
+            if left:  # a multi-read op's read: the program waits for its last
+                got = self._got
+                if got is None:  # a block's
+                    if left > 1:
+                        self._left = left - 1
                         return
-                else:  # a collect op, whose read -left from its end this is
-                    _, reads, against = self._collect
-                    got = self._got + (resp,) if against is None else self._got and resp == against[left]
-                    left += 1
+                    self._multi = None
+                else:  # a collect's; after a mismatch, `and` skips the compare
+                    _, reads, against = self._multi
+                    got = got + (resp,) if against is None else got and resp == against[-left]
+                    left -= 1
                     if left:
-                        self._left, self._got, self.op = left, got, reads[left]
+                        self._left, self._got, self.op = left, got, reads[-left]
                         return
-                    self._left = 0
-                    self._collect = self._got = None
+                    self._multi = self._got = None
                     resp = got
+                self._left = 0
         else:
             memory.write(t, self.pid, op[1], op[2])
             resp = None
@@ -531,14 +533,7 @@ class StepMachine(Machine):
             item = self.gen.send(resp)
             kind = item[0]
             if kind != READ and kind != WRITE:
-                if kind == COLLECT:  # `_begin`, inline: one call fewer per collect
-                    self._collect = item
-                    reads = item[1]
-                    self._left = -len(reads)
-                    self._got = () if item[2] is None else True
-                    item = reads[0]
-                else:
-                    item = self._resume(item, t, history)
+                item = self._begin(item) if kind == COLLECT else self._resume(item, t, history)
         except StopIteration as stop:
             if self._pending_inv is not None:
                 raise ValueError(
@@ -646,12 +641,13 @@ def run_live_uniform(
     value below c: the draws randrange(c) makes, so the indices and the
     rng's final state are those of calling randrange(c) per step.  Any
     uniform getrandbits samples the right distribution; only that packing
-    reproduces a seed's run.  Untraced, a middle read of a block op is
-    counted down in place, and once c <= 255 and every live machine has
+    reproduces a seed's run.  Untraced, a block's reads (a multi-read op
+    answered by its last value) but the last and one opening an invocation
+    are counted down here, and once c <= 255 and every live machine has
     more than `_SKIP` block reads left, `_skip_blocks` draws the slots up
-    to the first block's last read in bulk, exactly; see there.  `deep`
-    counts the live machines that far inside a block, so that test costs
-    O(1) a step; it is kept only untraced.
+    to the first block's last read in bulk, exactly.  `deep` counts the
+    live machines that far inside a block, so that test costs O(1) a step;
+    it is kept only untraced.  Every collect read takes a `step`.
     """
     _by_pid(machines)  # raises on a duplicate pid
     live = [m for m in machines if not m.done]
@@ -659,7 +655,7 @@ def run_live_uniform(
     untraced = not memory.record_trace
     c = len(live)
     bits = c.bit_length()
-    deep = sum([m._left > _SKIP for m in live])
+    deep = sum([m._left > _SKIP and m._got is None for m in live])
     t = t0 = memory.t
     end = t0 + max_steps
     while c and t < end:
@@ -668,7 +664,7 @@ def run_live_uniform(
             i = getrandbits(bits)
         m = live[i]
         left = m._left
-        if left > 1 and untraced:  # a middle read: no trace, event or resume
+        if left > 1 and untraced and m._got is None:  # a block read: no trace, event or resume
             m._left = left - 1
             m.steps += 1
             if left == _SKIP + 1:
@@ -680,11 +676,11 @@ def run_live_uniform(
                 live.pop()
                 c -= 1
                 bits = c.bit_length()
-            elif m._left > _SKIP:
+            elif m._left > _SKIP and m._got is None:
                 deep += 1
             if deep == c and untraced and 0 < c <= 255:
                 t += _skip_blocks(live, getrandbits, end - t - 1)
-                deep = sum([m._left > _SKIP for m in live])
+                deep = sum([m._left > _SKIP and m._got is None for m in live])
         t += 1
     memory.t = t
     return t - t0
@@ -694,13 +690,13 @@ _SKIP = 32  # skip in bulk only while every live machine has more reads left
 
 
 def _skip_blocks(live: list, getrandbits, budget: int) -> int:
-    """Take up to `budget` slots of middle block reads at once; return how many.
+    """Take up to `budget` slots of block reads at once; return how many.
 
-    With c <= 255 live machines, `_word_indices` makes the next w =
-    min(reads left) - 1 index draws in one call, exactly as
-    getrandbits(c.bit_length()) would one by one.  Those draws end no block
-    and resume no program, so each machine is only credited the reads that
-    landed on it.  Above 255 live machines a wider index would
+    With c <= 255 live machines, all inside blocks, `_word_indices` makes
+    the next w = min(countdowns) - 1 index draws in one call, exactly as
+    getrandbits(c.bit_length()) would one by one.  Those draws end no
+    block and resume no program, so each countdown is only credited the
+    reads that landed on it.  Above 255 live machines a wider index would
     buy nothing: in 40 `RandTas(1024)` trials, 0.05 of the ~1,671 slots per
     trial drawn there were middle block reads; that stretch is doorway exits.
     """

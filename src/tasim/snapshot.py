@@ -28,10 +28,11 @@ and `update_steps` return explicit sub-programs that a program drives with
 register-level systems can be explored state by state.  A scan attempt
 is three ops: the S write, the collect c1 of A[0..m-1], and the collect c2
 of A[0..m-1] then S, matched against c1 and the scanner's pid, so that its
-answer is the attempt's test.  A collect op (see `shm`) takes its reads
-one per slot, and the step machine holds c1's values so far, or whether c2
-has matched so far, until the scan resumes after the last read.  The scan
-keeps its stage and c1 once collected; that is all it needs of c2.
+answer is the attempt's test.  Each collect is one multi-read op (see
+`shm`), answered by the values read (c1) or by whether they all matched
+(c2): the step machine takes its reads one per slot and holds that answer
+so far until the scan resumes after the last read.  The scan keeps its
+stage and c1 once collected; that is all it needs of c2.
 
 `op_steps` turns any store op of `atomic` into its register sub-program,
 so a lowered logic machine (`atomic.register_program`) and a script

@@ -258,7 +258,7 @@ class _Caller(StepMachine):
         self._pending_inv = _TAS
         self._open = None
         self._left = 0
-        self._collect = self._got = None
+        self._multi = self._got = None
         self.rt = rt
 
     def _start(self, memory: Memory, t: int, history) -> None:

@@ -437,11 +437,12 @@ def test_criterion_08_group_sifter():
 
 def test_criterion_09_randomized_tas():
     mean_by_n = {}
+    exits_by_n = {}  # the fraction of callers that left at the doorway
     backstops = 0
 
     # n=256: full checks on every trial
     n = 256
-    means = []
+    means, exits = [], 0
     for trial in range(1_000):
         rt = RandTas(n, seed=90_000 + trial)
         machines = rt.machines()
@@ -458,12 +459,14 @@ def test_criterion_09_randomized_tas():
         if rt.entered[rt.backstop_index]:
             backstops += 1
         means.append(statistics.mean(m.steps for m in machines))
+        exits += n - rt.entered[1]
     mean_by_n[n] = statistics.mean(means)
+    exits_by_n[n] = exits / (n * 1_000)
     backstop_frac = backstops / 1_000
 
     # trend clause: one shared ceiling on mean per-process steps
     for n in (16, 64, 1024):
-        means = []
+        means, exits = [], 0
         for trial in range(300):
             rt = RandTas(n, seed=9_000 + trial)
             machines = rt.machines()
@@ -471,7 +474,9 @@ def test_criterion_09_randomized_tas():
             run_live_uniform(machines, memory, random.Random(f"t9:{n}:{trial}"), 200_000_000)
             assert all(m.done for m in machines)
             means.append(statistics.mean(m.steps for m in machines))
+            exits += n - rt.entered[1]
         mean_by_n[n] = statistics.mean(means)
+        exits_by_n[n] = exits / (n * 300)
 
     trend_ok = all(v <= MEAN_STEP_CEILING for v in mean_by_n.values())
     ok = backstop_frac < 0.01 and trend_ok
@@ -480,7 +485,10 @@ def test_criterion_09_randomized_tas():
         "randomized TAS: one winner/trial, backstop <1%, flat mean-step ceiling",
         ok,
         "means "
-        + ", ".join(f"n={k}: {v:.1f}" for k, v in sorted(mean_by_n.items()))
+        + ", ".join(
+            f"n={k}: {v:.1f} (doorway exits {exits_by_n[k]:.0%})"
+            for k, v in sorted(mean_by_n.items())
+        )
         + f" (ceiling {MEAN_STEP_CEILING}); backstop {backstop_frac:.2%}",
     )
     assert ok, (backstop_frac, mean_by_n)

@@ -196,7 +196,7 @@ def test_tails_block_resumes_the_wrapped_generator_once():
     run([m], memory, [0] * (2 * b + 5))
     assert m.done and m.result == 3 and m.steps == 2 * b + 1
     # two tails blocks, one op each, then the real read
-    assert ops == [("r", 0, b), ("r", 0, b), ("r", 1)]
+    assert ops == [("c", ("r", 0), b), ("c", ("r", 0), b), ("r", 1)]
     assert [(kind, reg) for (_, _, kind, reg, _) in memory.trace] == [("R", 0)] * (2 * b) + [
         ("R", 1)
     ]

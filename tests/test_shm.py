@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -366,7 +367,7 @@ def test_block_op_takes_k_slots_and_resumes_once():
 
     def prog():
         yield ("inv", "blk", ())
-        v = yield ("r", 1, 4)  # four reads of register 1 in a row
+        v = yield ("c", ("r", 1), 4)  # four reads of register 1 in a row
         resumed.append(v)
         yield ("w", 0, v)
         yield ("res", v)
@@ -398,7 +399,7 @@ def test_block_op_takes_k_slots_and_resumes_once():
 def test_block_op_pending_invocation_attaches_to_first_read():
     def prog():
         yield ("inv", "look", ())
-        v = yield ("r", 0, 3)
+        v = yield ("c", ("r", 0), 3)
         yield ("res", v)
         return v
 
@@ -424,7 +425,7 @@ def test_block_op_equals_single_reads():
 
     def block(reg, k):
         yield ("inv", "look", ())
-        v = yield ("r", reg, k)
+        v = yield ("c", ("r", reg), k)
         yield ("res", v)
         return v
 
@@ -439,13 +440,32 @@ def test_block_op_equals_single_reads():
     assert runs[0] == runs[1]
 
 
-def test_block_op_rejects_bad_length():
-    def prog(k):
-        yield ("r", 0, k)
+def test_multi_read_op_shape_is_checked_where_it_is_set_up():
+    # no reads, an `against` of another length or a bad block length
+    # raises, naming the pid, before the op's first read
+    reads = (("r", 0), ("r", 1))
+    bad = [
+        ("c", reads, (9, 1, 2)),  # once compared from the end: True
+        ("c", reads, (1,)),
+        ("c", (), None),
+        ("c", (), ()),
+        ("c", ("r", 0), 0),
+        ("c", ("r", 0), -2),
+        ("c", ("r", 0), 1.5),
+    ]
 
-    for k in (0, -2, 1.5):
-        with pytest.raises(ValueError, match="block length"):
-            run([StepMachine(0, prog(k))], Memory([4]), [0])
+    def prog(op, first):
+        if first is not None:
+            yield first
+        yield op
+
+    for op in bad:
+        for first in (None, ("inv", "look", ()), ("w", 0, 1)):
+            mem = Memory([4, 4], record_trace=True)
+            mem.regs[:] = [1, 2]
+            with pytest.raises(ValueError, match=r"pid 3: bad multi-read op"):
+                run([StepMachine(3, prog(op, first))], mem, [3, 3])
+            assert mem.trace == ([(0, 3, "W", 0, 1)] if first == ("w", 0, 1) else [])
 
 
 def test_collect_op_takes_k_slots_and_resumes_once():
@@ -592,28 +612,68 @@ def test_live_uniform_rejects_duplicate_pids():
         assert all(x.steps == 0 for x in machines)
 
 
-def block_prog(pid, script):
-    # (reg, k): k reads of reg as one block op, or a write of the sum if k == 0
-    acc = 0
-    yield ("inv", "blk", ())
-    for reg, k in script:
-        if k:
-            acc += yield ("r", reg, k)
+def multi_prog(pid, script):
+    # per entry: ("b", reg, k), k reads of reg as one block; ("w", reg), a
+    # write of the sum so far; ("c", regs, against), one collect of regs,
+    # answered by the values if `against` is None, else by whether they
+    # match it; ("i",), the open invocation, if any, closes and one opens
+    acc, opened = 0, False
+    for kind, *args in script:
+        if kind == "b":
+            reg, k = args
+            acc += yield ("c", ("r", reg), k)
+        elif kind == "w":
+            yield ("w", args[0], (acc + pid) % 256)
+        elif kind == "c":
+            regs, against = args
+            got = yield ("c", tuple(("r", r) for r in regs), against)
+            acc += sum(got) if against is None else got
         else:
-            yield ("w", reg, (acc + pid) % 256)
-    yield ("res", acc)
+            if opened:
+                yield ("res", acc)
+            yield ("inv", "blk", ())
+            opened = True
+    if opened:
+        yield ("res", acc)
     return acc
 
 
+def multi_script(gen):
+    entries = []
+    for _ in range(gen.randint(1, 5)):
+        if gen.random() < 0.3:  # the next op opens an invocation
+            entries.append(("i",))
+        kind, reg = gen.choice("bbwcc"), gen.randrange(4)
+        if kind == "b":
+            entries.append(("b", reg, gen.choice([1, 2, 33, 34, 35, 2000, gen.randint(1, 2000)])))
+        elif kind == "w":
+            entries.append(("w", reg))
+        elif kind == "c":  # 40 reads: longer than a bulk skip's threshold
+            regs = tuple(gen.randrange(4) for _ in range(gen.choice([1, 2, 5, 40])))
+            zeros = (0,) * len(regs)
+            against = gen.choice([None, None, zeros, (255,) + zeros[1:], zeros[:-1] + (255,)])
+            entries.append(("c", regs, against))
+    return entries
+
+
+def script_slots(entry):
+    # the schedule slots a multi_prog script entry takes
+    kind = entry[0]
+    return entry[2] if kind == "b" else len(entry[1]) if kind == "c" else int(kind == "w")
+
+
 def test_live_uniform_untraced_equals_traced(monkeypatch):
-    # untraced, middle block reads are counted down in place and long
-    # stretches of them skipped in bulk; traced, every read is a step call
+    # untraced, block reads are counted down in place and long stretches of
+    # them skipped in bulk; traced, every read is a step call.  Scripts mix
+    # blocks with collects of both answers (some longer than _SKIP, some
+    # mismatching at their first or last read) and invocations that open
+    # just before a block or a collect, and each run resumes once
     skips = []
     bulk = shm._skip_blocks
 
     def spy(live, getrandbits, budget):
         # called only when it can skip: every live machine is deep in a block
-        assert all(m._left > shm._SKIP for m in live)
+        assert all(m._left > shm._SKIP and m._got is None for m in live)
         taken = bulk(live, getrandbits, budget)
         skips.append((len(live), budget, taken))
         return taken
@@ -623,23 +683,21 @@ def test_live_uniform_untraced_equals_traced(monkeypatch):
     for case in range(60):
         n = gen.choice([1, 2, 3, 5, 16, 255, 256, 257])
         if n < 255:
-            lengths = [0, 1, 2, 33, 34, 35, 2000]
-            scripts = [
-                [(gen.randrange(4), gen.choice(lengths + [gen.randint(1, 2000)])) for _ in range(gen.randint(1, 4))]
-                for _ in range(n)
-            ]
+            scripts = [multi_script(gen) for _ in range(n)]
         else:  # one block each: all machines end up inside blocks at once
-            scripts = [[(gen.randrange(4), gen.randint(60, 200))] for _ in range(n)]
-        total = sum(k or 1 for script in scripts for _, k in script)
+            scripts = [[("i",), ("b", gen.randrange(4), gen.randint(60, 200))] for _ in range(n)]
+        total = sum(script_slots(e) for script in scripts for e in script)
         cap = gen.choice([total, gen.randint(1, total)])
+        split = gen.randint(0, cap)  # the run resumes there, maybe mid-collect
         outs = []
         for traced in (True, False):
             mem = Memory([8] * 4, record_trace=traced)
-            machines = [StepMachine(p, block_prog(p, script)) for p, script in enumerate(scripts)]
+            machines = [StepMachine(p, multi_prog(p, script)) for p, script in enumerate(scripts)]
             rng = random.Random(case)
             h = History()
-            got = run_live_uniform(machines, mem, rng, cap, history=h)
-            states = [(m.steps, m.done, m.result, m._left) for m in machines]
+            got = run_live_uniform(machines, mem, rng, split, history=h)
+            got += run_live_uniform(machines, mem, rng, cap - split, history=h)
+            states = [attrgetter(*StepMachine.FIELDS)(m) for m in machines]
             outs.append((got, states, mem.regs, rng.getstate(), h.events))
         assert outs[0] == outs[1], case
     assert any(c == 255 and taken for c, _, taken in skips)
@@ -693,8 +751,8 @@ class GuardedBump(LogicMachine):
 def test_drivers_never_step_a_finished_machine():
     # a machine's step does not check `done`: every driver must
     def step_system(rng=None):
-        script = [(0, 40), (0, 0), (0, 3)]  # ends on a block op: 44 steps
-        return [GuardedStepMachine(p, block_prog(p, script)) for p in range(3)], Memory([8])
+        script = [("i",), ("b", 0, 40), ("w", 0), ("b", 0, 3)]  # ends on a block: 44 steps
+        return [GuardedStepMachine(p, multi_prog(p, script)) for p in range(3)], Memory([8])
 
     def logic_system(rng=None):
         return [GuardedBump(p) for p in range(3)], AtomicStore([], n_regs=1)
