@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Optional
 
-from .shm import Cursor, Event, History, Machine, _by_pid, drain, run
+from .shm import Cursor, History, Machine, _by_pid, drain, new_event, run
 
 
 class LogicMachine(Machine):
@@ -84,10 +84,12 @@ class LogicMachine(Machine):
             self.advance(res)
             return
         if not steps:
-            history.events.append(Event(2 * t, self.pid, "inv", self.op_name, (), None))
+            history.events.append(new_event((2 * t, self.pid, "inv", self.op_name, (), None)))
         self.advance(res)
         if self.done:
-            history.events.append(Event(2 * t + 1, self.pid, "res", self.op_name, (), self.result))
+            history.events.append(
+                new_event((2 * t + 1, self.pid, "res", self.op_name, (), self.result))
+            )
 
 
 class AtomicStore:
@@ -243,8 +245,9 @@ def explore(
 
 
 def _canon(h: History) -> tuple:
-    # interface events with timestamps dropped; order is what matters
-    return tuple((e.pid, e.kind, e.op, e.args, e.result) for e in h.events)
+    # interface events with timestamps dropped; order is what matters.  An
+    # Event is a tuple, so a slice is its (pid, kind, op, args, result)
+    return tuple([ev[1:] for ev in h.events])
 
 
 def _events(hlast: list, h: int) -> tuple:
@@ -253,7 +256,7 @@ def _events(hlast: list, h: int) -> tuple:
     while h:
         h, ev = hlast[h]
         evs.append(ev)
-    return tuple(Event(t, *ev) for t, ev in enumerate(reversed(evs)))
+    return tuple([new_event((t,) + ev) for t, ev in enumerate(reversed(evs))])
 
 
 # ---------------------------------------------------------------------------

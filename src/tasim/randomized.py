@@ -47,7 +47,8 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
     tails block yields one multi-read op ``(COLLECT, (READ, dummy_reg), b)``,
     which `shm.StepMachine` runs as b reads in a row (bookkeeping yields
     pass through unchanged and uncounted).  A collect of k reads, the
-    inner program's only kind of multi-read op, takes k real steps: it is
+    only multi-read op the inner program may yield (a block, as from a
+    wrapped program, raises ValueError), takes k real steps: it is
     yielded whole if the heads block has k left, else in parts, each
     ending where a heads block ends, and the program receives the parts'
     answers joined (the values read, in order, or whether all of them
@@ -70,6 +71,8 @@ def wrap(inner, n: int, b: int, rng, dummy_reg: int = 0):
                 steps = b
             steps -= 1
         elif kind == COLLECT:
+            if item[2] is not None and type(item[2]) is not tuple:
+                raise ValueError(f"wrap: the inner program yielded {item!r}, not a collect")
             if steps == 0:
                 yield from _until_heads(rng, n, tails)
                 steps = b

@@ -57,7 +57,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Any, Generator, Iterable, Optional
 
@@ -76,8 +78,8 @@ class RegisterWidthError(ValueError):
 # events and histories
 
 
-@dataclass(frozen=True, init=False)
-class Event:
+@dataclass(frozen=True, init=False, eq=False)
+class Event(namedtuple("_EventTuple", "time pid kind op args result", defaults=(None,))):
     """One invocation or response at an object's interface.
 
     Times are derived from the global schedule position t of the shared step
@@ -85,26 +87,35 @@ class Event:
     2t+1 (just after).  Each schedule slot belongs to one process, so all
     event times in a run are distinct and totally ordered.
 
-    Every run records two Events per operation, so the constructor stores
-    the instance dict in one call instead of the frozen default's one
-    ``object.__setattr__`` per field; equality, hashing and
-    ``dataclasses.replace`` are the dataclass's own.  Per-key writes into
-    ``self.__dict__`` would save ~136 bytes an Event but slow every read.
+    A frozen dataclass stored as the tuple of its six fields, in field
+    order, with no instance dict: every run records two Events per
+    operation, and the recorders build each through `new_event`, one call
+    into C.  `Event(...)` takes the fields by position or keyword as
+    before, and ``dataclasses.replace``/``astuple``, `repr` and the
+    FrozenInstanceError on assignment are the dataclass's.  Equality and
+    hashing are the tuple's: an Event equals another Event, and also the
+    plain tuple, with the same fields, and hashes as that tuple does.  A
+    field read through its name costs more on a tuple than on a dict, so
+    the readers (``verify``'s checkers, ``atomic._canon``) unpack each
+    event once.
     """
 
-    time: int
-    pid: int
-    kind: str  # 'inv' | 'res'
-    op: str
-    args: tuple
+    __slots__ = ()
+
+    # field(): a bare annotation would take the base's getter for a default
+    time: int = field()
+    pid: int = field()
+    kind: str = field()  # 'inv' | 'res'
+    op: str = field()
+    args: tuple = field()
     result: Any = None
 
-    def __init__(self, time, pid, kind, op, args, result=None):
-        object.__setattr__(
-            self,
-            "__dict__",
-            {"time": time, "pid": pid, "kind": kind, "op": op, "args": args, "result": result},
-        )
+
+del Event.result  # the dataclass left the default on the class, over the tuple's field
+
+# new_event((time, pid, kind, op, args, result)) is the Event of those six
+# fields, all six given, built in one C call: every recorder builds through it
+new_event = partial(tuple.__new__, Event)
 
 
 @dataclass
@@ -112,7 +123,9 @@ class History:
     """Sequence of interface events, ordered by time.
 
     A run records events here and nothing more; ``verify``'s checkers pair
-    each invocation with its response and judge the history.
+    each invocation with its response and judge the history.  Events are
+    tuples (`Event`), so a history of m operations is 2m tuples and the
+    list holding them.
     """
 
     events: list[Event] = field(default_factory=list)
@@ -458,7 +471,9 @@ class StepMachine(Machine):
                     raise ValueError(f"pid {self.pid}: response without open invocation")
                 if history is not None:
                     name, args = self._open
-                    history.events.append(Event(2 * t + 1, self.pid, "res", name, args, item[1]))
+                    history.events.append(
+                        new_event((2 * t + 1, self.pid, "res", name, args, item[1]))
+                    )
                 self._open = None
             elif item[0] == COLLECT:
                 return self._begin(item)
@@ -500,7 +515,7 @@ class StepMachine(Machine):
             self._pending_inv = None
             if history is not None:
                 name, args = self._open
-                history.events.append(Event(2 * t, self.pid, "inv", name, args))
+                history.events.append(new_event((2 * t, self.pid, "inv", name, args, None)))
             if self._multi is not None:  # its countdown starts with the invocation
                 self._begin(self._multi)
         op = self.op
@@ -643,11 +658,12 @@ def run_live_uniform(
     uniform getrandbits samples the right distribution; only that packing
     reproduces a seed's run.  Untraced, a block's reads (a multi-read op
     answered by its last value) but the last and one opening an invocation
-    are counted down here, and once c <= 255 and every live machine has
-    more than `_SKIP` block reads left, `_skip_blocks` draws the slots up
-    to the first block's last read in bulk, exactly.  `deep` counts the
-    live machines that far inside a block, so that test costs O(1) a step;
-    it is kept only untraced.  Every collect read takes a `step`.
+    are counted down here, and whenever c <= 255 and every live machine has
+    more than `_SKIP` block reads left, on entry or after a step,
+    `_skip_blocks` draws the slots up to the first block's last read in
+    bulk, exactly.  `deep` counts the live machines that far inside a
+    block, so that test costs O(1) a step; it is kept only untraced.
+    Every collect read takes a `step`.
     """
     _by_pid(machines)  # raises on a duplicate pid
     live = [m for m in machines if not m.done]
@@ -658,6 +674,9 @@ def run_live_uniform(
     deep = sum([m._left > _SKIP and m._got is None for m in live])
     t = t0 = memory.t
     end = t0 + max_steps
+    if deep == c and untraced and 0 < c <= 255:  # a run may start deep in blocks
+        t += _skip_blocks(live, getrandbits, max_steps)
+        deep = sum([m._left > _SKIP and m._got is None for m in live])
     while c and t < end:
         i = getrandbits(bits)
         while i >= c:

@@ -55,7 +55,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .randomized import wrapped_tas_program
-from .shm import Event, Machine, Memory, READ, WRITE, StepMachine
+from .shm import Machine, Memory, READ, WRITE, StepMachine, new_event
 from .sifter import LOSE, WIN
 from .tas_det import TasLogic, solo_step_bound, tas_register_widths, tas_snapshot
 
@@ -269,10 +269,10 @@ class _Caller(StepMachine):
         self.steps = 1
         self._pending_inv = None
         if history is not None:
-            history.events.append(Event(2 * t, pid, "inv", "tas", ()))
+            history.events.append(new_event((2 * t, pid, "inv", "tas", (), None)))
         if d == 1:
             if history is not None:
-                history.events.append(Event(2 * t + 1, pid, "res", "tas", (), 1))
+                history.events.append(new_event((2 * t + 1, pid, "res", "tas", (), 1)))
             self.op = None
             self.done = True
             self.result = 1

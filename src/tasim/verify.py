@@ -2,7 +2,8 @@
 and solo-progress probes.
 
 Everything here is deliberately independent of the algorithm implementations:
-the checkers consume interface histories and sequential object semantics only,
+the checkers consume interface histories (lists of `shm.Event`s, six-field
+tuples) and sequential object semantics only,
 so they can't inherit a bug from the code they are judging.
 """
 
@@ -35,7 +36,9 @@ class Verdict:
 
 
 def check_tas(h: History, permissive: bool = False) -> Verdict:
-    """Check a one-shot test-and-set history in one pass over its events.
+    """Check a one-shot test-and-set history in one pass over its events,
+    each unpacked once into its six fields (an `shm.Event` is a tuple, on
+    which unpacking costs less than reading fields by name).
 
     A complete history is correct iff exactly one operation returned 0 and
     its invocation precedes every 1-response (equivalently: no loser finished
@@ -60,25 +63,22 @@ def check_tas(h: History, permissive: bool = False) -> Verdict:
     bad = None  # (invocation index, message) of the first malformed op
     zeros = []  # (pid, invocation time) per 0-response
     ones = []  # (invocation index, pid, response time) per 1-response
-    for ev in h.events:
-        kind = ev.kind
-        pid = ev.pid
+    for time, pid, kind, op, _, result in h.events:
         if kind == "inv":
             if pid in opened:
                 raise ValueError(f"pid {pid}: invocation while one is open")
-            if bad is None and ev.op != "tas":
-                bad = (invoked, f"non-tas operation {ev.op!r} in history")
-            opened[pid] = (invoked, ev.time)
+            if bad is None and op != "tas":
+                bad = (invoked, f"non-tas operation {op!r} in history")
+            opened[pid] = (invoked, time)
             invoked += 1
         elif kind == "res":
             rec = opened.pop(pid, None)
             if rec is None:
                 raise ValueError(f"pid {pid}: response without invocation")
-            result = ev.result
             if result == 0:
                 zeros.append((pid, rec[1]))
             elif result == 1:
-                ones.append((rec[0], pid, ev.time))
+                ones.append((rec[0], pid, time))
             elif bad is None or rec[0] < bad[0]:  # a non-tas op set bad when invoked
                 bad = (rec[0], f"tas returned {result!r}")
         else:
@@ -166,25 +166,24 @@ def check_linearizable(h: History, spec, budget: int = 500_000) -> bool:
 
     Raises SearchBudgetExceeded when more than `budget` search nodes are
     expanded: the answer is then unknown, never a silent pass.  One pass
-    over the events pairs each invocation with its pid's next response and
-    raises ValueError at the first event it cannot pair, as `check_tas`
-    does.
+    over the events, each unpacked once as in `check_tas`, pairs each
+    invocation with its pid's next response and raises ValueError at the
+    first event it cannot pair, as `check_tas` does.
     """
     INF = float("inf")
     ops: list = []  # per op: [inv, resp, op, args, completed, recorded result]
     opened: dict = {}  # pid -> its open op
-    for ev in h.events:
-        kind = ev.kind
+    for time, pid, kind, name, args, result in h.events:
         if kind == "inv":
-            if ev.pid in opened:
-                raise ValueError(f"pid {ev.pid}: invocation while one is open")
-            opened[ev.pid] = op = [ev.time, INF, ev.op, ev.args, False, None]
+            if pid in opened:
+                raise ValueError(f"pid {pid}: invocation while one is open")
+            opened[pid] = op = [time, INF, name, args, False, None]
             ops.append(op)
         elif kind == "res":
-            op = opened.pop(ev.pid, None)
+            op = opened.pop(pid, None)
             if op is None:
-                raise ValueError(f"pid {ev.pid}: response without invocation")
-            op[1], op[4], op[5] = ev.time, True, _norm(ev.result)
+                raise ValueError(f"pid {pid}: response without invocation")
+            op[1], op[4], op[5] = time, True, _norm(result)
         else:
             raise ValueError(f"unknown event kind {kind!r}")
     n = len(ops)

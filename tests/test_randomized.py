@@ -135,6 +135,21 @@ def test_wrap_validates_parameters():
         next(wrap(prog(), 2.0, 3, HeadsRng()))
 
 
+def test_wrap_refuses_a_block_from_the_inner_program():
+    # a wrapped program yields each tails block as one block op; wrapped
+    # again, that block would be charged as real steps, so wrap refuses it
+    def prog():
+        v = yield ("r", 1)
+        return v
+
+    for b in (1, 2, 5):
+        coin = CountingRng(HeadsRng())
+        outer = wrap(wrap(prog(), 2, 5, SeqRng([1])), 2, b, coin)
+        with pytest.raises(ValueError, match=r"yielded \('c', \('r', 0\), 5\), not a collect"):
+            next(outer)
+        assert coin.draws == 0  # refused before its coin is flipped
+
+
 def test_wrap_passes_through_immediate_return():
     def prog():
         if False:

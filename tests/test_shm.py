@@ -317,6 +317,40 @@ def test_event_is_a_frozen_dataclass():
     assert dataclasses.astuple(r) == (4, 1, "res", "tas", (), 1)
 
 
+def test_event_is_the_tuple_of_its_fields():
+    fields = (4, 1, "res", "tas", (), 0)
+    e, made = Event(*fields), shm.new_event(fields)
+    assert type(e) is Event and type(made) is Event and made == e and hash(made) == hash(e)
+    assert tuple(e) == tuple(made) == fields
+    assert tuple(getattr(e, f.name) for f in dataclasses.fields(Event)) == fields
+    assert not hasattr(e, "__dict__")
+    assert repr(made) == "Event(time=4, pid=1, kind='res', op='tas', args=(), result=0)"
+    assert shm.new_event((0, 1, "inv", "tas", (), None)) == Event(0, 1, "inv", "tas", ())
+    # equality and hashing are the tuple's: an Event equals its plain tuple
+    assert e == fields and fields == e and hash(e) == hash(fields)
+    assert e != fields[:5] and Event(*fields[:5]) != fields
+
+
+def test_every_recorder_records_events():
+    # equality cannot tell an Event from the plain tuple of its fields, so
+    # the recorders' output is checked by type
+    steppers = [StepMachine(p, counter_prog(p, 0, 2)) for p in range(2)]
+    histories = [
+        run(steppers, Memory([16]), [0, 1] * 6, History()),
+        drain(tas_machines(3), tas_store(3), solo_op_bound(3), History()),
+    ]
+    rt = RandTas(16, seed=3)
+    machines, mem = rt.machines(), rt.memory()
+    h = History()
+    run_live_uniform(machines, mem, random.Random(3), 10**7, history=h)
+    assert any(m.steps == 1 for m in machines)  # doorway exits recorded too
+    histories.append(h)
+    terminals, _ = explore(lambda: (tas_machines(2), tas_store(2)), by_history=True)
+    histories += [History(list(events)) for events in terminals]
+    assert all(h.events for h in histories)
+    assert {type(ev) for h in histories for ev in h.events} == {Event}
+
+
 def test_drain_finishes_each_machine_in_solo_bursts():
     mem = Memory([16], record_trace=True)
     ms = [StepMachine(p, counter_prog(p, 0, 2)) for p in range(2)]
@@ -703,6 +737,45 @@ def test_live_uniform_untraced_equals_traced(monkeypatch):
     assert any(c == 255 and taken for c, _, taken in skips)
     assert all(c <= 255 for c, _, _ in skips)
     assert any(0 < taken == budget for _, budget, taken in skips)  # a cap inside a stretch
+
+
+def test_live_uniform_skips_blocks_on_entry(monkeypatch):
+    # a run that starts, or resumes, with every live machine deep in a
+    # block skips in bulk before its first slot, and still equals the
+    # slot-by-slot run: slots, states, registers, rng state and events
+    calls = []  # per bulk skip: the live machines' steps so far
+    bulk = shm._skip_blocks
+
+    def spy(live, getrandbits, budget):
+        calls.append(sum(m.steps for m in live))
+        return bulk(live, getrandbits, budget)
+
+    monkeypatch.setattr(shm, "_skip_blocks", spy)
+    gen = random.Random(31)
+    for n in (1, 2, 16, 255):
+        scripts = [
+            [("b", gen.randrange(4), gen.randint(120, 300)), ("i",), ("w", gen.randrange(4)),
+             ("b", gen.randrange(4), 40)]
+            for _ in range(n)
+        ]
+        total = sum(script_slots(e) for script in scripts for e in script)
+        split = 10 * n  # each machine still deep in its first block
+        outs = []
+        for traced in (True, False):
+            calls.clear()
+            mem = Memory([8] * 4, record_trace=traced)
+            machines = [StepMachine(p, multi_prog(p, script)) for p, script in enumerate(scripts)]
+            rng = random.Random(n)
+            h = History()
+            got = run_live_uniform(machines, mem, rng, split, history=h)
+            resumed = sum(m.steps for m in machines)
+            assert all(m._left > shm._SKIP and m._got is None for m in machines)
+            got += run_live_uniform(machines, mem, rng, total, history=h)
+            assert all(m.done for m in machines)
+            states = [attrgetter(*StepMachine.FIELDS)(m) for m in machines]
+            outs.append((got, states, mem.regs, rng.getstate(), h.events))
+        assert calls[0] == 0 and resumed in calls, n  # the untraced run's skips
+        assert outs[0] == outs[1], n
 
 
 def test_getrandbits_packs_words_as_the_bulk_skip_assumes():

@@ -1,5 +1,6 @@
 """History checkers: TAS verdicts, brute-force linearizability, solo probes."""
 
+import dataclasses
 import gc
 import random
 import re
@@ -8,7 +9,7 @@ from typing import Any, Optional
 
 import pytest
 
-from tasim.shm import Event, History, Memory, StepMachine, drain, run
+from tasim.shm import Event, History, Memory, StepMachine, drain, new_event, run
 from tasim.tas_det import solo_op_bound, tas_machines, tas_store
 from tasim.verify import (
     SearchBudgetExceeded,
@@ -220,6 +221,41 @@ def _malform(rng: random.Random, events: list, how: str) -> None:
         if res:
             j = rng.choice(res)
             events[j] = Event(events[j].time, events[j].pid, "res", events[j].op, (), 7)
+
+
+def test_checkers_judge_events_built_either_way():
+    # the same events through Event(...) by keyword and through shm's
+    # new_event: the same verdicts and the same pairing ValueErrors
+    rng = random.Random(32)
+    checks = (
+        (check_tas, False),
+        (check_tas, True),
+        (lambda h, _: check_linearizable(h, TasSequential()), None),
+    )
+    names = [f.name for f in dataclasses.fields(Event)]
+    seen = set()
+    for trial in range(600):
+        events = random_history(rng, "tas").events
+        if trial % 3 == 0:
+            _malform(rng, events, rng.choice(("orphan response", "nested invocation")))
+        elif trial % 3 == 1:
+            events.insert(rng.randrange(len(events) + 1), Event(0, 0, "ack", "tas", ()))
+        by_name = History([Event(**dict(zip(names, ev))) for ev in events])
+        by_tuple = History([new_event(tuple(ev)) for ev in events])
+        assert by_name.events == by_tuple.events
+        for check, permissive in checks:
+            want = _tas_outcome(check, by_name, permissive)
+            assert _tas_outcome(check, by_tuple, permissive) == want, events
+            seen.add(
+                re.sub(r"\d+", "N", want[1]) if type(want) is tuple else getattr(want, "ok", want)
+            )
+    assert {
+        "pid N: invocation while one is open",
+        "pid N: response without invocation",
+        "unknown event kind 'ack'",
+        True,
+        False,
+    } <= seen, seen
 
 
 def test_one_pass_check_tas_matches_the_ops_reference():
