@@ -24,12 +24,19 @@ store op as the register sub-program its snapshot builds for it
 decision logic, so coarse-grained exhaustive results and fine-grained
 checks corroborate each other.
 
-`explore` closes both granularities, any `shm.Machine`s over their store
-whose programs, if any, are cursors (`shm.Cursor`: `register_program`,
-`snapshot.ops_program`), by breadth-first search over interned states,
-memoizing each deterministic step; retry loops revisit states, so a
-register-level closure needs no depth cap.  Machines and cursors follow
-one contract, `shm.Explicit`, which gives each its `clone` and `key`.
+A `Closure` closes both granularities, any `shm.Machine`s over their
+store whose programs, if any, are cursors (`shm.Cursor`:
+`register_program`, `snapshot.ops_program`), by breadth-first search over
+interned states, memoizing each deterministic step; retry loops revisit
+states, so a register-level closure needs no depth cap.  Machines and
+cursors follow one contract, `shm.Explicit`, which gives each its `clone`
+and `key`.  The closure is the one transition system of every exhaustive
+check: it keeps its states, representatives and memoized moves, and its
+one query, `solo`, reads how far a machine runs alone from any reachable
+state off those moves (the obstruction-freedom premise of the wait-free
+transformation) without stepping anything again.  `explore` returns a
+closure's terminals and state count; its `state_check` callback is kept
+for perfbench/ only.
 """
 
 from __future__ import annotations
@@ -138,6 +145,138 @@ def run_atomic_solo(machine, store: AtomicStore, max_steps: int) -> int:
     return machine.steps - before
 
 
+class Closure:
+    """The reachable states of a system and the tables its search built.
+
+    `Closure(make_system, ...)` searches as `explore` describes and keeps
+    `states` (each the tuple of its machine numbers, store number and
+    history number), `terminals` (`explore`'s tally), the representatives
+    `machines` and `stores` by number, and the memoized moves `ops`,
+    `store_ops` and `moves`, as commented where they are built.  The
+    representatives are shared: do not mutate them.
+    """
+
+    __slots__ = ("states", "terminals", "machines", "stores", "ops", "store_ops", "moves", "_solo")
+
+    def __init__(
+        self,
+        make_system: Callable[[], tuple],
+        state_check: Optional[Callable] = None,
+        max_states: int = 2_000_000,
+        by_history: bool = False,
+    ):
+        machines0, store0 = make_system()
+        if getattr(store0, "record_trace", False):
+            raise ValueError("explore needs an untraced memory: successors share their parent's store")
+        _by_pid(machines0)
+        n = len(machines0)
+        mreps = list(machines0)  # machine number -> representative; 0..n-1 have not stepped
+        mops = [None if m.done else m.op for m in mreps]  # machine number -> poised op, None if done
+        mnums: dict = {}  # key of a machine that has stepped -> its number
+        sreps = [store0]  # store number -> representative
+        snums = {store0.key(): 0}
+        sops: dict = {}  # (store number, op) -> a read's response number or a write's next store
+        rnums: dict = {}  # read response -> its number
+        moves: dict = {}  # (machine number, response number) -> (its next number, events emitted)
+        hnums: dict = {}  # (history number, event) -> number of the history it extends to
+        hlast = [None]  # history number -> (number before it, its last event); 0 is empty
+        frontier = [tuple(range(n)) + (0, 0)]
+        seen = set(frontier)
+        terminals: Counter = Counter()
+        while frontier:
+            nxt = []
+            for state in frontier:
+                s, h = state[n:]
+                if state_check is not None:
+                    state_check([mreps[a] for a in state[:n]], sreps[s])
+                final = True
+                for i, a in enumerate(state[:n]):
+                    op = mops[a]
+                    if op is None:
+                        continue
+                    final = False
+                    x = sops.get((s, op))
+                    if op[0] in _READ_ONLY:
+                        if x is None:  # read the response off the store
+                            st = sreps[s]
+                            res = st.regs[op[1]] if op[0] == "r" else tuple(st.comps[op[1] : op[2]])
+                            x = sops[s, op] = rnums.setdefault(res, len(rnums))
+                        mk, s2 = (a, x), s
+                    else:
+                        mk, s2 = (a, None), x
+                    move = moves.get(mk)
+                    if move is None or s2 is None:
+                        mi, record, st = mreps[a].clone(), History() if by_history else None, sreps[s]
+                        if op[0] not in _READ_ONLY:  # a write: step a copy of the store
+                            st = st.clone()
+                        mi.step(st, 0, record)
+                        if s2 is None:
+                            s2 = sops[s, op] = snums.setdefault(st.key(), len(sreps))
+                            if s2 == len(sreps):
+                                sreps.append(st)
+                        b = mnums.setdefault(mi.key(), len(mreps))
+                        if b == len(mreps):
+                            mreps.append(mi)
+                            mops.append(None if mi.done else mi.op)
+                        move = moves[mk] = (b, _canon(record) if by_history else ())
+                    b, evs = move
+                    hk = h
+                    for ev in evs:
+                        hk = hnums.setdefault(link := (hk, ev), len(hlast))
+                        if hk == len(hlast):
+                            hlast.append(link)
+                    succ = list(state)
+                    succ[i], succ[n], succ[n + 1] = b, s2, hk
+                    succ = tuple(succ)
+                    if succ not in seen:
+                        if len(seen) >= max_states:
+                            raise RuntimeError(f"state space exceeds {max_states}")
+                        seen.add(succ)
+                        nxt.append(succ)
+                if final:
+                    terminals[h if by_history else tuple(mreps[a].result for a in state[:n])] += 1
+            frontier = nxt
+        if by_history:
+            terminals = Counter({_events(hlast, h): c for h, c in terminals.items()})
+        self.states, self.terminals = seen, terminals
+        self.machines, self.stores, self.ops = mreps, sreps, mops
+        self.store_ops, self.moves, self._solo = sops, moves, {}
+
+    def solo(self, state: tuple, i: int) -> int:
+        """Steps machine i of `state` takes alone until its next response, in a
+        `by_history` closure, or else until its end; 0 if it is done.
+
+        Pure lookups, memoized on (machine number, store number): a solo path
+        from a reachable state stays inside the closure.  RuntimeError naming
+        the pid if the path revisits a pair (an obstruction-freedom violation).
+        """
+        ops, store_ops, moves, memo = self.ops, self.store_ops, self.moves, self._solo
+        pair = a, s = state[i], state[-2]
+        path, steps = {}, 0  # the pairs of this path, in order
+        while pair not in memo:
+            op = ops[a]
+            if op is None:
+                break
+            if pair in path:
+                raise RuntimeError(f"pid {self.machines[a].pid} runs alone forever")
+            path[pair] = None
+            x = store_ops[s, op]
+            if op[0] in _READ_ONLY:
+                b, evs = moves[a, x]
+            else:  # a write: the path goes on from the store it made
+                b, evs = moves[a, None]
+                s = x
+            if ops[b] is None or evs and evs[-1][1] == "res":
+                break
+            pair = a, s = b, s
+        else:
+            steps = memo[pair]
+        for pair in reversed(path):
+            steps += 1
+            memo[pair] = steps
+        return steps
+
+
 def explore(
     make_system: Callable[[], tuple],
     state_check: Optional[Callable] = None,
@@ -149,12 +288,13 @@ def explore(
     `make_system()` returns (machines, store): `shm.Machine`s over their
     store, a step machine's program a cursor and a `shm.Memory` untraced
     (ValueError if it records a trace, and on a duplicate pid as `run`).
-    Every reachable system state is visited once and `state_check(machines,
-    store)` runs on each.  Returns (terminals: Counter, states_visited:
-    int), terminals tallied by the tuple of machine results or, with
-    `by_history`, which also keys each state by the interface events on the
-    way to it, times dropped, by history: a tuple of `shm.Event`s timed 0,
-    1, 2, ..., for a `shm.History`.
+    Every reachable system state is visited once.  Returns (terminals:
+    Counter, states_visited: int), terminals tallied by the tuple of machine
+    results or, with `by_history`, which also keys each state by the
+    interface events on the way to it, times dropped, by history: a tuple
+    of `shm.Event`s timed 0, 1, 2, ..., for a `shm.History`.  It runs a
+    `Closure`, which keeps the search's tables, and returns its terminals
+    and the size of its `states`.
 
     States are interned: each distinct machine key, store key and read
     response is numbered once, a machine or store keeps one representative,
@@ -163,85 +303,17 @@ def explore(
     number, op) is memoized to a read's response number or a write's next
     store, and (machine number, response) to the next machine number and
     the events emitted: a step depends only on those, so only a miss clones
-    and steps, width checks included.  `state_check` gets the shared
-    representatives: it must not mutate them, and their `steps` is not this
-    path's.  A logic machine's first step emits its invocation and `steps`
-    is not keyed, so initial machines are numbered apart from later visits.
+    and steps, width checks included.  A logic machine's first step emits
+    its invocation and `steps` is not keyed, so initial machines are
+    numbered apart from later visits.
+
+    Benchmark-only: `state_check(machines, store)` runs on each state as it
+    is visited; only perfbench/ passes it outside its pin tests, and ROADMAP
+    item 6 removes it.  It gets the shared representatives: it must not
+    mutate them, and their `steps` is not this path's.
     """
-    machines0, store0 = make_system()
-    if getattr(store0, "record_trace", False):
-        raise ValueError("explore needs an untraced memory: successors share their parent's store")
-    _by_pid(machines0)
-    n = len(machines0)
-    mreps = list(machines0)  # machine number -> representative; 0..n-1 have not stepped
-    mops = [None if m.done else m.op for m in mreps]  # machine number -> poised op, None if done
-    mnums: dict = {}  # key of a machine that has stepped -> its number
-    sreps = [store0]  # store number -> representative
-    snums = {store0.key(): 0}
-    sops: dict = {}  # (store number, op) -> a read's response number or a write's next store
-    rnums: dict = {}  # read response -> its number
-    moves: dict = {}  # (machine number, response number) -> (its next number, events emitted)
-    hnums: dict = {}  # (history number, event) -> number of the history it extends to
-    hlast = [None]  # history number -> (number before it, its last event); 0 is empty
-    frontier = [tuple(range(n)) + (0, 0)]
-    seen = set(frontier)
-    terminals: Counter = Counter()
-    while frontier:
-        nxt = []
-        for state in frontier:
-            s, h = state[n:]
-            if state_check is not None:
-                state_check([mreps[a] for a in state[:n]], sreps[s])
-            final = True
-            for i, a in enumerate(state[:n]):
-                op = mops[a]
-                if op is None:
-                    continue
-                final = False
-                x = sops.get((s, op))
-                if op[0] in _READ_ONLY:
-                    if x is None:  # read the response off the store
-                        st = sreps[s]
-                        res = st.regs[op[1]] if op[0] == "r" else tuple(st.comps[op[1] : op[2]])
-                        x = sops[s, op] = rnums.setdefault(res, len(rnums))
-                    mk, s2 = (a, x), s
-                else:
-                    mk, s2 = (a, None), x
-                move = moves.get(mk)
-                if move is None or s2 is None:
-                    mi, record, st = mreps[a].clone(), History() if by_history else None, sreps[s]
-                    if op[0] not in _READ_ONLY:  # a write: step a copy of the store
-                        st = st.clone()
-                    mi.step(st, 0, record)
-                    if s2 is None:
-                        s2 = sops[s, op] = snums.setdefault(st.key(), len(sreps))
-                        if s2 == len(sreps):
-                            sreps.append(st)
-                    b = mnums.setdefault(mi.key(), len(mreps))
-                    if b == len(mreps):
-                        mreps.append(mi)
-                        mops.append(None if mi.done else mi.op)
-                    move = moves[mk] = (b, _canon(record) if by_history else ())
-                b, evs = move
-                hk = h
-                for ev in evs:
-                    hk = hnums.setdefault(link := (hk, ev), len(hlast))
-                    if hk == len(hlast):
-                        hlast.append(link)
-                succ = list(state)
-                succ[i], succ[n], succ[n + 1] = b, s2, hk
-                succ = tuple(succ)
-                if succ not in seen:
-                    if len(seen) >= max_states:
-                        raise RuntimeError(f"state space exceeds {max_states}")
-                    seen.add(succ)
-                    nxt.append(succ)
-            if final:
-                terminals[h if by_history else tuple(mreps[a].result for a in state[:n])] += 1
-        frontier = nxt
-    if by_history:
-        terminals = Counter({_events(hlast, h): c for h, c in terminals.items()})
-    return terminals, len(seen)
+    closure = Closure(make_system, state_check, max_states, by_history)
+    return closure.terminals, len(closure.states)
 
 
 def _canon(h: History) -> tuple:

@@ -9,9 +9,9 @@ Two subcommands:
        "seed": int, "wins": int}
       Exit code 0 iff every trial's checks pass, 1 on any violation,
       2 on an invalid invocation, such as a --n, --trials, --burst, --b
-      or --n-list entry that is not a positive integer, or an --out or
-      --trace path that cannot be opened for writing (both are opened
-      before the first trial runs).
+      or --n-list entry that is not a positive integer, a --b for an
+      object other than wrapped, or an --out or --trace path that cannot
+      be opened for writing (both are opened before the first trial runs).
 
   tasim sweep --object {tas_det,tas_rand} --n-list 16,64,256 ...
       runs the same trials as simulate (--schedule random) per n and emits
@@ -316,6 +316,8 @@ def main(argv=None) -> int:
     if (args.cmd == "simulate" and args.object in ("tas_rand", "wrapped")
             and args.schedule != "random"):
         parser.error(f"{args.object} supports only --schedule random")
+    if args.cmd == "simulate" and args.b is not None and args.object != "wrapped":
+        parser.error(f"--b sets the wrapped block length; {args.object} has no blocks")
     trace_path = getattr(args, "trace", None)
     with ExitStack() as stack:
         try:

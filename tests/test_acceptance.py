@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from tasim.atomic import explore
+from tasim.atomic import Closure, explore
 from tasim.randomized import HeadsRng, wrapped_tas_system
 from tasim.shm import (
     History,
@@ -178,12 +178,13 @@ def test_criterion_03_snapshot():
 
     # exhaustive closure of two 3-op scripts per pair at register
     # granularity, M=2.  Retry loops revisit states, so the merged state
-    # graph is finite and `explore` closes it with no depth cap.  At every
+    # graph is finite and a `Closure` closes it with no depth cap.  At every
     # reachable state each live process finishes its current op within
-    # solo_op_steps (4M+3) solo steps (obstruction-freedom), so every state
-    # reaches a terminal; linearizability is prefix-closed, so checking every
-    # distinct complete history covers every reachable prefix, pending ops
-    # included.
+    # solo_op_steps (4M+3) solo steps (obstruction-freedom; `Closure.solo`
+    # reads each solo run off the memoized moves and raises on one that
+    # never ends), so every state reaches a terminal; linearizability is
+    # prefix-closed, so checking every distinct complete history covers
+    # every reachable prefix, pending ops included.
     spec = SnapshotSequential(2, 0)
     solo_bound = BoundedSnapshot(0, 2, n=2, value_bits=4).solo_op_steps
     pairs = [
@@ -210,25 +211,12 @@ def test_criterion_03_snapshot():
             ]
             return ms, s.fresh_memory()
 
-        solo_max = [0]
-
-        def solo_finishes_its_op(machines, memory):
-            for m in machines:
-                if m.done:
-                    continue
-                m, memory_c, h = m.clone(), memory.clone(), History()
-                for steps in range(1, solo_bound + 1):
-                    m.step(memory_c, 0, h)
-                    if h.events and h.events[-1].kind == "res":
-                        break
-                else:
-                    raise AssertionError(f"pid {m.pid} unfinished after {solo_bound} solo steps")
-                solo_max[0] = max(solo_max[0], steps)
-
-        terminals, states = explore(make, solo_finishes_its_op, by_history=True)
-        for h in terminals:
+        closure = Closure(make, by_history=True)
+        solo_max = max(closure.solo(state, i) for state in closure.states for i in range(2))
+        assert solo_max <= solo_bound
+        for h in closure.terminals:
             assert check_linearizable(History(list(h)), spec), h
-        closures.append(f"{states}/{len(terminals)}/{solo_max[0]}")
+        closures.append(f"{len(closure.states)}/{len(closure.terminals)}/{solo_max}")
     # a machine or scan state that keys more or less than it must moves these
     assert closures == ["45513/1278/11", "21953/1856/11", "18761/1418/11"]
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import tasim
 from tasim.atomic import (
     AtomicStore,
+    Closure,
     LogicMachine,
     explore,
     explore_interleavings,
@@ -466,6 +467,23 @@ def reference_explore(make_system, state_check, by_history=False):
     return terminals, len(seen)
 
 
+def reference_solo(machine, store, by_history, bound=10_000):
+    """Steps `machine` takes alone from `store` until its next response, with
+    `by_history`, or else until its end; 0 if it is done.
+
+    The oracle for `Closure.solo`: it clones the machine and the store and
+    steps them, AssertionError if the run is unfinished after `bound` steps.
+    """
+    if machine.done:
+        return 0
+    m, store, h = machine.clone(), store.clone(), History()
+    for steps in range(1, bound + 1):
+        m.step(store, 0, h)
+        if m.done or by_history and h.events and h.events[-1].kind == "res":
+            return steps
+    raise AssertionError(f"pid {m.pid} unfinished after {bound} solo steps")
+
+
 def _putscan_lowered(n, m=2):
     def make():
         snap = BoundedSnapshot(0, m, n=n, value_bits=2, codec=PutScanCodec())
@@ -517,6 +535,67 @@ def test_explore_numbers_a_fresh_machine_apart_from_its_revisits():
     for h in terminals:
         assert sorted(e.pid for e in h if e.kind == "inv") == [0, 1, 2]
         assert [e.result for e in h if e.kind == "res" and e.op == "wait"] == [1, 1]
+
+
+def _script_pair():
+    snap = BoundedSnapshot(0, 2, n=2, value_bits=4)
+    scripts = [[("update", 0, 1), ("scan",)], [("scan",), ("update", 0, 2)]]
+    return [StepMachine(p, ops_program(snap, p, scripts[p])) for p in range(2)], snap.fresh_memory()
+
+
+SOLO_SYSTEMS = {
+    "putscan_lowered": _putscan_lowered(2),
+    "script_pair": _script_pair,
+    "sifter2": FIXED_SYSTEMS["sifter2"],
+}
+
+
+@pytest.mark.parametrize("by_history", [False, True])
+@pytest.mark.parametrize("name", SOLO_SYSTEMS)
+def test_solo_matches_a_clone_and_step_reference(name, by_history):
+    # every state the reference reaches, with each machine's solo run
+    # cloned and stepped from it, against every state of the closure with
+    # each machine's solo run read off the memoized moves: the same
+    # multiset of (machine keys, store key, solo steps)
+    make = SOLO_SYSTEMS[name]
+
+    def entry(ms, store, solos):
+        return tuple((m.steps == 0, m.key()) for m in ms), store.key(), solos
+
+    want = Counter()
+
+    def note(ms, store):
+        want[entry(ms, store, tuple(reference_solo(m, store, by_history) for m in ms))] += 1
+
+    reference_explore(make, note, by_history)
+    closure = Closure(make, by_history=by_history)
+    got = Counter()
+    for state in closure.states:
+        ms = [closure.machines[a] for a in state[:-2]]
+        solos = tuple(closure.solo(state, i) for i in range(len(ms)))
+        got[entry(ms, closure.stores[state[-2]], solos)] += 1
+    assert got == want
+    assert max(s for (_, _, solos) in got for s in solos) > 1
+
+
+@pytest.mark.parametrize("by_history", [False, True])
+def test_solo_names_a_machine_that_runs_alone_forever(by_history):
+    # a waiter alone re-reads a register only the setter writes: its solo
+    # path revisits a (machine, store) pair, an obstruction-freedom
+    # violation, until the setter has written
+    closure = Closure(FIXED_SYSTEMS["wait_set"], by_history=by_history)
+    start = (0, 1, 2, 0, 0)
+    assert start in closure.states
+    for i in (0, 2):
+        with pytest.raises(RuntimeError, match=f"pid {i} runs alone forever"):
+            closure.solo(start, i)
+    assert closure.solo(start, 1) == 1
+    written = [state for state in closure.states if closure.stores[state[-2]].regs == [1]]
+    assert written
+    for state in written:
+        assert [closure.solo(state, i) for i in range(3)] == [
+            0 if closure.ops[a] is None else 1 for a in state[:3]
+        ]
 
 
 @st.composite

@@ -158,6 +158,15 @@ def test_bad_invocations_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("obj", ["sifter", "snapshot", "tas_det", "tas_rand"])
+def test_block_length_is_refused_for_unwrapped_objects(obj, capsys):
+    # only a wrapped trial reads --b; any other object would ignore it
+    assert _exit_code(["simulate", "--object", obj, "--b", "4"]) == 2
+    captured = capsys.readouterr()
+    assert f"--b sets the wrapped block length; {obj} has no blocks" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--out", "--trace"])
 def test_unwritable_output_exits_2_before_any_trial(flag, tmp_path, monkeypatch, capsys):
     ran = []

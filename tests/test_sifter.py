@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tasim.atomic import explore
+from tasim.atomic import Closure, explore
 from tasim.shm import drain, make_schedule, run
 from tasim.sifter import (
     B_EMPTY,
@@ -76,17 +76,9 @@ def test_exact_solo_maximum_over_the_k2_closure():
     # from every state of the k=2 closure, each live machine runs alone to
     # its end; the longest such run is the exact solo maximum at k=2, the
     # same 12 ops as a fresh solo compete, well inside S_MAX
-    solo = []
-
-    def drain_each(machines, store):  # shared representatives: drain clones
-        for m in machines:
-            if not m.done:
-                c = m.clone()
-                drain([c], store.clone(), S_MAX)
-                solo.append(c.steps - m.steps)
-
-    _, states = explore(lambda: (sifter_machines(range(2)), sifter_store()), drain_each)
-    assert states == 1765 and max(solo) == 12
+    closure = Closure(lambda: (sifter_machines(range(2)), sifter_store()))
+    solo = max(closure.solo(state, i) for state in closure.states for i in range(2))
+    assert len(closure.states) == 1765 and solo == 12 <= S_MAX
 
 
 def test_random_schedules_respect_winner_bounds():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tasim.atomic import explore, register_program
+from tasim.atomic import Closure, explore, register_program
 from tasim.shm import History, Machine, Memory, StepMachine, drain, make_schedule, run
 from tasim.sifter import LOSE, WIN, NaiveSifterLogic, SifterLogic, sifter_snapshot
 from tasim.snapshot import BoundedSnapshot
@@ -132,6 +132,15 @@ def test_tas_exhaustive_n2_exactly_one_zero():
     terminals, states = explore(make)
     assert states == 6036
     assert terminals == {(0, 1): 41, (1, 0): 41}
+
+
+def test_exact_solo_maximum_over_the_n2_closure():
+    # from every state of the n=2 closure, each live process runs alone to
+    # its end; the longest such run is the exact op-level solo maximum at
+    # n=2, inside the closed form solo_op_bound(2)
+    closure = Closure(lambda: (tas_machines(2), tas_store(2)))
+    solo = max(closure.solo(state, i) for state in closure.states for i in range(2))
+    assert len(closure.states) == 6036 and solo == 25 < solo_op_bound(2) == 42
 
 
 def test_wle_random_schedules_exactly_one_leader():
