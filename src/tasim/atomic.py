@@ -417,19 +417,26 @@ def explore_interleavings(
     """Exhaustively explore register-level interleavings by prefix replay.
 
     `make_system()` must return fresh (machines, memory) with deterministic
-    programs and `memory.record_trace` enabled.  Each schedule prefix is
-    replayed from scratch, and prefixes merge when they agree on interface
-    history modulo timestamps, register contents, per-pid observations and
-    done flags: a deterministic program's future is a function of those.
-    Retrying algorithms make the raw tree infinite, so such systems need
-    `max_depth`: branches still running at the cap go to `on_cut(history,
-    memory)` instead of being extended.  `on_terminal(history, memory)` runs
-    once per distinct completed execution.  Returns (terminal_count,
-    states_visited).
+    programs and `memory.record_trace` enabled, the same system on every
+    call.  Each schedule prefix is replayed from scratch, and prefixes merge
+    when they agree on interface history modulo timestamps, register
+    contents, per-pid observations and done flags: a deterministic program's
+    future is a function of those.  Each distinct canonical history and
+    each distinct per-pid observation sequence (the pid's trace entries as
+    (kind, reg, val)) is numbered when it first appears, and a node is keyed
+    by one flat tuple: its history number, the registers and, per machine,
+    its observation number and done flag.  The search thus holds one number
+    per distinct history and per-pid observation sequence, not a copy of
+    them per node.  Retrying algorithms make the raw tree infinite, so such systems
+    need `max_depth`: branches still running at the cap go to
+    `on_cut(history, memory)` instead of being extended.
+    `on_terminal(history, memory)` runs once per distinct completed
+    execution.  Returns (terminal_count, states_visited).
     """
     seen: set = set()
+    hnums: dict = {}  # canonical history -> its number
+    onums: dict = {}  # one pid's observation sequence -> its number
     terminals = 0
-    nodes = 0
     stack: list[list[int]] = [[]]
     while stack:
         prefix = stack.pop()
@@ -441,17 +448,15 @@ def explore_interleavings(
         per = {m.pid: [] for m in machines}
         for (_, pid, kind, reg, val) in memory.trace:
             per[pid].append((kind, reg, val))
-        key = (
-            _canon(history),
-            tuple(memory.regs),
-            tuple(tuple(per[m.pid]) for m in machines),
-            tuple(m.done for m in machines),
-        )
-        if key in seen:
+        key = [hnums.setdefault(_canon(history), len(hnums)), *memory.regs]
+        for m in machines:
+            key.append(onums.setdefault(tuple(per[m.pid]), len(onums)))
+            key.append(m.done)
+        nodes = len(seen)
+        seen.add(tuple(key))  # one hash: a repeat leaves the size as it was
+        if len(seen) == nodes:
             continue
-        seen.add(key)
-        nodes += 1
-        if nodes > max_nodes:
+        if nodes >= max_nodes:
             raise RuntimeError(f"exploration exceeds {max_nodes} nodes")
         live = [m.pid for m in machines if not m.done]
         if not live:

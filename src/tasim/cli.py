@@ -10,8 +10,9 @@ Two subcommands:
       Exit code 0 iff every trial's checks pass, 1 on any violation,
       2 on an invalid invocation, such as a --n, --trials, --burst, --b
       or --n-list entry that is not a positive integer, a --b for an
-      object other than wrapped, or an --out or --trace path that cannot
-      be opened for writing (both are opened before the first trial runs).
+      object other than wrapped, a --burst without --schedule solo, or
+      an --out or --trace path that cannot be opened for writing (both
+      are opened before the first trial runs).
 
   tasim sweep --object {tas_det,tas_rand} --n-list 16,64,256 ...
       runs the same trials as simulate (--schedule random) per n and emits
@@ -78,6 +79,7 @@ from .verify import SearchBudgetExceeded, check_linearizable, check_tas, Snapsho
 
 REGISTER_SOLO_BOUND = 100_000  # drain allowance per machine in register re-runs
 LIVE_CAP = 50_000_000  # absolute step cap for randomized runs
+SOLO_BURST = 8  # solo-burst length when --schedule solo is given no --burst
 
 
 class Trial(NamedTuple):
@@ -99,7 +101,8 @@ class Trial(NamedTuple):
 def _scheduled(machines, memory, per_process, bound, args, seed, history=None):
     """Run `per_process` slots per process of `args.schedule`, then drain."""
     n = len(machines)
-    seq = make_schedule(args.schedule, n, per_process * n, seed=seed, burst=args.burst)
+    burst = (args.burst or SOLO_BURST) if args.schedule == "solo" else None
+    seq = make_schedule(args.schedule, n, per_process * n, seed=seed, burst=burst)
     run(machines, memory, seq, history)
     drain(machines, memory, bound, history)
 
@@ -289,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--schedule", choices=["rr", "random", "solo"], default="random",
                      help="scheduler kind (default random); rr and solo ignore the "
                           "seed, so sifter and tas_det trials repeat one execution")
-    sim.add_argument("--burst", type=_positive_int, default=8,
-                     help="solo-burst length (default 8)")
+    sim.add_argument("--burst", type=_positive_int, default=None,
+                     help=f"solo-burst length, --schedule solo only (default {SOLO_BURST})")
     sim.add_argument("--b", type=_positive_int, default=None,
                      help="wrapped: block length (default: registered solo bound)")
     sim.add_argument("--out", default=env_out, help="output path or - (default $OUT or -)")
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trials per n (default 20)")
     sw.add_argument("--seed", type=int, default=env_seed)
     sw.add_argument("--out", default=env_out)
-    sw.set_defaults(func=cmd_sweep, schedule="random", burst=1)
+    sw.set_defaults(func=cmd_sweep, schedule="random")
     return p
 
 
@@ -318,6 +321,8 @@ def main(argv=None) -> int:
         parser.error(f"{args.object} supports only --schedule random")
     if args.cmd == "simulate" and args.b is not None and args.object != "wrapped":
         parser.error(f"--b sets the wrapped block length; {args.object} has no blocks")
+    if args.cmd == "simulate" and args.burst is not None and args.schedule != "solo":
+        parser.error(f"--burst sets the solo-burst length; --schedule {args.schedule} has no bursts")
     trace_path = getattr(args, "trace", None)
     with ExitStack() as stack:
         try:

@@ -723,6 +723,126 @@ def test_explore_interleavings_node_cap():
         explore_interleavings(make, max_nodes=3)
 
 
+def reference_explore_interleavings(make_system, on_terminal, max_depth, on_cut):
+    """Prefix-replay search that keys a node by its nested observations.
+
+    The oracle for `explore_interleavings`' merging: a node is the tuple of
+    its canonical history, registers, each pid's trace entries as (kind,
+    reg, val) tuples and done flags, with no numbering.
+    """
+    seen, terminals, stack = set(), 0, [[]]
+    while stack:
+        prefix = stack.pop()
+        machines, memory = make_system()
+        history = History()
+        run(machines, memory, prefix, history=history)
+        per = {m.pid: [] for m in machines}
+        for _, pid, kind, reg, val in memory.trace:
+            per[pid].append((kind, reg, val))
+        key = (
+            tuple(ev[1:] for ev in history.events),
+            tuple(memory.regs),
+            tuple(tuple(per[m.pid]) for m in machines),
+            tuple(m.done for m in machines),
+        )
+        if key in seen:
+            continue
+        seen.add(key)
+        if all(m.done for m in machines):
+            terminals += 1
+            on_terminal(history, memory)
+        elif len(prefix) >= max_depth:
+            on_cut(history, memory)
+        else:
+            stack.extend(prefix + [m.pid] for m in machines if not m.done)
+    return terminals, len(seen)
+
+
+# criterion 3's snapshot script pairs (two processes, M=2 components)
+CRITERION_3_PAIRS = (
+    (
+        (("update", 0, 1), ("scan",), ("scan",)),
+        (("scan",), ("update", 1, 2), ("scan",)),
+    ),
+    (
+        (("scan",), ("scan",), ("scan",)),
+        (("update", 0, 1), ("update", 0, 2), ("update", 1, 3)),
+    ),
+    (
+        (("update", 0, 1), ("update", 0, 2), ("scan",)),
+        (("update", 0, 3), ("scan",), ("update", 1, 4)),
+    ),
+)
+
+
+def _script_pair_traced(pair):
+    def make():
+        snap = BoundedSnapshot(0, 2, n=2, value_bits=4)
+        ms = [StepMachine(p, ops_program(snap, p, script), auto_history=False)
+              for p, script in enumerate(pair)]
+        return ms, snap.fresh_memory(record_trace=True)
+    return make
+
+
+def _putscan_traced():
+    snap = BoundedSnapshot(0, 2, n=2, value_bits=2, codec=PutScanCodec())
+    ms = [StepMachine(p, register_program(PutScanLogic(p, 2), snap)) for p in range(2)]
+    return ms, snap.fresh_memory(record_trace=True)
+
+
+TRACED_SYSTEMS = {
+    **{f"pair{i}": _script_pair_traced(pair) for i, pair in enumerate(CRITERION_3_PAIRS)},
+    "putscan": _putscan_traced,
+}
+
+
+# (terminals, nodes, cuts) at each depth cap
+INTERLEAVING_COUNTS = {
+    ("pair0", 12): (0, 678, 210),
+    ("pair0", 13): (0, 966, 288),
+    ("pair0", 14): (0, 1338, 372),
+    ("pair0", 15): (0, 1830, 492),
+    ("pair0", 16): (0, 2465, 635),
+    ("pair1", 12): (0, 861, 265),
+    ("pair1", 13): (0, 1207, 346),
+    ("pair1", 14): (0, 1618, 411),
+    ("pair1", 15): (0, 2182, 564),
+    ("pair1", 16): (0, 2846, 664),
+    ("pair2", 12): (0, 2413, 733),
+    ("pair2", 13): (0, 3399, 986),
+    ("pair2", 14): (0, 4750, 1351),
+    ("pair2", 15): (0, 6436, 1686),
+    ("pair2", 16): (0, 8297, 1861),
+    ("putscan", 16): (10, 1035, 170),
+    ("putscan", 22): (38, 2347, 204),
+}
+
+
+@pytest.mark.parametrize("name, depth", list(INTERLEAVING_COUNTS))
+def test_explore_interleavings_merges_like_nested_keys(name, depth):
+    # numbering histories and observation sequences must merge exactly the
+    # prefixes that the nested key merges, and report them in the same order
+    make = TRACED_SYSTEMS[name]
+
+    def recorder(calls, kind):
+        return lambda history, memory: calls.append(
+            (kind, tuple(ev[1:] for ev in history.events), tuple(memory.regs))
+        )
+
+    got, want = [], []
+    result = explore_interleavings(
+        make, recorder(got, "terminal"), max_depth=depth, on_cut=recorder(got, "cut")
+    )
+    reference = reference_explore_interleavings(
+        make, recorder(want, "terminal"), depth, recorder(want, "cut")
+    )
+    assert result == reference
+    assert got == want
+    terminals, nodes, cuts = INTERLEAVING_COUNTS[name, depth]
+    assert result == (terminals, nodes)
+    assert [kind for kind, _, _ in got].count("cut") == cuts
+
+
 def test_register_program_solo_result():
     snap = BoundedSnapshot(0, 2, n=1, value_bits=2, codec=PutScanCodec())
     memory = snap.fresh_memory()

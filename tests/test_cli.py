@@ -167,6 +167,34 @@ def test_block_length_is_refused_for_unwrapped_objects(obj, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    "--object sifter --burst 3",
+    "--object tas_det --schedule rr --burst 3",
+    "--object snapshot --schedule random --burst 2",
+    "--object tas_rand --n 8 --burst 2",
+    "--object wrapped --burst 2",
+])
+def test_burst_is_refused_without_the_solo_schedule(argv, capsys):
+    # only the solo schedule reads --burst; any other would ignore it
+    assert _exit_code(["simulate", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert "--burst sets the solo-burst length; --schedule" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("obj", ["sifter", "tas_det", "snapshot"])
+def test_solo_schedule_without_burst_runs_bursts_of_8(obj, tmp_path, capsys):
+    # the register trace shows the burst length: each burst is one pid's run of accesses
+    def run(*extra):
+        trace = tmp_path / f"trace{len(extra)}.jsonl"
+        argv = ["simulate", "--object", obj, "--n", "3", "--trials", "1", "--schedule", "solo",
+                "--trace", str(trace), *extra]
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out, trace.read_text()
+
+    assert run() == run("--burst", "8")
+
+
 @pytest.mark.parametrize("flag", ["--out", "--trace"])
 def test_unwritable_output_exits_2_before_any_trial(flag, tmp_path, monkeypatch, capsys):
     ran = []
