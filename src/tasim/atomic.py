@@ -9,34 +9,28 @@ machines (`LogicMachine`) whose poised operations act on an abstract store:
     ('w', ridx, val)   write a plain register
 
 `LogicMachine.step` applies each op to an `AtomicStore` itself, which
-makes every snapshot operation a single indivisible step.  The decision
-rules stay in each logic's `advance`, the one place both granularities
-call.  This is the natural cost model for the sifter and
-test-and-set analyses (their step bounds count snapshot operations), and it
-keeps state spaces small enough for exhaustive breadth-first exploration
-with duplicate-state elimination.  A logic machine is a `shm.Machine`, so
-`shm.run` and `shm.drain` drive it as they drive a register-level one.
-
-The same logic machines can instead be lowered onto the register-level
-machinery in `shm`/`snapshot` via `register_program`, which runs each
-store op as the register sub-program its snapshot builds for it
-(`BoundedSnapshot.op_steps`).  Both granularities execute the same
-decision logic, so coarse-grained exhaustive results and fine-grained
-checks corroborate each other.
+makes every snapshot operation a single indivisible step.  This is the
+natural cost model for the sifter and test-and-set analyses (their step
+bounds count snapshot operations), and it keeps state spaces small enough
+for exhaustive breadth-first exploration with duplicate-state elimination.
+A logic machine is a `shm.Machine`, so `shm.run` and `shm.drain` drive it
+as they drive a register-level one.  `snapshot.register_program` runs the
+same logic at register level; the decision rules stay in each logic's
+`advance`, the one place both granularities call, so coarse-grained
+exhaustive results and fine-grained checks corroborate each other.
 
 A `Closure` closes both granularities, any `shm.Machine`s over their
-store whose programs, if any, are cursors (`shm.Cursor`:
-`register_program`, `snapshot.ops_program`), by breadth-first search over
-interned states, memoizing each deterministic step; retry loops revisit
-states, so a register-level closure needs no depth cap.  Machines and
-cursors follow one contract, `shm.Explicit`, which gives each its `clone`
-and `key`.  The closure is the one transition system of every exhaustive
-check: it keeps its states, representatives and memoized moves, and its
-one query, `solo`, reads how far a machine runs alone from any reachable
-state off those moves (the obstruction-freedom premise of the wait-free
-transformation) without stepping anything again.  `explore` returns a
-closure's terminals and state count; its `state_check` callback is kept
-for perfbench/ only.
+store whose programs, if any, are cursors (`shm.Cursor`), by breadth-first
+search over interned states, memoizing each deterministic step; retry
+loops revisit states, so a register-level closure needs no depth cap.
+Machines and cursors follow one contract, `shm.Explicit`, which gives each
+its `clone` and `key`.  The closure is the one transition system of every
+exhaustive check: it keeps its states, representatives and memoized moves,
+and its one query, `solo`, reads how far a machine runs alone from any
+reachable state off those moves (the obstruction-freedom premise of the
+wait-free transformation) without stepping anything again.  `explore`
+returns a closure's terminals and state count; its `state_check` callback
+is kept for perfbench/ only.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Optional
 
-from .shm import Cursor, History, Machine, _by_pid, drain, new_event, run
+from .shm import History, Machine, _by_pid, drain, new_event, run
 
 
 class LogicMachine(Machine):
@@ -329,76 +323,6 @@ def _events(hlast: list, h: int) -> tuple:
         h, ev = hlast[h]
         evs.append(ev)
     return tuple([new_event((t,) + ev) for t, ev in enumerate(reversed(evs))])
-
-
-# ---------------------------------------------------------------------------
-# lowering logic machines to the register level
-
-
-def register_program(logic: LogicMachine, snap) -> "_Lowered":
-    """Expand a logic machine into a register-level program, a `shm.Cursor`.
-
-    `snap` is an owner-tagged BoundedSnapshot, and each store op of the
-    logic, plain register ops too, runs as the sub-program `snap.op_steps`
-    builds.  The snapshot's codec (`snap.codec`, see the snapshot module)
-    packs the logic's component values before an update and unpacks scan
-    results, so `logic.advance` sees exactly what the atomic store would
-    have produced and both granularities share one decision procedure.
-    Like `LogicMachine.step`, it emits invocation/response markers exactly
-    when the logic has an interface op (`op_name`).  The logic's pid is
-    used for snapshot handshakes, so the logics of one run need distinct
-    pids.  The program advances `logic` itself; a clone advances a clone.
-    """
-    return _Lowered(logic, snap)
-
-
-# `_Lowered.stage`: nothing returned yet; the next send starts the logic's next op; finished
-_START, _NEXT, _END = range(3)
-
-
-class _Lowered(Cursor):
-    """`register_program`'s cursor: each store op of the logic runs as `sub`."""
-
-    FIELDS = ("stage", "parity")
-    NESTED = ("logic", "sub")
-
-    def __init__(self, logic: LogicMachine, snap):
-        self.logic = logic
-        self.snap = snap
-        self.stage = _START
-        self.sub = None
-        self.parity = 0  # this process's bits, bit i for component i (see `snapshot`)
-
-    def send(self, val):
-        sub = self.sub
-        logic = self.logic
-        if sub is not None:
-            item = sub.step(val)
-            if item is not None:
-                return item
-            self.sub = None
-            op = logic.op
-            res = sub.result
-            if op[0] == "s":
-                decode = self.snap.codec.decode
-                res = tuple(decode(i, res[i]) for i in range(op[1], op[2]))
-            logic.advance(res)
-        elif self.stage == _START:
-            self.stage = _NEXT
-            if logic.op_name is not None:
-                return ("inv", logic.op_name, ())
-        elif self.stage == _END:
-            raise StopIteration(logic.result)
-        if logic.done:
-            self.stage = _END
-            if logic.op_name is not None:
-                return ("res", logic.result)
-            raise StopIteration(logic.result)
-        op = logic.op
-        if op[0] == "u":
-            op = ("u", op[1], self.snap.codec.encode(op[1], op[2]))
-        self.sub, self.parity = self.snap.op_steps(logic.pid, op, self.parity)
-        return self.sub.step(None)
 
 
 # ---------------------------------------------------------------------------

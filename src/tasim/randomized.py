@@ -34,8 +34,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .atomic import register_program
 from .shm import COLLECT, READ, WRITE, Memory, StepMachine
+from .snapshot import register_program
 from .tas_det import solo_step_bound, tas_machines, tas_register_widths, tas_snapshot
 
 
@@ -111,7 +111,7 @@ def _split(collect: tuple, steps: int, b: int, rng, n: int, tails: tuple):
 
 
 def wrapped_tas_program(logic, snap, b: int, rng):
-    """The one wrapped TAS lowering: `register_program(logic, snap)` through `wrap`.
+    """The one wrapped TAS lowering: `snapshot.register_program(logic, snap)` through `wrap`.
 
     Coins are drawn over snap.n; tails blocks read the TAS object's doorway
     bit, plain register 0, where the lowering puts it: `snap.plain_reg(0)`,

@@ -19,10 +19,10 @@ It is a generator::
 or an explicit iterator, a `Cursor`, whose ``send`` plays the generator's
 part and whose whole state is declared (`Explicit`), so that it has `clone`
 and `key`: the snapshot's scan and update, ``snapshot.ops_program`` and
-``atomic.register_program`` are cursors.  Only a machine whose program is a
-cursor can be cloned and explored (``atomic.explore``).  `Explicit` is also
-the contract of every `Machine`: a machine's and a program's state is one
-set of declared attributes, and none of them holds a list.
+``snapshot.register_program`` are cursors.  Only a machine whose program
+is a cursor can be cloned and explored (``atomic.explore``).  `Explicit`
+is also the contract of every `Machine`: a machine's and a program's state
+is one set of declared attributes, and none of them holds a list.
 
 A *multi-read op* ``('c', reads, answer)`` stands for several reads taken in
 order, one per schedule slot: each is the machine's `op` while it is poised
@@ -419,16 +419,16 @@ class StepMachine(Machine):
 
     The program records its operations in a history only through its own
     ``inv``/``res`` yields.  An ``inv`` waits in `_pending_inv` for the next
-    shared step, which opens it at 2t, and a program that ends before that
-    step raises ValueError; `_open` then holds its (name, args) until a
-    ``res`` yield, read while resuming after step t, closes it at 2t+1.
-    While the machine is poised at a multi-read op, `_multi` holds it, `op`
-    is its read due next, the countdown `_left` counts its reads still to
-    take, that one included (0 while an invocation is pending, so that no
+    shared step, which opens it at 2t, and a program that ends or responds
+    before that step raises ValueError; `_open` then holds its (name, args)
+    until a ``res`` yield, read while resuming after step t, closes it at
+    2t+1.  While the machine is poised at a multi-read op, `_multi` holds it,
+    `op` is its read due next, the countdown `_left` counts its reads still
+    to take, that one included (0 while an invocation is pending, so that no
     runner takes the read that opens it), and `_got` is None for a block,
     else the answer so far: the values read, or whether they all matched.
-    `auto_history` must be False.  Only a machine whose program is a
-    `Cursor` can be cloned and keyed.
+    `auto_history` must be False.  Only a machine whose program is a `Cursor`
+    can be cloned and keyed.
 
     A subclass may build a machine with no program (`gen` None), poised
     at its first op with an invocation pending; its first step is then
@@ -467,6 +467,11 @@ class StepMachine(Machine):
                     raise ValueError(f"pid {self.pid}: nested invocation")
                 self._pending_inv = (item[1], tuple(item[2]))
             elif item[0] == "res":
+                if self._pending_inv is not None:
+                    raise ValueError(
+                        f"pid {self.pid}: response after invoking {self._pending_inv[0]!r}"
+                        " without a step"
+                    )
                 if self._open is None:
                     raise ValueError(f"pid {self.pid}: response without open invocation")
                 if history is not None:
@@ -659,10 +664,10 @@ def run_live_uniform(
     reproduces a seed's run.  Untraced, a block's reads (a multi-read op
     answered by its last value) but the last and one opening an invocation
     are counted down here, and whenever c <= 255 and every live machine has
-    more than `_SKIP` block reads left, on entry or after a step,
-    `_skip_blocks` draws the slots up to the first block's last read in
-    bulk, exactly.  `deep` counts the live machines that far inside a
-    block, so that test costs O(1) a step; it is kept only untraced.
+    more than `_SKIP` block reads left after a step, `_skip_blocks` draws
+    the slots up to the first block's last read in bulk, exactly.  `deep`
+    counts the live machines that far inside a block, so that test costs
+    O(1) a step; it is kept only untraced.
     Every collect read takes a `step`.
     """
     _by_pid(machines)  # raises on a duplicate pid
@@ -674,9 +679,6 @@ def run_live_uniform(
     deep = sum([m._left > _SKIP and m._got is None for m in live])
     t = t0 = memory.t
     end = t0 + max_steps
-    if deep == c and untraced and 0 < c <= 255:  # a run may start deep in blocks
-        t += _skip_blocks(live, getrandbits, max_steps)
-        deep = sum([m._left > _SKIP and m._got is None for m in live])
     while c and t < end:
         i = getrandbits(bits)
         while i >= c:

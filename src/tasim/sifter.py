@@ -40,9 +40,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .atomic import AtomicStore, LogicMachine, register_program
+from .atomic import AtomicStore, LogicMachine
 from .shm import StepMachine
-from .snapshot import BoundedSnapshot
+from .snapshot import BoundedSnapshot, register_program
 
 WIN = "win"
 LOSE = "lose"

@@ -16,11 +16,11 @@ from m value cells A[0..m-1] plus one handshake register S:
 
 where p is the caller's process id and b alternates per (writer, component).
 Each writer keeps its own bits in its program (`ops_program`,
-`atomic.register_program`) as one int, bit i for component i:
-`update_steps` takes them and returns the writer's new bits with the
-sub-program, so the flip rule lives here.  A BoundedSnapshot is thus a pure
-layout: one instance serves any number of runs and processes, and the same
-schedule gives the same execution on each.
+`register_program`) as one int, bit i for component i: `update_steps`
+takes them and returns the writer's new bits with the sub-program, so the
+flip rule lives here.  A BoundedSnapshot is thus a pure layout: one
+instance serves any number of runs and processes, and the same schedule
+gives the same execution on each.
 
 Scan and update are written once, as cursors (`shm.Cursor`): `scan_steps`
 and `update_steps` return explicit sub-programs that a program drives with
@@ -34,12 +34,15 @@ answer is the attempt's test.  Each collect is one multi-read op (see
 so far until the scan resumes after the last read.  The scan keeps its
 stage and c1 once collected; that is all it needs of c2.
 
-`op_steps` turns any store op of `atomic` into its register sub-program,
-so a lowered logic machine (`atomic.register_program`) and a script
-(`ops_program`) take every register step from here: an update or a scan as
+This module is where store ops meet registers.  `op_steps` turns any
+store op of `atomic` into its register sub-program: an update or a scan as
 above, and a read or write of plain register r as one op on register
 base - 1 - r (`plain_reg`), below the snapshot.  A snapshot at base b thus
-has b plain registers, and `op_steps` refuses the others.
+has b plain registers, and `op_steps` refuses the others.  Two programs
+take every register step from it: `register_program` lowers a logic
+machine (`atomic.LogicMachine`), whose `advance` then sees what the atomic
+store would have answered, and `ops_program` runs a script of updates and
+scans.  `atomic` runs the same logic one store op per step.
 
 Why it works: a successful scan rereads S as its own id, so no update began
 (wrote S) between the scanner's S-write and its final S-read.  Updates that
@@ -62,21 +65,21 @@ the cell is (x << (pid_bits + 1)) | ((p + 1) << 1) | b, and 0 is unwritten.
 An owner-tagged snapshot is declared with a component codec, an object
 with three methods: encode(comp, val) packs a component value into such an
 integer, decode(comp, x) unpacks it, and owner(comp, x) names the writer
-that every packed value names.  The codec lives here, on the snapshot:
-update_steps and scan_steps move packed integers, and
-`atomic.register_program`, which lowers logic machines onto registers,
-packs and unpacks through `snap.codec`.  `sifter.sifter_snapshot` builds
-the sifter's snapshot with its codec.  Owner-tagged cells drop the writer
-field: the cell is (x << 1) | b, value_bits + 1 wide.  The argument above
-still holds there: a pending write by q differs from a cell last written
-by anyone else because the value names its writer, and from q's own
-previous write to that cell by the parity bit.  update() checks that the
-value names the caller, and the value 0 (an unwritten cell) must name no
-one.  The handshake register is pid_bits wide either way.
+that every packed value names.  update_steps and scan_steps move packed
+integers, and `register_program` packs a logic's values before an update
+and unpacks a scan's.  `sifter.sifter_snapshot` builds the sifter's
+snapshot with its codec.  Owner-tagged cells drop the writer field: the
+cell is (x << 1) | b, value_bits + 1 wide.  The argument above still holds
+there: a pending write by q differs from a cell last written by anyone
+else because the value names its writer, and from q's own previous write
+to that cell by the parity bit.  update() checks that the value names
+the caller, and the value 0 (an unwritten cell) must name no one.  The
+handshake register is pid_bits wide either way.
 """
 
 from __future__ import annotations
 
+from .atomic import LogicMachine
 from .shm import COLLECT, READ, WRITE, Cursor, Memory, as_cursor
 
 
@@ -303,3 +306,69 @@ class _Script(Cursor):
         self.k = k + 1
         self.sub, self.parity = self.snap.op_steps(self.pid, store_op, self.parity)
         return inv
+
+
+def register_program(logic: LogicMachine, snap: BoundedSnapshot) -> "_Lowered":
+    """Expand a logic machine into a register-level program, a `shm.Cursor`.
+
+    `snap` is an owner-tagged BoundedSnapshot, and each store op of the
+    logic, plain register ops too, runs as the sub-program `snap.op_steps`
+    builds.  The snapshot's codec packs the logic's component values before
+    an update and unpacks scan results, so `logic.advance` sees exactly
+    what the atomic store would have produced and both granularities share
+    one decision procedure.  Like `LogicMachine.step`, it emits
+    invocation/response markers exactly when the logic has an interface op
+    (`op_name`).  The logic's pid is used for snapshot handshakes, so the
+    logics of one run need distinct pids.  The program advances `logic`
+    itself; a clone advances a clone.
+    """
+    return _Lowered(logic, snap)
+
+
+# `_Lowered.stage`: nothing returned yet; the next send starts the logic's next op; finished
+_START, _NEXT, _END = range(3)
+
+
+class _Lowered(Cursor):
+    """`register_program`'s cursor: each store op of the logic runs as `sub`."""
+
+    FIELDS = ("stage", "parity")
+    NESTED = ("logic", "sub")
+
+    def __init__(self, logic: LogicMachine, snap: BoundedSnapshot):
+        self.logic = logic
+        self.snap = snap
+        self.stage = _START
+        self.sub = None
+        self.parity = 0  # the writer's bits, bit i for component i
+
+    def send(self, val):
+        sub = self.sub
+        logic = self.logic
+        if sub is not None:
+            item = sub.step(val)
+            if item is not None:
+                return item
+            self.sub = None
+            op = logic.op
+            res = sub.result
+            if op[0] == "s":
+                decode = self.snap.codec.decode
+                res = tuple(decode(i, res[i]) for i in range(op[1], op[2]))
+            logic.advance(res)
+        elif self.stage == _START:
+            self.stage = _NEXT
+            if logic.op_name is not None:
+                return ("inv", logic.op_name, ())
+        elif self.stage == _END:
+            raise StopIteration(logic.result)
+        if logic.done:
+            self.stage = _END
+            if logic.op_name is not None:
+                return ("res", logic.result)
+            raise StopIteration(logic.result)
+        op = logic.op
+        if op[0] == "u":
+            op = ("u", op[1], self.snap.codec.encode(op[1], op[2]))
+        self.sub, self.parity = self.snap.op_steps(logic.pid, op, self.parity)
+        return self.sub.step(None)

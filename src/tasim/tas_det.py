@@ -19,21 +19,21 @@ The doorway serializes late arrivals behind the winner; the history checker
 validates the construction rather than trusting it.
 
 Total register count: 6*ell(n) + 2 (chain snapshot plus doorway), laid
-out by `tas_snapshot`.  `atomic.register_program(logic, snap)` lowers a
-TAS process onto them, each store op through `snap.op_steps`, so the
-doorway, plain register 0, lands just below the chain snapshot for every
-builder, wrapped or not, alone or in the pipeline; at base 0 there is no
-room for it, and the lowering raises ValueError at the doorway read.
+out by `tas_snapshot`.  `snapshot.register_program(logic, snap)` lowers a
+TAS process onto them, so the doorway, plain register 0, lands just below
+the chain snapshot for every builder, wrapped or not, alone or in the
+pipeline; at base 0 there is no room for it, and the lowering raises
+ValueError at the doorway read.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .atomic import AtomicStore, register_program
+from .atomic import AtomicStore
 from .shm import Memory, StepMachine
 from .sifter import S_MAX, WIN, SifterLogic, sifter_snapshot, sifter_store
-from .snapshot import BoundedSnapshot
+from .snapshot import BoundedSnapshot, register_program
 
 
 def f(k: int) -> int:

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from tasim.atomic import Closure, explore
+from tasim.atomic import Closure
 from tasim.randomized import HeadsRng, wrapped_tas_system
 from tasim.shm import (
     History,
@@ -75,17 +75,25 @@ def _line(num, label, ok, detail=""):
 def test_criterion_01_sifter_winner_bounds():
     # exhaustive: state-merged breadth-first search closes the full (finite)
     # merged state space for k in {2,3}, which covers every interleaving of
-    # any depth, in particular all interleavings up to depth 40
+    # any depth, in particular all interleavings up to depth 40; from every
+    # state of the k=3 closure, each live machine runs alone to its end, and
+    # the longest such run is the exact op-level solo maximum
     states_seen = {}
     for k in (2, 3):
         def make(k=k):
             return sifter_machines(range(k)), sifter_store()
 
-        terminals, states = explore(make, max_states=4_000_000)
-        states_seen[k] = states
-        for res, _ in terminals.items():
+        closure = Closure(make, max_states=4_000_000)
+        states_seen[k] = len(closure.states)
+        for res, _ in closure.terminals.items():
             wins = sum(1 for r in res if r == WIN)
             assert 1 <= wins <= f(k), (k, res)
+    # a solo run depends only on its machine's number and the store's: ask
+    # once per distinct pair, as the one machine of a (machine, store, history) state
+    pairs = {(state[i], state[3]) for state in closure.states for i in range(3)}
+    solo = max(closure.solo((a, s, 0), 0) for a, s in pairs)
+    assert solo == 12 <= S_MAX, solo
+    del closure
 
     # randomized: 2*10^4 seeded schedules per k in {4..8} (10^5 total),
     # drained to completion so every execution is complete
@@ -104,7 +112,8 @@ def test_criterion_01_sifter_winner_bounds():
         1,
         "sifter winner bounds (exhaustive k=2,3; 10^5 random k=4..8)",
         True,
-        f"merged states: k=2 -> {states_seen[2]}, k=3 -> {states_seen[3]}",
+        f"merged states: k=2 -> {states_seen[2]}, k=3 -> {states_seen[3]};"
+        f" solo max over the k=3 closure: {solo} ops",
     )
 
 

@@ -16,7 +16,6 @@ from tasim.atomic import (
     LogicMachine,
     explore,
     explore_interleavings,
-    register_program,
     run_atomic,
     run_atomic_solo,
 )
@@ -33,7 +32,7 @@ from tasim.shm import (
     run,
 )
 from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_machines, sifter_store
-from tasim.snapshot import BoundedSnapshot, ops_program
+from tasim.snapshot import BoundedSnapshot, ops_program, register_program
 from tasim.tas_det import (
     TasLogic,
     solo_op_bound,

@@ -257,6 +257,27 @@ def test_program_ending_after_an_invocation_raises():
     assert h.events == []
 
 
+def test_response_before_the_invocation_took_a_step_raises():
+    # an inv opens only at the next shared step, so a res before that step
+    # names the pending op, whether met at construction or after a step
+    def early_res():
+        yield ("inv", "x", ())
+        yield ("res", 1)
+
+    def late_early_res():
+        yield ("w", 0, 1)
+        yield ("inv", "x", ())
+        yield ("res", 1)
+        yield ("w", 0, 1)
+
+    with pytest.raises(ValueError, match="pid 0: response after invoking 'x' without a step"):
+        StepMachine(0, early_res())
+    h = History()
+    with pytest.raises(ValueError, match="pid 3: response after invoking 'x' without a step"):
+        run([StepMachine(3, late_early_res())], Memory([4]), [3], h)
+    assert h.events == []
+
+
 def test_program_must_take_a_step():
     def empty():
         return 1
@@ -739,18 +760,9 @@ def test_live_uniform_untraced_equals_traced(monkeypatch):
     assert any(0 < taken == budget for _, budget, taken in skips)  # a cap inside a stretch
 
 
-def test_live_uniform_skips_blocks_on_entry(monkeypatch):
-    # a run that starts, or resumes, with every live machine deep in a
-    # block skips in bulk before its first slot, and still equals the
-    # slot-by-slot run: slots, states, registers, rng state and events
-    calls = []  # per bulk skip: the live machines' steps so far
-    bulk = shm._skip_blocks
-
-    def spy(live, getrandbits, budget):
-        calls.append(sum(m.steps for m in live))
-        return bulk(live, getrandbits, budget)
-
-    monkeypatch.setattr(shm, "_skip_blocks", spy)
+def test_live_uniform_resumed_deep_in_blocks_matches_traced():
+    # a run that resumes with every live machine deep in a block equals the
+    # slot-by-slot traced run: slots, states, registers, rng state and events
     gen = random.Random(31)
     for n in (1, 2, 16, 255):
         scripts = [
@@ -762,19 +774,16 @@ def test_live_uniform_skips_blocks_on_entry(monkeypatch):
         split = 10 * n  # each machine still deep in its first block
         outs = []
         for traced in (True, False):
-            calls.clear()
             mem = Memory([8] * 4, record_trace=traced)
             machines = [StepMachine(p, multi_prog(p, script)) for p, script in enumerate(scripts)]
             rng = random.Random(n)
             h = History()
             got = run_live_uniform(machines, mem, rng, split, history=h)
-            resumed = sum(m.steps for m in machines)
             assert all(m._left > shm._SKIP and m._got is None for m in machines)
             got += run_live_uniform(machines, mem, rng, total, history=h)
             assert all(m.done for m in machines)
             states = [attrgetter(*StepMachine.FIELDS)(m) for m in machines]
             outs.append((got, states, mem.regs, rng.getstate(), h.events))
-        assert calls[0] == 0 and resumed in calls, n  # the untraced run's skips
         assert outs[0] == outs[1], n
 
 

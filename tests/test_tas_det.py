@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from tasim.atomic import Closure, explore, register_program
+from tasim.atomic import Closure, explore
 from tasim.shm import History, Machine, Memory, StepMachine, drain, make_schedule, run
 from tasim.sifter import LOSE, WIN, NaiveSifterLogic, SifterLogic, sifter_snapshot
-from tasim.snapshot import BoundedSnapshot
+from tasim.snapshot import BoundedSnapshot, register_program
 from tasim.tas_det import (
     S_MAX,
     TasLogic,
