@@ -25,12 +25,14 @@ search over interned states, memoizing each deterministic step; retry
 loops revisit states, so a register-level closure needs no depth cap.
 Machines and cursors follow one contract, `shm.Explicit`, which gives each
 its `clone` and `key`.  The closure is the one transition system of every
-exhaustive check: it keeps its states, representatives and memoized moves,
-and its one query, `solo`, reads how far a machine runs alone from any
-reachable state off those moves (the obstruction-freedom premise of the
-wait-free transformation) without stepping anything again.  `explore`
-returns a closure's terminals and state count; its `state_check` callback
-is kept for perfbench/ only.
+exhaustive check: it keeps its states, each packed into one int, its
+representatives and its memoized moves, and its queries read those moves
+without stepping anything again: `successors`, each live machine's step
+from a state; `solo`, how far a machine runs alone from a reachable state
+(the obstruction-freedom premise of the wait-free transformation); and
+`solo_max`, the longest solo run from any of them.  `explore` returns a
+closure's terminals and state count; its `state_check` callback is kept
+for perfbench/ only.
 """
 
 from __future__ import annotations
@@ -143,14 +145,30 @@ class Closure:
     """The reachable states of a system and the tables its search built.
 
     `Closure(make_system, ...)` searches as `explore` describes and keeps
-    `states` (each the tuple of its machine numbers, store number and
-    history number), `terminals` (`explore`'s tally), the representatives
+    `states`, `terminals` (`explore`'s tally), the representatives
     `machines` and `stores` by number, and the memoized moves `ops`,
-    `store_ops` and `moves`, as commented where they are built.  The
-    representatives are shared: do not mutate them.
+    `store_ops`, `moves` and `histories`, as commented where they are built.
+    The representatives are shared: do not mutate them.
+
+    A state is one int that packs its machine numbers, store number and
+    history number, each in a field of `width` bits, machine 0 lowest and
+    the history highest (always 0 without `by_history`); `pack` builds one
+    from that tuple and `unpack` decodes it.  `width` is the bit length of
+    max_states + n, enough for every machine and store number of a closure
+    of at most max_states states.  A history can take more numbers than the
+    states it reaches (a step may emit several events), and a number that
+    outgrows its field raises OverflowError naming the field: two states
+    never share an int.
+
+    The queries read the tables and step nothing: `successors` gives each
+    live machine's step from a state, `solo` how far one machine of a state
+    runs alone, and `solo_max` the longest such run from any state.
     """
 
-    __slots__ = ("states", "terminals", "machines", "stores", "ops", "store_ops", "moves", "_solo")
+    __slots__ = (
+        "states", "terminals", "machines", "stores", "ops", "store_ops", "moves", "histories",
+        "width", "_n", "_op_keys", "_solo",
+    )
 
     def __init__(
         self,
@@ -163,38 +181,49 @@ class Closure:
         if getattr(store0, "record_trace", False):
             raise ValueError("explore needs an untraced memory: successors share their parent's store")
         _by_pid(machines0)
-        n = len(machines0)
+        n = self._n = len(machines0)
+        w = self.width = (max_states + n).bit_length()
+        mask, shifts, sshift, hshift = (1 << w) - 1, range(0, n * w, w), n * w, (n + 1) * w
         mreps = list(machines0)  # machine number -> representative; 0..n-1 have not stepped
         mops = [None if m.done else m.op for m in mreps]  # machine number -> poised op, None if done
+        onums: dict = {}  # poised op -> its number
+        # machine number -> its op's key, the op's number << w; None if done
+        okeys = [None if op is None else onums.setdefault(op, len(onums)) << w for op in mops]
         mnums: dict = {}  # key of a machine that has stepped -> its number
         sreps = [store0]  # store number -> representative
         snums = {store0.key(): 0}
-        sops: dict = {}  # (store number, op) -> a read's response number or a write's next store
+        sops: dict = {}  # op key | store number -> a read's response number or a write's next store
         rnums: dict = {}  # read response -> its number
         moves: dict = {}  # (machine number, response number) -> (its next number, events emitted)
         hnums: dict = {}  # (history number, event) -> number of the history it extends to
         hlast = [None]  # history number -> (number before it, its last event); 0 is empty
-        frontier = [tuple(range(n)) + (0, 0)]
-        seen = set(frontier)
+        self.states = seen = set()
+        self.machines, self.stores, self.ops = mreps, sreps, mops
+        self.store_ops, self.moves, self.histories, self._solo = sops, moves, hnums, {}
+        self._op_keys = okeys
+        frontier = [self.pack(tuple(range(n)) + (0, 0))]
+        seen.update(frontier)
         terminals: Counter = Counter()
         while frontier:
             nxt = []
             for state in frontier:
-                s, h = state[n:]
+                s, h = state >> sshift & mask, state >> hshift
                 if state_check is not None:
-                    state_check([mreps[a] for a in state[:n]], sreps[s])
+                    state_check([mreps[state >> sh & mask] for sh in shifts], sreps[s])
                 final = True
-                for i, a in enumerate(state[:n]):
+                for sh in shifts:
+                    a = state >> sh & mask
                     op = mops[a]
                     if op is None:
                         continue
                     final = False
-                    x = sops.get((s, op))
+                    k = okeys[a] | s
+                    x = sops.get(k)
                     if op[0] in _READ_ONLY:
                         if x is None:  # read the response off the store
                             st = sreps[s]
                             res = st.regs[op[1]] if op[0] == "r" else tuple(st.comps[op[1] : op[2]])
-                            x = sops[s, op] = rnums.setdefault(res, len(rnums))
+                            x = sops[k] = rnums.setdefault(res, len(rnums))
                         mk, s2 = (a, x), s
                     else:
                         mk, s2 = (a, None), x
@@ -205,38 +234,94 @@ class Closure:
                             st = st.clone()
                         mi.step(st, 0, record)
                         if s2 is None:
-                            s2 = sops[s, op] = snums.setdefault(st.key(), len(sreps))
+                            s2 = sops[k] = snums.setdefault(st.key(), len(sreps))
                             if s2 == len(sreps):
+                                _fit("store", s2, w)
                                 sreps.append(st)
                         b = mnums.setdefault(mi.key(), len(mreps))
                         if b == len(mreps):
+                            _fit("machine", b, w)
                             mreps.append(mi)
-                            mops.append(None if mi.done else mi.op)
+                            if mi.done:
+                                mops.append(None)
+                                okeys.append(None)
+                            else:
+                                mops.append(mi.op)
+                                okeys.append(onums.setdefault(mi.op, len(onums)) << w)
                         move = moves[mk] = (b, _canon(record) if by_history else ())
                     b, evs = move
-                    hk = h
-                    for ev in evs:
-                        hk = hnums.setdefault(link := (hk, ev), len(hlast))
-                        if hk == len(hlast):
-                            hlast.append(link)
-                    succ = list(state)
-                    succ[i], succ[n], succ[n + 1] = b, s2, hk
-                    succ = tuple(succ)
+                    # XOR in only the fields that changed
+                    succ = state ^ (a ^ b) << sh
+                    if s2 != s:
+                        succ ^= (s ^ s2) << sshift
+                    if evs:
+                        hk = h
+                        for ev in evs:
+                            hk = hnums.setdefault(link := (hk, ev), len(hlast))
+                            if hk == len(hlast):
+                                _fit("history", hk, w)
+                                hlast.append(link)
+                        succ ^= (h ^ hk) << hshift
                     if succ not in seen:
                         if len(seen) >= max_states:
                             raise RuntimeError(f"state space exceeds {max_states}")
                         seen.add(succ)
                         nxt.append(succ)
                 if final:
-                    terminals[h if by_history else tuple(mreps[a].result for a in state[:n])] += 1
+                    if by_history:
+                        terminals[h] += 1
+                    else:
+                        terminals[tuple([mreps[state >> sh & mask].result for sh in shifts])] += 1
             frontier = nxt
         if by_history:
             terminals = Counter({_events(hlast, h): c for h, c in terminals.items()})
-        self.states, self.terminals = seen, terminals
-        self.machines, self.stores, self.ops = mreps, sreps, mops
-        self.store_ops, self.moves, self._solo = sops, moves, {}
+        self.terminals = terminals
 
-    def solo(self, state: tuple, i: int) -> int:
+    def pack(self, fields) -> int:
+        """The state of `fields`, its machine numbers, store number and history
+        number in order; OverflowError naming a field whose number outgrows it."""
+        n, w = self._n, self.width
+        state = 0
+        for i, num in enumerate(fields):
+            state |= _fit("machine" if i < n else "store" if i == n else "history", num, w) << i * w
+        return state
+
+    def unpack(self, state: int) -> tuple:
+        """`state`'s machine numbers, store number and history number, in order."""
+        n, w = self._n, self.width
+        mask = (1 << w) - 1
+        return (*[state >> sh & mask for sh in range(0, (n + 1) * w, w)], state >> (n + 1) * w)
+
+    def _move(self, a: int, s: int) -> tuple:
+        # live machine a's step on store s, off the memo: (next machine, events, next store)
+        op = self.ops[a]
+        x = self.store_ops[self._op_keys[a] | s]
+        if op[0] in _READ_ONLY:
+            return (*self.moves[a, x], s)
+        return (*self.moves[a, None], x)
+
+    def successors(self, state: int) -> list:
+        """(pid, events, next state) for each live machine of `state`, in pid
+        order: its one step, read off the memoized moves.  The events are
+        those the step emits, `shm.Event`s without their time, in a
+        `by_history` closure, and () otherwise."""
+        n, w = self._n, self.width
+        mask, sshift, hshift = (1 << w) - 1, n * w, (n + 1) * w
+        s, h = state >> sshift & mask, state >> hshift
+        out = []
+        for sh in range(0, n * w, w):
+            a = state >> sh & mask
+            if self.ops[a] is None:
+                continue
+            b, evs, s2 = self._move(a, s)
+            hk = h
+            for ev in evs:
+                hk = self.histories[hk, ev]
+            succ = state ^ (a ^ b) << sh ^ (s ^ s2) << sshift ^ (h ^ hk) << hshift
+            out.append((self.machines[a].pid, evs, succ))
+        return out
+
+    def solo(self, state: int, i: int) -> int:
         """Steps machine i of `state` takes alone until its next response, in a
         `by_history` closure, or else until its end; 0 if it is done.
 
@@ -244,22 +329,32 @@ class Closure:
         from a reachable state stays inside the closure.  RuntimeError naming
         the pid if the path revisits a pair (an obstruction-freedom violation).
         """
-        ops, store_ops, moves, memo = self.ops, self.store_ops, self.moves, self._solo
-        pair = a, s = state[i], state[-2]
+        w, mask = self.width, (1 << self.width) - 1
+        return self._solo_steps(state >> i * w & mask, state >> self._n * w & mask)
+
+    def solo_max(self) -> int:
+        """The most steps `solo` gives for any machine of any state, 0 if none
+        is live: each distinct (machine, store) pair of the states is asked once."""
+        n, w, states = self._n, self.width, self.states
+        mask = (1 << w) - 1
+        best = 0
+        for sh in range(0, n * w, w):
+            pairs = mask << sh | mask << n * w  # machine i's field and the store's
+            for pair in {state & pairs for state in states}:
+                best = max(best, self._solo_steps(pair >> sh & mask, pair >> n * w))
+        return best
+
+    def _solo_steps(self, a: int, s: int) -> int:
+        ops, memo = self.ops, self._solo
+        pair = a, s
         path, steps = {}, 0  # the pairs of this path, in order
         while pair not in memo:
-            op = ops[a]
-            if op is None:
+            if ops[a] is None:
                 break
             if pair in path:
                 raise RuntimeError(f"pid {self.machines[a].pid} runs alone forever")
             path[pair] = None
-            x = store_ops[s, op]
-            if op[0] in _READ_ONLY:
-                b, evs = moves[a, x]
-            else:  # a write: the path goes on from the store it made
-                b, evs = moves[a, None]
-                s = x
+            b, evs, s = self._move(a, s)
             if ops[b] is None or evs and evs[-1][1] == "res":
                 break
             pair = a, s = b, s
@@ -292,14 +387,15 @@ def explore(
 
     States are interned: each distinct machine key, store key and read
     response is numbered once, a machine or store keeps one representative,
-    and a state is the tuple of its machine numbers, store number and
-    history number (its last event and the number before it).  (store
-    number, op) is memoized to a read's response number or a write's next
-    store, and (machine number, response) to the next machine number and
-    the events emitted: a step depends only on those, so only a miss clones
-    and steps, width checks included.  A logic machine's first step emits
-    its invocation and `steps` is not keyed, so initial machines are
-    numbered apart from later visits.
+    and a state is one int packing its machine numbers, store number and
+    history number (its last event and the number before it), as `Closure`
+    describes; a successor XORs in only the fields its step changed.
+    (store number, op) is memoized to a read's response number or a write's
+    next store, and (machine number, response) to the next machine number
+    and the events emitted: a step depends only on those, so only a miss
+    clones and steps, width checks included, and numbers what is new.  A
+    logic machine's first step emits its invocation and `steps` is not
+    keyed, so initial machines are numbered apart from later visits.
 
     Benchmark-only: `state_check(machines, store)` runs on each state as it
     is visited; only perfbench/ passes it outside its pin tests, and ROADMAP
@@ -308,6 +404,13 @@ def explore(
     """
     closure = Closure(make_system, state_check, max_states, by_history)
     return closure.terminals, len(closure.states)
+
+
+def _fit(field: str, num: int, bits: int) -> int:
+    """`num`, or OverflowError if it outgrows a `bits`-bit field of a packed state."""
+    if num >> bits:
+        raise OverflowError(f"{field} number {num} outgrows its {bits}-bit field")
+    return num
 
 
 def _canon(h: History) -> tuple:

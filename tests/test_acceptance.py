@@ -88,10 +88,7 @@ def test_criterion_01_sifter_winner_bounds():
         for res, _ in closure.terminals.items():
             wins = sum(1 for r in res if r == WIN)
             assert 1 <= wins <= f(k), (k, res)
-    # a solo run depends only on its machine's number and the store's: ask
-    # once per distinct pair, as the one machine of a (machine, store, history) state
-    pairs = {(state[i], state[3]) for state in closure.states for i in range(3)}
-    solo = max(closure.solo((a, s, 0), 0) for a, s in pairs)
+    solo = closure.solo_max()
     assert solo == 12 <= S_MAX, solo
     del closure
 
@@ -221,7 +218,7 @@ def test_criterion_03_snapshot():
             return ms, s.fresh_memory()
 
         closure = Closure(make, by_history=True)
-        solo_max = max(closure.solo(state, i) for state in closure.states for i in range(2))
+        solo_max = closure.solo_max()
         assert solo_max <= solo_bound
         for h in closure.terminals:
             assert check_linearizable(History(list(h)), spec), h

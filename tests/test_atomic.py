@@ -570,11 +570,12 @@ def test_solo_matches_a_clone_and_step_reference(name, by_history):
     closure = Closure(make, by_history=by_history)
     got = Counter()
     for state in closure.states:
-        ms = [closure.machines[a] for a in state[:-2]]
+        *numbers, s, _ = closure.unpack(state)
+        ms = [closure.machines[a] for a in numbers]
         solos = tuple(closure.solo(state, i) for i in range(len(ms)))
-        got[entry(ms, closure.stores[state[-2]], solos)] += 1
+        got[entry(ms, closure.stores[s], solos)] += 1
     assert got == want
-    assert max(s for (_, _, solos) in got for s in solos) > 1
+    assert closure.solo_max() == max(s for (_, _, solos) in got for s in solos) > 1
 
 
 @pytest.mark.parametrize("by_history", [False, True])
@@ -583,18 +584,86 @@ def test_solo_names_a_machine_that_runs_alone_forever(by_history):
     # path revisits a (machine, store) pair, an obstruction-freedom
     # violation, until the setter has written
     closure = Closure(FIXED_SYSTEMS["wait_set"], by_history=by_history)
-    start = (0, 1, 2, 0, 0)
+    start = closure.pack((0, 1, 2, 0, 0))
     assert start in closure.states
     for i in (0, 2):
         with pytest.raises(RuntimeError, match=f"pid {i} runs alone forever"):
             closure.solo(start, i)
+    with pytest.raises(RuntimeError, match="runs alone forever"):
+        closure.solo_max()
     assert closure.solo(start, 1) == 1
-    written = [state for state in closure.states if closure.stores[state[-2]].regs == [1]]
+    written = [state for state in closure.states if closure.stores[closure.unpack(state)[3]].regs == [1]]
     assert written
     for state in written:
         assert [closure.solo(state, i) for i in range(3)] == [
-            0 if closure.ops[a] is None else 1 for a in state[:3]
+            0 if closure.ops[a] is None else 1 for a in closure.unpack(state)[:3]
         ]
+
+
+@pytest.mark.parametrize("by_history", [False, True])
+@pytest.mark.parametrize("name", FIXED_SYSTEMS)
+def test_successors_step_like_clones(name, by_history):
+    # from every state, each live machine's successor read off the tables is
+    # its representative cloned and stepped on a copy of the store: the same
+    # machine key, store key and events, the other machines and, without
+    # events, the history as they were; and the successors reach exactly the
+    # closure's states from its first one
+    make = FIXED_SYSTEMS[name]
+    closure = Closure(make, by_history=by_history)
+    start = closure.pack(tuple(range(len(make()[0]))) + (0, 0))
+    for state in closure.states:
+        *numbers, s, h = closure.unpack(state)
+        live = [closure.machines[a] for a in numbers if closure.ops[a] is not None]
+        succs = closure.successors(state)
+        assert [pid for pid, _, _ in succs] == [m.pid for m in live]
+        for m, (pid, evs, nxt) in zip(live, succs):
+            c, st, record = m.clone(), closure.stores[s].clone(), History()
+            c.step(st, 0, record if by_history else None)
+            *after, s2, h2 = closure.unpack(nxt)
+            assert closure.machines[after[pid]].key() == c.key()
+            assert closure.stores[s2].key() == st.key()
+            assert after[:pid] + after[pid + 1 :] == numbers[:pid] + numbers[pid + 1 :]
+            assert evs == tuple(ev[1:] for ev in record.events)
+            assert (h2 == h) == (not evs)
+    reached, stack = {start}, [start]
+    while stack:
+        for _, _, nxt in closure.successors(stack.pop()):
+            if nxt not in reached:
+                reached.add(nxt)
+                stack.append(nxt)
+    assert reached == closure.states
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(100, 2**40), st.data())
+def test_unpack_inverts_pack_inside_the_widths(max_states, data):
+    # a closure's widths follow its max_states; any field values inside them
+    # pack into one int that unpacks to them, and a value one past a field
+    # raises, naming the field
+    closure = Closure(FIXED_SYSTEMS["wait_set"], max_states=max_states)
+    w = closure.width
+    assert w == (max_states + 3).bit_length()
+    fields = tuple(data.draw(st.lists(st.integers(0, 2**w - 1), min_size=5, max_size=5)))
+    assert closure.unpack(closure.pack(fields)) == fields
+    i = data.draw(st.integers(0, 4))
+    name = "machine" if i < 3 else ("store", "history")[i - 3]
+    with pytest.raises(OverflowError, match=f"{name} number {2**w} outgrows its {w}-bit field"):
+        closure.pack(fields[:i] + (2**w,) + fields[i + 1 :])
+
+
+def test_a_history_number_that_outgrows_its_field_raises():
+    # four one-step setters by history: 65 states, but each step emits an
+    # invocation and a response, so the histories take 129 numbers.  With
+    # max_states = 65 every field has 7 bits, and number 128 raises rather
+    # than spill into another field
+    def make():
+        return [SetLogic(p) for p in range(4)], AtomicStore([], n_regs=1)
+
+    closure = Closure(make, by_history=True)
+    assert len(closure.states) == 65 and len(closure.histories) == 128
+    assert len({closure.unpack(state) for state in closure.states}) == 65
+    with pytest.raises(OverflowError, match="history number 128 outgrows its 7-bit field"):
+        Closure(make, by_history=True, max_states=65)
 
 
 @st.composite

@@ -77,7 +77,7 @@ def test_exact_solo_maximum_over_the_k2_closure():
     # its end; the longest such run is the exact solo maximum at k=2, the
     # same 12 ops as a fresh solo compete, well inside S_MAX
     closure = Closure(lambda: (sifter_machines(range(2)), sifter_store()))
-    solo = max(closure.solo(state, i) for state in closure.states for i in range(2))
+    solo = closure.solo_max()
     assert len(closure.states) == 1765 and solo == 12 <= S_MAX
 
 

@@ -8,7 +8,15 @@ import pytest
 
 from tasim.atomic import Closure, explore
 from tasim.shm import History, Machine, Memory, StepMachine, drain, make_schedule, run
-from tasim.sifter import LOSE, WIN, NaiveSifterLogic, SifterLogic, sifter_snapshot
+from tasim.sifter import (
+    LOSE,
+    WIN,
+    NaiveSifterLogic,
+    SifterLogic,
+    sifter_machines,
+    sifter_snapshot,
+    sifter_store,
+)
 from tasim.snapshot import BoundedSnapshot, register_program
 from tasim.tas_det import (
     S_MAX,
@@ -139,8 +147,61 @@ def test_exact_solo_maximum_over_the_n2_closure():
     # its end; the longest such run is the exact op-level solo maximum at
     # n=2, inside the closed form solo_op_bound(2)
     closure = Closure(lambda: (tas_machines(2), tas_store(2)))
-    solo = max(closure.solo(state, i) for state in closure.states for i in range(2))
+    solo = closure.solo_max()
     assert len(closure.states) == 6036 and solo == 25 < solo_op_bound(2) == 42
+
+
+def _livelock_components(closure):
+    """The strongly connected components of the closure's successor graph that
+    hold a cycle (iterative Tarjan), as sets of states."""
+    index, low, on_stack, stack, found = {}, {}, set(), [], []
+    for root in closure.states:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(closure.successors(root)))]
+        while work:
+            v, edges = work[-1]
+            for _, _, u in edges:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    stack.append(u)
+                    on_stack.add(u)
+                    work.append((u, iter(closure.successors(u))))
+                    break
+                if u in on_stack:
+                    low[v] = min(low[v], index[u])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        comp.add(stack.pop())
+                    on_stack -= comp
+                    if len(comp) > 1 or any(u == v for _, _, u in closure.successors(v)):
+                        found.append(comp)
+    return found
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (sifter_machines(range(2)), sifter_store()),
+    lambda: (tas_machines(2), tas_store(2)),
+], ids=["sifter2", "tas2"])
+def test_two_processes_can_step_forever_without_finishing(make):
+    # obstruction-free but not wait-free: the op-level k=2 sifter and n=2
+    # TAS closures each hold 18 cycles of states (184 states, at most 12 in
+    # one), and both processes step inside each one, so an adversary can run
+    # both forever while neither finishes
+    closure = Closure(make)
+    found = _livelock_components(closure)
+    assert (len(found), sum(map(len, found)), max(map(len, found))) == (18, 184, 12)
+    for comp in found:
+        inside = {pid for v in comp for pid, _, u in closure.successors(v) if u in comp}
+        assert inside == {0, 1}
 
 
 def test_wle_random_schedules_exactly_one_leader():

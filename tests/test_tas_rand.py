@@ -101,6 +101,14 @@ def test_register_count_scales_logarithmically():
     assert counts[1024] == 3309
     for n in (16, 64, 256):
         assert counts[4 * n] - counts[n] < counts[n]
+    # the abstract's Theta(log n) over n = 2^1..2^18: the register count per
+    # log2(n) stays in a fixed band (326-355 measured), and the widest
+    # register has 3*ceil(log2 n) + 3 bits
+    for k in range(1, 19):
+        widths = layout(2**k).widths
+        assert 320 <= len(widths) / k <= 360, (k, len(widths))
+        assert max(widths) == 3 * k + 3, (k, max(widths))
+    assert max(layout(2).widths) == 6 and max(layout(1024).widths) == 33
 
 
 def test_layout_is_built_once_per_n_and_shared():
