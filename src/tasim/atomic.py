@@ -54,18 +54,42 @@ class LogicMachine(Machine):
     FIELDS, and there are no NESTED parts.
     """
 
-    op_name: Optional[str] = None  # interface op for histories, e.g. "tas"
+    FIELDS = Machine.FIELDS + ("call", "open")  # the marker rule's (`step`)
+    op_name: Optional[str] = None  # a logic that is one interface op, e.g. "tas"
+
+    def __init__(self, pid: int):
+        super().__init__(pid)
+        self.call = None if self.op_name is None else ("inv", self.op_name, ())
+        self.open = None
+
+    @property
+    def reply(self):  # the response of the interface op that `end` closes
+        return self.result
 
     def advance(self, res) -> None:
         raise NotImplementedError
+
+    def end(self, res) -> Optional[tuple]:
+        """Take the poised op's response by `step`'s rule: the (name, args) it closes, or None."""
+        if self.call is not None:
+            self.call, self.open = None, self.call[1:]
+        self.advance(res)
+        if self.done or self.call is not None:
+            op, self.open = self.open, None
+            return op
 
     def step(self, store, t: int, history: Optional[History]) -> None:
         """Execute one store op at schedule position t (`shm.Machine`).
 
         Applies the poised op to the `AtomicStore` (ValueError on an unknown
-        op), counts the step and advances.  With a history and an interface
-        op (`op_name`), records the invocation at 2t on the first step and
-        the response at 2t+1 on the finishing step.
+        op), counts the step and advances through `end`, history or not.
+        The marker rule, one for both granularities (the register level's
+        is ``snapshot.register_program``): an interface op's invocation goes
+        before its first store op (here at 2t), and its response, `reply`,
+        after its last (at 2t+1).  A logic poises that first op with `call`
+        set to the invocation, ('inv', name, args), and `end` keeps its
+        (name, args) `open` until the next `call` or `done`.  An `op_name`
+        makes a logic one interface op: no args, and its result the reply.
         """
         op = self.op
         kind = op[0]
@@ -81,18 +105,14 @@ class LogicMachine(Machine):
             res = None
         else:
             raise ValueError(f"unknown op {op!r}")
-        steps = self.steps
-        self.steps = steps + 1
-        if history is None or self.op_name is None:
-            self.advance(res)
-            return
-        if not steps:
-            history.events.append(new_event((2 * t, self.pid, "inv", self.op_name, (), None)))
-        self.advance(res)
-        if self.done:
-            history.events.append(
-                new_event((2 * t + 1, self.pid, "res", self.op_name, (), self.result))
-            )
+        self.steps += 1
+        call = self.call
+        closed = self.end(res)
+        if history is not None:
+            if call is not None:
+                history.events.append(new_event((2 * t, self.pid, *call, None)))
+            if closed is not None:
+                history.events.append(new_event((2 * t + 1, self.pid, "res", *closed, self.reply)))
 
 
 class AtomicStore:
@@ -393,9 +413,7 @@ def explore(
     (store number, op) is memoized to a read's response number or a write's
     next store, and (machine number, response) to the next machine number
     and the events emitted: a step depends only on those, so only a miss
-    clones and steps, width checks included, and numbers what is new.  A
-    logic machine's first step emits its invocation and `steps` is not
-    keyed, so initial machines are numbered apart from later visits.
+    clones and steps, width checks included, and numbers what is new.
 
     Benchmark-only: `state_check(machines, store)` runs on each state as it
     is visited; only perfbench/ passes it outside its pin tests, and ROADMAP

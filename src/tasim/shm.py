@@ -18,8 +18,8 @@ It is a generator::
 
 or an explicit iterator, a `Cursor`, whose ``send`` plays the generator's
 part and whose whole state is declared (`Explicit`), so that it has `clone`
-and `key`: the snapshot's scan and update, ``snapshot.ops_program`` and
-``snapshot.register_program`` are cursors.  Only a machine whose program
+and `key`: the snapshot's scan and update, and ``snapshot.register_program``
+(which ``ops_program`` returns), are cursors.  Only a machine whose program
 is a cursor can be cloned and explored (``atomic.explore``).  `Explicit`
 is also the contract of every `Machine`: a machine's and a program's state
 is one set of declared attributes, and none of them holds a list.

@@ -114,7 +114,7 @@ class SifterLogic(LogicMachine):
     knockout = True  # a class attribute, so not one of the FIELDS
 
     def __init__(self, pid: int, levels: int = 1):
-        # The state `shm.Machine.__init__` and then `_start_level(0)` give,
+        # The state `LogicMachine.__init__` and then `_start_level(0)` give,
         # each field set once and no call made: a trial builds a machine per
         # process, and those calls cost more than the fields.
         self.pid = pid
@@ -122,6 +122,8 @@ class SifterLogic(LogicMachine):
         self.done = False
         self.result = None
         self.steps = 0
+        self.call = None if self.op_name is None else ("inv", self.op_name, ())
+        self.open = None
         self.top = 6 * (levels - 1)
         self.base = 0
         self.sig: Optional[tuple] = None

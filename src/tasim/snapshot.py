@@ -15,12 +15,11 @@ from m value cells A[0..m-1] plus one handshake register S:
                    return the values of c1
 
 where p is the caller's process id and b alternates per (writer, component).
-Each writer keeps its own bits in its program (`ops_program`,
-`register_program`) as one int, bit i for component i: `update_steps`
-takes them and returns the writer's new bits with the sub-program, so the
-flip rule lives here.  A BoundedSnapshot is thus a pure layout: one
-instance serves any number of runs and processes, and the same schedule
-gives the same execution on each.
+Each writer keeps its own bits in its program (`register_program`) as one
+int, bit i for component i: `update_steps` takes them and returns the
+writer's new bits with the sub-program, so the flip rule lives here.  A
+BoundedSnapshot is thus a pure layout: one instance serves any number of
+runs and processes, and the same schedule gives the same execution on each.
 
 Scan and update are written once, as cursors (`shm.Cursor`): `scan_steps`
 and `update_steps` return explicit sub-programs that a program drives with
@@ -38,11 +37,12 @@ This module is where store ops meet registers.  `op_steps` turns any
 store op of `atomic` into its register sub-program: an update or a scan as
 above, and a read or write of plain register r as one op on register
 base - 1 - r (`plain_reg`), below the snapshot.  A snapshot at base b thus
-has b plain registers, and `op_steps` refuses the others.  Two programs
-take every register step from it: `register_program` lowers a logic
+has b plain registers, and `op_steps` refuses the others.  One program
+takes every register step from it: `register_program` lowers a logic
 machine (`atomic.LogicMachine`), whose `advance` then sees what the atomic
-store would have answered, and `ops_program` runs a script of updates and
-scans.  `atomic` runs the same logic one store op per step.
+store would have answered; `atomic` runs the same logic one store op per
+step.  A script of updates and scans is such a logic, `ScriptLogic`, and
+`ops_program` lowers it.
 
 Why it works: a successful scan rereads S as its own id, so no update began
 (wrote S) between the scanner's S-write and its final S-read.  Updates that
@@ -256,119 +256,96 @@ class _Scan(Cursor):
         return self.s_write
 
 
-def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]) -> "_Script":
-    """Run a list of ('update', comp, x) / ('scan',) ops as one program.
+class ScriptLogic(LogicMachine):
+    """A script of ('update', comp, x) and ('scan',) ops on an m-component
+    snapshot as a logic, the atomic snapshot at op level: each script op is
+    one store op and one interface op, and the result is the scans' views.
+    An op of another kind, or a component outside 0..m-1, raises when built."""
 
-    Emits invocation/response markers per operation, so histories from this
-    program check directly against the snapshot's sequential semantics.
-    The program, a `shm.Cursor`, returns the tuple of scan views.
-    """
-    return _Script(snap, pid, script)
+    FIELDS = LogicMachine.FIELDS + ("script", "m", "k", "views")
 
+    def __init__(self, pid: int, script, m: int):
+        script = tuple(script)
+        for op in script:
+            if op[0] != "update" and op[0] != "scan":
+                raise ValueError(f"unknown script op {op!r}")
+            if op[0] == "update" and not 0 <= op[1] < m:
+                raise ValueError(f"component {op[1]} out of range")
+        # `LogicMachine.__init__`'s state, set here: a run builds a logic per process
+        self.pid, self.op, self.done, self.result, self.steps = pid, None, False, None, 0
+        self.call = self.open = None
+        self.script, self.m, self.k, self.views = script, m, -1, ()
+        self.advance(None)  # poise script op 0
 
-class _Script(Cursor):
-    """`ops_program`'s cursor: script op k-1 runs as `sub`, its store op's
-    `op_steps`, between its markers."""
+    @property
+    def reply(self):  # script op k-1's response: its view, or None for an update
+        return self.views[-1] if self.script[self.k - 1][0] == "scan" else None
 
-    FIELDS = ("k", "parity", "views")
-    NESTED = ("sub",)
-
-    def __init__(self, snap: BoundedSnapshot, pid: int, script: list[tuple]):
-        self.snap = snap
-        self.pid = pid
-        self.script = tuple(script)
-        self.k = 0
-        self.sub = None
-        self.parity = 0  # the writer's bits, bit i for component i
-        self.views: tuple = ()
-
-    def send(self, val):
-        sub = self.sub
-        if sub is not None:
-            item = sub.step(val)
-            if item is not None:
-                return item
-            self.sub = None
-            if self.script[self.k - 1][0] == "scan":
-                self.views += (sub.result,)
-            return ("res", sub.result)
-        k = self.k
+    def advance(self, res) -> None:
+        # `res` answers script op k, a view or None for an update; poise op k+1 and call it
+        if res is not None:
+            self.views += (res,)
+        k = self.k = self.k + 1
         if k == len(self.script):
-            raise StopIteration(self.views)
-        op = self.script[k]
-        if op[0] == "update":
-            _, comp, x = op
-            store_op, inv = ("u", comp, x), ("inv", "update", (comp, x))
-        elif op[0] == "scan":
-            store_op, inv = ("s", 0, self.snap.m), ("inv", "scan", ())
+            self.done, self.result, self.op = True, self.views, None
+        elif self.script[k][0] == "update":
+            _, comp, x = self.script[k]
+            self.op, self.call = ("u", comp, x), ("inv", "update", (comp, x))
         else:
-            raise ValueError(f"unknown script op {op!r}")
-        self.k = k + 1
-        self.sub, self.parity = self.snap.op_steps(self.pid, store_op, self.parity)
-        return inv
+            self.op, self.call = ("s", 0, self.m), ("inv", "scan", ())
+
+
+def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]) -> "_Lowered":
+    """`ScriptLogic(pid, script, snap.m)` lowered onto `snap`: a `shm.Cursor`, returning views."""
+    return register_program(ScriptLogic(pid, script, snap.m), snap)
 
 
 def register_program(logic: LogicMachine, snap: BoundedSnapshot) -> "_Lowered":
     """Expand a logic machine into a register-level program, a `shm.Cursor`.
 
-    `snap` is an owner-tagged BoundedSnapshot, and each store op of the
-    logic, plain register ops too, runs as the sub-program `snap.op_steps`
-    builds.  The snapshot's codec packs the logic's component values before
-    an update and unpacks scan results, so `logic.advance` sees exactly
-    what the atomic store would have produced and both granularities share
-    one decision procedure.  Like `LogicMachine.step`, it emits
-    invocation/response markers exactly when the logic has an interface op
-    (`op_name`).  The logic's pid is used for snapshot handshakes, so the
-    logics of one run need distinct pids.  The program advances `logic`
-    itself; a clone advances a clone.
+    Each store op of the logic, plain register ops too, runs as the
+    sub-program `snap.op_steps` builds, between the markers that
+    `LogicMachine.step`'s rule gives.  An owner-tagged snapshot's codec packs
+    the logic's values before an update and unpacks a scan's, so `advance`
+    sees what the atomic store would have answered.  The logic's pid is used
+    for handshakes, so the logics of one run need distinct pids.  The
+    program advances `logic` itself; a clone advances a clone.
     """
     return _Lowered(logic, snap)
-
-
-# `_Lowered.stage`: nothing returned yet; the next send starts the logic's next op; finished
-_START, _NEXT, _END = range(3)
 
 
 class _Lowered(Cursor):
     """`register_program`'s cursor: each store op of the logic runs as `sub`."""
 
-    FIELDS = ("stage", "parity")
+    FIELDS = ("parity",)
     NESTED = ("logic", "sub")
 
     def __init__(self, logic: LogicMachine, snap: BoundedSnapshot):
         self.logic = logic
         self.snap = snap
-        self.stage = _START
         self.sub = None
         self.parity = 0  # the writer's bits, bit i for component i
 
     def send(self, val):
         sub = self.sub
-        logic = self.logic
         if sub is not None:
             item = sub.step(val)
             if item is not None:
                 return item
             self.sub = None
-            op = logic.op
-            res = sub.result
-            if op[0] == "s":
-                decode = self.snap.codec.decode
-                res = tuple(decode(i, res[i]) for i in range(op[1], op[2]))
-            logic.advance(res)
-        elif self.stage == _START:
-            self.stage = _NEXT
-            if logic.op_name is not None:
-                return ("inv", logic.op_name, ())
-        elif self.stage == _END:
-            raise StopIteration(logic.result)
+            res, op = sub.result, self.logic.op
+            if op[0] == "s":  # the components scanned, unpacked by the codec if any
+                res, codec = res[op[1] : op[2]], self.snap.codec
+                if codec is not None:
+                    res = tuple(map(codec.decode, range(op[1], op[2]), res))
+            if self.logic.end(res) is not None:
+                return ("res", self.logic.reply)
+        logic, snap = self.logic, self.snap
         if logic.done:
-            self.stage = _END
-            if logic.op_name is not None:
-                return ("res", logic.result)
             raise StopIteration(logic.result)
         op = logic.op
-        if op[0] == "u":
-            op = ("u", op[1], self.snap.codec.encode(op[1], op[2]))
-        self.sub, self.parity = self.snap.op_steps(logic.pid, op, self.parity)
-        return self.sub.step(None)
+        if op[0] == "u" and snap.codec is not None:
+            op = ("u", op[1], snap.codec.encode(op[1], op[2]))
+        self.sub, self.parity = snap.op_steps(logic.pid, op, self.parity)
+        # the op's invocation, if it opens one, goes first: the next send takes its first step
+        return logic.call or self.sub.step(None)

@@ -92,6 +92,8 @@ class TasLogic(SifterLogic):
         self.done = False
         self.result = None
         self.steps = 0
+        self.call = None if self.op_name is None else ("inv", self.op_name, ())
+        self.open = None
         self.top = 6 * (ell(n) - 1)
         self.base = 0
         self.sig = None

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from tasim.atomic import Closure
+from tasim.atomic import AtomicStore, Closure
 from tasim.randomized import HeadsRng, wrapped_tas_system
 from tasim.shm import (
     History,
@@ -33,7 +33,7 @@ from tasim.shm import (
     run_live_uniform,
 )
 from tasim.sifter import WIN, sifter_machines, sifter_snapshot, sifter_store, sifter_system
-from tasim.snapshot import BoundedSnapshot, ops_program
+from tasim.snapshot import BoundedSnapshot, ScriptLogic, ops_program
 from tasim.tas_det import (
     S_MAX,
     f,
@@ -191,6 +191,9 @@ def test_criterion_03_snapshot():
     # never ends), so every state reaches a terminal; linearizability is
     # prefix-closed, so checking every distinct complete history covers
     # every reachable prefix, pending ops included.
+    # The same scripts as `ScriptLogic`s at op level are the atomic snapshot:
+    # its 20 complete histories, one per order of the 3 + 3 ops (6 choose 3),
+    # are all among the register level's.
     spec = SnapshotSequential(2, 0)
     solo_bound = BoundedSnapshot(0, 2, n=2, value_bits=4).solo_op_steps
     pairs = [
@@ -219,6 +222,11 @@ def test_criterion_03_snapshot():
 
         closure = Closure(make, by_history=True)
         solo_max = closure.solo_max()
+        atomic = Closure(
+            lambda: ([ScriptLogic(0, script_p, 2), ScriptLogic(1, script_q, 2)], AtomicStore([0, 0])),
+            by_history=True,
+        )
+        assert len(atomic.terminals) == 20 and set(atomic.terminals) <= set(closure.terminals)
         assert solo_max <= solo_bound
         for h in closure.terminals:
             assert check_linearizable(History(list(h)), spec), h

@@ -32,7 +32,7 @@ from tasim.shm import (
     run,
 )
 from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_machines, sifter_store
-from tasim.snapshot import BoundedSnapshot, ops_program, register_program
+from tasim.snapshot import BoundedSnapshot, ScriptLogic, ops_program, register_program
 from tasim.tas_det import (
     TasLogic,
     solo_op_bound,
@@ -161,6 +161,12 @@ def _ops_program_system():
     return ms, snap.fresh_memory()
 
 
+def _script_logic_system():
+    # the scripts of `_ops_program_system` at op level: the atomic snapshot
+    scripts = [[("update", 0, 1), ("scan",), ("update", 1, 2)], [("update", 0, 3), ("scan",)]]
+    return [ScriptLogic(p, scripts[p], 2) for p in range(2)], AtomicStore([0, 0])
+
+
 # (name, make_system, schedule): every state along the schedule is checked
 EXPLICIT_SYSTEMS = (
     ("sifter", lambda: ([SifterLogic(0), SifterLogic(1)], sifter_store()), [1, 1, 0, 0, 0]),
@@ -168,6 +174,7 @@ EXPLICIT_SYSTEMS = (
     ("wle", lambda: ([SifterLogic(p, 2) for p in range(2)], wle_store(2)), [1, 1, 0, 0, 0]),
     ("tas", lambda: (tas_machines(2), tas_store(2)), [1, 1, 0, 0, 0]),
     ("ops_program", _ops_program_system, [0] * 5 + [1] * 2 + [0] * 12 + [1] * 8),
+    ("script_logic", _script_logic_system, [0, 1, 0, 0, 1]),
     ("lowered_tas", lambda: tas_system(2)[:2], [0] * 9 + [1] * 30 + [0] * 40 + [1] * 40),
 )
 
@@ -234,7 +241,7 @@ def test_fields_contract(name, make, schedule):
     assert 0 < machines[0].steps
     if name == "ops_program":  # a retried scan, and both sub-programs, were checked
         assert machines[0].steps == 2 + 2 * 6 + 2 and machines[0].done
-        assert {"StepMachine", "_Script", "_Scan", "_Ops"} <= kinds
+        assert {"StepMachine", "_Lowered", "ScriptLogic", "_Scan", "_Ops"} <= kinds
     if name == "lowered_tas":
         assert {"StepMachine", "_Lowered", "TasLogic", "_Scan", "_Ops"} <= kinds
 
@@ -255,7 +262,7 @@ def test_every_explicit_class_declares_its_state():
     # that clone copies and key reads, or refuses both
     classes = {c for c in _tasim_classes() if issubclass(c, Explicit)} - {Explicit}
     assert {
-        "Machine", "LogicMachine", "StepMachine", "Cursor", "_Ops", "_Scan", "_Script", "_Lowered"
+        "Machine", "LogicMachine", "StepMachine", "Cursor", "_Ops", "_Scan", "ScriptLogic", "_Lowered"
     } <= {c.__name__ for c in classes}
     assert LogicMachine.__base__ is Machine and StepMachine.__base__ is Machine
     undeclared = {c for c in classes - {Cursor} if not (c.FIELDS or c.NESTED)}
@@ -367,12 +374,63 @@ def test_register_lowering_agrees_with_atomic():
     assert set(terminals) == EXPECTED_VIEWS
 
 
+class PutScanTwiceLogic(LogicMachine):
+    """Two interface ops in a row, putscan(0) and putscan(1), each an update
+    of pid+1 into one component and then a scan; the result is both views."""
+
+    FIELDS = LogicMachine.FIELDS + ("m", "k", "views")
+
+    def __init__(self, pid, m):
+        super().__init__(pid)
+        self.m, self.k, self.views = m, 0, ()
+        self.op, self.call = ("u", pid % m, pid + 1), ("inv", "putscan", (0,))
+
+    def advance(self, res):
+        self.k += 1
+        if self.k % 2:
+            self.op = ("s", 0, self.m)
+            return
+        self.views += (res,)
+        if self.k == 4:
+            self.done, self.result, self.op = True, self.views, None
+        else:
+            self.op, self.call = ("u", self.pid % self.m, self.pid + 1), ("inv", "putscan", (1,))
+
+    @property
+    def reply(self):  # a putscan responds with its view
+        return self.views[-1]
+
+
+def test_markers_of_multi_op_interface_ops_agree_across_granularities():
+    # one marker rule at both levels: an invocation before the update that
+    # opens each putscan, a response after the scan that closes it
+    def lowered():
+        snap = BoundedSnapshot(0, 2, n=2, value_bits=2, codec=PutScanCodec())
+        ms = [StepMachine(p, register_program(PutScanTwiceLogic(p, 2), snap)) for p in range(2)]
+        return ms, snap.fresh_memory()
+
+    atomic = Closure(
+        lambda: ([PutScanTwiceLogic(p, 2) for p in range(2)], AtomicStore([None, None])),
+        by_history=True,
+    )
+    register = Closure(lowered, by_history=True)
+    assert len(atomic.terminals) > 1 and set(atomic.terminals) <= set(register.terminals)
+    for h in register.terminals:
+        for p in range(2):
+            mine = [(e.kind, e.args, e.result) for e in h if e.pid == p]
+            assert [m[:2] for m in mine] == [("inv", (0,)), ("res", (0,)), ("inv", (1,)), ("res", (1,))]
+            assert mine[1][2][p] == mine[3][2][p] == p + 1  # each scan sees its own update
+
+
 def test_owner_tagged_snapshot_interleavings_linearize():
     # cells without a writer field: values name their writers (odd values
     # are pid 0's, even ones pid 1's) and pid 0 rewrites its own value, so
     # only the parity bit tells its two writes apart; every distinct
     # complete history of the closure linearizes
     class ParityCodec(PutScanCodec):
+        def decode(self, comp, x):  # a view reads 0 where SnapshotSequential(2, 0) does
+            return x
+
         def owner(self, comp, x):
             return None if x == 0 else (x - 1) % 2
 

@@ -6,7 +6,7 @@ import pytest
 
 from tasim.atomic import explore
 from tasim.shm import History, StepMachine, drain, make_schedule, run
-from tasim.snapshot import BoundedSnapshot, ops_program
+from tasim.snapshot import BoundedSnapshot, ScriptLogic, ops_program
 from tasim.verify import SnapshotSequential, check_linearizable, probe_solo
 
 
@@ -129,6 +129,22 @@ def test_ops_program_refuses_an_unknown_script_op(monkeypatch):
     with pytest.raises(ValueError, match=r"unknown script op \('swap',\)"):
         StepMachine(0, ops_program(s, 0, [("swap",)]))
     assert built == []  # it raises before building any store op
+
+
+def test_a_script_op_out_of_range_is_refused_at_both_granularities(monkeypatch):
+    # the atomic store would write comps[-1] silently, so the logic refuses
+    # it when built, and so does the lowered program, before any store op
+    built = _recording_op_steps(monkeypatch)
+    s = BoundedSnapshot(0, 2, n=2, value_bits=4)
+    for bad in (("update", -1, 1), ("update", 2, 1)):
+        script = [("scan",), bad]
+        with pytest.raises(ValueError, match=f"component {bad[1]} out of range"):
+            ScriptLogic(0, script, 2)
+        with pytest.raises(ValueError, match=f"component {bad[1]} out of range"):
+            ops_program(s, 0, script)
+    with pytest.raises(ValueError, match=r"unknown script op \('swap',\)"):
+        ScriptLogic(0, [("scan",), ("swap",)], 2)
+    assert built == []
 
 
 def test_one_snapshot_serves_two_runs():

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from tasim.atomic import Closure, explore
-from tasim.shm import History, Machine, Memory, StepMachine, drain, make_schedule, run
+from tasim.atomic import Closure, LogicMachine, explore
+from tasim.shm import History, Memory, StepMachine, drain, make_schedule, run
 from tasim.sifter import (
     LOSE,
     WIN,
@@ -96,11 +96,11 @@ def test_solo_bounds_pinned():
 
 def test_builders_set_the_state_the_init_chain_would():
     # SifterLogic and TasLogic set each field once; the reference is
-    # Machine.__init__, then the chain's top and _start_level(0), then, for
+    # LogicMachine.__init__, then the chain's top and _start_level(0), then, for
     # the TAS, the doorway read; field order included
     def chain(cls, pid, levels):
         m = object.__new__(cls)
-        Machine.__init__(m, pid)
+        LogicMachine.__init__(m, pid)
         m.top = 6 * (levels - 1)
         m._start_level(0)
         return m
