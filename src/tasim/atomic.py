@@ -55,64 +55,64 @@ class LogicMachine(Machine):
     """
 
     FIELDS = Machine.FIELDS + ("call", "open")  # the marker rule's (`step`)
-    op_name: Optional[str] = None  # a logic that is one interface op, e.g. "tas"
+    CALL: Optional[tuple] = None  # a one-op logic's (name, args), its first `call`
 
     def __init__(self, pid: int):
         super().__init__(pid)
-        self.call = None if self.op_name is None else ("inv", self.op_name, ())
+        self.call = self.CALL
         self.open = None
 
     @property
-    def reply(self):  # the response of the interface op that `end` closes
+    def reply(self):  # the response of the interface op that `step` closes
         return self.result
 
     def advance(self, res) -> None:
         raise NotImplementedError
 
-    def end(self, res) -> Optional[tuple]:
-        """Take the poised op's response by `step`'s rule: the (name, args) it closes, or None."""
-        if self.call is not None:
-            self.call, self.open = None, self.call[1:]
-        self.advance(res)
-        if self.done or self.call is not None:
-            op, self.open = self.open, None
-            return op
-
-    def step(self, store, t: int, history: Optional[History]) -> None:
+    def step(self, store, t: int, history: Optional[History], res=None) -> Optional[tuple]:
         """Execute one store op at schedule position t (`shm.Machine`).
 
         Applies the poised op to the `AtomicStore` (ValueError on an unknown
-        op), counts the step and advances through `end`, history or not.
-        The marker rule, one for both granularities (the register level's
-        is ``snapshot.register_program``): an interface op's invocation goes
-        before its first store op (here at 2t), and its response, `reply`,
-        after its last (at 2t+1).  A logic poises that first op with `call`
-        set to the invocation, ('inv', name, args), and `end` keeps its
-        (name, args) `open` until the next `call` or `done`.  An `op_name`
-        makes a logic one interface op: no args, and its result the reply.
+        op; indices are trusted, as a check would cost every step, and
+        `snapshot.ScriptLogic` and `op_steps` refuse bad ones), counts the
+        step and advances, history or not.  The marker rule, written only
+        here: an interface op's invocation goes before its first store op
+        (here at 2t), its response, `reply`, after its last (at 2t+1).  A
+        logic poises that first op with `call` set to the op's (name, args),
+        which `step` keeps `open` until the logic sets the next `call` or is
+        done, and returns on that closing step (else None).  The register
+        level hands a store op's response over as ``step(None, 0, None,
+        res)``, which applies and counts nothing.
         """
-        op = self.op
-        kind = op[0]
-        if kind == "s":
-            res = tuple(store.comps[op[1] : op[2]])
-        elif kind == "u":
-            store.comps[op[1]] = op[2]
-            res = None
-        elif kind == "r":
-            res = store.regs[op[1]]
-        elif kind == "w":
-            store.regs[op[1]] = op[2]
-            res = None
-        else:
-            raise ValueError(f"unknown op {op!r}")
-        self.steps += 1
+        if store is not None:
+            op = self.op
+            kind = op[0]
+            if kind == "s":
+                res = tuple(store.comps[op[1] : op[2]])
+            elif kind == "u":
+                store.comps[op[1]] = op[2]
+            elif kind == "r":
+                res = store.regs[op[1]]
+            elif kind == "w":
+                store.regs[op[1]] = op[2]
+            else:
+                raise ValueError(f"unknown op {op!r}")
+            self.steps += 1
         call = self.call
-        closed = self.end(res)
-        if history is not None:
-            if call is not None:
-                history.events.append(new_event((2 * t, self.pid, *call, None)))
-            if closed is not None:
-                history.events.append(new_event((2 * t + 1, self.pid, "res", *closed, self.reply)))
+        if call is not None:  # the interface op's first store op
+            self.call, self.open = None, call
+            if history is not None:
+                history.events.append(new_event((2 * t, self.pid, "inv", call[0], call[1], None)))
+        self.advance(res)
+        if not self.done and self.call is None:
+            return None  # inside the interface op, or outside any
+        closed = self.open
+        if closed is not None:
+            self.open = None
+            if history is not None:
+                name, args = closed
+                history.events.append(new_event((2 * t + 1, self.pid, "res", name, args, self.reply)))
+        return closed
 
 
 class AtomicStore:

@@ -110,7 +110,7 @@ class SifterLogic(LogicMachine):
     """
 
     FIELDS = LogicMachine.FIELDS + ("top", "base", "stage", "sig")
-    op_name = "compete"
+    CALL = ("compete", ())
     knockout = True  # a class attribute, so not one of the FIELDS
 
     def __init__(self, pid: int, levels: int = 1):
@@ -122,7 +122,7 @@ class SifterLogic(LogicMachine):
         self.done = False
         self.result = None
         self.steps = 0
-        self.call = None if self.op_name is None else ("inv", self.op_name, ())
+        self.call = self.CALL
         self.open = None
         self.top = 6 * (levels - 1)
         self.base = 0

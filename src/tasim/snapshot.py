@@ -34,15 +34,15 @@ so far until the scan resumes after the last read.  The scan keeps its
 stage and c1 once collected; that is all it needs of c2.
 
 This module is where store ops meet registers.  `op_steps` turns any
-store op of `atomic` into its register sub-program: an update or a scan as
-above, and a read or write of plain register r as one op on register
-base - 1 - r (`plain_reg`), below the snapshot.  A snapshot at base b thus
-has b plain registers, and `op_steps` refuses the others.  One program
-takes every register step from it: `register_program` lowers a logic
-machine (`atomic.LogicMachine`), whose `advance` then sees what the atomic
-store would have answered; `atomic` runs the same logic one store op per
-step.  A script of updates and scans is such a logic, `ScriptLogic`, and
-`ops_program` lowers it.
+store op of `atomic` into its register sub-program: an update or a scan of
+components in 0..m-1 as above, and a read or write of plain register r as
+one op on register base - 1 - r (`plain_reg`), below the snapshot.  A
+snapshot at base b thus has b plain registers; `op_steps` refuses any other
+op.  One program takes every register step from it: `register_program`
+lowers a logic machine (`atomic.LogicMachine`), whose `advance` then sees
+what the atomic store would have answered; `atomic` runs the same logic one
+store op per step.  A script of updates and scans is such a logic,
+`ScriptLogic`, and `ops_program` lowers it.
 
 Why it works: a successful scan rereads S as its own id, so no update began
 (wrote S) between the scanner's S-write and its final S-read.  Updates that
@@ -189,6 +189,8 @@ class BoundedSnapshot:
         if kind == "u":
             return self.update_steps(pid, op[1], op[2], parity)
         if kind == "s":  # as_cursor: perfbench/ swaps scan_steps for a generator
+            if not 0 <= op[1] < op[2] <= self.m:
+                raise ValueError(f"store op {op!r}: scan range outside 0..{self.m}")
             return as_cursor(self.scan_steps(pid)), parity
         if kind != READ and kind != WRITE:
             raise ValueError(f"unknown store op {op!r}")
@@ -290,9 +292,9 @@ class ScriptLogic(LogicMachine):
             self.done, self.result, self.op = True, self.views, None
         elif self.script[k][0] == "update":
             _, comp, x = self.script[k]
-            self.op, self.call = ("u", comp, x), ("inv", "update", (comp, x))
+            self.op, self.call = ("u", comp, x), ("update", (comp, x))
         else:
-            self.op, self.call = ("s", 0, self.m), ("inv", "scan", ())
+            self.op, self.call = ("s", 0, self.m), ("scan", ())
 
 
 def ops_program(snap: BoundedSnapshot, pid: int, script: list[tuple]) -> "_Lowered":
@@ -304,8 +306,8 @@ def register_program(logic: LogicMachine, snap: BoundedSnapshot) -> "_Lowered":
     """Expand a logic machine into a register-level program, a `shm.Cursor`.
 
     Each store op of the logic, plain register ops too, runs as the
-    sub-program `snap.op_steps` builds, between the markers that
-    `LogicMachine.step`'s rule gives.  An owner-tagged snapshot's codec packs
+    sub-program `snap.op_steps` builds; `LogicMachine.step` takes its
+    response and places the markers.  An owner-tagged snapshot's codec packs
     the logic's values before an update and unpacks a scan's, so `advance`
     sees what the atomic store would have answered.  The logic's pid is used
     for handshakes, so the logics of one run need distinct pids.  The
@@ -333,13 +335,13 @@ class _Lowered(Cursor):
             if item is not None:
                 return item
             self.sub = None
-            res, op = sub.result, self.logic.op
+            logic, res, op = self.logic, sub.result, self.logic.op
             if op[0] == "s":  # the components scanned, unpacked by the codec if any
                 res, codec = res[op[1] : op[2]], self.snap.codec
                 if codec is not None:
                     res = tuple(map(codec.decode, range(op[1], op[2]), res))
-            if self.logic.end(res) is not None:
-                return ("res", self.logic.reply)
+            if logic.step(None, 0, None, res) is not None:  # it closed an interface op
+                return ("res", logic.reply)
         logic, snap = self.logic, self.snap
         if logic.done:
             raise StopIteration(logic.result)
@@ -347,5 +349,5 @@ class _Lowered(Cursor):
         if op[0] == "u" and snap.codec is not None:
             op = ("u", op[1], snap.codec.encode(op[1], op[2]))
         self.sub, self.parity = snap.op_steps(logic.pid, op, self.parity)
-        # the op's invocation, if it opens one, goes first: the next send takes its first step
-        return logic.call or self.sub.step(None)
+        # the invocation of an op it opens goes first: the next send takes its first step
+        return self.sub.step(None) if logic.call is None else ("inv",) + logic.call

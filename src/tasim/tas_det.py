@@ -82,7 +82,7 @@ def solo_step_bound(n: int) -> int:
 class TasLogic(SifterLogic):
     """Doorway bit around the ell(n)-level chain; results are the TAS bit."""
 
-    op_name = "tas"
+    CALL = ("tas", ())
 
     def __init__(self, pid: int, n: int):
         # `SifterLogic.__init__`'s state poised at the doorway read instead,
@@ -92,7 +92,7 @@ class TasLogic(SifterLogic):
         self.done = False
         self.result = None
         self.steps = 0
-        self.call = None if self.op_name is None else ("inv", self.op_name, ())
+        self.call = self.CALL
         self.open = None
         self.top = 6 * (ell(n) - 1)
         self.base = 0

@@ -64,7 +64,7 @@ BETA = 16  # the 2-sized sifters number ceil(BETA * log2 n)
 
 
 class _StageTas(TasLogic):
-    op_name = None  # an LE2 or backstop: the pipeline's own tas() is the interface op
+    CALL = None  # an LE2 or backstop: the pipeline's own tas() is the interface op
 
 
 def gw_sizes(n: int) -> tuple[int, ...]:

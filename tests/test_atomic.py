@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import pkgutil
+import random
 from collections import Counter
 
 import pytest
@@ -31,7 +32,13 @@ from tasim.shm import (
     drain,
     run,
 )
-from tasim.sifter import NaiveSifterLogic, SifterLogic, sifter_machines, sifter_store
+from tasim.sifter import (
+    NaiveSifterLogic,
+    SifterLogic,
+    sifter_machines,
+    sifter_store,
+    sifter_system,
+)
 from tasim.snapshot import BoundedSnapshot, ScriptLogic, ops_program, register_program
 from tasim.tas_det import (
     TasLogic,
@@ -48,7 +55,7 @@ class PutScanLogic(LogicMachine):
     """Write pid+1 into one component, scan everything, return the view."""
 
     FIELDS = LogicMachine.FIELDS + ("m", "stage")
-    op_name = "putscan"
+    CALL = ("putscan", ())
 
     def __init__(self, pid, m):
         super().__init__(pid)
@@ -77,7 +84,7 @@ class SpinLogic(LogicMachine):
 class WaitLogic(LogicMachine):
     """Read register 0 until it is nonzero; a read of 0 returns to the initial state."""
 
-    op_name = "wait"
+    CALL = ("wait", ())
 
     def __init__(self, pid):
         super().__init__(pid)
@@ -91,7 +98,7 @@ class WaitLogic(LogicMachine):
 class SetLogic(LogicMachine):
     """Write 1 to register 0."""
 
-    op_name = "set"
+    CALL = ("set", ())
 
     def __init__(self, pid):
         super().__init__(pid)
@@ -383,7 +390,7 @@ class PutScanTwiceLogic(LogicMachine):
     def __init__(self, pid, m):
         super().__init__(pid)
         self.m, self.k, self.views = m, 0, ()
-        self.op, self.call = ("u", pid % m, pid + 1), ("inv", "putscan", (0,))
+        self.op, self.call = ("u", pid % m, pid + 1), ("putscan", (0,))
 
     def advance(self, res):
         self.k += 1
@@ -394,32 +401,72 @@ class PutScanTwiceLogic(LogicMachine):
         if self.k == 4:
             self.done, self.result, self.op = True, self.views, None
         else:
-            self.op, self.call = ("u", self.pid % self.m, self.pid + 1), ("inv", "putscan", (1,))
+            self.op, self.call = ("u", self.pid % self.m, self.pid + 1), ("putscan", (1,))
 
     @property
     def reply(self):  # a putscan responds with its view
         return self.views[-1]
 
 
-def test_markers_of_multi_op_interface_ops_agree_across_granularities():
-    # one marker rule at both levels: an invocation before the update that
-    # opens each putscan, a response after the scan that closes it
-    def lowered():
-        snap = BoundedSnapshot(0, 2, n=2, value_bits=2, codec=PutScanCodec())
-        ms = [StepMachine(p, register_program(PutScanTwiceLogic(p, 2), snap)) for p in range(2)]
-        return ms, snap.fresh_memory()
+def _putscan_twice_lowered():
+    snap = BoundedSnapshot(0, 2, n=2, value_bits=2, codec=PutScanCodec())
+    ms = [StepMachine(p, register_program(PutScanTwiceLogic(p, 2), snap)) for p in range(2)]
+    return ms, snap.fresh_memory()
 
-    atomic = Closure(
+
+# (op-level system, register-level system, each process's interface ops in order)
+MARKER_SYSTEMS = {
+    "putscan_twice": (
         lambda: ([PutScanTwiceLogic(p, 2) for p in range(2)], AtomicStore([None, None])),
-        by_history=True,
-    )
-    register = Closure(lowered, by_history=True)
-    assert len(atomic.terminals) > 1 and set(atomic.terminals) <= set(register.terminals)
-    for h in register.terminals:
-        for p in range(2):
-            mine = [(e.kind, e.args, e.result) for e in h if e.pid == p]
-            assert [m[:2] for m in mine] == [("inv", (0,)), ("res", (0,)), ("inv", (1,)), ("res", (1,))]
-            assert mine[1][2][p] == mine[3][2][p] == p + 1  # each scan sees its own update
+        _putscan_twice_lowered,
+        [("putscan", (0,)), ("putscan", (1,))],
+    ),
+    "tas2": (lambda: (tas_machines(2), tas_store(2)), lambda: tas_system(2)[:2], [("tas", ())]),
+    "sifter2": (
+        lambda: (sifter_machines(range(2)), sifter_store()),
+        lambda: sifter_system(2)[:2],
+        [("compete", ())],
+    ),
+}
+
+
+def test_markers_of_multi_op_interface_ops_agree_across_granularities():
+    # one marker rule at both levels: an invocation before the store op that
+    # opens each interface op, a response after the one that closes it, and
+    # from `step` the invocation it closes on the closing step, else None
+    for name, (make_atomic, make_lowered, ops) in MARKER_SYSTEMS.items():
+        want = [(kind, op, args) for op, args in ops for kind in ("inv", "res")]
+        atomic = Closure(make_atomic, by_history=True)
+        histories = set(atomic.terminals)
+        assert len(histories) > 1
+        if name == "putscan_twice":  # the one register-level closure small enough here
+            register = Closure(make_lowered, by_history=True)
+            assert histories <= set(register.terminals)
+            histories |= set(register.terminals)
+        rng = random.Random(38)
+        for _ in range(20):  # seeded runs at both levels, then solo to the end
+            schedule = [rng.randrange(2) for _ in range(rng.randrange(80))] + [0] * 500 + [1] * 500
+            machines, memory = make_lowered()
+            h = History()
+            run(machines, memory, schedule, h)
+            histories.add(tuple(h.events))
+            machines, store = make_atomic()
+            h = History()
+            for t, p in enumerate(schedule):
+                if machines[p].done:
+                    continue
+                before = len(h.events)
+                closed = machines[p].step(store, t, h)
+                res = [(e.kind, e.op, e.args) for e in h.events[before:] if e.kind == "res"]
+                assert closed == (None if not res else res[0][1:])
+            assert all(m.done for m in machines)
+            histories.add(tuple(h.events))
+        for h in histories:
+            for p in range(2):
+                mine = [(e.kind, e.op, e.args, e.result) for e in h if e.pid == p]
+                assert [m[:3] for m in mine] == want
+                if name == "putscan_twice":
+                    assert mine[1][3][p] == mine[3][3][p] == p + 1  # each scan sees its own update
 
 
 def test_owner_tagged_snapshot_interleavings_linearize():

@@ -813,7 +813,7 @@ class GuardedStepMachine(StepMachine):
 class GuardedBump(LogicMachine):
     """Read plain register 0, write it back plus one; fail if stepped after."""
 
-    op_name = "bump"
+    CALL = ("bump", ())
 
     def __init__(self, pid):
         super().__init__(pid)

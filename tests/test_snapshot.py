@@ -100,6 +100,9 @@ def test_op_steps_builds_every_store_op():
         s.op_steps(0, ("x", 0), 0)
     with pytest.raises(ValueError, match=r"store op \('w', 3, 1\): no plain register 3 below base 3"):
         s.op_steps(0, ("w", 3, 1), 0)
+    for lo, hi in ((-1, 2), (0, 3), (1, 1)):  # 0 <= lo < hi <= m: (-1, 2) once scanned all
+        with pytest.raises(ValueError, match=rf"store op \('s', {lo}, {hi}\): scan range outside 0..2"):
+            s.op_steps(0, ("s", lo, hi), 0)
 
 
 def _recording_op_steps(monkeypatch):
